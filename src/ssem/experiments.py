@@ -140,13 +140,17 @@ class _Problem:
     build: object  # callable(m, time_points) -> (system, half_inverse factory, errfun)
 
 
-def _elliptic_problem(domain_fn, dim, op, bc, exact, quotient_constants=False):
+def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
     # quotient_constants: pure Neumann data determines u only up to an
     # additive constant (constants lie in the kernel of both the interior
     # operator and the flux rows), so errors are measured in the quotient.
+    # The one domain object serves every m, so its boundary tables are
+    # computed once.
+    dim = domain.dim
+
     def build(m, time_points):
         axes = tuple(roots_axis(m) for _ in range(dim))
-        system = assemble_elliptic(domain_fn(), axes, op, bc)
+        system = assemble_elliptic(domain, axes, op, bc)
 
         def half_inverse_factory(spec):
             def half_inverse(b):
@@ -209,7 +213,7 @@ def _build_roster():
     laplace = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
                                    first_order={}, zeroth=None, source=0.0)
     dirichlet_disc = _elliptic_problem(
-        disc_domain, 2, laplace,
+        disc_domain(), laplace,
         BoundaryConditionSpec(
             trace=1.0, flux=0.0,
             data=lambda pts, nrm: pts[:, 0] ** 2 - pts[:, 1] ** 2),
@@ -217,7 +221,7 @@ def _build_roster():
     )
 
     neumann_star = _elliptic_problem(
-        star_domain, 2,
+        star_domain(),
         EllipticOperatorSpec(
             second_order={(0, 0): lambda x, y: 2.0 + y,
                           (1, 1): lambda x, y: 2.0 - x},
@@ -232,7 +236,7 @@ def _build_roster():
     )
 
     robin_annulus = _elliptic_problem(
-        annulus_domain, 2,
+        annulus_domain(),
         EllipticOperatorSpec(
             second_order={(0, 0): 1.0, (1, 1): 1.0},
             first_order={}, zeroth=None,
@@ -249,7 +253,7 @@ def _build_roster():
         first_order={}, zeroth=None,
         source=lambda x, y, z: -2.0 * y * np.sin(z) + x**2 * y * np.sin(z))
     dirichlet_3d = _elliptic_problem(
-        star_ball_domain, 3, laplace3,
+        star_ball_domain(), laplace3,
         BoundaryConditionSpec(
             trace=1.0, flux=0.0,
             data=lambda pts, nrm: pts[:, 0] ** 2 * pts[:, 1]

@@ -10,13 +10,19 @@ Boundary density follows the grid's own angular geometry: mapping the
 box through arccos componentwise turns the tensor roots grid into a
 uniform grid of spacing pi/m on [0, pi)^d, so curves are sampled
 equally spaced in arccos-image arclength at m/2 points per pi of image
-length. For star-shaped surfaces in 3D a Fibonacci lattice on the unit
+length. The cumulative image-arclength table behind that rule depends
+only on the curve, so each BoundaryCurve computes it on first use and
+keeps it, read-only, for as long as the curve lives (up to 2^20 + 1
+floats, 8 MiB, per curve): build a domain once and reuse it across grid
+sizes. For star-shaped surfaces in 3D a Fibonacci lattice on the unit
 sphere is projected radially onto the boundary, sized to m^2 points per
 (4 pi) of circumscribed-sphere area.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +62,16 @@ class BoundaryCurve:
 
     param: callable
     normal: callable
+
+    @functools.cached_property
+    def image_arclength(self) -> np.ndarray:
+        """Cumulative arccos-image arclength at theta = linspace(0, 2 pi, size).
+
+        Computed on first use and kept, read-only, with the curve.
+        """
+        cum = _image_arclength(self)
+        cum.flags.writeable = False
+        return cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,25 +153,54 @@ def interior_coordinates(axes, interior: InteriorIndexSet) -> np.ndarray:
 # boundary sampling
 # ---------------------------------------------------------------------------
 
-def _image_arclength(curve: BoundaryCurve, nseg: int = 4096):
-    """Arccos-image polyline of a closed curve, refined until stable.
+_MAX_SEGMENTS = 1 << 20
+_CHUNK = 1 << 16  # param evaluations per block of the arclength table
 
-    Returns (length, theta grid, cumulative arclength) of the curve
-    mapped componentwise through arccos, with segment count doubled until
-    the total length changes by less than 1e-9.
+
+def _cumulative_image_length(curve: BoundaryCurve, nseg: int) -> np.ndarray:
+    """Cumulative arccos-image arclength at theta_i = 2 pi i / nseg.
+
+    Evaluated in blocks of _CHUNK segments, with the running sum carried
+    into each block's sequential cumsum, so the result equals the one-shot
+    computation bit for bit. The table outlives the call; had it been
+    built from full-size temporaries, it would keep the heap they freed
+    from being returned to the system.
     """
-    prev = None
-    while True:
-        theta = np.linspace(0.0, 2.0 * np.pi, nseg + 1)
-        pts = curve.param(theta)
-        img = np.arccos(np.clip(pts, -1.0, 1.0))
+    step = 2.0 * np.pi / nseg  # linspace(0, 2 pi, nseg + 1) spacing
+    cum = np.empty(nseg + 1)
+    cum[0] = 0.0
+    for lo in range(0, nseg, _CHUNK):
+        hi = min(lo + _CHUNK, nseg)
+        theta = np.arange(lo, hi + 1, dtype=float) * step
+        if hi == nseg:
+            theta[-1] = 2.0 * np.pi
+        img = np.arccos(np.clip(curve.param(theta), -1.0, 1.0))
         seg = np.sqrt(np.sum(np.diff(img, axis=0) ** 2, axis=1))
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        seg[0] += cum[lo]
+        np.cumsum(seg, out=cum[lo + 1:hi + 1])
+    return cum
+
+
+def _image_arclength(curve: BoundaryCurve) -> np.ndarray:
+    """Arccos-image arclength table of a closed curve, refined until stable.
+
+    Returns the cumulative arclength of the curve mapped componentwise
+    through arccos, at nseg + 1 equally spaced angles, with nseg doubled
+    from 4096 until the total length changes by less than 1e-9. Warns if
+    the _MAX_SEGMENTS cap is reached first.
+    """
+    nseg, prev = 4096, None
+    while True:
+        cum = _cumulative_image_length(curve, nseg)
         length = cum[-1]
         if prev is not None and abs(length - prev) < 1e-9:
-            return length, theta, cum
-        if nseg >= 1 << 20:
-            return length, theta, cum
+            return cum
+        if nseg >= _MAX_SEGMENTS:
+            warnings.warn(
+                f"boundary arclength did not converge at the segment cap: "
+                f"{nseg} segments, last length change {abs(length - prev):.3g}",
+                RuntimeWarning, stacklevel=2)
+            return cum
         prev = length
         nseg *= 2
 
@@ -172,7 +217,9 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
         raise ValueError("sample_boundary_2d requires a planar domain")
     all_pts, all_nrm = [], []
     for curve in domain.boundary:
-        length, theta, cum = _image_arclength(curve)
+        cum = curve.image_arclength
+        length = cum[-1]
+        theta = np.linspace(0.0, 2.0 * np.pi, cum.size)
         n_pts = int(np.ceil(m / 2.0 * length / np.pi))
         targets = np.arange(n_pts) * (length / n_pts)
         theta_i = np.interp(targets, cum, theta)
@@ -236,7 +283,11 @@ def sample_boundary(domain: DomainSpec, m: int) -> BoundaryPointSet:
     """Dimension-dispatching boundary sampler."""
     if domain.dim == 2:
         return sample_boundary_2d(domain, m)
-    return sample_boundary_3d(domain, m)
+    if domain.dim == 3:
+        return sample_boundary_3d(domain, m)
+    raise ValueError(
+        f"boundary sampling supports 2-d and 3-d domains, got dim={domain.dim}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from ssem import geometry
+from ssem.assembly import SmootherSpec
 from ssem.chebyshev import roots_axis
+from ssem.experiments import ExperimentConfig, run_experiment, solve_problem
 from ssem.geometry import (
     DomainSpec,
     annulus_domain,
@@ -95,8 +98,9 @@ class TestBoundary2D:
         (annulus_domain, ANNULUS_COUNTS),
     ])
     def test_counts_within_one(self, dom_fn, counts):
+        dom = dom_fn()
         for m, (_, n_gamma) in counts.items():
-            got = sample_boundary_2d(dom_fn(), m).count
+            got = sample_boundary_2d(dom, m).count
             assert abs(got - n_gamma) <= 1, (m, got, n_gamma)
 
     def test_counts_exact_on_tables(self):
@@ -104,8 +108,9 @@ class TestBoundary2D:
         for dom_fn, counts in [(disc_domain, DISC_COUNTS),
                                (star_domain, STAR_EVEN_COUNTS),
                                (annulus_domain, ANNULUS_COUNTS)]:
+            dom = dom_fn()
             for m, (_, n_gamma) in counts.items():
-                assert sample_boundary_2d(dom_fn(), m).count == n_gamma
+                assert sample_boundary_2d(dom, m).count == n_gamma
 
     def test_points_on_boundary(self):
         for dom_fn in (disc_domain, star_domain, annulus_domain):
@@ -165,6 +170,81 @@ class TestBoundary2D:
         assert np.all(dots < -0.99)
 
 
+def one_shot_image_arclength(curve, nseg=4096):
+    """The refinement loop with each level computed in one piece."""
+    prev = None
+    while True:
+        theta = np.linspace(0.0, 2.0 * np.pi, nseg + 1)
+        pts = curve.param(theta)
+        img = np.arccos(np.clip(pts, -1.0, 1.0))
+        seg = np.sqrt(np.sum(np.diff(img, axis=0) ** 2, axis=1))
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        length = cum[-1]
+        if prev is not None and abs(length - prev) < 1e-9:
+            return cum
+        if nseg >= 1 << 20:
+            return cum
+        prev = length
+        nseg *= 2
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Curves whose arclength table gets computed, in call order."""
+    calls = []
+    real = geometry._image_arclength
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(geometry, "_image_arclength", counted)
+    return calls
+
+
+class TestImageArclength:
+    @pytest.mark.parametrize("dom_fn,component", [
+        (disc_domain, 0), (star_domain, 0),
+        (annulus_domain, 0), (annulus_domain, 1),
+    ])
+    def test_chunked_table_matches_one_shot(self, dom_fn, component):
+        curve = dom_fn().boundary[component]
+        assert np.array_equal(geometry._image_arclength(curve),
+                              one_shot_image_arclength(curve))
+
+    def test_table_is_read_only(self):
+        cum = disc_domain().boundary[0].image_arclength
+        assert not cum.flags.writeable
+        with pytest.raises(ValueError):
+            cum[1] = 0.0
+
+    def test_computed_once_per_curve(self, table_builds):
+        dom = annulus_domain()
+        grids = range(10, 39, 4)
+        reused = [sample_boundary_2d(dom, m) for m in grids]
+        assert [id(c) for c in table_builds] == [id(c) for c in dom.boundary]
+        for m, bset in zip(grids, reused):
+            fresh = sample_boundary_2d(annulus_domain(), m)
+            assert np.array_equal(bset.points, fresh.points)
+            assert np.array_equal(bset.normals, fresh.normals)
+
+    def test_sweep_reuses_the_roster_tables(self, table_builds):
+        solve_problem("dirichlet-disc", 10, SmootherSpec(p=4.0))
+        table_builds.clear()
+        rows = run_experiment(ExperimentConfig(
+            problem="dirichlet-disc", grids=(10, 14), p_list=(4.0, 6.0)))
+        assert [r.failed for r in rows] == [False] * 4
+        assert table_builds == []
+
+    def test_warns_at_segment_cap(self):
+        # 200 wiggles: the image length still moves by ~8e-6 at 2^20 segments
+        curve = geometry._polar_curve(lambda t: 0.5 + 0.05 * np.cos(200 * t),
+                                      lambda t: -10.0 * np.sin(200 * t))
+        with pytest.warns(RuntimeWarning, match="1048576 segments"):
+            cum = curve.image_arclength
+        assert cum.size == (1 << 20) + 1
+
+
 class TestBoundary3D:
     @pytest.mark.parametrize("m", sorted(BALL_COUNTS))
     def test_counts_within_two(self, m):
@@ -209,3 +289,9 @@ class TestDispatch:
             sample_boundary_2d(disc_domain(), 10).count
         assert sample_boundary(star_ball_domain(), 10).count == \
             sample_boundary_3d(star_ball_domain(), 10).count
+
+    def test_unsupported_dimension_rejected(self):
+        segment = DomainSpec(dim=1, inside=lambda x: np.abs(x) - 0.5,
+                             boundary=(), name="segment")
+        with pytest.raises(ValueError, match="dim=1"):
+            sample_boundary(segment, 10)
