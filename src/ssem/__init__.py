@@ -17,9 +17,7 @@ from .chebyshev import (
     bary_interp_row,
     bary_weights,
     diff1,
-    diff1_transpose,
     diff2,
-    diff2_transpose,
     forward_cheb,
     forward_extrema,
     inverse_cheb,
@@ -46,13 +44,11 @@ from .assembly import (
     EllipticOperatorSpec,
     SmootherSpec,
     apply_operator,
-    apply_operator_transpose,
     apply_smoother_half_forward,
     apply_smoother_half_inverse,
     assemble_elliptic,
     boundary_row,
     build_rhs,
-    materialize_matrix,
 )
 from .solver import (
     QRFactorization,
@@ -66,10 +62,8 @@ from .parabolic import (
     ParabolicProblem,
     SpaceTimeGrid,
     assemble_parabolic,
-    bessel_j0,
     solve_parabolic,
     spacetime_half_inverse,
-    spacetime_half_inverse_adjoint,
     time_diff_matrix,
 )
 from .experiments import (
@@ -88,21 +82,20 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtremaAxis", "RootsAxis", "apply_multiplier", "apply_sturm_liouville",
     "bary_deriv_row", "bary_interp_row", "bary_weights",
-    "diff1", "diff1_transpose", "diff2", "diff2_transpose",
+    "diff1", "diff2",
     "forward_cheb", "forward_extrema", "inverse_cheb", "inverse_extrema",
     "BoundaryPointSet", "DomainSpec", "InteriorIndexSet",
     "annulus_domain", "classify_interior", "disc_domain",
     "interior_coordinates", "sample_boundary", "sample_boundary_2d",
     "sample_boundary_3d", "sphere_domain", "star_ball_domain", "star_domain",
     "BoundaryConditionSpec", "ConstraintSystem", "EllipticOperatorSpec",
-    "SmootherSpec", "apply_operator", "apply_operator_transpose",
+    "SmootherSpec", "apply_operator",
     "apply_smoother_half_forward", "apply_smoother_half_inverse",
-    "assemble_elliptic", "boundary_row", "build_rhs", "materialize_matrix",
+    "assemble_elliptic", "boundary_row", "build_rhs",
     "QRFactorization", "RankDeficientError", "SolveReport",
     "condition_estimate", "householder_qr", "pinv_solve",
-    "ParabolicProblem", "SpaceTimeGrid", "assemble_parabolic", "bessel_j0",
-    "solve_parabolic", "spacetime_half_inverse",
-    "spacetime_half_inverse_adjoint", "time_diff_matrix",
+    "ParabolicProblem", "SpaceTimeGrid", "assemble_parabolic",
+    "solve_parabolic", "spacetime_half_inverse", "time_diff_matrix",
     "ConfigError", "ConvergenceRow", "ExperimentConfig", "PROBLEM_IDS",
     "fit_convergence_order", "l2_error", "run_experiment", "solve_problem",
     "__version__",

@@ -5,8 +5,11 @@ C u = b, the one of minimal smoothness norm. C stacks interior rows
 (the differential operator collocated at interior grid nodes) over
 boundary rows (point evaluation / directional derivative at sampled
 boundary points); the smoother is a positive frequency multiplier. The
-dense matrix handed to the solver is S^{-1/2} C^T, materialized column
-by column through the implicit operators.
+constraints are realized twice: on grid functions through the implicit
+spectral operators (C u, used for residual checks), and on tensor
+Chebyshev coefficients as the dense matrix A = C V handed to the solver,
+built directly from 1-D evaluations of T_k, T_k' and T_k'' at the
+interior nodes and boundary points.
 
 Coefficient functions are evaluated lazily: interior coefficients are
 callables of the unpacked node coordinates (or plain constants),
@@ -25,12 +28,13 @@ from .chebyshev import (
     RootsAxis,
     bary_deriv_row,
     bary_interp_row,
+    bary_rows,
+    basis_values,
     diff1,
-    diff1_transpose,
     diff2,
-    diff2_transpose,
     forward_cheb,
     inverse_cheb,
+    tensor_rows,
 )
 from .geometry import (
     BoundaryPointSet,
@@ -47,18 +51,13 @@ __all__ = [
     "SmootherSpec",
     "ConstraintSystem",
     "apply_operator",
-    "apply_operator_transpose",
     "boundary_row",
     "build_rhs",
     "smoother_multiplier_array",
     "apply_smoother_half_inverse",
     "apply_smoother_half_forward",
     "assemble_elliptic",
-    "materialize_matrix",
 ]
-
-MATERIALIZE_CHUNK = 256
-
 
 @dataclass(frozen=True, eq=False)
 class EllipticOperatorSpec:
@@ -152,58 +151,6 @@ def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
     return out
 
 
-def apply_operator_transpose(v: np.ndarray, op: EllipticOperatorSpec,
-                             interior: InteriorIndexSet, axes) -> np.ndarray:
-    """Exact adjoint of :func:`apply_operator`.
-
-    Extends the interior values by zero, then applies the transposed
-    derivative operators: -D2_ij^T (a_ij v) + D_i^T (b_i v) + c v.
-    """
-    d = len(axes)
-    shape = tuple(ax.m for ax in axes)
-    sel = tuple(interior.indices.T)
-    coords = interior_coordinates(axes, interior)
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(shape)
-    for (i, j), a in op.second_order.items():
-        g = np.zeros(shape)
-        g[sel] = _coeff_at_nodes(a, coords) * v
-        out -= diff2_transpose(g, i - d, j - d)
-    for i, b in op.first_order.items():
-        g = np.zeros(shape)
-        g[sel] = _coeff_at_nodes(b, coords) * v
-        out += diff1_transpose(g, i - d)
-    if op.zeroth is not None:
-        g = np.zeros(shape)
-        g[sel] = _coeff_at_nodes(op.zeroth, coords) * v
-        out += g
-    return out
-
-
-def _interior_transpose_columns(op: EllipticOperatorSpec,
-                                interior: InteriorIndexSet, axes,
-                                start: int, stop: int) -> np.ndarray:
-    """Columns C^T e_i for a chunk of interior rows, as grid tensors."""
-    d = len(axes)
-    shape = tuple(ax.m for ax in axes)
-    idx = interior.indices[start:stop]
-    n = idx.shape[0]
-    coords = np.stack([axes[j].nodes[idx[:, j]] for j in range(d)], axis=-1)
-    sel = (np.arange(n), *idx.T)
-    out = np.zeros((n,) + shape)
-    for (i, j), a in op.second_order.items():
-        g = np.zeros((n,) + shape)
-        g[sel] = _coeff_at_nodes(a, coords)
-        out -= diff2_transpose(g, i - d, j - d)
-    for i, b in op.first_order.items():
-        g = np.zeros((n,) + shape)
-        g[sel] = _coeff_at_nodes(b, coords)
-        out += diff1_transpose(g, i - d)
-    if op.zeroth is not None:
-        out[sel] += _coeff_at_nodes(op.zeroth, coords)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # boundary rows
 # ---------------------------------------------------------------------------
@@ -222,22 +169,6 @@ def boundary_row(point, normal, bc: BoundaryConditionSpec, axes) -> np.ndarray:
     return row
 
 
-def _boundary_rows(bc: BoundaryConditionSpec, boundary: BoundaryPointSet,
-                   axes) -> np.ndarray:
-    a = _coeff_at_points(bc.trace, boundary.points, boundary.normals)
-    b = _coeff_at_points(bc.flux, boundary.points, boundary.normals)
-    if np.any((a == 0.0) & (b == 0.0)):
-        raise ValueError("boundary condition vanishes at a sampled point")
-    rows = np.zeros((boundary.count,) + tuple(ax.m for ax in axes))
-    for i in range(boundary.count):
-        if a[i] != 0.0:
-            rows[i] += a[i] * bary_interp_row(axes, boundary.points[i])
-        if b[i] != 0.0:
-            rows[i] += b[i] * bary_deriv_row(axes, boundary.points[i],
-                                             boundary.normals[i])
-    return rows
-
-
 def build_rhs(op: EllipticOperatorSpec, bc: BoundaryConditionSpec,
               interior: InteriorIndexSet, boundary: BoundaryPointSet,
               axes) -> np.ndarray:
@@ -246,6 +177,85 @@ def build_rhs(op: EllipticOperatorSpec, bc: BoundaryConditionSpec,
     f = _coeff_at_nodes(op.source, coords)
     g = _coeff_at_points(bc.data, boundary.points, boundary.normals)
     return np.concatenate([f, g])
+
+
+# ---------------------------------------------------------------------------
+# coefficient-space rows A = C V, as sums of terms (w, factors): a weight
+# (per row, or a scalar) times the tensor_rows product of 1-D basis rows
+# ---------------------------------------------------------------------------
+
+def _operator_terms(op: EllipticOperatorSpec, interior: InteriorIndexSet,
+                    axes) -> list:
+    """Interior rows of A: the operator applied to each tensor basis
+    function, collocated at the interior nodes."""
+    d = len(axes)
+    coords = interior_coordinates(axes, interior)
+    # at_nodes[a][k]: k-th derivative of axis a's basis at each node
+    at_nodes = [[basis_values(ax, ax.nodes, k)[interior.indices[:, a]]
+                 for k in range(3)] for a, ax in enumerate(axes)]
+
+    def factors(*diff_axes):
+        orders = [sum(i % d == a for i in diff_axes) for a in range(d)]
+        return [at_nodes[a][k] for a, k in enumerate(orders)]
+
+    terms = [(-_coeff_at_nodes(a, coords), factors(i, j))
+             for (i, j), a in op.second_order.items()]
+    terms += [(_coeff_at_nodes(b, coords), factors(i))
+              for i, b in op.first_order.items()]
+    if op.zeroth is not None:
+        terms.append((_coeff_at_nodes(op.zeroth, coords), factors()))
+    return terms
+
+
+def _boundary_terms(bc: BoundaryConditionSpec, boundary: BoundaryPointSet,
+                    axes, rows=basis_values) -> list:
+    """Boundary rows: a u + b grad(u) . nu at the sampled points, with the
+    1-D factors rows(ax, x, order) -- basis_values for the rows of A,
+    bary_rows for the rows of C on grid functions."""
+    pts, nrm = boundary.points, boundary.normals
+    a = _coeff_at_points(bc.trace, pts, nrm)
+    b = _coeff_at_points(bc.flux, pts, nrm)
+    if np.any((a == 0.0) & (b == 0.0)):
+        raise ValueError("boundary condition vanishes at a sampled point")
+    values = [rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
+    terms = [(a, values)]
+    for j, ax in enumerate(axes):
+        slope = list(values)
+        slope[j] = rows(ax, pts[:, j], 1)
+        terms.append((b * nrm[:, j], slope))
+    return terms
+
+
+def _apply_terms(terms, u: np.ndarray) -> np.ndarray:
+    """The (w, factors) rows applied to a grid function, one axis at a
+    time; axes of u beyond the factors' are kept."""
+    out = 0.0
+    for w, factors in terms:
+        if np.any(w):
+            vals = np.tensordot(factors[0], u, axes=1)
+            for f in factors[1:]:
+                vals = np.einsum("rj...,rj->r...", vals, f)
+            out = out + np.reshape(w, (-1,) + (1,) * (vals.ndim - 1)) * vals
+    return out
+
+
+def _fill_rows(out: np.ndarray, terms) -> None:
+    """Write the sum of the (w, factors) terms into the rows of out.
+
+    The first term is written in place and the others share one scratch
+    block: a full-size temporary per term can stay in the heap after it
+    is freed and raise the peak RSS of the solve.
+    """
+    terms = [(w, f) for w, f in terms if np.any(w)]
+    if not terms:
+        out[:] = 0.0
+    scratch = np.empty_like(out) if len(terms) > 1 else None
+    for k, (w, factors) in enumerate(terms):
+        weighted = [np.reshape(w, (-1, 1)) * factors[0], *factors[1:]]
+        if k == 0:
+            tensor_rows(weighted, out=out)
+        else:
+            out += tensor_rows(weighted, out=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +305,18 @@ def apply_smoother_half_forward(u: np.ndarray, spec: SmootherSpec,
 class ConstraintSystem:
     """The linear constraints C u = b of one discrete problem.
 
-    apply / apply_transpose realize C and its exact adjoint through the
-    implicit spectral operators; transpose_columns materializes a chunk
-    of C^T basis columns as grid tensors for the solver.
+    apply realizes C on grid functions through the implicit spectral
+    operators; coefficient_matrix builds A = C V, the same constraints on
+    the coefficients c of u = V c. The solver factors A and rechecks its
+    answer through apply. grid_smoother is S^{-1/2} of a SmootherSpec on
+    this grid (systems built by hand may leave out half_inverse_fn and
+    solve with a smoother callable). A space-time system also counts its
+    heat, initial and lateral rows.
     """
 
-    def __init__(self, axes, interior, boundary, rhs, apply_fn,
-                 apply_transpose_fn, transpose_columns_fn,
-                 n_omega, n_gamma):
+    def __init__(self, axes, interior, boundary, rhs, apply_fn, matrix_fn,
+                 n_omega, n_gamma, half_inverse_fn=None, n_heat_rows=0,
+                 n_initial_rows=0, n_lateral_rows=0):
         self.axes = tuple(axes)
         self.grid_shape = tuple(ax.m if isinstance(ax, RootsAxis) else ax.n + 1
                                 for ax in axes)
@@ -312,21 +326,28 @@ class ConstraintSystem:
         self.n_rows = rhs.shape[0]
         self.n_omega = n_omega
         self.n_gamma = n_gamma
+        self.n_heat_rows = n_heat_rows
+        self.n_initial_rows = n_initial_rows
+        self.n_lateral_rows = n_lateral_rows
         self._apply = apply_fn
-        self._apply_transpose = apply_transpose_fn
-        self._transpose_columns = transpose_columns_fn
+        self._matrix = matrix_fn
+        self._half_inverse = half_inverse_fn
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """C u: all constraint values for a grid function."""
         return self._apply(np.asarray(u, dtype=float))
 
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        """C^T v: the adjoint, as a grid function."""
-        return self._apply_transpose(np.asarray(v, dtype=float))
+    def coefficient_matrix(self) -> np.ndarray:
+        """A = C V as a new (n_rows, grid size) array the caller owns:
+        A @ analysis(u).ravel() equals apply(u) (C-order coefficients)."""
+        return self._matrix()
 
-    def transpose_columns(self, start: int, stop: int) -> np.ndarray:
-        """Grid tensors C^T e_i for rows start..stop-1."""
-        return self._transpose_columns(start, stop)
+    def grid_smoother(self, spec: SmootherSpec):
+        """S^{-1/2} of spec as an operator on this system's grid functions."""
+        if self._half_inverse is None:
+            raise ValueError("this constraint system has no grid smoother; "
+                             "solve it with a smoother callable")
+        return lambda u: self._half_inverse(np.asarray(u, dtype=float), spec)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u) - self.rhs
@@ -338,51 +359,22 @@ def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,
     m = axes[0].m
     interior = classify_interior(domain, axes)
     boundary = sample_boundary(domain, m)
-    rows_b = _boundary_rows(bc, boundary, axes)
     rhs = build_rhs(op, bc, interior, boundary, axes)
-    d = len(axes)
+    interior_terms = _operator_terms(op, interior, axes)
+    boundary_terms = _boundary_terms(bc, boundary, axes)
+    bary_terms = _boundary_terms(bc, boundary, axes, bary_rows)
 
     def apply_fn(u):
         vals_a = apply_operator(u, op, interior, axes)
-        vals_b = np.tensordot(rows_b, u, axes=d)
-        return np.concatenate([vals_a, vals_b])
+        return np.concatenate([vals_a, _apply_terms(bary_terms, u)])
 
-    def apply_transpose_fn(v):
-        out = apply_operator_transpose(v[:interior.count], op, interior, axes)
-        out += np.tensordot(v[interior.count:], rows_b, axes=1)
-        return out
-
-    def transpose_columns_fn(start, stop):
-        n_i = interior.count
-        if stop <= n_i:
-            return _interior_transpose_columns(op, interior, axes, start, stop)
-        if start >= n_i:
-            return rows_b[start - n_i:stop - n_i].copy()
-        top = _interior_transpose_columns(op, interior, axes, start, n_i)
-        return np.concatenate([top, rows_b[:stop - n_i]], axis=0)
+    def matrix_fn():
+        mat = np.empty((rhs.shape[0], int(np.prod([ax.m for ax in axes]))))
+        _fill_rows(mat[:interior.count], interior_terms)
+        _fill_rows(mat[interior.count:], boundary_terms)
+        return mat
 
     return ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
-                            apply_transpose_fn, transpose_columns_fn,
-                            n_omega=interior.count, n_gamma=boundary.count)
-
-
-def materialize_matrix(system: ConstraintSystem, half_inverse) -> np.ndarray:
-    """Dense M = S^{-1/2} C^T, one column per constraint.
-
-    half_inverse applies the smoother to a batch of grid tensors (batch
-    axis first). Columns are computed in fixed chunks; the result is
-    independent of the chunk schedule.
-    """
-    size = int(np.prod(system.grid_shape))
-    n = system.n_rows
-    if size < n:
-        raise ValueError(
-            f"under-resolved grid: {size} grid points cannot carry "
-            f"{n} constraints"
-        )
-    cols = np.empty((n, size))
-    for start in range(0, n, MATERIALIZE_CHUNK):
-        stop = min(start + MATERIALIZE_CHUNK, n)
-        block = system.transpose_columns(start, stop)
-        cols[start:stop] = half_inverse(block).reshape(stop - start, size)
-    return cols.T
+                            matrix_fn, n_omega=interior.count,
+                            n_gamma=boundary.count,
+                            half_inverse_fn=apply_smoother_half_inverse)

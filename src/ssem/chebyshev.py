@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.chebyshev as ncheb
 from scipy.fft import dct, dst
 
 __all__ = [
@@ -27,15 +28,19 @@ __all__ = [
     "inverse_cheb",
     "diff1",
     "diff2",
-    "diff1_transpose",
-    "diff2_transpose",
     "apply_multiplier",
     "apply_sturm_liouville",
     "bary_weights",
+    "bary_rows",
     "bary_interp_row",
     "bary_deriv_row",
     "forward_extrema",
     "inverse_extrema",
+    "synthesis",
+    "analysis",
+    "basis_values",
+    "gram_factor",
+    "tensor_rows",
 ]
 
 NODE_MATCH_TOL = 1e-14
@@ -111,15 +116,6 @@ def _shift(v: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _shift_transpose(v: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of :func:`_shift`: out_k = v_{k-1}, first slot zero."""
-    out = np.roll(v, 1, axis=axis)
-    idx = [slice(None)] * out.ndim
-    idx[axis % out.ndim] = 0
-    out[tuple(idx)] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -187,6 +183,94 @@ def inverse_extrema(c: np.ndarray, axis: int = -1) -> np.ndarray:
     return dct(c * _along(half, c.ndim, axis), type=1, axis=axis)
 
 
+def synthesis(c: np.ndarray, axes) -> np.ndarray:
+    """Grid values u = V c of a coefficient tensor, one axis object per axis.
+
+    V is the tensor product of the per-axis synthesis matrices: T_k at
+    the roots nodes, cos(pi j k / n) on an extrema axis.
+    """
+    u = np.asarray(c, dtype=float)
+    for i, ax in enumerate(axes):
+        if isinstance(ax, ExtremaAxis):
+            u = inverse_extrema(u, axis=i)
+        else:
+            u = inverse_cheb(u, axes=(i,))
+    return u
+
+
+def analysis(u: np.ndarray, axes) -> np.ndarray:
+    """Inverse of :func:`synthesis`: the coefficient tensor of grid values."""
+    c = np.asarray(u, dtype=float)
+    for i, ax in enumerate(axes):
+        if isinstance(ax, ExtremaAxis):
+            c = forward_extrema(c, axis=i)
+        else:
+            c = forward_cheb(c, axes=(i,))
+    return c
+
+
+# ---------------------------------------------------------------------------
+# coefficient space: basis evaluation and Gram factors
+# ---------------------------------------------------------------------------
+
+def basis_values(ax, x, order: int = 0) -> np.ndarray:
+    """The order-th derivatives of an axis' basis functions at points x.
+
+    Returns a (len(x), size) matrix whose column k is the basis function
+    behind coefficient k of :func:`synthesis`: T_k on a roots axis; on an
+    extrema axis T_k(s) in the reversed reference variable
+    s = 1 - 2 (t - t_lo) / (t_hi - t_lo), which is cos(pi j / n) at node j.
+    Derivatives are taken in coefficient space (chebder), so they stay
+    accurate at points near the ends of the interval.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(ax, ExtremaAxis):
+        size = ax.n + 1
+        scale = -2.0 / (ax.t_hi - ax.t_lo)
+        s = 1.0 + scale * (x - ax.t_lo)
+    else:
+        size, scale, s = ax.m, 1.0, x
+    if order == 0:
+        return ncheb.chebvander(s, size - 1)
+    deriv = ncheb.chebder(np.eye(size), order) * scale ** order
+    return ncheb.chebvander(s, deriv.shape[0] - 1) @ deriv
+
+
+def gram_factor(ax) -> np.ndarray:
+    """Upper-triangular R with V^T V = R^T R for the axis' synthesis V.
+
+    On a roots axis the basis is discretely orthogonal, V^T V =
+    diag(m, m/2, ..., m/2), so R is its (exactly diagonal) square root; on
+    an extrema axis R comes from a QR factorization of
+    V[j, k] = cos(pi j k / n).
+    """
+    if isinstance(ax, ExtremaAxis):
+        j = np.arange(ax.n + 1)
+        v = np.cos(np.pi * (np.outer(j, j) % (2 * ax.n)) / ax.n)
+        return np.linalg.qr(v, mode="r")
+    g = np.full(ax.m, ax.m / 2.0)
+    g[0] = ax.m
+    return np.diag(np.sqrt(g))
+
+
+def tensor_rows(factors, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise Kronecker (Khatri-Rao) product of per-axis row matrices.
+
+    factors[a] is (n, size_a); row r of the (n, prod size_a) result is the
+    C-ordered outer product of the rows r of all factors, i.e. the tensor
+    basis evaluated at the r-th point. Written into out when given.
+    """
+    lead = factors[0]
+    for f in factors[1:-1]:
+        lead = (lead[:, :, None] * f[:, None, :]).reshape(len(lead), -1)
+    last = factors[-1] if len(factors) > 1 else np.ones((len(lead), 1))
+    if out is None:
+        out = np.empty((len(lead), lead.shape[1] * last.shape[1]))
+    np.multiply(lead[:, :, None], last[:, None, :],
+                out=out.reshape(len(lead), lead.shape[1], last.shape[1]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
@@ -208,24 +292,6 @@ def diff1(u: np.ndarray, axis: int, ax_obj: RootsAxis | None = None) -> np.ndarr
     return dst(v, type=3, axis=axis) / _along(np.sin(theta), u.ndim, axis)
 
 
-def diff1_transpose(v: np.ndarray, axis: int) -> np.ndarray:
-    """Exact transpose of :func:`diff1` in the plain grid inner product."""
-    v = np.asarray(v, dtype=float)
-    m = v.shape[axis]
-    k = np.arange(m)
-    theta = np.pi * (2 * k + 1) / (2 * m)
-    ndim = v.ndim
-    s = dst(v / _along(np.sin(theta), ndim, axis), type=2, axis=axis)
-    idx = [slice(None)] * ndim
-    idx[axis % ndim] = -1
-    s[tuple(idx)] *= 0.5
-    s = _shift_transpose(s, axis)
-    s = s * _along(k / (2.0 * m), ndim, axis)
-    idx[axis % ndim] = 0
-    s[tuple(idx)] *= 2.0
-    return dct(s, type=3, axis=axis)
-
-
 def _diff2_same_axis(u: np.ndarray, axis: int) -> np.ndarray:
     m = u.shape[axis]
     k = np.arange(m)
@@ -240,34 +306,6 @@ def _diff2_same_axis(u: np.ndarray, axis: int) -> np.ndarray:
     return term1 + term2
 
 
-def _diff2_same_axis_transpose(v: np.ndarray, axis: int) -> np.ndarray:
-    m = v.shape[axis]
-    k = np.arange(m)
-    theta = np.pi * (2 * k + 1) / (2 * m)
-    x = np.cos(theta)
-    ndim = v.ndim
-    idx = [slice(None)] * ndim
-
-    w = v / _along(1.0 - x**2, ndim, axis)
-    s = dct(w, type=2, axis=axis)
-    idx[axis % ndim] = 0
-    s[tuple(idx)] *= 0.5
-    s = s * _along(k**2 / (2.0 * m), ndim, axis)
-    s[tuple(idx)] *= 2.0
-    term1 = -dct(s, type=3, axis=axis)
-
-    w = v * _along(x / (1.0 - x**2) ** 1.5, ndim, axis)
-    s = dst(w, type=2, axis=axis)
-    idx[axis % ndim] = -1
-    s[tuple(idx)] *= 0.5
-    s = _shift_transpose(s, axis)
-    s = s * _along(k / (2.0 * m), ndim, axis)
-    idx[axis % ndim] = 0
-    s[tuple(idx)] *= 2.0
-    term2 = dct(s, type=3, axis=axis)
-    return term1 + term2
-
-
 def diff2(u: np.ndarray, axis_i: int, axis_j: int) -> np.ndarray:
     """Second spectral derivative.
 
@@ -278,13 +316,6 @@ def diff2(u: np.ndarray, axis_i: int, axis_j: int) -> np.ndarray:
     if axis_i == axis_j:
         return _diff2_same_axis(np.asarray(u, dtype=float), axis_i)
     return diff1(diff1(u, axis_i), axis_j)
-
-
-def diff2_transpose(v: np.ndarray, axis_i: int, axis_j: int) -> np.ndarray:
-    """Exact transpose of :func:`diff2`."""
-    if axis_i == axis_j:
-        return _diff2_same_axis_transpose(np.asarray(v, dtype=float), axis_i)
-    return diff1_transpose(diff1_transpose(v, axis_j), axis_i)
 
 
 def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
@@ -364,6 +395,17 @@ def _deriv_row_1d(ax: RootsAxis, y: float) -> np.ndarray:
     q = t.sum()
     qp = (t / d).sum()
     return -t / d / q + t * (qp / q**2)
+
+
+def bary_rows(ax: RootsAxis, x, order: int = 0) -> np.ndarray:
+    """Barycentric value (order 0) or derivative (order 1) rows at points x.
+
+    Row r, contracted with samples at the axis' nodes, gives the degree-
+    (m-1) interpolant (or its derivative) at x[r]: the 1-D factors of
+    :func:`bary_interp_row` and :func:`bary_deriv_row`.
+    """
+    row = (_interp_row_1d, _deriv_row_1d)[order]
+    return np.array([row(ax, xi) for xi in np.ravel(x)]).reshape(-1, ax.m)
 
 
 def bary_interp_row(axes, y) -> np.ndarray:

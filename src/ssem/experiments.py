@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0
 
 from .assembly import (
     BoundaryConditionSpec,
     EllipticOperatorSpec,
     SmootherSpec,
-    apply_smoother_half_inverse,
     assemble_elliptic,
 )
 from .chebyshev import extrema_axis, roots_axis
@@ -30,14 +30,7 @@ from .geometry import (
     star_ball_domain,
     star_domain,
 )
-from .parabolic import (
-    ParabolicProblem,
-    SpaceTimeGrid,
-    assemble_parabolic,
-    bessel_j0,
-    spacetime_half_inverse,
-    spacetime_half_inverse_adjoint,
-)
+from .parabolic import ParabolicProblem, SpaceTimeGrid, assemble_parabolic
 from .solver import pinv_solve
 
 __all__ = [
@@ -137,7 +130,7 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class _Problem:
     grid_dim: int
-    build: object  # callable(m, time_points) -> (system, half_inverse factory, errfun)
+    build: object  # callable(m, time_points) -> (system, errfun)
 
 
 def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
@@ -152,12 +145,6 @@ def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
         axes = tuple(roots_axis(m) for _ in range(dim))
         system = assemble_elliptic(domain, axes, op, bc)
 
-        def half_inverse_factory(spec):
-            def half_inverse(b):
-                return apply_smoother_half_inverse(b, spec, d=dim)
-
-            return half_inverse, half_inverse  # symmetric on roots grids
-
         def errors(u):
             coords = interior_coordinates(axes, system.interior)
             diff = u[tuple(system.interior.indices.T)] - exact(*coords.T)
@@ -166,7 +153,7 @@ def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
             return (float(np.sqrt(np.mean(diff**2))),
                     float(np.max(np.abs(diff))))
 
-        return system, half_inverse_factory, errors
+        return system, errors
 
     return _Problem(grid_dim=dim, build=build)
 
@@ -174,8 +161,7 @@ def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
 def _parabolic_problem():
     def exact(x, y, t):
         r = np.hypot(x, y)
-        return (np.exp(-t) * bessel_j0(r)
-                - np.exp(-t / 4.0) * bessel_j0(r / 2.0))
+        return np.exp(-t) * j0(r) - np.exp(-t / 4.0) * j0(r / 2.0)
 
     problem = ParabolicProblem(
         domain=star_domain(),
@@ -191,10 +177,6 @@ def _parabolic_problem():
         )
         system = assemble_parabolic(problem, grid)
 
-        def half_inverse_factory(spec):
-            return (lambda b: spacetime_half_inverse(b, spec),
-                    lambda b: spacetime_half_inverse_adjoint(b, spec))
-
         def errors(u):
             ii, jj = system.interior.indices.T
             coords = interior_coordinates(grid.space_axes, system.interior)
@@ -204,7 +186,7 @@ def _parabolic_problem():
             return (float(np.sqrt(np.mean(diff**2))),
                     float(np.max(np.abs(diff))))
 
-        return system, half_inverse_factory, errors
+        return system, errors
 
     return _Problem(grid_dim=3, build=build)
 
@@ -314,9 +296,8 @@ def solve_problem(problem_id: str, m: int, spec: SmootherSpec,
     diagnostics.
     """
     prob = _PROBLEMS[problem_id]
-    system, half_inverse_factory, errors = prob.build(m, time_points)
-    half_inverse, half_inverse_adjoint = half_inverse_factory(spec)
-    report = pinv_solve(system, half_inverse, half_inverse_adjoint)
+    system, errors = prob.build(m, time_points)
+    report = pinv_solve(system, spec)
     l2, linf = errors(report.solution)
     row = ConvergenceRow(
         m=m,

@@ -7,6 +7,11 @@ u_t - lap(u) = 0 at interior nodes for t > 0, restrict to the initial
 slice, and interpolate spatially on the lateral boundary for t > 0; the
 smoother is the same power/exponential multiplier extended with the
 integer time frequency.
+
+The coefficient-space rows are products of 1-D basis evaluations, as in
+the elliptic case; the solver folds the R factor of the (n+1)x(n+1) time
+synthesis into the factored matrix, so the non-symmetric space-time
+smoother needs no separate adjoint.
 """
 
 from __future__ import annotations
@@ -16,15 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
-    BoundaryConditionSpec,
     ConstraintSystem,
     SmootherSpec,
-    _boundary_rows,
+    _apply_terms,
+    _fill_rows,
+    smoother_multiplier_array,
 )
 from .chebyshev import (
     ExtremaAxis,
+    bary_rows,
+    basis_values,
     diff2,
-    diff2_transpose,
     forward_cheb,
     forward_extrema,
     inverse_cheb,
@@ -42,10 +49,8 @@ __all__ = [
     "SpaceTimeGrid",
     "ParabolicProblem",
     "time_diff_matrix",
-    "bessel_j0",
     "assemble_parabolic",
     "spacetime_half_inverse",
-    "spacetime_half_inverse_adjoint",
     "solve_parabolic",
 ]
 
@@ -94,24 +99,6 @@ def time_diff_matrix(axis: ExtremaAxis) -> np.ndarray:
     return mat
 
 
-def bessel_j0(r):
-    """Bessel function of the first kind, order zero, by power series.
-
-    Terms are accumulated until they drop below 1e-17 in magnitude;
-    adequate on the radii of the embedding box (|r| <= 2).
-    """
-    r = np.asarray(r, dtype=float)
-    x2 = (r / 2.0) ** 2
-    term = np.ones_like(x2)
-    out = np.ones_like(x2)
-    for q in range(1, 64):
-        term = term * (-x2) / q**2
-        out = out + term
-        if np.max(np.abs(term)) < 1e-17:
-            break
-    return out
-
-
 def assemble_parabolic(problem: ParabolicProblem,
                        grid: SpaceTimeGrid) -> ConstraintSystem:
     """Constraint system of the heat IBVP on the space-time grid.
@@ -128,9 +115,8 @@ def assemble_parabolic(problem: ParabolicProblem,
     interior = classify_interior(problem.domain, grid.space_axes)
     boundary = sample_boundary_2d(problem.domain, sx.m)
     # Dirichlet trace rows in space, tensored with time restrictions
-    rows_b = _boundary_rows(BoundaryConditionSpec(trace=1.0, flux=0.0,
-                                                  data=0.0),
-                            boundary, grid.space_axes)
+    trace = [(1.0, [bary_rows(ax, boundary.points[:, j])
+                    for j, ax in enumerate(grid.space_axes)])]
     dmat = time_diff_matrix(taxis)
     ii, jj = interior.indices[:, 0], interior.indices[:, 1]
     n_heat = interior.count * n
@@ -153,115 +139,53 @@ def assemble_parabolic(problem: ParabolicProblem,
     def apply_fn(u):
         heat = heat_operator(u)[ii, jj, 1:]          # (n_omega, n)
         init = u[ii, jj, 0]
-        lat = np.tensordot(rows_b, u, axes=([1, 2], [0, 1]))[:, 1:]
+        lat = _apply_terms(trace, u)[:, 1:]
         return np.concatenate([heat.ravel(), init, lat.ravel()])
 
-    def apply_transpose_fn(v):
-        out = np.zeros((sx.m, sy.m, n + 1))
-        g = np.zeros_like(out)
-        g[ii, jj, 1:] = v[:n_heat].reshape(interior.count, n)
-        out += np.tensordot(g, dmat, axes=([2], [0]))
-        out -= diff2_transpose(g, -3, -3) + diff2_transpose(g, -2, -2)
-        out[ii, jj, 0] += v[n_heat:n_heat + n_init]
-        v_lat = v[n_heat + n_init:].reshape(boundary.count, n)
-        out[:, :, 1:] += np.tensordot(rows_b, v_lat, axes=([0], [0]))
-        return out
+    # coefficient rows: 1-D basis values and derivatives (x0, x2 at the
+    # interior nodes' x, likewise y; t0, t1 at the time nodes), gathered
+    # into the row order above
+    x0, x2 = (basis_values(sx, sx.nodes, k)[ii] for k in (0, 2))
+    y0, y2 = (basis_values(sy, sy.nodes, k)[jj] for k in (0, 2))
+    t0, t1 = (basis_values(taxis, taxis.nodes, k) for k in (0, 1))
+    node = np.repeat(np.arange(interior.count), n)
+    node_time = np.tile(np.arange(1, n + 1), interior.count)
+    point = np.repeat(np.arange(boundary.count), n)
+    point_time = np.tile(np.arange(1, n + 1), boundary.count)
+    heat_terms = [(1.0, [x0[node], y0[node], t1[node_time]]),
+                  (-1.0, [x2[node], y0[node], t0[node_time]]),
+                  (-1.0, [x0[node], y2[node], t0[node_time]])]
+    init_terms = [(1.0, [x0, y0, np.repeat(t0[:1], n_init, axis=0)])]
+    lat_terms = [(1.0, [basis_values(sx, boundary.points[point, 0]),
+                        basis_values(sy, boundary.points[point, 1]),
+                        t0[point_time]])]
 
-    def transpose_columns_fn(start, stop):
-        blocks = []
-        for lo, hi, build in (
-            (0, n_heat, _heat_cols),
-            (n_heat, n_heat + n_init, _init_cols),
-            (n_heat + n_init, n_heat + n_init + n_lat, _lat_cols),
-        ):
-            a, b = max(start, lo), min(stop, hi)
-            if a < b:
-                blocks.append(build(a - lo, b - lo))
-        return np.concatenate(blocks, axis=0)
+    def matrix_fn():
+        mat = np.empty((rhs.shape[0], sx.m * sy.m * (n + 1)))
+        _fill_rows(mat[:n_heat], heat_terms)
+        _fill_rows(mat[n_heat:n_heat + n_init], init_terms)
+        _fill_rows(mat[n_heat + n_init:], lat_terms)
+        return mat
 
-    def _heat_cols(a, b):
-        rows = np.arange(a, b)
-        node, tj = rows // n, 1 + rows % n
-        e = np.zeros((b - a, sx.m, sy.m, n + 1))
-        e[np.arange(b - a), ii[node], jj[node], tj] = 1.0
-        cols = np.tensordot(e, dmat, axes=([3], [0]))
-        cols -= diff2_transpose(e, -3, -3) + diff2_transpose(e, -2, -2)
-        return cols
-
-    def _init_cols(a, b):
-        e = np.zeros((b - a, sx.m, sy.m, n + 1))
-        e[np.arange(b - a), ii[a:b], jj[a:b], 0] = 1.0
-        return e
-
-    def _lat_cols(a, b):
-        rows = np.arange(a, b)
-        pt, tj = rows // n, 1 + rows % n
-        e = np.zeros((b - a, sx.m, sy.m, n + 1))
-        e[np.arange(b - a), :, :, tj] = rows_b[pt]
-        return e
-
-    system = ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
-                              apply_transpose_fn, transpose_columns_fn,
-                              n_omega=interior.count, n_gamma=boundary.count)
-    system.n_heat_rows = n_heat
-    system.n_initial_rows = n_init
-    system.n_lateral_rows = n_lat
-    return system
-
-
-def _spacetime_multiplier(spec: SmootherSpec, shape) -> np.ndarray:
-    """S^{-1/2} multiplier on the (m, m, n+1) mixed frequency grid."""
-    k2 = np.zeros(shape)
-    for ax, size in enumerate(shape):
-        k = np.arange(size, dtype=float) ** 2
-        k2 = k2 + k.reshape((1,) * ax + (size,) + (1,) * (2 - ax))
-    return spec.half_inverse_multiplier(k2)
+    return ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
+                            matrix_fn, n_omega=interior.count,
+                            n_gamma=boundary.count,
+                            half_inverse_fn=spacetime_half_inverse,
+                            n_heat_rows=n_heat, n_initial_rows=n_init,
+                            n_lateral_rows=n_lat)
 
 
 def spacetime_half_inverse(u: np.ndarray, spec: SmootherSpec) -> np.ndarray:
     """Apply the space-time S^{-1/2}: roots transforms in space, the
     extrema transform in time, multiplier in (1 + |k_x|^2 + k_t^2)."""
     u = np.asarray(u, dtype=float)
-    c = forward_cheb(u, axes=(u.ndim - 3, u.ndim - 2))
-    c = forward_extrema(c, axis=-1)
-    c = c * _spacetime_multiplier(spec, u.shape[u.ndim - 3:])
-    c = inverse_extrema(c, axis=-1)
-    return inverse_cheb(c, axes=(u.ndim - 3, u.ndim - 2))
-
-
-def spacetime_half_inverse_adjoint(u: np.ndarray,
-                                   spec: SmootherSpec) -> np.ndarray:
-    """The exact adjoint of spacetime_half_inverse.
-
-    The roots-grid factors are symmetric, but the extrema-grid time
-    factor is not (its analysis/synthesis pair carries uneven endpoint
-    weights), so the adjoint swaps each transform for its transpose:
-    synthesis^T in place of analysis, analysis^T in place of synthesis.
-    """
-    u = np.asarray(u, dtype=float)
-    m = u.shape[u.ndim - 3]
-    n = u.shape[-1] - 1
-    a = np.full(m, 1.0 / m)
-    a[0] = 1.0 / (2.0 * m)
-    gamma = np.full(n + 1, n / 2.0)
-    gamma[0] = gamma[-1] = float(n)
-    ends = np.full(n + 1, 2.0)
-    ends[0] = ends[-1] = 1.0
-    sp = (u.ndim - 3, u.ndim - 2)
-    ax = a.reshape(m, 1, 1)
-    ay = a.reshape(1, m, 1)
-    # synthesis^T per axis: V^T = a^{-1} (analysis), plain V in time
-    c = forward_cheb(u, axes=sp) / ax / ay
-    c = inverse_extrema(c, axis=-1)
-    c = c * _spacetime_multiplier(spec, u.shape[u.ndim - 3:])
-    # analysis^T per axis: V a in space, (1,2,..,2,1) V (2 gamma)^{-1} in time
-    c = inverse_cheb(c * ax * ay, axes=sp)
-    return inverse_extrema(c / (2.0 * gamma), axis=-1) * ends
+    space = (u.ndim - 3, u.ndim - 2)
+    c = forward_extrema(forward_cheb(u, axes=space), axis=-1)
+    c = c * smoother_multiplier_array(spec, u.shape[u.ndim - 3:])
+    return inverse_cheb(inverse_extrema(c, axis=-1), axes=space)
 
 
 def solve_parabolic(problem: ParabolicProblem, grid: SpaceTimeGrid,
                     spec: SmootherSpec) -> SolveReport:
-    """Assemble, materialize, and solve the heat IBVP."""
-    system = assemble_parabolic(problem, grid)
-    return pinv_solve(system, lambda b: spacetime_half_inverse(b, spec),
-                      lambda b: spacetime_half_inverse_adjoint(b, spec))
+    """Assemble and solve the heat IBVP."""
+    return pinv_solve(assemble_parabolic(problem, grid), spec)

@@ -4,6 +4,15 @@ With M = S^{-1/2} C^T = Q R, the minimal-selection-norm interpolant of
 the constraints C u = b is u = S^{-1/2} Q R^{-T} b: the pseudoinverse
 of C S^{-1/2} applied to b, pulled back through the smoother. Direct
 dense factorization only; the grids of interest stay at desk scale.
+
+The factored matrix is built in Chebyshev coefficient space. The
+smoother is S^{-1/2} = V diag(mu) V^{-1}, with V the tensor synthesis
+and mu the multiplier, and C V = A is the coefficient-space constraint
+matrix. Writing V^T V = R_V^T R_V (per axis: diagonal on roots axes, a
+small QR on the extrema time axis) gives V = Q_V R_V with Q_V
+orthogonal, so M = Q_V M' with M' = R_V^{-T} diag(mu) A^T. M and M'
+share R and their singular values; the solution is
+u = S^{-1/2} V R_V^{-1} Q' R^{-T} b, and cond is read from R alone.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .assembly import ConstraintSystem, materialize_matrix
+from .assembly import ConstraintSystem, SmootherSpec, smoother_multiplier_array
+from .chebyshev import _along, analysis, gram_factor, synthesis
 
 __all__ = [
     "QRFactorization",
@@ -26,6 +36,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-13
+# A smoother callable whose probed multiplier misses a random coefficient
+# tensor by more than this (relative) is not diagonal in the basis.
+DIAGONAL_TOL = 1e-10
 
 
 class RankDeficientError(RuntimeError):
@@ -96,25 +109,76 @@ class SolveReport:
     seconds: float
 
 
-def pinv_solve(system: ConstraintSystem, half_inverse,
-               half_inverse_adjoint=None) -> SolveReport:
+def _smoother(system: ConstraintSystem, smoother):
+    """(mu, S^{-1/2} on grid tensors). mu is exact for a SmootherSpec; a
+    callable is probed, mu = analysis(smoother(synthesis(1))), exact only
+    to about eps * max(mu), and checked on a random coefficient tensor."""
+    shape, axes = system.grid_shape, system.axes
+    if isinstance(smoother, SmootherSpec):
+        return (smoother_multiplier_array(smoother, shape),
+                system.grid_smoother(smoother))
+    mult = analysis(smoother(synthesis(np.ones(shape), axes)), axes)
+    coef = np.random.default_rng(0).standard_normal(shape)
+    want = mult * coef
+    got = analysis(smoother(synthesis(coef, axes)), axes)
+    defect = np.linalg.norm(got - want) / np.linalg.norm(want)
+    if not defect <= DIAGONAL_TOL:
+        raise ValueError(
+            f"smoother is not diagonal in the Chebyshev basis: relative "
+            f"defect {defect:.3e} on a random coefficient tensor "
+            f"(tolerance {DIAGONAL_TOL:.0e})"
+        )
+    return mult, smoother
+
+
+def _gram_inverse(axes):
+    """R_V^{-1} = diag(scale) times the (axis, R_a^{-1}) factors listed:
+    diagonal Gram factors (roots axes) fold into the scale tensor."""
+    factors = [gram_factor(ax) for ax in axes]
+    scale = np.ones(tuple(len(r) for r in factors))
+    inverses = []
+    for a, r in enumerate(factors):
+        if np.count_nonzero(np.triu(r, 1)):
+            inverses.append((a, solve_triangular(r, np.eye(len(r)))))
+        else:
+            scale /= _along(np.diag(r), len(axes), a)
+    return scale, inverses
+
+
+def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     """Solve C u = b for the minimal-selection-norm u.
 
-    half_inverse applies S^{-1/2} to a (possibly batched) grid tensor.
-    The factored matrix is (C S^{-1/2})^T, i.e. the adjoint of the
-    smoother applied to the constraint columns; on the roots grid the
-    smoother is symmetric and one callable serves both roles, but the
-    mixed roots/extrema space-time smoother is not, so its adjoint must
-    be passed separately or the computed u fails to satisfy Cu = b.
+    smoother is a SmootherSpec (preferred: its multiplier is exact) or a
+    callable applying S^{-1/2} to a grid tensor, which must be diagonal
+    in the Chebyshev basis (ValueError otherwise).
     """
     t0 = time.perf_counter()
-    if half_inverse_adjoint is None:
-        half_inverse_adjoint = half_inverse
-    mat = materialize_matrix(system, half_inverse_adjoint)
-    fac = householder_qr(mat)
-    cond = condition_estimate(mat)
+    shape = system.grid_shape
+    size = int(np.prod(shape))
+    if size < system.n_rows:
+        raise ValueError(
+            f"under-resolved grid: {size} grid points cannot carry "
+            f"{system.n_rows} constraints"
+        )
+    mult, half_inverse = _smoother(system, smoother)
+    scale, inverses = _gram_inverse(system.axes)
+
+    # rows of A become rows of A diag(mu) R_V^{-1}, i.e. columns of M'
+    mat = system.coefficient_matrix()
+    mat *= (mult * scale).reshape(1, size)
+    rows = mat.reshape((system.n_rows,) + shape)
+    for a, inv in inverses:
+        rows[...] = np.moveaxis(np.moveaxis(rows, a + 1, -1) @ inv, -1, a + 1)
+    fac = householder_qr(mat.T)
+    del mat, rows
+    cond = condition_estimate(fac.r)
     z = solve_triangular(fac.r, system.rhs, trans="T", lower=False)
-    u = half_inverse((fac.q @ z).reshape(system.grid_shape))
+
+    # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor)
+    coef = (fac.q @ z).reshape(shape)
+    for a, inv in inverses:
+        coef = np.moveaxis(np.tensordot(inv, coef, axes=([1], [a])), 0, a)
+    u = half_inverse(synthesis(coef * scale, system.axes))
     res = system.residual(u)
     seconds = time.perf_counter() - t0
     return SolveReport(

@@ -1,4 +1,4 @@
-"""Constraint assembly: operator rows, boundary rows, smoothers, M."""
+"""Constraint assembly: operator rows, boundary rows, smoothers, A = C V."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,20 @@ from ssem.assembly import (
     EllipticOperatorSpec,
     SmootherSpec,
     apply_operator,
-    apply_operator_transpose,
     apply_smoother_half_forward,
     apply_smoother_half_inverse,
     assemble_elliptic,
     boundary_row,
     build_rhs,
-    materialize_matrix,
+    smoother_multiplier_array,
 )
-from ssem.chebyshev import roots_axis
+from ssem.chebyshev import (
+    analysis,
+    forward_cheb,
+    gram_factor,
+    roots_axis,
+    synthesis,
+)
 from ssem.geometry import (
     classify_interior,
     disc_domain,
@@ -26,7 +31,9 @@ from ssem.geometry import (
     star_domain,
 )
 
-from oracles import dense_from_apply
+from ssem.solver import pinv_solve
+
+from oracles import chebyshev_vandermonde, dense_from_apply
 
 LAPLACE = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
                                first_order={}, zeroth=None, source=0.0)
@@ -77,39 +84,6 @@ class TestApplyOperator:
                                     zeroth=None, source=0.0)
         vals = apply_operator(u, spec, interior, axes)
         assert vals == pytest.approx(2.0 * coords[:, 0], abs=1e-11)
-
-
-class TestApplyOperatorTranspose:
-    def test_adjoint_identity(self):
-        axes, _, interior, _ = disc_setup()
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal((10, 10))
-        v = rng.standard_normal(interior.count)
-        lhs = np.dot(apply_operator(u, VARCOEF, interior, axes), v)
-        rhs = np.sum(u * apply_operator_transpose(v, VARCOEF, interior, axes))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
-    def test_zeroth_order_is_extension_by_zero(self):
-        axes, _, interior, _ = disc_setup()
-        spec = EllipticOperatorSpec(second_order={}, first_order={},
-                                    zeroth=1.0, source=0.0)
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(interior.count)
-        out = apply_operator_transpose(v, spec, interior, axes)
-        expect = np.zeros((10, 10))
-        expect[tuple(interior.indices.T)] = v
-        assert out == pytest.approx(expect, abs=0.0)
-
-    def test_matches_dense_transpose(self):
-        axes, _, interior, _ = disc_setup(8)
-        fwd = dense_from_apply(
-            lambda u: apply_operator(u, LAPLACE, interior, axes),
-            (8, 8), interior.count)
-        back = dense_from_apply(
-            lambda v: apply_operator_transpose(
-                v.reshape(interior.count), LAPLACE, interior, axes).ravel(),
-            (interior.count,), 64)
-        assert np.max(np.abs(back - fwd.T)) < 1e-10
 
 
 class TestBoundaryRow:
@@ -229,14 +203,22 @@ def dirichlet_disc_system(m=10):
     return assemble_elliptic(disc_domain(), axes, LAPLACE, bc)
 
 
+def factored_transpose(system, spec):
+    """M' = R_V^{-T} diag(mu) A^T, the matrix pinv_solve factors."""
+    r_v = np.kron(*(gram_factor(ax) for ax in system.axes))
+    mult = smoother_multiplier_array(spec, system.grid_shape).ravel()
+    return np.linalg.solve(r_v.T, mult[:, None]
+                           * system.coefficient_matrix().T)
+
+
 class TestConstraintSystem:
     def test_adjoint_identity_on_builtin(self):
         system = dirichlet_disc_system()
         rng = np.random.default_rng(6)
-        u = rng.standard_normal((10, 10))
+        c = rng.standard_normal((10, 10))
         v = rng.standard_normal(system.n_rows)
-        lhs = np.dot(system.apply(u), v)
-        rhs = np.sum(u * system.apply_transpose(v))
+        lhs = np.dot(system.apply(synthesis(c, system.axes)), v)
+        rhs = np.dot(c.ravel(), system.coefficient_matrix().T @ v)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     def test_exact_polynomial_residual_disc(self):
@@ -266,49 +248,75 @@ class TestConstraintSystem:
 
 class TestMaterialize:
     def test_shape(self):
+        mat = dirichlet_disc_system().coefficient_matrix()
+        assert mat.shape == (52, 100)
+
+    def test_matrix_recovers_constraints(self):
         system = dirichlet_disc_system()
-        spec = SmootherSpec("power", 4.0)
-        mat = materialize_matrix(
-            system, lambda b: apply_smoother_half_inverse(b, spec, d=2))
-        assert mat.shape == (100, 52)
+        mat = system.coefficient_matrix()
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((10, 10))
+        via_matrix = mat @ forward_cheb(u).ravel()
+        via_ops = system.apply(u)
+        assert np.max(np.abs(via_matrix - via_ops)) \
+            < 1e-10 * np.max(np.abs(via_ops))
 
     def test_transpose_recovers_constraints(self):
         system = dirichlet_disc_system()
         spec = SmootherSpec("power", 4.0)
-        mat = materialize_matrix(
-            system, lambda b: apply_smoother_half_inverse(b, spec, d=2))
+        mat = factored_transpose(system, spec)
         rng = np.random.default_rng(7)
         u = rng.standard_normal((10, 10))
-        via_matrix = mat.T @ u.ravel()
+        r_v = np.kron(*(gram_factor(ax) for ax in system.axes))
+        via_matrix = mat.T @ (r_v @ analysis(u, system.axes).ravel())
         via_ops = system.apply(apply_smoother_half_inverse(u, spec))
         assert np.max(np.abs(via_matrix - via_ops)) \
             < 1e-10 * np.max(np.abs(via_ops))
 
     def test_random_columns_against_dense_oracle(self):
+        # M = S^{-1/2} C^T = Q_V M' with Q_V = V R_V^{-1}, so M' = R_V^{-T} V^T M
         system = dirichlet_disc_system(8)
         spec = SmootherSpec("power", 4.0)
-        mat = materialize_matrix(
-            system, lambda b: apply_smoother_half_inverse(b, spec, d=2))
+        mat = factored_transpose(system, spec)
         dense_c = dense_from_apply(system.apply, (8, 8), system.n_rows)
+        v = np.kron(chebyshev_vandermonde(8), chebyshev_vandermonde(8))
+        r_v = np.kron(*(gram_factor(ax) for ax in system.axes))
         rng = np.random.default_rng(8)
         for i in rng.choice(system.n_rows, size=5, replace=False):
-            col = apply_smoother_half_inverse(
+            grid_col = apply_smoother_half_inverse(
                 dense_c[i].reshape(8, 8), spec).ravel()
-            assert np.max(np.abs(mat[:, i] - col)) < 1e-12
+            col = np.linalg.solve(r_v.T, v.T @ grid_col)
+            assert np.max(np.abs(mat[:, i] - col)) \
+                < 1e-10 * np.max(np.abs(col))
+
+    def test_random_rows_against_dense_oracle(self):
+        system = dirichlet_disc_system(8)
+        mat = system.coefficient_matrix()
+        dense_c = dense_from_apply(system.apply, (8, 8), system.n_rows)
+        v1 = chebyshev_vandermonde(8)
+        rng = np.random.default_rng(8)
+        for i in rng.choice(system.n_rows, size=5, replace=False):
+            row = (v1.T @ dense_c[i].reshape(8, 8) @ v1).ravel()
+            assert np.max(np.abs(mat[i] - row)) < 1e-10 * np.max(np.abs(row))
+
+    def test_fresh_array_per_call(self):
+        system = dirichlet_disc_system()
+        first = system.coefficient_matrix()
+        first[:] = 0.0
+        assert np.any(system.coefficient_matrix() != 0.0)
 
     def test_identity_smoother_single_node_constraint(self):
         axes = (roots_axis(4), roots_axis(4))
         row = np.zeros((4, 4))
         row[1, 2] = 1.0
+        v1 = chebyshev_vandermonde(4)
         system = ConstraintSystem(
             axes, interior=None, boundary=None, rhs=np.array([5.0]),
             apply_fn=lambda u: np.array([u[1, 2]]),
-            apply_transpose_fn=lambda v: v[0] * row,
-            transpose_columns_fn=lambda s, e: row[None][s:e],
+            matrix_fn=lambda: np.kron(v1, v1)[[6]],
             n_omega=0, n_gamma=1)
-        mat = materialize_matrix(system, lambda b: b)
-        assert mat.shape == (16, 1)
-        assert mat[:, 0] == pytest.approx(row.ravel(), abs=0.0)
+        report = pinv_solve(system, lambda b: b)
+        assert report.solution == pytest.approx(5.0 * row, abs=1e-13)
 
     def test_under_resolved_grid_rejected(self):
         axes = (roots_axis(2), roots_axis(2))
@@ -316,8 +324,7 @@ class TestMaterialize:
         system = ConstraintSystem(
             axes, None, None, rhs,
             apply_fn=lambda u: np.zeros(5),
-            apply_transpose_fn=lambda v: np.zeros((2, 2)),
-            transpose_columns_fn=lambda s, e: np.zeros((e - s, 2, 2)),
+            matrix_fn=lambda: np.zeros((5, 4)),
             n_omega=5, n_gamma=0)
-        with pytest.raises(ValueError):
-            materialize_matrix(system, lambda b: b)
+        with pytest.raises(ValueError, match="under-resolved"):
+            pinv_solve(system, SmootherSpec("power", 4.0))

@@ -6,23 +6,28 @@ import pytest
 
 from ssem.chebyshev import (
     NODE_MATCH_TOL,
+    analysis,
     apply_multiplier,
     apply_sturm_liouville,
     bary_deriv_row,
     bary_interp_row,
+    bary_rows,
+    basis_values,
     diff1,
-    diff1_transpose,
     diff2,
-    diff2_transpose,
     extrema_axis,
     forward_cheb,
     forward_extrema,
+    gram_factor,
     inverse_cheb,
     inverse_extrema,
     roots_axis,
+    synthesis,
+    tensor_rows,
 )
 
 from oracles import (
+    chebyshev_vandermonde,
     dense_operator,
     diff_matrix,
     forward_cheb_direct,
@@ -191,26 +196,120 @@ class TestDerivatives:
         assert diff1(u, 1) == pytest.approx(rows, abs=1e-12)
 
 
-class TestTransposes:
-    def test_diff1_transpose_is_dense_transpose(self):
+class TestCoefficientSpace:
+    def test_basis_values_at_nodes_is_vandermonde(self):
+        m = 13
+        axis = roots_axis(m)
+        assert basis_values(axis, axis.nodes) == pytest.approx(
+            chebyshev_vandermonde(m), abs=1e-14)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_basis_derivatives_match_numpy_series(self, order):
+        m = 11
+        axis = roots_axis(m)
+        x = np.array([-0.999, -0.4, 0.0, 0.31, 0.9995])
+        got = basis_values(axis, x, order)
+        for k in range(m):
+            coef = np.zeros(k + 1)
+            coef[k] = 1.0
+            expect = ncheb.chebval(x, ncheb.chebder(coef, order))
+            scale = max(1.0, np.max(np.abs(expect)))
+            assert np.max(np.abs(got[:, k] - expect)) < 1e-12 * scale
+
+    def test_derivative_rows_match_differentiation_matrix(self):
         m = 10
-        dense = dense_operator(lambda u: diff1(u, 0), (m,))
-        dense_t = dense_operator(lambda v: diff1_transpose(v, 0), (m,))
-        assert np.max(np.abs(dense_t - dense.T)) < 1e-11
+        axis = roots_axis(m)
+        vand = chebyshev_vandermonde(m)
+        assert basis_values(axis, axis.nodes, 1) == pytest.approx(
+            diff_matrix(m) @ vand, abs=1e-10)
 
-    def test_diff2_transpose_same_axis(self):
-        m = 9
-        dense = dense_operator(lambda u: diff2(u, 0, 0), (m,))
-        dense_t = dense_operator(lambda v: diff2_transpose(v, 0, 0), (m,))
-        assert np.max(np.abs(dense_t - dense.T)) < 1e-9
+    def test_extrema_basis_at_nodes(self):
+        n = 7
+        axis = extrema_axis(n, 0.0, 2.0)
+        j = np.arange(n + 1)
+        expect = np.cos(np.pi * np.outer(j, j) / n)
+        assert basis_values(axis, axis.nodes) == pytest.approx(expect,
+                                                               abs=1e-13)
 
-    def test_diff2_transpose_mixed_adjoint(self):
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal((6, 7))
-        v = rng.standard_normal((6, 7))
-        lhs = np.sum(diff2(u, 0, 1) * v)
-        rhs = np.sum(u * diff2_transpose(v, 0, 1))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+    def test_extrema_time_derivative(self):
+        # d/dt of the degree-k basis on [1, 4]: s = 1 - 2 (t - 1) / 3
+        axis = extrema_axis(6, 1.0, 4.0)
+        t = np.linspace(1.0, 4.0, 9)
+        s = 1.0 - 2.0 * (t - 1.0) / 3.0
+        got = basis_values(axis, t, 1)
+        for k in range(7):
+            coef = np.zeros(k + 1)
+            coef[k] = 1.0
+            expect = -2.0 / 3.0 * ncheb.chebval(s, ncheb.chebder(coef))
+            assert got[:, k] == pytest.approx(expect, abs=1e-12)
+
+    def test_derivative_order_beyond_degree_is_zero(self):
+        axis = roots_axis(2)
+        assert np.all(basis_values(axis, axis.nodes, 2) == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16])
+    def test_gram_factor_roots(self, m):
+        r = gram_factor(roots_axis(m))
+        vand = chebyshev_vandermonde(m)
+        assert np.count_nonzero(r - np.diag(np.diag(r))) == 0
+        assert r.T @ r == pytest.approx(vand.T @ vand, abs=1e-12 * m)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_gram_factor_extrema(self, n):
+        axis = extrema_axis(n)
+        r = gram_factor(axis)
+        vand = dense_operator(inverse_extrema, (n + 1,))
+        assert r == pytest.approx(np.triu(r), abs=0.0)
+        assert r.T @ r == pytest.approx(vand.T @ vand, abs=1e-12 * n)
+
+    def test_bary_rows_are_the_point_row_factors(self):
+        axes = (roots_axis(9), roots_axis(7))
+        pts = np.array([[0.3, -0.8], [axes[0].nodes[2], 0.999]])
+        nrm = np.array([[0.6, 0.8], [1.0, 0.0]])
+        values = [bary_rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
+        slopes = [bary_rows(ax, pts[:, j], 1) for j, ax in enumerate(axes)]
+        for r in range(2):
+            assert np.outer(values[0][r], values[1][r]) == pytest.approx(
+                bary_interp_row(axes, pts[r]), abs=1e-15)
+            deriv = (nrm[r, 0] * np.outer(slopes[0][r], values[1][r])
+                     + nrm[r, 1] * np.outer(values[0][r], slopes[1][r]))
+            assert deriv == pytest.approx(
+                bary_deriv_row(axes, pts[r], nrm[r]), abs=1e-12)
+
+    def test_tensor_rows_are_rowwise_kron(self):
+        rng = np.random.default_rng(31)
+        factors = [rng.standard_normal((4, s)) for s in (3, 2, 5)]
+        rows = tensor_rows(factors)
+        for r in range(4):
+            expect = np.kron(np.kron(factors[0][r], factors[1][r]),
+                             factors[2][r])
+            assert rows[r] == pytest.approx(expect, abs=1e-15)
+
+    def test_tensor_rows_into_out(self):
+        rng = np.random.default_rng(32)
+        factors = [rng.standard_normal((3, 4)), rng.standard_normal((3, 2))]
+        out = np.empty((3, 8))
+        assert tensor_rows(factors, out=out) is out
+        assert out == pytest.approx(tensor_rows(factors), abs=0.0)
+        assert tensor_rows(factors[:1]) == pytest.approx(factors[0], abs=0.0)
+
+    def test_synthesis_matches_direct_sum(self):
+        rng = np.random.default_rng(33)
+        c = rng.standard_normal((6, 5))
+        axes = (roots_axis(6), roots_axis(5))
+        assert synthesis(c, axes) == pytest.approx(inverse_cheb_direct(c),
+                                                   abs=1e-12)
+
+    def test_analysis_inverts_synthesis_on_mixed_axes(self):
+        rng = np.random.default_rng(34)
+        axes = (roots_axis(5), roots_axis(4), extrema_axis(3))
+        c = rng.standard_normal((5, 4, 4))
+        u = synthesis(c, axes)
+        t_vals = np.cos(np.pi * np.outer(np.arange(4), np.arange(4)) / 3)
+        direct = np.einsum("ia,jb,tc,abc->ijt", chebyshev_vandermonde(5),
+                           chebyshev_vandermonde(4), t_vals, c)
+        assert u == pytest.approx(direct, abs=1e-12)
+        assert analysis(u, axes) == pytest.approx(c, abs=1e-12)
 
 
 class TestEigenIdentity:

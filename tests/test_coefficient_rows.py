@@ -1,0 +1,147 @@
+"""Coefficient-space constraint rows A = C V against the implicit operators.
+
+Property tests over random operators (variable, mixed, first- and
+zeroth-order terms), boundary conditions (trace, flux, Robin) and domains
+(disc, star, annulus, 3-D ball, space-time star): A applied to the
+Chebyshev coefficients of u must give C u, and A must equal the dense
+C (materialized column by column through system.apply) times the dense
+tensor Vandermonde V.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssem.assembly import (
+    BoundaryConditionSpec,
+    EllipticOperatorSpec,
+    assemble_elliptic,
+)
+from ssem.chebyshev import extrema_axis, forward_cheb, roots_axis
+from ssem.geometry import (
+    annulus_domain,
+    disc_domain,
+    star_ball_domain,
+    star_domain,
+)
+from ssem.parabolic import ParabolicProblem, SpaceTimeGrid, assemble_parabolic
+
+from oracles import chebyshev_vandermonde, dense_from_apply
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+# Both realizations are exact on the degree-(m-1) tensor polynomials; what
+# separates them is rounding in the DCT derivatives and barycentric rows.
+REL_TOL = 1e-10
+
+# the 2-D domains are built once: their arclength tables are cached
+DOMAINS_2D = {"disc": disc_domain(), "star": star_domain(),
+              "annulus": annulus_domain()}
+BALL = star_ball_domain()
+
+coefficient = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def tensor_vandermonde(m, d):
+    vand = chebyshev_vandermonde(m)
+    out = vand
+    for _ in range(d - 1):
+        out = np.kron(out, vand)
+    return out
+
+
+@st.composite
+def operators(draw, d):
+    """Uniformly elliptic operators with optional lower-order terms."""
+    def varying(base, axis, scale):
+        # base + scale * x_axis: a callable of the unpacked coordinates
+        return lambda *x: base + scale * x[axis]
+
+    second = {}
+    for i in range(d):
+        scale = draw(coefficient) * 0.5
+        if draw(st.booleans()):
+            second[(i, i)] = varying(2.0, (i + 1) % d, scale)
+        else:
+            second[(i, i)] = 2.0 + scale
+    if draw(st.booleans()):
+        mixed = draw(coefficient) * 0.5
+        second[(0, 1)] = mixed
+        second[(1, 0)] = mixed
+    first = {}
+    for i in range(d):
+        if draw(st.booleans()):
+            first[i] = varying(draw(coefficient), i, draw(coefficient))
+    zeroth = None
+    if draw(st.booleans()):
+        zeroth = varying(1.0, 0, draw(coefficient) * 0.5)
+    return EllipticOperatorSpec(second_order=second, first_order=first,
+                                zeroth=zeroth, source=0.0)
+
+
+@st.composite
+def boundary_conditions(draw):
+    kind = draw(st.sampled_from(["trace", "flux", "robin"]))
+    a = 1.0 + 0.5 * draw(coefficient)
+    b = 1.0 + 0.5 * draw(coefficient)
+    if kind == "trace":
+        return BoundaryConditionSpec(trace=a, flux=0.0, data=0.0)
+    if kind == "flux":
+        return BoundaryConditionSpec(trace=0.0, flux=b, data=0.0)
+    # variable Robin weights, nonvanishing on the box
+    return BoundaryConditionSpec(
+        trace=lambda pts, nrm: a + 0.25 * pts[:, 0],
+        flux=lambda pts, nrm: b - 0.25 * pts[:, 1], data=0.0)
+
+
+def check_rows(system, shape, vand, seed):
+    mat = system.coefficient_matrix()
+    assert mat.shape == (system.n_rows, int(np.prod(shape)))
+    scale = np.max(np.abs(mat))
+
+    u = np.random.default_rng(seed).standard_normal(shape)
+    coef = forward_cheb(u) if vand is None else np.linalg.solve(
+        vand, u.ravel())
+    gap = np.abs(mat @ coef.ravel() - system.apply(u))
+    assert np.all(gap < REL_TOL * (np.abs(mat) @ np.abs(coef.ravel())))
+
+    dense_c = dense_from_apply(system.apply, shape, system.n_rows)
+    expect = dense_c @ (tensor_vandermonde(shape[0], len(shape))
+                        if vand is None else vand)
+    assert np.max(np.abs(mat - expect)) < REL_TOL * scale
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(DOMAINS_2D)), m=st.integers(6, 12),
+       op=operators(2), bc=boundary_conditions(),
+       seed=st.integers(0, 2**16))
+def test_planar_rows(name, m, op, bc, seed):
+    axes = (roots_axis(m), roots_axis(m))
+    system = assemble_elliptic(DOMAINS_2D[name], axes, op, bc)
+    check_rows(system, (m, m), None, seed)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(m=st.integers(6, 8), op=operators(3), bc=boundary_conditions(),
+       seed=st.integers(0, 2**16))
+def test_ball_rows(m, op, bc, seed):
+    axes = tuple(roots_axis(m) for _ in range(3))
+    system = assemble_elliptic(BALL, axes, op, bc)
+    check_rows(system, (m, m, m), None, seed)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(m=st.integers(6, 9), n=st.integers(2, 5),
+       t_hi=st.floats(0.5, 3.0), seed=st.integers(0, 2**16))
+def test_spacetime_rows(m, n, t_hi, seed):
+    problem = ParabolicProblem(
+        domain=DOMAINS_2D["star"],
+        initial=lambda x, y: x * y,
+        lateral=lambda points, t: points[:, 0] + t)
+    grid = SpaceTimeGrid(space_axes=(roots_axis(m), roots_axis(m)),
+                         time_axis=extrema_axis(n, 0.0, t_hi))
+    system = assemble_parabolic(problem, grid)
+    j = np.arange(n + 1)
+    vand_t = np.cos(np.pi * np.outer(j, j) / n)
+    vand = np.kron(tensor_vandermonde(m, 2), vand_t)
+    check_rows(system, (m, m, n + 1), vand, seed)

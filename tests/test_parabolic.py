@@ -2,30 +2,48 @@
 
 import numpy as np
 import pytest
-import scipy.special
+from scipy.special import j0
 
-from ssem.assembly import SmootherSpec
-from ssem.chebyshev import extrema_axis, inverse_extrema, roots_axis
+from ssem.assembly import SmootherSpec, smoother_multiplier_array
+from ssem.chebyshev import (
+    analysis,
+    extrema_axis,
+    gram_factor,
+    inverse_extrema,
+    roots_axis,
+    synthesis,
+)
 from ssem.geometry import star_domain
+from ssem.solver import pinv_solve
 from ssem.parabolic import (
     ParabolicProblem,
     SpaceTimeGrid,
     assemble_parabolic,
-    bessel_j0,
     solve_parabolic,
     spacetime_half_inverse,
-    spacetime_half_inverse_adjoint,
     time_diff_matrix,
 )
 
-from oracles import dense_operator
+from oracles import (
+    chebyshev_vandermonde,
+    dense_from_apply,
+    dense_operator,
+    normal_equation_solve,
+)
 
 
 def exact_heat(x, y, t):
     """Two decaying radial modes of the heat equation on the unit scale."""
     r = np.hypot(x, y)
-    return (np.exp(-t) * bessel_j0(r)
-            - np.exp(-t / 4.0) * bessel_j0(r / 2.0))
+    return np.exp(-t) * j0(r) - np.exp(-t / 4.0) * j0(r / 2.0)
+
+
+def spacetime_vandermonde(m, n):
+    """Dense tensor synthesis: T_k at the roots nodes, cos(pi j k / n)."""
+    v1 = chebyshev_vandermonde(m)
+    j = np.arange(n + 1)
+    vt = np.cos(np.pi * np.outer(j, j) / n)
+    return np.kron(np.kron(v1, v1), vt)
 
 
 STAR_HEAT = ParabolicProblem(
@@ -63,18 +81,6 @@ class TestTimeDiffMatrix:
         expect = 8.0 * axis.nodes ** 7
         assert mat @ axis.nodes ** 8 == pytest.approx(
             expect, abs=1e-10 * np.max(np.abs(expect)))
-
-
-class TestBesselJ0:
-    def test_at_zero(self):
-        assert bessel_j0(0.0) == 1.0
-
-    def test_against_scipy(self):
-        r = np.linspace(0.0, 2.0, 101)
-        assert bessel_j0(r) == pytest.approx(scipy.special.j0(r), abs=1e-15)
-
-    def test_shape_preserved(self):
-        assert bessel_j0(np.ones((3, 4))).shape == (3, 4)
 
 
 class TestAssembleParabolic:
@@ -133,17 +139,43 @@ class TestAssembleParabolic:
         u = rng.standard_normal((8, 8, 6))
         v = rng.standard_normal(system.n_rows)
         lhs = np.dot(system.apply(u), v)
-        rhs = np.sum(u * system.apply_transpose(v))
+        rhs = np.dot(analysis(u, system.axes).ravel(),
+                     system.coefficient_matrix().T @ v)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
     def test_transpose_columns_match_apply_transpose(self):
+        # column i of A^T is the gradient of c -> (C V c)_i
         system = assemble_parabolic(STAR_HEAT, star_grid(8, n=5))
+        dense = dense_from_apply(
+            lambda c: system.apply(synthesis(c, system.axes)), (8, 8, 6),
+            system.n_rows)
+        mat_t = system.coefficient_matrix().T
         rng = np.random.default_rng(22)
         for i in rng.choice(system.n_rows, size=5, replace=False):
-            e = np.zeros(system.n_rows)
-            e[i] = 1.0
-            col = system.transpose_columns(int(i), int(i) + 1)[0]
-            assert np.max(np.abs(col - system.apply_transpose(e))) < 1e-12
+            col = dense[i]
+            assert np.max(np.abs(mat_t[:, i] - col)) \
+                < 1e-10 * np.max(np.abs(col))
+
+    def test_coefficient_rows_match_dense_oracle(self):
+        m, n = 8, 5
+        system = assemble_parabolic(STAR_HEAT, star_grid(m, n=n))
+        dense_c = dense_from_apply(system.apply, (m, m, n + 1),
+                                   system.n_rows)
+        expect = dense_c @ spacetime_vandermonde(m, n)
+        mat = system.coefficient_matrix()
+        assert mat.shape == expect.shape
+        assert np.max(np.abs(mat - expect)) < 1e-10 * np.max(np.abs(expect))
+
+    def test_coefficient_matrix_recovers_constraints(self):
+        grid = star_grid(10, n=6)
+        system = assemble_parabolic(STAR_HEAT, grid)
+        rng = np.random.default_rng(22)
+        u = rng.standard_normal((10, 10, 7))
+        via_ops = system.apply(u)
+        via_matrix = system.coefficient_matrix() @ analysis(
+            u, system.axes).ravel()
+        assert np.max(np.abs(via_matrix - via_ops)) \
+            < 1e-10 * np.max(np.abs(via_ops))
 
 
 class TestSpacetimeSmoother:
@@ -185,11 +217,20 @@ class TestSpacetimeSmoother:
             assert np.all(eigs.real > 0)
 
     def test_adjoint_matches_dense_transpose(self):
+        # The solver never forms the adjoint: with V = Q_V R (R from the
+        # per-axis Gram factors), H^T = Q_V R^{-T} diag(mu) R^T Q_V^T.
+        m, n = 4, 3
+        axes = (roots_axis(m), roots_axis(m), extrema_axis(n))
+        vand = spacetime_vandermonde(m, n)
+        r = np.kron(np.kron(gram_factor(axes[0]), gram_factor(axes[1])),
+                    gram_factor(axes[2]))
+        q_v = vand @ np.linalg.inv(r)
+        assert np.max(np.abs(q_v.T @ q_v - np.eye(len(r)))) < 1e-13
         for spec in (SmootherSpec("power", 4.0), SmootherSpec("exp")):
             fwd = dense_operator(
-                lambda w: spacetime_half_inverse(w, spec), (4, 4, 4))
-            adj = dense_operator(
-                lambda w: spacetime_half_inverse_adjoint(w, spec), (4, 4, 4))
+                lambda w: spacetime_half_inverse(w, spec), (m, m, n + 1))
+            mult = smoother_multiplier_array(spec, (m, m, n + 1)).ravel()
+            adj = q_v @ np.linalg.solve(r.T, mult[:, None] * r.T) @ q_v.T
             assert np.max(np.abs(adj - fwd.T)) < 1e-13
 
     def test_time_factor_breaks_symmetry(self):
@@ -200,6 +241,30 @@ class TestSpacetimeSmoother:
 
 
 class TestSolveParabolic:
+    def test_matches_normal_equation_oracle(self):
+        m, n = 8, 4
+        spec = SmootherSpec("power", 4.0)
+        grid = star_grid(m, n=n)
+        report = solve_parabolic(STAR_HEAT, grid, spec)
+        system = assemble_parabolic(STAR_HEAT, grid)
+        shape = (m, m, n + 1)
+        c_mat = dense_from_apply(system.apply, shape, system.n_rows)
+        half = dense_operator(lambda w: spacetime_half_inverse(w, spec),
+                              shape)
+        u_ref = normal_equation_solve(c_mat, half @ half.T, system.rhs)
+        gap = np.max(np.abs(report.solution.ravel() - u_ref))
+        assert gap < 1e-8 * np.max(np.abs(u_ref))
+
+    def test_callable_smoother_matches_spec(self):
+        spec = SmootherSpec("power", 6.0)
+        system = assemble_parabolic(STAR_HEAT, star_grid(8, n=4))
+        by_spec = pinv_solve(system, spec)
+        by_callable = pinv_solve(
+            system, lambda b: spacetime_half_inverse(b, spec))
+        scale = np.max(np.abs(by_spec.solution))
+        assert np.max(np.abs(by_callable.solution - by_spec.solution)) \
+            < 1e-10 * scale
+
     def test_residual_and_error(self):
         report = solve_parabolic(STAR_HEAT, star_grid(10),
                                  SmootherSpec("power", 4.0))

@@ -11,7 +11,6 @@ from ssem.assembly import (
     apply_smoother_half_forward,
     apply_smoother_half_inverse,
     assemble_elliptic,
-    materialize_matrix,
 )
 from ssem.chebyshev import roots_axis
 from ssem.geometry import disc_domain
@@ -22,8 +21,8 @@ from ssem.solver import (
     pinv_solve,
 )
 
-from oracles import dense_from_apply, dense_operator, gram_schmidt_qr, \
-    normal_equation_solve
+from oracles import chebyshev_vandermonde, dense_from_apply, dense_operator, \
+    gram_schmidt_qr, normal_equation_solve
 
 LAPLACE = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
                                first_order={}, zeroth=None, source=0.0)
@@ -41,14 +40,13 @@ def identity_system(m):
     """C = identity on the full m x m grid."""
     axes = (roots_axis(m), roots_axis(m))
     size = m * m
-    eye = np.eye(size).reshape(size, m, m)
+    vand = chebyshev_vandermonde(m)
     rng = np.random.default_rng(11)
     return ConstraintSystem(
         axes, interior=None, boundary=None,
         rhs=rng.standard_normal(size),
         apply_fn=lambda u: u.ravel(),
-        apply_transpose_fn=lambda v: v.reshape(m, m),
-        transpose_columns_fn=lambda s, e: eye[s:e],
+        matrix_fn=lambda: np.kron(vand, vand),
         n_omega=size, n_gamma=0)
 
 
@@ -107,13 +105,21 @@ class TestConditionEstimate:
 
     def test_grows_with_resolution(self):
         spec = SmootherSpec("power", 8.0)
-        conds = []
-        for m in (10, 14, 18, 22):
-            mat = materialize_matrix(
-                disc_system(m),
-                lambda b: apply_smoother_half_inverse(b, spec, d=2))
-            conds.append(condition_estimate(mat))
+        conds = [pinv_solve(disc_system(m), spec).cond_estimate
+                 for m in (10, 14, 18, 22)]
         assert all(a < b for a, b in zip(conds, conds[1:]))
+
+    def test_cond_is_that_of_the_grid_matrix(self):
+        # cond is read from R of the coefficient-space matrix; it must be
+        # the condition number of M = S^{-1/2} C^T on the grid
+        system = disc_system(10)
+        spec = SmootherSpec("power", 6.0)
+        c_mat = dense_from_apply(system.apply, (10, 10), system.n_rows)
+        half = dense_operator(
+            lambda u: apply_smoother_half_inverse(u, spec), (10, 10))
+        s = np.linalg.svd((c_mat @ half).T, compute_uv=False)
+        report = pinv_solve(system, spec)
+        assert report.cond_estimate == pytest.approx(s[0] / s[-1], rel=1e-8)
 
 
 class TestPinvSolve:
@@ -148,15 +154,17 @@ class TestPinvSolve:
     def test_minimal_norm_among_solutions(self):
         system = disc_system(8)
         spec = SmootherSpec("power", 4.0)
-        half_inv = lambda b: apply_smoother_half_inverse(b, spec, d=2)
-        report = pinv_solve(system, half_inv)
-        fac = householder_qr(materialize_matrix(system, half_inv))
+        report = pinv_solve(system, spec)
         base = np.linalg.norm(apply_smoother_half_forward(
             report.solution, spec))
+        # S^{-1/2} maps the null space of C S^{-1/2} onto that of C
+        c_mat = dense_from_apply(system.apply, (8, 8), system.n_rows)
+        half = dense_operator(
+            lambda u: apply_smoother_half_inverse(u, spec), (8, 8))
+        null = np.linalg.svd(c_mat @ half)[2][system.n_rows:].T
         rng = np.random.default_rng(14)
         for _ in range(100):
-            r = rng.standard_normal(64)
-            proj = r - fac.q @ (fac.q.T @ r)
+            proj = null @ rng.standard_normal(null.shape[1])
             w = apply_smoother_half_inverse(proj.reshape(8, 8), spec)
             assert np.max(np.abs(system.apply(w))) < 1e-10
             perturbed = np.linalg.norm(apply_smoother_half_forward(
@@ -175,14 +183,40 @@ class TestPinvSolve:
 
     def test_rank_deficiency_propagates(self):
         axes = (roots_axis(4), roots_axis(4))
-        row = np.zeros((4, 4))
-        row[0, 0] = 1.0
-        rows = np.stack([row, row])
+        vand = chebyshev_vandermonde(4)
         system = ConstraintSystem(
             axes, None, None, np.array([1.0, 1.0]),
             apply_fn=lambda u: np.array([u[0, 0], u[0, 0]]),
-            apply_transpose_fn=lambda v: (v[0] + v[1]) * row,
-            transpose_columns_fn=lambda s, e: rows[s:e],
+            matrix_fn=lambda: np.kron(vand, vand)[[0, 0]],
             n_omega=0, n_gamma=2)
         with pytest.raises(RankDeficientError):
             pinv_solve(system, lambda b: b)
+
+    def test_spec_and_callable_agree(self):
+        system = disc_system(8)
+        spec = SmootherSpec("power", 4.0)
+        by_spec = pinv_solve(system, spec)
+        by_callable = pinv_solve(
+            system, lambda b: apply_smoother_half_inverse(b, spec, d=2))
+        scale = np.max(np.abs(by_spec.solution))
+        assert np.max(np.abs(by_callable.solution - by_spec.solution)) \
+            < 1e-10 * scale
+        assert by_callable.cond_estimate == pytest.approx(
+            by_spec.cond_estimate, rel=1e-10)
+
+    def test_spec_needs_a_grid_smoother(self):
+        with pytest.raises(ValueError, match="no grid smoother"):
+            pinv_solve(identity_system(3), SmootherSpec("power", 4.0))
+
+    def test_non_diagonal_smoother_rejected(self):
+        system = disc_system(8)
+        with pytest.raises(ValueError, match="not diagonal") as err:
+            pinv_solve(system, lambda b: np.roll(b, 1, axis=-1))
+        assert "relative defect" in str(err.value)
+
+    def test_grid_space_smoother_rejected(self):
+        # pointwise grid weights are not a frequency multiplier
+        system = disc_system(8)
+        weights = 1.0 + np.arange(64.0).reshape(8, 8)
+        with pytest.raises(ValueError, match="not diagonal"):
+            pinv_solve(system, lambda b: weights * b)
