@@ -31,7 +31,7 @@ from .geometry import (
     star_domain,
 )
 from .parabolic import ParabolicProblem, SpaceTimeGrid, assemble_parabolic
-from .solver import pinv_solve
+from .solver import RankDeficientError, pinv_solve
 
 __all__ = [
     "PROBLEM_IDS",
@@ -318,8 +318,9 @@ def solve_problem(problem_id: str, m: int, spec: SmootherSpec,
 def run_experiment(config: ExperimentConfig):
     """Sweep the configured problem over (m, smoother) and collect rows.
 
-    Solver failures are recorded as failed rows (NaN metrics) and the
-    sweep continues.
+    Solver failures (rank loss, LAPACK errors, rejected input) are
+    recorded as failed rows (NaN metrics) and the sweep continues; any
+    other exception propagates.
     """
     rows = []
     for m in config.grids:
@@ -328,7 +329,8 @@ def run_experiment(config: ExperimentConfig):
                 _, row = solve_problem(config.problem, m, spec,
                                        config.time_points)
                 row.p = label
-            except Exception:
+            except (RankDeficientError, np.linalg.LinAlgError,
+                    ValueError):
                 row = ConvergenceRow(
                     m=m, n_omega=0, n_gamma=0, p=label,
                     l2_error=math.nan, linf_error=math.nan,

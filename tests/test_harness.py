@@ -25,6 +25,7 @@ from ssem.experiments import (
     run_experiment,
 )
 from ssem.geometry import classify_interior, disc_domain, interior_coordinates
+from ssem.solver import RankDeficientError
 
 
 def make_row(m, l2, cond=1e3, p="4"):
@@ -148,7 +149,7 @@ class TestRunExperiment:
 
         def flaky(problem_id, m, spec, time_points=10):
             if m == 12:
-                raise RuntimeError("synthetic failure")
+                raise RankDeficientError(3, 1e-20, 1e-13)
             return real(problem_id, m, spec, time_points)
 
         monkeypatch.setattr(ssem.experiments, "solve_problem", flaky)
@@ -157,6 +158,30 @@ class TestRunExperiment:
         rows = run_experiment(config)
         assert [r.failed for r in rows] == [False, True, False]
         assert math.isnan(rows[1].l2_error)
+
+    @pytest.mark.parametrize("error", [
+        np.linalg.LinAlgError("synthetic LAPACK failure"),
+        ValueError("synthetic rejected input"),
+    ])
+    def test_solver_failure_types_become_failed_rows(self, monkeypatch,
+                                                     error):
+        def boom(problem_id, m, spec, time_points=10):
+            raise error
+
+        monkeypatch.setattr(ssem.experiments, "solve_problem", boom)
+        config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                                  p_list=(4.0,))
+        assert [r.failed for r in run_experiment(config)] == [True]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(problem_id, m, spec, time_points=10):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(ssem.experiments, "solve_problem", broken)
+        config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                                  p_list=(4.0,))
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(config)
 
 
 class TestParseConfig:
@@ -339,7 +364,7 @@ class TestMain:
 
     def test_failed_row_exit_code(self, tmp_path, monkeypatch):
         def boom(problem_id, m, spec, time_points=10):
-            raise RuntimeError("synthetic failure")
+            raise RankDeficientError(0, 0.0, 1e-13)
 
         monkeypatch.setattr(ssem.experiments, "solve_problem", boom)
         code = main(["study", "--problem", "dirichlet-disc", "--grids", "10",

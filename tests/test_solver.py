@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import ssem.solver
 from ssem.assembly import (
     BoundaryConditionSpec,
     ConstraintSystem,
@@ -90,6 +93,36 @@ class TestHouseholderQR:
         assert err.value.column == 2
         assert "index 2" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        mat = np.random.default_rng(15).standard_normal((5, 3))
+        mat[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            householder_qr(mat)
+
+    @pytest.mark.parametrize("shape", [(40, 40), (120, 31), (300, 150)])
+    def test_apply_q_matches_reduced_qr(self, shape):
+        rng = np.random.default_rng(16)
+        mat = rng.standard_normal(shape)
+        n = shape[1]
+        fac = householder_qr(mat)
+        q_ref, r_ref = np.linalg.qr(mat, mode="reduced")
+        signs = np.sign(np.diag(r_ref)) * np.sign(np.diag(fac.r))
+        z = rng.standard_normal(n)
+        block = rng.standard_normal((n, 4))
+        qz = fac.apply_q(z)
+        q_block = fac.apply_q(block)
+        assert qz.shape == (shape[0],)
+        assert q_block.shape == (shape[0], 4)
+        assert np.max(np.abs(qz - q_ref @ (signs * z))) < 1e-12
+        assert np.max(np.abs(q_block - q_ref @ (signs[:, None] * block))) \
+            < 1e-12
+
+    def test_apply_q_rejects_wrong_length(self):
+        fac = householder_qr(np.random.default_rng(17).standard_normal((9, 4)))
+        with pytest.raises(ValueError, match="apply_q expects"):
+            fac.apply_q(np.ones(9))
+
 
 class TestConditionEstimate:
     def test_orthogonal(self):
@@ -102,6 +135,44 @@ class TestConditionEstimate:
 
     def test_singular_is_inf(self):
         assert condition_estimate(np.diag([1.0, 0.0])) == np.inf
+
+    @staticmethod
+    def graded_r(n=300, seed=18):
+        """Upper-triangular R with singular values spread from 1 to 1e10."""
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        mat = (u * np.logspace(0.0, 10.0, n)) @ v.T
+        return np.linalg.qr(mat, mode="r")
+
+    def test_lanczos_matches_dense_svd(self):
+        r = self.graded_r()
+        assert r.shape[0] >= ssem.solver.LANCZOS_MIN_ORDER
+        s = svdvals(r)
+        assert condition_estimate(r) == pytest.approx(s[0] / s[-1], rel=1e-9)
+
+    def test_repeat_calls_bit_identical(self):
+        r = self.graded_r()
+        assert condition_estimate(r) == condition_estimate(r)
+
+    def test_arpack_failure_falls_back_to_svd(self, monkeypatch):
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(1)
+            raise ArpackNoConvergence("synthetic", np.empty(0),
+                                      np.empty((0, 0)))
+
+        monkeypatch.setattr(ssem.solver, "eigsh", no_convergence)
+        r = self.graded_r()
+        s = np.linalg.svd(r, compute_uv=False)
+        assert condition_estimate(r) == s[0] / s[-1]
+        assert calls
+
+    def test_zero_diagonal_is_inf_above_cutoff(self):
+        r = self.graded_r()
+        r[7, 7] = 0.0
+        assert condition_estimate(r) == np.inf
 
     def test_grows_with_resolution(self):
         spec = SmootherSpec("power", 8.0)
