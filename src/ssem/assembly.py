@@ -26,8 +26,6 @@ import numpy as np
 
 from .chebyshev import (
     RootsAxis,
-    bary_deriv_row,
-    bary_interp_row,
     bary_rows,
     basis_values,
     diff1,
@@ -51,11 +49,9 @@ __all__ = [
     "SmootherSpec",
     "ConstraintSystem",
     "apply_operator",
-    "boundary_row",
     "build_rhs",
     "smoother_multiplier_array",
     "apply_smoother_half_inverse",
-    "apply_smoother_half_forward",
     "assemble_elliptic",
 ]
 
@@ -152,22 +148,8 @@ def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
 
 
 # ---------------------------------------------------------------------------
-# boundary rows
+# right-hand side
 # ---------------------------------------------------------------------------
-
-def boundary_row(point, normal, bc: BoundaryConditionSpec, axes) -> np.ndarray:
-    """One boundary constraint row as a grid-shaped weight tensor."""
-    pts = np.asarray(point, dtype=float).reshape(1, -1)
-    nrm = np.asarray(normal, dtype=float).reshape(1, -1)
-    a = _coeff_at_points(bc.trace, pts, nrm)[0]
-    b = _coeff_at_points(bc.flux, pts, nrm)[0]
-    row = np.zeros(tuple(ax.m for ax in axes))
-    if a != 0.0:
-        row += a * bary_interp_row(axes, point)
-    if b != 0.0:
-        row += b * bary_deriv_row(axes, point, normal)
-    return row
-
 
 def build_rhs(op: EllipticOperatorSpec, bc: BoundaryConditionSpec,
               interior: InteriorIndexSet, boundary: BoundaryPointSet,
@@ -272,30 +254,15 @@ def smoother_multiplier_array(spec: SmootherSpec, shape) -> np.ndarray:
     return spec.half_inverse_multiplier(k_squared)
 
 
-def _apply_multiplier_array(u: np.ndarray, mult: np.ndarray, d: int) -> np.ndarray:
-    """Apply a precomputed multiplier over the trailing d (roots) axes."""
-    axes = range(u.ndim - d, u.ndim)
-    return inverse_cheb(forward_cheb(u, axes=axes) * mult, axes=axes)
-
-
 def apply_smoother_half_inverse(u: np.ndarray, spec: SmootherSpec,
                                 d: int | None = None) -> np.ndarray:
     """Apply S^{-1/2}; trailing d axes of u are the grid axes."""
     u = np.asarray(u, dtype=float)
     if d is None:
         d = u.ndim
+    axes = range(u.ndim - d, u.ndim)
     mult = smoother_multiplier_array(spec, u.shape[u.ndim - d:])
-    return _apply_multiplier_array(u, mult, d)
-
-
-def apply_smoother_half_forward(u: np.ndarray, spec: SmootherSpec,
-                                d: int | None = None) -> np.ndarray:
-    """Apply S^{+1/2} (reciprocal multiplier), e.g. for norm reporting."""
-    u = np.asarray(u, dtype=float)
-    if d is None:
-        d = u.ndim
-    mult = 1.0 / smoother_multiplier_array(spec, u.shape[u.ndim - d:])
-    return _apply_multiplier_array(u, mult, d)
+    return inverse_cheb(forward_cheb(u, axes=axes) * mult, axes=axes)
 
 
 # ---------------------------------------------------------------------------

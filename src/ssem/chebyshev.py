@@ -28,12 +28,10 @@ __all__ = [
     "inverse_cheb",
     "diff1",
     "diff2",
-    "apply_multiplier",
     "apply_sturm_liouville",
     "bary_weights",
     "bary_rows",
     "bary_interp_row",
-    "bary_deriv_row",
     "forward_extrema",
     "inverse_extrema",
     "synthesis",
@@ -275,7 +273,7 @@ def tensor_rows(factors, out: np.ndarray | None = None) -> np.ndarray:
 # differentiation
 # ---------------------------------------------------------------------------
 
-def diff1(u: np.ndarray, axis: int, ax_obj: RootsAxis | None = None) -> np.ndarray:
+def diff1(u: np.ndarray, axis: int) -> np.ndarray:
     """First spectral derivative along an axis of a roots grid.
 
     Computes the exact derivative of the degree-(m-1) interpolant at the
@@ -335,31 +333,6 @@ def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
             + _along(x, u.ndim, axis) * diff1(u, axis))
 
 
-def apply_multiplier(u: np.ndarray, mu, axes=None) -> np.ndarray:
-    """Apply a frequency multiplier: inverse_cheb(mu(k) * forward_cheb(u)).
-
-    Parameters
-    ----------
-    u : ndarray
-        Grid function on a tensor roots grid.
-    mu : callable
-        Maps a tuple of broadcastable integer frequency arrays (one per
-        transformed axis) to multiplier values.
-    axes : iterable of int, optional
-        Axes to treat as grid axes (default: all).
-    """
-    u = np.asarray(u, dtype=float)
-    if axes is None:
-        axes = tuple(range(u.ndim))
-    else:
-        axes = tuple(ax % u.ndim for ax in axes)
-    c = forward_cheb(u, axes=axes)
-    freqs = tuple(
-        _along(np.arange(u.shape[ax]), u.ndim, ax).astype(float) for ax in axes
-    )
-    return inverse_cheb(c * mu(freqs), axes=axes)
-
-
 # ---------------------------------------------------------------------------
 # barycentric interpolation
 # ---------------------------------------------------------------------------
@@ -402,7 +375,7 @@ def bary_rows(ax: RootsAxis, x, order: int = 0) -> np.ndarray:
 
     Row r, contracted with samples at the axis' nodes, gives the degree-
     (m-1) interpolant (or its derivative) at x[r]: the 1-D factors of
-    :func:`bary_interp_row` and :func:`bary_deriv_row`.
+    :func:`bary_interp_row` and of the boundary rows of the assembly.
     """
     row = (_interp_row_1d, _deriv_row_1d)[order]
     return np.array([row(ax, xi) for xi in np.ravel(x)]).reshape(-1, ax.m)
@@ -420,20 +393,4 @@ def bary_interp_row(axes, y) -> np.ndarray:
     out = rows[0]
     for r in rows[1:]:
         out = np.multiply.outer(out, r)
-    return out
-
-
-def bary_deriv_row(axes, y, direction) -> np.ndarray:
-    """Directional-derivative weights at y: contraction gives grad(u) . nu."""
-    interp = [_interp_row_1d(ax, yi) for ax, yi in zip(axes, y)]
-    out = np.zeros(tuple(ax.m for ax in axes))
-    for j, nu_j in enumerate(direction):
-        if nu_j == 0.0:
-            continue
-        rows = list(interp)
-        rows[j] = _deriv_row_1d(axes[j], y[j])
-        term = rows[0]
-        for r in rows[1:]:
-            term = np.multiply.outer(term, r)
-        out += nu_j * term
     return out

@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 on success, 1 if any row failed, 2 on configuration errors.
 The config file is flat ``key = value`` text with keys problem, grids,
-p_list, smoother, out, and seed; unknown keys are rejected.
+p_list, smoother, and out; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = ["main", "parse_config", "write_csv", "emit_plot_data"]
 
 CSV_HEADER = ("m", "n_omega", "n_gamma", "p", "l2_error", "linf_error",
               "cond", "seconds")
-CONFIG_KEYS = ("problem", "grids", "p_list", "smoother", "out", "seed")
+CONFIG_KEYS = ("problem", "grids", "p_list", "smoother", "out")
 
 
 def _parse_grids(text: str):
@@ -87,17 +87,12 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: missing required key {required!r}")
     smoother = values.get("smoother", "power")
     p_list = _parse_p_list(values["p_list"]) if "p_list" in values else ()
-    try:
-        seed = int(values.get("seed", "0"))
-    except ValueError:
-        raise ConfigError(f"{path}: seed must be an integer")
     return ExperimentConfig(
         problem=values["problem"],
         grids=_parse_grids(values["grids"]),
         p_list=p_list,
         smoother=smoother,
         out=values["out"],
-        seed=seed,
     )
 
 
@@ -196,25 +191,25 @@ def emit_plot_data(rows, path: str) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
-    config = parse_config(args.config)
+def _sweep(config: ExperimentConfig) -> int:
+    """Run the sweep, write its CSV; exit code 1 if any row failed."""
     rows = run_experiment(config)
     write_csv(rows, config.out)
     return 1 if any(r.failed for r in rows) else 0
 
 
+def _cmd_run(args) -> int:
+    return _sweep(parse_config(args.config))
+
+
 def _cmd_study(args) -> int:
-    config = ExperimentConfig(
+    return _sweep(ExperimentConfig(
         problem=args.problem,
         grids=_parse_grids(args.grids),
         p_list=_parse_p_list(args.p) if args.p else (),
         smoother=args.smoother,
         out=args.out,
-        seed=args.seed,
-    )
-    rows = run_experiment(config)
-    write_csv(rows, config.out)
-    return 1 if any(r.failed for r in rows) else 0
+    ))
 
 
 def _cmd_plotdata(args) -> int:
@@ -244,7 +239,6 @@ def main(argv=None) -> int:
     p_study.add_argument("--smoother", default="power",
                          choices=("power", "exp"))
     p_study.add_argument("--out", required=True)
-    p_study.add_argument("--seed", type=int, default=0)
     p_study.set_defaults(func=_cmd_study)
 
     p_plot = sub.add_parser("plotdata", help="emit plot data from a CSV")

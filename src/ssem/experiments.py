@@ -38,14 +38,14 @@ __all__ = [
     "ExperimentConfig",
     "ConvergenceRow",
     "ConfigError",
-    "l2_error",
     "run_experiment",
     "fit_convergence_order",
     "solve_problem",
 ]
 
 EPS = 2.2e-16
-DEFAULT_TIME_POINTS = 10
+# Order n of the parabolic problem's time axis (n + 1 extrema nodes on [0, 2]).
+TIME_POINTS = 10
 
 
 class ConfigError(ValueError):
@@ -61,8 +61,6 @@ class ExperimentConfig:
     p_list: tuple = ()          # empty with the exponential smoother
     smoother: str = "power"
     out: str = ""
-    seed: int = 0
-    time_points: int = DEFAULT_TIME_POINTS
 
     def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
@@ -130,7 +128,14 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class _Problem:
     grid_dim: int
-    build: object  # callable(m, time_points) -> (system, errfun)
+    build: object  # callable(m) -> (system, errfun)
+
+
+def _error_norms(diff: np.ndarray):
+    """(RMS, max) of the pointwise error over the interior nodes."""
+    if diff.size == 0:
+        raise ValueError("interior index set is empty")
+    return (float(np.sqrt(np.mean(diff**2))), float(np.max(np.abs(diff))))
 
 
 def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
@@ -141,7 +146,7 @@ def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
     # computed once.
     dim = domain.dim
 
-    def build(m, time_points):
+    def build(m):
         axes = tuple(roots_axis(m) for _ in range(dim))
         system = assemble_elliptic(domain, axes, op, bc)
 
@@ -150,8 +155,7 @@ def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
             diff = u[tuple(system.interior.indices.T)] - exact(*coords.T)
             if quotient_constants:
                 diff = diff - diff.mean()
-            return (float(np.sqrt(np.mean(diff**2))),
-                    float(np.max(np.abs(diff))))
+            return _error_norms(diff)
 
         return system, errors
 
@@ -170,10 +174,10 @@ def _parabolic_problem():
         exact=exact,
     )
 
-    def build(m, time_points):
+    def build(m):
         grid = SpaceTimeGrid(
             space_axes=(roots_axis(m), roots_axis(m)),
-            time_axis=extrema_axis(time_points, 0.0, 2.0),
+            time_axis=extrema_axis(TIME_POINTS, 0.0, 2.0),
         )
         system = assemble_parabolic(problem, grid)
 
@@ -182,9 +186,7 @@ def _parabolic_problem():
             coords = interior_coordinates(grid.space_axes, system.interior)
             vals = exact(coords[:, 0:1], coords[:, 1:2],
                          grid.time_axis.nodes[None, :])
-            diff = u[ii, jj, :] - vals
-            return (float(np.sqrt(np.mean(diff**2))),
-                    float(np.max(np.abs(diff))))
+            return _error_norms(u[ii, jj, :] - vals)
 
         return system, errors
 
@@ -260,15 +262,6 @@ PROBLEM_IDS = tuple(sorted(_PROBLEMS))
 # metrics
 # ---------------------------------------------------------------------------
 
-def l2_error(u, exact, interior, axes) -> float:
-    """RMS of u - exact over the interior grid nodes."""
-    if interior.count == 0:
-        raise ValueError("interior index set is empty")
-    coords = interior_coordinates(axes, interior)
-    diff = np.asarray(u)[tuple(interior.indices.T)] - exact(*coords.T)
-    return float(np.sqrt(np.mean(diff**2)))
-
-
 def fit_convergence_order(rows) -> float:
     """Negated least-squares slope of log(l2_error) against log(m).
 
@@ -288,15 +281,14 @@ def fit_convergence_order(rows) -> float:
     return float(-slope)
 
 
-def solve_problem(problem_id: str, m: int, spec: SmootherSpec,
-                  time_points: int = DEFAULT_TIME_POINTS):
+def solve_problem(problem_id: str, m: int, spec: SmootherSpec):
     """Build and solve one benchmark instance.
 
     Returns (report, row) where row carries the CSV fields plus residual
     diagnostics.
     """
     prob = _PROBLEMS[problem_id]
-    system, errors = prob.build(m, time_points)
+    system, errors = prob.build(m)
     report = pinv_solve(system, spec)
     l2, linf = errors(report.solution)
     row = ConvergenceRow(
@@ -326,8 +318,7 @@ def run_experiment(config: ExperimentConfig):
     for m in config.grids:
         for label, spec in config.smoother_specs():
             try:
-                _, row = solve_problem(config.problem, m, spec,
-                                       config.time_points)
+                _, row = solve_problem(config.problem, m, spec)
                 row.p = label
             except (RankDeficientError, np.linalg.LinAlgError,
                     ValueError):

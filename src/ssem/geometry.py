@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import RootsAxis
-
 __all__ = [
     "BoundaryCurve",
     "StarSurface",
@@ -44,7 +42,6 @@ __all__ = [
     "star_domain",
     "annulus_domain",
     "star_ball_domain",
-    "sphere_domain",
     "TOL_INSIDE",
 ]
 
@@ -410,27 +407,4 @@ def star_ball_domain() -> DomainSpec:
         inside=inside,
         boundary=StarSurface(radius=rho, normal=normal, max_radius=0.95),
         name="star3d",
-    )
-
-
-def sphere_domain(radius: float = 1.0) -> DomainSpec:
-    """Ball of the given radius; mostly useful for sampler sanity checks."""
-
-    def inside(x, y, z):
-        return np.sqrt(x * x + y * y + z * z) - radius
-
-    def normal(points):
-        return points / np.linalg.norm(points, axis=-1, keepdims=True)
-
-    return DomainSpec(
-        dim=3,
-        inside=inside,
-        boundary=StarSurface(
-            radius=lambda polar, azim: np.full_like(np.asarray(polar,
-                                                               dtype=float),
-                                                    radius),
-            normal=normal,
-            max_radius=radius,
-        ),
-        name="sphere",
     )

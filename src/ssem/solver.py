@@ -22,7 +22,6 @@ runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -71,9 +70,9 @@ class QRFactorization:
 
     h.T (N x n) holds R on and above its diagonal and the Householder
     reflectors below it; tau holds their scales. r is the upper-
-    triangular n x n factor. Q is applied by apply_q and never formed on
-    the solve path. h.T is F-contiguous, so LAPACK reads it in place,
-    when the factored matrix was (pinv_solve passes one that is).
+    triangular n x n factor. Q is applied by apply_q and never formed.
+    h.T is F-contiguous, so LAPACK reads it in place, when the factored
+    matrix was (pinv_solve passes one that is).
     """
 
     h: np.ndarray
@@ -99,11 +98,6 @@ class QRFactorization:
         if info:
             raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
         return qz.reshape((big,) + z.shape[1:])
-
-    @functools.cached_property
-    def q(self) -> np.ndarray:
-        """The thin N x n factor Q, formed on first use."""
-        return self.apply_q(np.eye(self.r.shape[0]))
 
 
 def householder_qr(mat: np.ndarray) -> QRFactorization:

@@ -1,7 +1,10 @@
-"""Every exported name resolves, in the package and in each module."""
+"""Every exported name resolves, in the package and in each module, and
+the README's library example runs against the package."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +32,13 @@ def test_package_reexports_are_the_module_objects():
         for attr in module.__all__:
             if attr in ssem.__all__:
                 assert getattr(ssem, attr) is getattr(module, attr), attr
+
+
+def test_readme_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    residual, cond = (float(v) for v in capsys.readouterr().out.split())
+    assert residual < 1e-10
+    assert 1.0 < cond < 1e8

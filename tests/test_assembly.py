@@ -9,10 +9,8 @@ from ssem.assembly import (
     EllipticOperatorSpec,
     SmootherSpec,
     apply_operator,
-    apply_smoother_half_forward,
     apply_smoother_half_inverse,
     assemble_elliptic,
-    boundary_row,
     build_rhs,
     smoother_multiplier_array,
 )
@@ -20,10 +18,12 @@ from ssem.chebyshev import (
     analysis,
     forward_cheb,
     gram_factor,
+    inverse_cheb,
     roots_axis,
     synthesis,
 )
 from ssem.geometry import (
+    annulus_domain,
     classify_interior,
     disc_domain,
     interior_coordinates,
@@ -41,6 +41,23 @@ VARCOEF = EllipticOperatorSpec(
     second_order={(0, 0): lambda x, y: 2.0 + y, (1, 1): lambda x, y: 2.0 - x},
     first_order={}, zeroth=None,
     source=lambda x, y: -12.0 * (x + y))
+
+
+def half_forward(u, spec):
+    """S^{+1/2}: the reciprocal of the S^{-1/2} multiplier."""
+    mult = smoother_multiplier_array(spec, np.shape(u))
+    return inverse_cheb(forward_cheb(u) / mult)
+
+
+def boundary_values(domain, m, bc, u_fn):
+    """(boundary rows of C applied to u = u_fn on the grid, the points,
+    the normals) of an assembled system."""
+    axes = (roots_axis(m), roots_axis(m))
+    system = assemble_elliptic(domain, axes, LAPLACE, bc)
+    u = np.broadcast_to(u_fn(axes[0].nodes[:, None], axes[1].nodes[None, :]),
+                        (m, m))
+    vals = system.apply(u)[system.n_omega:]
+    return vals, system.boundary.points, system.boundary.normals
 
 
 def disc_setup(m=10):
@@ -88,29 +105,24 @@ class TestApplyOperator:
 
 class TestBoundaryRow:
     def test_dirichlet_trace(self):
-        axes = (roots_axis(10), roots_axis(10))
-        u = axes[0].nodes[:, None] ** 2 - axes[1].nodes[None, :] ** 2
         bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=0.0)
-        y = (0.4321, -0.177)
-        row = boundary_row(y, (1.0, 0.0), bc, axes)
-        assert np.sum(row * u) == pytest.approx(y[0] ** 2 - y[1] ** 2,
-                                                abs=1e-11)
+        vals, pts, _ = boundary_values(disc_domain(), 10, bc,
+                                       lambda x, y: x**2 - y**2)
+        assert vals == pytest.approx(pts[:, 0] ** 2 - pts[:, 1] ** 2,
+                                     abs=1e-11)
 
     def test_neumann_flux(self):
-        axes = (roots_axis(12), roots_axis(12))
-        u = axes[0].nodes[:, None] ** 3 + axes[1].nodes[None, :] ** 3
         bc = BoundaryConditionSpec(trace=0.0, flux=1.0, data=0.0)
-        y = (0.5, 0.62)
-        nu = (0.8, -0.6)
-        row = boundary_row(y, nu, bc, axes)
-        expect = 3 * y[0] ** 2 * nu[0] + 3 * y[1] ** 2 * nu[1]
-        assert np.sum(row * u) == pytest.approx(expect, abs=1e-9)
+        vals, pts, nrm = boundary_values(star_domain(), 12, bc,
+                                         lambda x, y: x**3 + y**3)
+        expect = 3 * (pts[:, 0] ** 2 * nrm[:, 0] + pts[:, 1] ** 2 * nrm[:, 1])
+        assert vals == pytest.approx(expect, abs=1e-9)
 
     def test_robin_on_constant(self):
-        axes = (roots_axis(9), roots_axis(9))
         bc = BoundaryConditionSpec(trace=1.0, flux=1.0, data=0.0)
-        row = boundary_row((0.3, 0.3), (0.6, 0.8), bc, axes)
-        assert np.sum(row * np.ones((9, 9))) == pytest.approx(1.0, abs=1e-11)
+        vals, _, _ = boundary_values(annulus_domain(), 9, bc,
+                                     lambda x, y: 1.0)
+        assert vals == pytest.approx(np.ones(vals.size), abs=1e-11)
 
     def test_degenerate_coefficients_rejected(self):
         axes = (roots_axis(8), roots_axis(8))
@@ -177,8 +189,7 @@ class TestSmoother:
         rng = np.random.default_rng(4)
         u = rng.standard_normal((7, 7))
         spec = SmootherSpec("power", 4.0)
-        back = apply_smoother_half_forward(
-            apply_smoother_half_inverse(u, spec), spec)
+        back = half_forward(apply_smoother_half_inverse(u, spec), spec)
         assert back == pytest.approx(u, abs=1e-10)
 
     def test_multiplier_positive(self):

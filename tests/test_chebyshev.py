@@ -4,12 +4,11 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 import pytest
 
+from ssem.assembly import SmootherSpec, apply_smoother_half_inverse
 from ssem.chebyshev import (
     NODE_MATCH_TOL,
     analysis,
-    apply_multiplier,
     apply_sturm_liouville,
-    bary_deriv_row,
     bary_interp_row,
     bary_rows,
     basis_values,
@@ -40,6 +39,20 @@ def t_samples(j, m):
     """Samples of T_j on the m-point roots grid."""
     theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
     return np.cos(j * theta)
+
+
+def deriv_row(axes, y, direction):
+    """Directional-derivative weights at y: the derivative rows of
+    bary_rows tensored with the value rows, one term per axis."""
+    out = 0.0
+    for j, nu_j in enumerate(direction):
+        rows = [bary_rows(ax, yi, int(a == j))[0]
+                for a, (ax, yi) in enumerate(zip(axes, y))]
+        term = rows[0]
+        for r in rows[1:]:
+            term = np.multiply.outer(term, r)
+        out = out + nu_j * term
+    return out
 
 
 class TestAxes:
@@ -268,13 +281,18 @@ class TestCoefficientSpace:
         nrm = np.array([[0.6, 0.8], [1.0, 0.0]])
         values = [bary_rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
         slopes = [bary_rows(ax, pts[:, j], 1) for j, ax in enumerate(axes)]
+        u = np.random.default_rng(35).standard_normal((9, 7))
         for r in range(2):
+            interp = bary_interp_row(axes, pts[r])
             assert np.outer(values[0][r], values[1][r]) == pytest.approx(
-                bary_interp_row(axes, pts[r]), abs=1e-15)
+                interp, abs=1e-15)
+            # the slope of the interpolant is the interpolant of the
+            # spectral derivative (both exact on degree m-1)
             deriv = (nrm[r, 0] * np.outer(slopes[0][r], values[1][r])
                      + nrm[r, 1] * np.outer(values[0][r], slopes[1][r]))
-            assert deriv == pytest.approx(
-                bary_deriv_row(axes, pts[r], nrm[r]), abs=1e-12)
+            grad = nrm[r, 0] * diff1(u, 0) + nrm[r, 1] * diff1(u, 1)
+            assert np.sum(deriv * u) == pytest.approx(
+                np.sum(interp * grad), rel=1e-10, abs=1e-10)
 
     def test_tensor_rows_are_rowwise_kron(self):
         rng = np.random.default_rng(31)
@@ -327,30 +345,29 @@ class TestMultipliers:
     def test_identity_multiplier(self):
         rng = np.random.default_rng(9)
         u = rng.standard_normal((6, 6))
-        out = apply_multiplier(u, lambda k: np.ones(()))
+        out = apply_smoother_half_inverse(u, SmootherSpec("power", 0.0))
         assert out == pytest.approx(u, abs=1e-12)
 
     def test_product_mode(self):
         m = 8
-        u = np.outer(t_samples(3, m), t_samples(4, m))
-        out = apply_multiplier(
-            u, lambda k: 1.0 / (1.0 + sum(ki**2 for ki in k)))
-        assert out == pytest.approx(u / 26.0, abs=1e-12)
+        u = np.multiply.outer(np.outer(t_samples(3, m), t_samples(4, m)),
+                              t_samples(1, m))
+        out = apply_smoother_half_inverse(u, SmootherSpec("power", 2.0))
+        assert out == pytest.approx(u / 27.0, abs=1e-12)
 
     def test_inverse_multiplier_roundtrip(self):
+        # a negative exponent gives the reciprocal multiplier
         rng = np.random.default_rng(10)
         u = rng.standard_normal((7, 5))
-
-        def mu(k):
-            return (1.0 + sum(ki**2 for ki in k)) ** -2.0
-
-        out = apply_multiplier(apply_multiplier(u, mu),
-                               lambda k: 1.0 / mu(k))
+        out = apply_smoother_half_inverse(
+            apply_smoother_half_inverse(u, SmootherSpec("power", 4.0)),
+            SmootherSpec("power", -4.0))
         assert out == pytest.approx(u, abs=1e-10)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_multiplier_matches_operator(self, p):
-        # (1 - sum_i D_i^2)^{p/2} on tensor eigenfunctions vs multiplier
+        # (1 - sum_i D_i^2)^{p/2} on tensor eigenfunctions vs the smoother
+        # multiplier (1 + |k|^2)^{p/2}, which the exponent -p gives
         m = 12
         u = np.outer(t_samples(5, m), t_samples(2, m))
 
@@ -361,8 +378,7 @@ class TestMultipliers:
         out = u
         for _ in range(p // 2):
             out = op_once(out)
-        ref = apply_multiplier(
-            u, lambda k: (1.0 + sum(ki**2 for ki in k)) ** (p / 2.0))
+        ref = apply_smoother_half_inverse(u, SmootherSpec("power", -p))
         assert np.max(np.abs(out - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
@@ -403,12 +419,12 @@ class TestInterpolation:
 
     def test_derivative_of_constant(self):
         axes = (roots_axis(8), roots_axis(8))
-        row = bary_deriv_row(axes, (0.4, 0.1), (0.6, 0.8))
+        row = deriv_row(axes, (0.4, 0.1), (0.6, 0.8))
         assert abs(np.sum(row * np.ones((8, 8)))) < 1e-12
 
     def test_derivative_of_linear(self):
         ax = roots_axis(9)
-        row = bary_deriv_row((ax,), (0.37,), (1.0,))
+        row = deriv_row((ax,), (0.37,), (1.0,))
         assert np.sum(row * ax.nodes) == pytest.approx(1.0, abs=1e-12)
 
     def test_derivative_of_truncated_series(self):
@@ -420,13 +436,13 @@ class TestInterpolation:
         axes = (roots_axis(m), roots_axis(m))
         u = (ncheb.chebval(axes[0].nodes, a)[:, None]
              + ncheb.chebval(axes[1].nodes, b)[None, :])
-        row = bary_deriv_row(axes, (0.5, 0.2), (1.0, 0.0))
+        row = deriv_row(axes, (0.5, 0.2), (1.0, 0.0))
         ref = ncheb.chebval(0.5, ncheb.chebder(a))
         assert np.sum(row * u) == pytest.approx(ref, rel=1e-10)
 
     def test_derivative_row_at_node_is_matrix_row(self):
         ax = roots_axis(9)
-        row = bary_deriv_row((ax,), (ax.nodes[4],), (1.0,))
+        row = deriv_row((ax,), (ax.nodes[4],), (1.0,))
         assert row == pytest.approx(diff_matrix(9)[4], abs=1e-11)
 
     def test_derivative_direction_combination(self):
@@ -435,6 +451,6 @@ class TestInterpolation:
         y = axes[1].nodes[None, :]
         u = x**2 * y  # du/dx = 2xy, du/dy = x^2
         nu = (0.6, 0.8)
-        row = bary_deriv_row(axes, (0.5, -0.25), nu)
+        row = deriv_row(axes, (0.5, -0.25), nu)
         ref = nu[0] * (2 * 0.5 * -0.25) + nu[1] * 0.25
         assert np.sum(row * u) == pytest.approx(ref, abs=1e-11)

@@ -9,6 +9,7 @@ from ssem.chebyshev import roots_axis
 from ssem.experiments import ExperimentConfig, run_experiment, solve_problem
 from ssem.geometry import (
     DomainSpec,
+    StarSurface,
     annulus_domain,
     classify_interior,
     disc_domain,
@@ -16,7 +17,6 @@ from ssem.geometry import (
     sample_boundary,
     sample_boundary_2d,
     sample_boundary_3d,
-    sphere_domain,
     star_ball_domain,
     star_domain,
 )
@@ -266,7 +266,15 @@ class TestBoundary3D:
         assert np.all(dom.inside(*stepped.T) > 0)
 
     def test_unit_sphere_projection(self):
-        bset = sample_boundary_3d(sphere_domain(1.0), 10)
+        sphere = DomainSpec(
+            dim=3, inside=lambda x, y, z: np.sqrt(x * x + y * y + z * z) - 1.0,
+            boundary=StarSurface(
+                radius=lambda polar, azim: np.ones_like(polar),
+                normal=lambda pts: pts / np.linalg.norm(pts, axis=-1,
+                                                        keepdims=True),
+                max_radius=1.0),
+            name="sphere")
+        bset = sample_boundary_3d(sphere, 10)
         radii = np.linalg.norm(bset.points, axis=1)
         assert radii == pytest.approx(np.ones(bset.count), abs=1e-12)
 

@@ -1,7 +1,6 @@
 """Experiment sweeps, error metrics, CSV/plot-data plumbing, CLI."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +20,8 @@ from ssem.experiments import (
     ConvergenceRow,
     ExperimentConfig,
     fit_convergence_order,
-    l2_error,
     run_experiment,
 )
-from ssem.geometry import classify_interior, disc_domain, interior_coordinates
 from ssem.solver import RankDeficientError
 
 
@@ -36,30 +33,32 @@ def make_row(m, l2, cond=1e3, p="4"):
 
 
 class TestL2Error:
+    """The (l2, linf) error closure of a roster problem (dirichlet-disc,
+    exact solution x^2 - y^2) on the interior grid nodes."""
+
     def setup_method(self):
-        self.axes = (roots_axis(10), roots_axis(10))
-        self.interior = classify_interior(disc_domain(), self.axes)
-        self.exact = lambda x, y: x**2 - y**2
-        self.u = (self.axes[0].nodes[:, None] ** 2
-                  - self.axes[1].nodes[None, :] ** 2)
+        _, self.errors = ssem.experiments._PROBLEMS["dirichlet-disc"].build(10)
+        nodes = roots_axis(10).nodes
+        self.u = nodes[:, None] ** 2 - nodes[None, :] ** 2
 
     def test_exact_is_zero(self):
-        assert l2_error(self.u, self.exact, self.interior, self.axes) == 0.0
+        assert self.errors(self.u) == (0.0, 0.0)
 
     def test_constant_offset(self):
-        err = l2_error(self.u + 1.0, self.exact, self.interior, self.axes)
-        assert err == pytest.approx(1.0, abs=1e-14)
+        l2, linf = self.errors(self.u + 1.0)
+        assert l2 == pytest.approx(1.0, abs=1e-14)
+        assert linf == pytest.approx(1.0, abs=1e-14)
 
     def test_noise_rms(self):
         rng = np.random.default_rng(31)
         noisy = self.u + 1e-3 * rng.standard_normal((10, 10))
-        err = l2_error(noisy, self.exact, self.interior, self.axes)
-        assert err == pytest.approx(1e-3, rel=0.35)
+        l2, linf = self.errors(noisy)
+        assert l2 == pytest.approx(1e-3, rel=0.35)
+        assert l2 < linf
 
     def test_empty_interior_rejected(self):
-        empty = SimpleNamespace(count=0, indices=np.zeros((0, 2), dtype=int))
-        with pytest.raises(ValueError):
-            l2_error(self.u, self.exact, empty, self.axes)
+        with pytest.raises(ValueError, match="empty"):
+            ssem.experiments._error_norms(np.zeros((0, 11)))
 
 
 class TestFitConvergenceOrder:
@@ -147,10 +146,10 @@ class TestRunExperiment:
     def test_failures_marked_and_sweep_continues(self, monkeypatch):
         real = ssem.experiments.solve_problem
 
-        def flaky(problem_id, m, spec, time_points=10):
+        def flaky(problem_id, m, spec):
             if m == 12:
                 raise RankDeficientError(3, 1e-20, 1e-13)
-            return real(problem_id, m, spec, time_points)
+            return real(problem_id, m, spec)
 
         monkeypatch.setattr(ssem.experiments, "solve_problem", flaky)
         config = ExperimentConfig(problem="dirichlet-disc", grids=(10, 12, 14),
@@ -165,7 +164,7 @@ class TestRunExperiment:
     ])
     def test_solver_failure_types_become_failed_rows(self, monkeypatch,
                                                      error):
-        def boom(problem_id, m, spec, time_points=10):
+        def boom(problem_id, m, spec):
             raise error
 
         monkeypatch.setattr(ssem.experiments, "solve_problem", boom)
@@ -174,7 +173,7 @@ class TestRunExperiment:
         assert [r.failed for r in run_experiment(config)] == [True]
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(problem_id, m, spec, time_points=10):
+        def broken(problem_id, m, spec):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(ssem.experiments, "solve_problem", broken)
@@ -197,7 +196,6 @@ problem = dirichlet-disc
 grids = 10:18:4
 p_list = 4,6
 out = results.csv   # destination
-seed = 7
 """)
         config = parse_config(path)
         assert config.problem == "dirichlet-disc"
@@ -205,7 +203,6 @@ seed = 7
         assert config.p_list == (4.0, 6.0)
         assert config.smoother == "power"
         assert config.out == "results.csv"
-        assert config.seed == 7
 
     def test_comma_grids(self, tmp_path):
         path = self.write(tmp_path, "problem = dirichlet-disc\n"
@@ -229,10 +226,10 @@ seed = 7
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path)
 
-    def test_bad_seed(self, tmp_path):
+    def test_seed_key_rejected(self, tmp_path):
         path = self.write(tmp_path, "problem = dirichlet-disc\ngrids = 10\n"
-                          "p_list = 4\nout = r.csv\nseed = pi\n")
-        with pytest.raises(ConfigError, match="seed"):
+                          "p_list = 4\nout = r.csv\nseed = 7\n")
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
             parse_config(path)
 
     def test_bad_grid_range(self, tmp_path):
@@ -362,8 +359,24 @@ class TestMain:
         assert code == 2
         assert "ssem:" in capsys.readouterr().err
 
+    def test_seed_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = dirichlet-disc\ngrids = 10\np_list = 4\n"
+                       f"out = {tmp_path / 'x.csv'}\nseed = 7\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_study_seed_flag_exit_code(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--problem", "dirichlet-disc", "--grids", "10",
+                  "--p", "4", "--out", str(tmp_path / "x.csv"),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_failed_row_exit_code(self, tmp_path, monkeypatch):
-        def boom(problem_id, m, spec, time_points=10):
+        def boom(problem_id, m, spec):
             raise RankDeficientError(0, 0.0, 1e-13)
 
         monkeypatch.setattr(ssem.experiments, "solve_problem", boom)
