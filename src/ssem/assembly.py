@@ -55,6 +55,12 @@ __all__ = [
     "assemble_elliptic",
 ]
 
+# Work on the N x n constraint matrix (filling its rows, applying R_V^{-1}
+# to them, the rank check's norms of R) goes through blocks of about this
+# size, so that no temporary approaches the size of the matrix.
+BLOCK_BYTES = 4 << 20
+
+
 @dataclass(frozen=True, eq=False)
 class EllipticOperatorSpec:
     """Second-order operator -a_ij d_ij u + b_i d_i u + c u with source f.
@@ -123,6 +129,36 @@ def _coeff_at_points(coeff, points: np.ndarray, normals: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# input checks: assembly rejects what would otherwise surface only as a
+# non-finite factor (or a LAPACK error) after the full QR
+# ---------------------------------------------------------------------------
+
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or a ValueError naming what holds NaN or inf entries."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        kinds = [kind for kind, test in (("NaN", np.isnan), ("inf", np.isinf))
+                 if test(values).any()]
+        raise ValueError(f"{what}: {' and '.join(kinds)} at "
+                         f"{np.count_nonzero(bad)} of {values.size} points")
+    return values
+
+
+def _require_in_box(boundary: BoundaryPointSet) -> None:
+    """ValueError when a boundary sample lies outside (-1, 1)^d, where the
+    Chebyshev basis and the barycentric rows are not defined."""
+    pts = boundary.points
+    outside = np.flatnonzero(~np.all(np.abs(pts) < 1.0, axis=1))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(
+            f"{outside.size} of {boundary.count} boundary samples lie "
+            f"outside (-1, 1)^{pts.shape[1]}; the first is sample {k} at "
+            f"{pts[k].tolist()}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # interior operator
 # ---------------------------------------------------------------------------
 
@@ -156,8 +192,10 @@ def build_rhs(op: EllipticOperatorSpec, bc: BoundaryConditionSpec,
               axes) -> np.ndarray:
     """Stack the data: source at interior nodes, boundary data after."""
     coords = interior_coordinates(axes, interior)
-    f = _coeff_at_nodes(op.source, coords)
-    g = _coeff_at_points(bc.data, boundary.points, boundary.normals)
+    f = _require_finite(_coeff_at_nodes(op.source, coords), "source")
+    g = _require_finite(
+        _coeff_at_points(bc.data, boundary.points, boundary.normals),
+        "boundary data")
     return np.concatenate([f, g])
 
 
@@ -180,12 +218,16 @@ def _operator_terms(op: EllipticOperatorSpec, interior: InteriorIndexSet,
         orders = [sum(i % d == a for i in diff_axes) for a in range(d)]
         return [at_nodes[a][k] for a, k in enumerate(orders)]
 
-    terms = [(-_coeff_at_nodes(a, coords), factors(i, j))
+    def weight(coeff, name):
+        return _require_finite(_coeff_at_nodes(coeff, coords),
+                               f"operator coefficient {name}")
+
+    terms = [(-weight(a, f"a[{i}, {j}]"), factors(i, j))
              for (i, j), a in op.second_order.items()]
-    terms += [(_coeff_at_nodes(b, coords), factors(i))
+    terms += [(weight(b, f"b[{i}]"), factors(i))
               for i, b in op.first_order.items()]
     if op.zeroth is not None:
-        terms.append((_coeff_at_nodes(op.zeroth, coords), factors()))
+        terms.append((weight(op.zeroth, "c"), factors()))
     return terms
 
 
@@ -195,8 +237,10 @@ def _boundary_terms(bc: BoundaryConditionSpec, boundary: BoundaryPointSet,
     1-D factors rows(ax, x, order) -- basis_values for the rows of A,
     bary_rows for the rows of C on grid functions."""
     pts, nrm = boundary.points, boundary.normals
-    a = _coeff_at_points(bc.trace, pts, nrm)
-    b = _coeff_at_points(bc.flux, pts, nrm)
+    a = _require_finite(_coeff_at_points(bc.trace, pts, nrm),
+                        "boundary trace coefficient")
+    b = _require_finite(_coeff_at_points(bc.flux, pts, nrm),
+                        "boundary flux coefficient")
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("boundary condition vanishes at a sampled point")
     values = [rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
@@ -224,20 +268,28 @@ def _apply_terms(terms, u: np.ndarray) -> np.ndarray:
 def _fill_rows(out: np.ndarray, terms) -> None:
     """Write the sum of the (w, factors) terms into the rows of out.
 
-    The first term is written in place and the others share one scratch
-    block: a full-size temporary per term can stay in the heap after it
-    is freed and raise the peak RSS of the solve.
+    Per term, tensor_rows forms the product of all factors but the last
+    once: one grid axis short of a row, a fraction of out. The last axis
+    is multiplied in a block of rows of about BLOCK_BYTES at a time,
+    written in place for the first term and added for the others, so no
+    temporary approaches the size of out.
     """
     terms = [(w, f) for w, f in terms if np.any(w)]
     if not terms:
         out[:] = 0.0
-    scratch = np.empty_like(out) if len(terms) > 1 else None
+    step = max(1, BLOCK_BYTES // max(1, out.shape[1] * out.itemsize))
     for k, (w, factors) in enumerate(terms):
-        weighted = [np.reshape(w, (-1, 1)) * factors[0], *factors[1:]]
-        if k == 0:
-            tensor_rows(weighted, out=out)
-        else:
-            out += tensor_rows(weighted, out=scratch)
+        lead = tensor_rows([np.reshape(w, (-1, 1)) * factors[0],
+                            *factors[1:-1]])
+        last = factors[-1]
+        for i in range(0, len(out), step):
+            rows = slice(i, i + step)
+            block = out[rows].reshape(-1, lead.shape[1], last.shape[1])
+            if k == 0:
+                np.multiply(lead[rows, :, None], last[rows, None, :],
+                            out=block)
+            else:
+                block += lead[rows, :, None] * last[rows, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +378,7 @@ def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,
     m = axes[0].m
     interior = classify_interior(domain, axes)
     boundary = sample_boundary(domain, m)
+    _require_in_box(boundary)
     rhs = build_rhs(op, bc, interior, boundary, axes)
     interior_terms = _operator_terms(op, interior, axes)
     boundary_terms = _boundary_terms(bc, boundary, axes)

@@ -281,14 +281,12 @@ def fit_convergence_order(rows) -> float:
     return float(-slope)
 
 
-def solve_problem(problem_id: str, m: int, spec: SmootherSpec):
-    """Build and solve one benchmark instance.
+# what run_experiment records as a failed row instead of propagating
+_SOLVER_FAILURES = (RankDeficientError, np.linalg.LinAlgError, ValueError)
 
-    Returns (report, row) where row carries the CSV fields plus residual
-    diagnostics.
-    """
-    prob = _PROBLEMS[problem_id]
-    system, errors = prob.build(m)
+
+def _solve_built(system, errors, m: int, spec: SmootherSpec):
+    """Solve an assembled benchmark instance: (report, row)."""
     report = pinv_solve(system, spec)
     l2, linf = errors(report.solution)
     row = ConvergenceRow(
@@ -307,25 +305,44 @@ def solve_problem(problem_id: str, m: int, spec: SmootherSpec):
     return report, row
 
 
+def solve_problem(problem_id: str, m: int, spec: SmootherSpec):
+    """Build and solve one benchmark instance.
+
+    Returns (report, row) where row carries the CSV fields plus residual
+    diagnostics.
+    """
+    system, errors = _PROBLEMS[problem_id].build(m)
+    return _solve_built(system, errors, m, spec)
+
+
+def _failed_row(m: int, label: str) -> ConvergenceRow:
+    return ConvergenceRow(m=m, n_omega=0, n_gamma=0, p=label,
+                          l2_error=math.nan, linf_error=math.nan,
+                          cond=math.nan, seconds=math.nan, failed=True)
+
+
 def run_experiment(config: ExperimentConfig):
     """Sweep the configured problem over (m, smoother) and collect rows.
 
-    Solver failures (rank loss, LAPACK errors, rejected input) are
-    recorded as failed rows (NaN metrics) and the sweep continues; any
-    other exception propagates.
+    Each m is assembled once and solved for every smoother: only the
+    multiplier depends on the smoother. Solver failures (rank loss,
+    LAPACK errors, rejected input) are recorded as failed rows (NaN
+    metrics) and the sweep continues; a failed build fails every row of
+    its m. Any other exception propagates.
     """
     rows = []
+    specs = config.smoother_specs()
     for m in config.grids:
-        for label, spec in config.smoother_specs():
+        try:
+            system, errors = _PROBLEMS[config.problem].build(m)
+        except _SOLVER_FAILURES:
+            rows += [_failed_row(m, label) for label, _ in specs]
+            continue
+        for label, spec in specs:
             try:
-                _, row = solve_problem(config.problem, m, spec)
+                _, row = _solve_built(system, errors, m, spec)
                 row.p = label
-            except (RankDeficientError, np.linalg.LinAlgError,
-                    ValueError):
-                row = ConvergenceRow(
-                    m=m, n_omega=0, n_gamma=0, p=label,
-                    l2_error=math.nan, linf_error=math.nan,
-                    cond=math.nan, seconds=math.nan, failed=True,
-                )
+            except _SOLVER_FAILURES:
+                row = _failed_row(m, label)
             rows.append(row)
     return rows

@@ -25,6 +25,8 @@ from .assembly import (
     SmootherSpec,
     _apply_terms,
     _fill_rows,
+    _require_finite,
+    _require_in_box,
     smoother_multiplier_array,
 )
 from .chebyshev import (
@@ -114,6 +116,7 @@ def assemble_parabolic(problem: ParabolicProblem,
     axes = (sx, sy, taxis)
     interior = classify_interior(problem.domain, grid.space_axes)
     boundary = sample_boundary_2d(problem.domain, sx.m)
+    _require_in_box(boundary)
     # Dirichlet trace rows in space, tensored with time restrictions
     trace = [(1.0, [bary_rows(ax, boundary.points[:, j])
                     for j, ax in enumerate(grid.space_axes)])]
@@ -124,12 +127,14 @@ def assemble_parabolic(problem: ParabolicProblem,
     n_lat = boundary.count * n
 
     coords = interior_coordinates(grid.space_axes, interior)
-    u0 = np.asarray(problem.initial(coords[:, 0], coords[:, 1]), dtype=float)
-    gvals = np.stack(
+    u0 = _require_finite(
+        np.asarray(problem.initial(coords[:, 0], coords[:, 1]), dtype=float),
+        "initial values")
+    gvals = _require_finite(np.stack(
         [np.asarray(problem.lateral(boundary.points, taxis.nodes[j]),
                     dtype=float) for j in range(1, n + 1)],
         axis=1,
-    )  # (n_gamma, n)
+    ), "lateral values")  # (n_gamma, n)
     rhs = np.concatenate([np.zeros(n_heat), u0, gvals.ravel()])
 
     def heat_operator(u):

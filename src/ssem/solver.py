@@ -15,21 +15,37 @@ share R and their singular values; the solution is
 u = S^{-1/2} V R_V^{-1} Q' R^{-T} b, and cond is read from R alone.
 
 Q' is never formed: the factorization keeps LAPACK's Householder
-reflectors (geqrf, through numpy) and applies them to the one vector
-R^{-T} b (ormqr). cond = sigma_max / sigma_min comes from two Lanczos
-runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD.
+reflectors (geqrf) and applies them to the one vector R^{-T} b (ormqr).
+cond = sigma_max / sigma_min comes from two Lanczos runs on R (R^T R and
+R^{-1} R^{-T}), not from a dense SVD.
+
+Memory: pinv_solve builds M' once and geqrf overwrites that buffer with
+the reflectors, so the solve peaks at about one N x n matrix plus the
+n x n R. geqrf is called through ctypes from the OpenBLAS that numpy
+bundles (its ILP64 symbol scipy_dgeqrf_64_), which keeps it on numpy's
+thread pool; a numpy without that library (the symbol does not
+resolve) falls back to numpy.linalg.qr(mode="raw"), which factors a
+copy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import ConstraintSystem, SmootherSpec, smoother_multiplier_array
+from .assembly import (
+    BLOCK_BYTES,
+    ConstraintSystem,
+    SmootherSpec,
+    smoother_multiplier_array,
+)
 from .chebyshev import _along, analysis, gram_factor, synthesis
 
 __all__ = [
@@ -52,6 +68,30 @@ LANCZOS_TOL = 1e-14
 LANCZOS_MIN_ORDER = 128
 
 
+@functools.cache
+def _bundled_geqrf():
+    """LAPACK dgeqrf from the OpenBLAS bundled with numpy, or None.
+
+    numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols
+    (every integer argument is int64). The library is already loaded by
+    numpy, so this opens the same copy and the same thread pool. Resolved
+    on first use, not at import.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_dgeqrf_64_
+        except (OSError, AttributeError):
+            continue
+        fn.restype = None
+        fn.argtypes = [ctypes.POINTER(ctypes.c_int64)] * 2 + [
+            ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64),
+            ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int64)]
+        return fn
+    return None
+
+
 class RankDeficientError(RuntimeError):
     """The constraint matrix has (numerically) dependent columns."""
 
@@ -71,8 +111,9 @@ class QRFactorization:
     h.T (N x n) holds R on and above its diagonal and the Householder
     reflectors below it; tau holds their scales. r is the upper-
     triangular n x n factor. Q is applied by apply_q and never formed.
-    h.T is F-contiguous, so LAPACK reads it in place, when the factored
-    matrix was (pinv_solve passes one that is).
+    h.T is F-contiguous, so LAPACK reads it in place; when geqrf ran in
+    place (pinv_solve's case) h.T is the very buffer that held the
+    factored matrix, so the factorization costs no second N x n array.
     """
 
     h: np.ndarray
@@ -100,29 +141,75 @@ class QRFactorization:
         return qz.reshape((big,) + z.shape[1:])
 
 
+def _int64(value: int):
+    """An ILP64 LAPACK integer argument: a pointer to an int64."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _geqrf_in_place(geqrf, buf: np.ndarray) -> np.ndarray:
+    """Factor the F-contiguous float64 buf in place with the ctypes
+    geqrf; returns tau."""
+    big, n = buf.shape
+    tau = np.empty(min(big, n))
+    info = ctypes.c_int64(0)
+
+    def run(work, lwork):
+        geqrf(_int64(big), _int64(n), buf.ctypes.data, _int64(max(1, big)),
+              tau.ctypes.data, work.ctypes.data, _int64(lwork),
+              ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"dgeqrf failed with info={info.value}")
+
+    # workspace query, then the lwork numpy.linalg.qr settles on
+    query = np.empty(1)
+    run(query, -1)
+    lwork = max(1, n, int(query[0]))
+    run(np.empty(lwork), lwork)
+    return tau
+
+
 def householder_qr(mat: np.ndarray) -> QRFactorization:
     """Thin Householder QR (LAPACK geqrf) with a loud full-rank check.
+
+    Factors np.asfortranarray(mat, dtype=float) in place, like SciPy's
+    overwrite_a: an F-contiguous float64 mat (pinv_solve passes one) is
+    overwritten by the reflectors and R, and the result's h.T is mat
+    itself; any other mat is copied once and left unchanged. Without
+    numpy's bundled LAPACK the QR runs through numpy.linalg.qr on a copy.
 
     Raises ValueError for non-finite input, and RankDeficientError naming
     the first offending column when a diagonal entry of R falls below
     1e-13 times a two-norm estimate.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[0] < mat.shape[1]:
+    buf = np.asfortranarray(mat, dtype=float)
+    big, n = buf.shape
+    if big < n:
         raise ValueError(
-            f"householder_qr expects a tall matrix, got {mat.shape}"
+            f"householder_qr expects a tall matrix, got {buf.shape}"
         )
-    h, tau = np.linalg.qr(mat, mode="raw")
-    r = np.triu(h[:, :mat.shape[1]].T)
+    geqrf = _bundled_geqrf()
+    if geqrf is None:
+        h, tau = np.linalg.qr(buf, mode="raw")
+    else:
+        tau = _geqrf_in_place(geqrf, buf)
+        h = buf.T
+    r = np.triu(h[:, :n].T)
     # a NaN or inf anywhere in mat reaches R through the reflectors
     if not (np.isfinite(r).all() and np.isfinite(tau).all()):
         raise ValueError(
             "householder_qr: the matrix has non-finite entries "
             "(NaN or inf in its R factor)"
         )
-    # ||A||_2 = ||R||_2 <= sqrt(||R||_1 ||R||_inf), cheap and deterministic
-    abs_r = np.abs(r)
-    norm_est = np.sqrt(abs_r.sum(axis=0).max() * abs_r.sum(axis=1).max())
+    # ||A||_2 = ||R||_2 <= sqrt(||R||_1 ||R||_inf), cheap and deterministic;
+    # |R| is summed a block of columns (rows) at a time, not copied whole
+    step = max(1, BLOCK_BYTES // (8 * max(1, n)))
+    blocks = range(0, n, step)
+    norm_1 = max((np.abs(r[:, j:j + step]).sum(axis=0).max()
+                  for j in blocks), default=0.0)
+    norm_inf = max((np.abs(r[i:i + step]).sum(axis=1).max()
+                    for i in blocks), default=0.0)
+    norm_est = np.sqrt(norm_1 * norm_inf)
     diag = np.abs(np.diag(r))
     threshold = RANK_TOL * norm_est
     bad = np.flatnonzero(diag < threshold)
@@ -257,8 +344,13 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     mat = system.coefficient_matrix()
     mat *= (mult * scale).reshape(1, size)
     rows = mat.reshape((system.n_rows,) + shape)
+    step = max(1, BLOCK_BYTES // (8 * size))
     for a, inv in inverses:
-        rows[...] = np.moveaxis(np.moveaxis(rows, a + 1, -1) @ inv, -1, a + 1)
+        for i in range(0, system.n_rows, step):
+            block = rows[i:i + step]
+            block[...] = np.moveaxis(
+                np.moveaxis(block, a + 1, -1) @ inv, -1, a + 1)
+    # geqrf overwrites mat: fac.h is mat's buffer from here on
     fac = householder_qr(mat.T)
     del mat, rows
     cond = condition_estimate(fac.r)

@@ -1,5 +1,7 @@
 """Constraint assembly: operator rows, boundary rows, smoothers, A = C V."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from ssem.chebyshev import (
     synthesis,
 )
 from ssem.geometry import (
+    DomainSpec,
+    StarSurface,
     annulus_domain,
     classify_interior,
     disc_domain,
@@ -129,6 +133,60 @@ class TestBoundaryRow:
         bc = BoundaryConditionSpec(trace=0.0, flux=0.0, data=0.0)
         with pytest.raises(ValueError):
             assemble_elliptic(disc_domain(), axes, LAPLACE, bc)
+
+
+def bad_inputs(value):
+    """culprit -> (operator fields, boundary fields) that make that one
+    input of a Dirichlet Laplace problem equal value at some points."""
+    nodes = lambda x, y: np.where(x > 0.0, value, 1.0)
+    points = lambda pts, nrm: np.where(pts[:, 0] > 0.0, value, 1.0)
+    return {
+        "operator coefficient a[1, 1]":
+            ({"second_order": {(0, 0): 1.0, (1, 1): nodes}}, {}),
+        "operator coefficient b[0]": ({"first_order": {0: nodes}}, {}),
+        "operator coefficient c": ({"zeroth": nodes}, {}),
+        "source": ({"source": nodes}, {}),
+        "boundary trace coefficient": ({}, {"trace": points}),
+        "boundary flux coefficient": ({}, {"flux": points}),
+        "boundary data": ({}, {"data": points}),
+    }
+
+
+class TestInputChecks:
+    """Assembly names the culprit of non-finite input before any matrix
+    is built; without the checks NaN data surfaced only after the QR."""
+
+    @pytest.mark.parametrize("value, kind", [(np.nan, "NaN"),
+                                             (np.inf, "inf")])
+    @pytest.mark.parametrize("culprit", list(bad_inputs(0.0)))
+    def test_non_finite_culprit_named(self, culprit, value, kind):
+        op_fields, bc_fields = bad_inputs(value)[culprit]
+        op = EllipticOperatorSpec(**{
+            "second_order": {(0, 0): 1.0, (1, 1): 1.0}, "first_order": {},
+            **op_fields})
+        bc = BoundaryConditionSpec(**{"trace": 1.0, "flux": 0.0, "data": 0.0,
+                                      **bc_fields})
+        axes = (roots_axis(10), roots_axis(10))
+        with pytest.raises(ValueError, match=rf"^{re.escape(culprit)}: "
+                                             rf"{kind} at \d+ of \d+ points"):
+            assemble_elliptic(disc_domain(), axes, op, bc)
+
+    def test_boundary_samples_outside_box_rejected(self):
+        # a ball of radius 1.2: its Fibonacci samples leave (-1, 1)^3
+        ball = DomainSpec(
+            dim=3, inside=lambda x, y, z: np.sqrt(x * x + y * y + z * z) - 1.2,
+            boundary=StarSurface(
+                radius=lambda polar, azim: np.full_like(polar, 1.2),
+                normal=lambda pts: pts / np.linalg.norm(pts, axis=-1,
+                                                        keepdims=True),
+                max_radius=1.2))
+        laplace3 = EllipticOperatorSpec(
+            second_order={(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0},
+            first_order={})
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=0.0)
+        axes = (roots_axis(6),) * 3
+        with pytest.raises(ValueError, match=r"outside \(-1, 1\)\^3"):
+            assemble_elliptic(ball, axes, laplace3, bc)
 
 
 class TestBuildRhs:

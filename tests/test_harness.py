@@ -1,11 +1,13 @@
 """Experiment sweeps, error metrics, CSV/plot-data plumbing, CLI."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ssem.experiments
+from ssem.assembly import SmootherSpec
 from ssem.chebyshev import roots_axis
 from ssem.cli import (
     CSV_HEADER,
@@ -144,14 +146,14 @@ class TestRunExperiment:
         assert not rows[0].failed
 
     def test_failures_marked_and_sweep_continues(self, monkeypatch):
-        real = ssem.experiments.solve_problem
+        real = ssem.experiments.pinv_solve
 
-        def flaky(problem_id, m, spec):
-            if m == 12:
+        def flaky(system, spec):
+            if system.grid_shape[0] == 12:
                 raise RankDeficientError(3, 1e-20, 1e-13)
-            return real(problem_id, m, spec)
+            return real(system, spec)
 
-        monkeypatch.setattr(ssem.experiments, "solve_problem", flaky)
+        monkeypatch.setattr(ssem.experiments, "pinv_solve", flaky)
         config = ExperimentConfig(problem="dirichlet-disc", grids=(10, 12, 14),
                                   p_list=(4.0,))
         rows = run_experiment(config)
@@ -164,23 +166,70 @@ class TestRunExperiment:
     ])
     def test_solver_failure_types_become_failed_rows(self, monkeypatch,
                                                      error):
-        def boom(problem_id, m, spec):
+        def boom(system, spec):
             raise error
 
-        monkeypatch.setattr(ssem.experiments, "solve_problem", boom)
+        monkeypatch.setattr(ssem.experiments, "pinv_solve", boom)
         config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
                                   p_list=(4.0,))
         assert [r.failed for r in run_experiment(config)] == [True]
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(problem_id, m, spec):
+        def broken(system, spec):
             raise TypeError("synthetic bug")
 
-        monkeypatch.setattr(ssem.experiments, "solve_problem", broken)
+        monkeypatch.setattr(ssem.experiments, "pinv_solve", broken)
         config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
                                   p_list=(4.0,))
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(config)
+
+
+class TestAssembleOncePerM:
+    """run_experiment builds each m once and solves it for every p."""
+
+    def patch_build(self, monkeypatch, fail=None):
+        real = ssem.experiments._PROBLEMS["dirichlet-disc"]
+        built = []
+
+        def build(m):
+            built.append(m)
+            if fail is not None and m == 12:
+                raise fail
+            return real.build(m)
+
+        monkeypatch.setitem(ssem.experiments._PROBLEMS, "dirichlet-disc",
+                            dataclasses.replace(real, build=build))
+        return built
+
+    def config(self):
+        return ExperimentConfig(problem="dirichlet-disc", grids=(10, 12),
+                                p_list=(4.0, 6.0, 8.0))
+
+    def test_one_build_per_m_same_rows(self, monkeypatch):
+        built = self.patch_build(monkeypatch)
+        rows = run_experiment(self.config())
+        assert built == [10, 12]
+        for row in rows:
+            _, ref = ssem.experiments.solve_problem(
+                "dirichlet-disc", row.m, SmootherSpec(p=float(row.p)))
+            assert (row.l2_error, row.linf_error, row.cond,
+                    row.residual_linf, row.rhs_linf, row.floored) \
+                == (ref.l2_error, ref.linf_error, ref.cond,
+                    ref.residual_linf, ref.rhs_linf, ref.floored)
+        assert [(r.m, r.p) for r in rows] == [
+            (m, p) for m in (10, 12) for p in ("4", "6", "8")]
+
+    def test_build_failure_fails_every_row_of_its_m(self, monkeypatch):
+        self.patch_build(monkeypatch, ValueError("boundary data: NaN"))
+        rows = run_experiment(self.config())
+        assert [(r.m, r.failed) for r in rows] == [
+            (10, False)] * 3 + [(12, True)] * 3
+
+    def test_build_programming_error_propagates(self, monkeypatch):
+        self.patch_build(monkeypatch, TypeError("synthetic bug"))
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(self.config())
 
 
 class TestParseConfig:
@@ -376,10 +425,10 @@ class TestMain:
         assert "--seed" in capsys.readouterr().err
 
     def test_failed_row_exit_code(self, tmp_path, monkeypatch):
-        def boom(problem_id, m, spec):
+        def boom(system, spec):
             raise RankDeficientError(0, 0.0, 1e-13)
 
-        monkeypatch.setattr(ssem.experiments, "solve_problem", boom)
+        monkeypatch.setattr(ssem.experiments, "pinv_solve", boom)
         code = main(["study", "--problem", "dirichlet-disc", "--grids", "10",
                      "--p", "4", "--out", str(tmp_path / "x.csv")])
         assert code == 1

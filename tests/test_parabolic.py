@@ -13,7 +13,7 @@ from ssem.chebyshev import (
     roots_axis,
     synthesis,
 )
-from ssem.geometry import star_domain
+from ssem.geometry import BoundaryCurve, DomainSpec, star_domain
 from ssem.solver import pinv_solve
 from ssem.parabolic import (
     ParabolicProblem,
@@ -57,6 +57,39 @@ STAR_HEAT = ParabolicProblem(
 def star_grid(m, n=10):
     return SpaceTimeGrid(space_axes=(roots_axis(m), roots_axis(m)),
                          time_axis=extrema_axis(n, 0.0, 2.0))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("field, culprit, value, kind", [
+        ("initial", "initial values", np.nan, "NaN"),
+        ("lateral", "lateral values", np.inf, "inf"),
+    ])
+    def test_non_finite_data_named(self, field, culprit, value, kind):
+        def bad(first, second):
+            good = getattr(STAR_HEAT, field)(first, second)
+            return np.where(np.arange(good.size) % 3 == 0, value, good)
+
+        problem = ParabolicProblem(**{
+            "domain": STAR_HEAT.domain, "initial": STAR_HEAT.initial,
+            "lateral": STAR_HEAT.lateral, field: bad})
+        with pytest.raises(ValueError, match=rf"^{culprit}: {kind} at "):
+            assemble_parabolic(problem, star_grid(8, 4))
+
+    def test_boundary_samples_outside_box_rejected(self):
+        # the samples come from the boundary curve alone: a small circle
+        # beyond x = 1 puts every one outside (a curve that crosses
+        # |x| = 1 stalls the arccos-image arclength table instead)
+        centre = np.array([1.5, 0.0])
+        curve = BoundaryCurve(
+            param=lambda t: centre + 0.3 * np.stack([np.cos(t), np.sin(t)],
+                                                    axis=-1),
+            normal=lambda pts: (pts - centre) / 0.3)
+        domain = DomainSpec(dim=2, inside=STAR_HEAT.domain.inside,
+                            boundary=(curve,))
+        problem = ParabolicProblem(domain=domain, initial=STAR_HEAT.initial,
+                                   lateral=STAR_HEAT.lateral)
+        with pytest.raises(ValueError, match=r"outside \(-1, 1\)\^2"):
+            assemble_parabolic(problem, star_grid(8, 4))
 
 
 class TestTimeDiffMatrix:

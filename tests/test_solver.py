@@ -1,10 +1,14 @@
 """QR factorization, conditioning, and the minimal-norm constrained solve."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import ssem.experiments
 import ssem.solver
 from ssem.assembly import (
     BoundaryConditionSpec,
@@ -57,6 +61,20 @@ def identity_system(m):
         apply_fn=lambda u: u.ravel(),
         matrix_fn=lambda: np.kron(vand, vand),
         n_omega=size, n_gamma=0)
+
+
+# the TestHouseholderQR shapes
+QR_SHAPES = [(7, 7), (50, 20), (6, 3), (40, 40), (120, 31), (300, 150)]
+
+
+@pytest.fixture(params=["lapack", "fallback"])
+def qr_path(request, monkeypatch):
+    """Run a test on the in-place ctypes geqrf and on numpy.linalg.qr."""
+    if request.param == "fallback":
+        monkeypatch.setattr(ssem.solver, "_bundled_geqrf", lambda: None)
+    elif ssem.solver._bundled_geqrf() is None:
+        pytest.skip("numpy's bundled LAPACK is not available")
+    return request.param
 
 
 class TestHouseholderQR:
@@ -130,6 +148,72 @@ class TestHouseholderQR:
         fac = householder_qr(np.random.default_rng(17).standard_normal((9, 4)))
         with pytest.raises(ValueError, match="apply_q expects"):
             fac.apply_q(np.ones(9))
+
+
+class TestQRPaths:
+    """Both geqrf routes give numpy.linalg.qr's factors bit for bit."""
+
+    @pytest.mark.parametrize("shape", QR_SHAPES)
+    def test_bit_identical_to_numpy_raw(self, qr_path, shape):
+        mat = np.random.default_rng(19).standard_normal(shape)
+        h_ref, tau_ref = np.linalg.qr(mat, mode="raw")
+        fac = householder_qr(mat)
+        assert np.array_equal(fac.h, h_ref)
+        assert np.array_equal(fac.tau, tau_ref)
+        assert np.array_equal(fac.r, np.triu(h_ref[:, :shape[1]].T))
+
+    def test_c_ordered_argument_unchanged(self, qr_path):
+        mat = np.random.default_rng(20).standard_normal((60, 25))
+        before = mat.copy()
+        householder_qr(mat)
+        assert np.array_equal(mat, before)
+
+    def test_f_ordered_argument_factored_in_place(self):
+        if ssem.solver._bundled_geqrf() is None:
+            pytest.skip("numpy's bundled LAPACK is not available")
+        mat = np.asfortranarray(
+            np.random.default_rng(21).standard_normal((60, 25)))
+        ref = householder_qr(mat.copy())
+        fac = householder_qr(mat)
+        assert np.shares_memory(fac.h, mat)
+        assert np.array_equal(mat, fac.h.T)
+        assert np.array_equal(fac.h, ref.h)
+        assert np.array_equal(fac.tau, ref.tau)
+        assert np.array_equal(fac.r, ref.r)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, qr_path, bad):
+        mat = np.random.default_rng(15).standard_normal((5, 3))
+        mat[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            householder_qr(mat)
+
+    def test_bundled_lapack_selected_when_shipped(self):
+        # a numpy that still ships scipy-openblas but renames its symbols
+        # must fail here, not fall back silently to three matrix copies
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        if not list(libs.glob("libscipy_openblas64_*.so")):
+            pytest.skip("this numpy does not bundle scipy-openblas")
+        assert ssem.solver._bundled_geqrf() is not None
+
+
+class TestPeakMemory:
+    """A warm pinv_solve holds about one matrix (plus R) at its peak."""
+
+    @pytest.mark.parametrize("problem_id, m", [("parabolic-star", 14),
+                                               ("dirichlet-3d", 12)])
+    def test_peak_within_two_matrices(self, problem_id, m):
+        system, _ = ssem.experiments._PROBLEMS[problem_id].build(m)
+        spec = SmootherSpec("power", 4.0)
+        pinv_solve(system, spec)
+        matrix_bytes = 8 * system.n_rows * int(np.prod(system.grid_shape))
+        tracemalloc.start()
+        try:
+            pinv_solve(system, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * matrix_bytes
 
 
 class TestConditionEstimate:
