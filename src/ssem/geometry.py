@@ -154,6 +154,14 @@ _MAX_SEGMENTS = 1 << 20
 _CHUNK = 1 << 16  # param evaluations per block of the arclength table
 
 
+def _table_angles(index: np.ndarray, nseg: int) -> np.ndarray:
+    """theta_i = 2 pi i / nseg at the given table indices, exactly as
+    linspace(0, 2 pi, nseg + 1) has them (the last node is 2 pi)."""
+    theta = index * (2.0 * np.pi / nseg)
+    theta[index == nseg] = 2.0 * np.pi
+    return theta
+
+
 def _cumulative_image_length(curve: BoundaryCurve, nseg: int) -> np.ndarray:
     """Cumulative arccos-image arclength at theta_i = 2 pi i / nseg.
 
@@ -162,16 +170,25 @@ def _cumulative_image_length(curve: BoundaryCurve, nseg: int) -> np.ndarray:
     computation bit for bit. The table outlives the call; had it been
     built from full-size temporaries, it would keep the heap they freed
     from being returned to the system.
+
+    Raises ValueError when a block has curve points outside (-1, 1)^2,
+    where arccos is not defined.
     """
-    step = 2.0 * np.pi / nseg  # linspace(0, 2 pi, nseg + 1) spacing
     cum = np.empty(nseg + 1)
     cum[0] = 0.0
     for lo in range(0, nseg, _CHUNK):
         hi = min(lo + _CHUNK, nseg)
-        theta = np.arange(lo, hi + 1, dtype=float) * step
-        if hi == nseg:
-            theta[-1] = 2.0 * np.pi
-        img = np.arccos(np.clip(curve.param(theta), -1.0, 1.0))
+        theta = _table_angles(np.arange(lo, hi + 1), nseg)
+        pts = curve.param(theta)
+        if not np.abs(pts).max() < 1.0:  # one pass; NaN fails it too
+            outside = np.flatnonzero(~np.all(np.abs(pts) < 1.0, axis=1))
+            k = outside[0]
+            raise ValueError(
+                f"{outside.size} of {theta.size} boundary curve samples lie "
+                f"outside (-1, 1)^2; the first is at angle "
+                f"{float(theta[k])!r}, point {pts[k].tolist()}"
+            )
+        img = np.arccos(pts)
         seg = np.sqrt(np.sum(np.diff(img, axis=0) ** 2, axis=1))
         seg[0] += cum[lo]
         np.cumsum(seg, out=cum[lo + 1:hi + 1])
@@ -216,10 +233,15 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     for curve in domain.boundary:
         cum = curve.image_arclength
         length = cum[-1]
-        theta = np.linspace(0.0, 2.0 * np.pi, cum.size)
         n_pts = int(np.ceil(m / 2.0 * length / np.pi))
         targets = np.arange(n_pts) * (length / n_pts)
-        theta_i = np.interp(targets, cum, theta)
+        # np.interp(targets, cum, linspace(0, 2 pi, cum.size)), without
+        # the linspace: j brackets each target, cum[j] <= t < cum[j + 1]
+        j = np.searchsorted(cum, targets, side="right") - 1
+        lo = _table_angles(j, cum.size - 1)
+        hi = _table_angles(j + 1, cum.size - 1)
+        slope = (hi - lo) / (cum[j + 1] - cum[j])
+        theta_i = slope * (targets - cum[j]) + lo
         pts = curve.param(theta_i)
         all_pts.append(pts)
         all_nrm.append(curve.normal(pts))

@@ -15,17 +15,24 @@ share R and their singular values; the solution is
 u = S^{-1/2} V R_V^{-1} Q' R^{-T} b, and cond is read from R alone.
 
 Q' is never formed: the factorization keeps LAPACK's Householder
-reflectors (geqrf) and applies them to the one vector R^{-T} b (ormqr).
+reflectors and applies them to the one vector R^{-T} b (ormqr).
 cond = sigma_max / sigma_min comes from two Lanczos runs on R (R^T R and
 R^{-1} R^{-T}), not from a dense SVD.
 
-Memory: pinv_solve builds M' once and geqrf overwrites that buffer with
+The QR is LAPACK dgeqrt: blocked like dgeqrf, but each column panel is
+factored recursively (dgeqrt3, after Elmroth and Gustavson), so nearly
+all of its flops run in level-3 BLAS. Its block size is the fixed
+QR_BLOCK. dgeqrt leaves the reflectors where dgeqrf does and returns the
+upper-triangular T of each block reflector, whose diagonal is the tau of
+that block's reflectors (T_ii = tau_i); ormqr applies them as usual.
+
+Memory: pinv_solve builds M' once and dgeqrt overwrites that buffer with
 the reflectors, so the solve peaks at about one N x n matrix plus the
-n x n R. geqrf is called through ctypes from the OpenBLAS that numpy
-bundles (its ILP64 symbol scipy_dgeqrf_64_), which keeps it on numpy's
-thread pool; a numpy without that library (the symbol does not
-resolve) falls back to numpy.linalg.qr(mode="raw"), which factors a
-copy.
+n x n R (T and the workspace are QR_BLOCK x n each). dgeqrt is called
+through ctypes from the OpenBLAS that numpy bundles (its ILP64 symbol
+scipy_dgeqrt_64_), which keeps it on numpy's thread pool; a numpy
+without that library (the symbol does not resolve) falls back to
+numpy.linalg.qr(mode="raw"), which factors a copy.
 """
 
 from __future__ import annotations
@@ -66,11 +73,13 @@ DIAGONAL_TOL = 1e-10
 # (measured crossover between n = 100 and 150 on 2 cores).
 LANCZOS_TOL = 1e-14
 LANCZOS_MIN_ORDER = 128
+# Column block of the dgeqrt factorization (its NB), capped at n.
+QR_BLOCK = 128
 
 
 @functools.cache
-def _bundled_geqrf():
-    """LAPACK dgeqrf from the OpenBLAS bundled with numpy, or None.
+def _bundled_geqrt():
+    """LAPACK dgeqrt from the OpenBLAS bundled with numpy, or None.
 
     numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols
     (every integer argument is int64). The library is already loaded by
@@ -80,14 +89,14 @@ def _bundled_geqrf():
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            fn = ctypes.CDLL(str(path)).scipy_dgeqrf_64_
+            fn = ctypes.CDLL(str(path)).scipy_dgeqrt_64_
         except (OSError, AttributeError):
             continue
         fn.restype = None
-        fn.argtypes = [ctypes.POINTER(ctypes.c_int64)] * 2 + [
-            ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64),
-            ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int64)]
+        int64 = ctypes.POINTER(ctypes.c_int64)
+        # M, N, NB, A, LDA, T, LDT, WORK, INFO
+        fn.argtypes = [int64, int64, int64, ctypes.c_void_p, int64,
+                       ctypes.c_void_p, int64, ctypes.c_void_p, int64]
         return fn
     return None
 
@@ -106,12 +115,13 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QRFactorization:
-    """Thin QR of a tall N x n matrix, kept as LAPACK geqrf left it.
+    """Thin QR of a tall N x n matrix, kept as LAPACK left it.
 
     h.T (N x n) holds R on and above its diagonal and the Householder
-    reflectors below it; tau holds their scales. r is the upper-
+    reflectors below it; tau holds their scales (dgeqrt: the diagonal of
+    its block reflectors' T; fallback: geqrf's tau). r is the upper-
     triangular n x n factor. Q is applied by apply_q and never formed.
-    h.T is F-contiguous, so LAPACK reads it in place; when geqrf ran in
+    h.T is F-contiguous, so LAPACK reads it in place; when dgeqrt ran in
     place (pinv_solve's case) h.T is the very buffer that held the
     factored matrix, so the factorization costs no second N x n array.
     """
@@ -146,33 +156,31 @@ def _int64(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _geqrf_in_place(geqrf, buf: np.ndarray) -> np.ndarray:
+def _geqrt_in_place(geqrt, buf: np.ndarray) -> np.ndarray:
     """Factor the F-contiguous float64 buf in place with the ctypes
-    geqrf; returns tau."""
+    geqrt; returns tau, the diagonal of the block reflectors' T."""
     big, n = buf.shape
-    tau = np.empty(min(big, n))
+    nb = max(1, min(QR_BLOCK, n))
+    # T holds one nb x nb upper-triangular block per nb columns, side by
+    # side; the diagonal of each is the tau of its reflectors
+    t = np.empty((nb, n), order="F")
+    work = np.empty(nb * n)
     info = ctypes.c_int64(0)
-
-    def run(work, lwork):
-        geqrf(_int64(big), _int64(n), buf.ctypes.data, _int64(max(1, big)),
-              tau.ctypes.data, work.ctypes.data, _int64(lwork),
-              ctypes.byref(info))
-        if info.value:
-            raise np.linalg.LinAlgError(
-                f"dgeqrf failed with info={info.value}")
-
-    # workspace query, then the lwork numpy.linalg.qr settles on
-    query = np.empty(1)
-    run(query, -1)
-    lwork = max(1, n, int(query[0]))
-    run(np.empty(lwork), lwork)
-    return tau
+    geqrt(_int64(big), _int64(n), _int64(nb), buf.ctypes.data,
+          _int64(max(1, big)), t.ctypes.data, _int64(nb),
+          work.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info.value}")
+    cols = np.arange(n)
+    return t[cols % nb, cols]
 
 
 def householder_qr(mat: np.ndarray) -> QRFactorization:
-    """Thin Householder QR (LAPACK geqrf) with a loud full-rank check.
+    """Thin Householder QR (LAPACK dgeqrt) with a loud full-rank check.
 
-    Factors np.asfortranarray(mat, dtype=float) in place, like SciPy's
+    dgeqrt factors blocks of QR_BLOCK columns, each panel recursively,
+    and tau is read off the diagonal of its T. It factors
+    np.asfortranarray(mat, dtype=float) in place, like SciPy's
     overwrite_a: an F-contiguous float64 mat (pinv_solve passes one) is
     overwritten by the reflectors and R, and the result's h.T is mat
     itself; any other mat is copied once and left unchanged. Without
@@ -188,11 +196,11 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
         raise ValueError(
             f"householder_qr expects a tall matrix, got {buf.shape}"
         )
-    geqrf = _bundled_geqrf()
-    if geqrf is None:
+    geqrt = _bundled_geqrt()
+    if geqrt is None:
         h, tau = np.linalg.qr(buf, mode="raw")
     else:
-        tau = _geqrf_in_place(geqrf, buf)
+        tau = _geqrt_in_place(geqrt, buf)
         h = buf.T
     r = np.triu(h[:, :n].T)
     # a NaN or inf anywhere in mat reaches R through the reflectors
@@ -350,7 +358,7 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
             block = rows[i:i + step]
             block[...] = np.moveaxis(
                 np.moveaxis(block, a + 1, -1) @ inv, -1, a + 1)
-    # geqrf overwrites mat: fac.h is mat's buffer from here on
+    # dgeqrt overwrites mat: fac.h is mat's buffer from here on
     fac = householder_qr(mat.T)
     del mat, rows
     cond = condition_estimate(fac.r)

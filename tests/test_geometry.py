@@ -1,5 +1,7 @@
 """Domains, interior classification, boundary sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,34 @@ class TestImageArclength:
             problem="dirichlet-disc", grids=(10, 14), p_list=(4.0, 6.0)))
         assert [r.failed for r in rows] == [False] * 4
         assert table_builds == []
+
+    @pytest.mark.parametrize("dom_fn", [disc_domain, star_domain,
+                                        annulus_domain])
+    def test_sampling_matches_interp_on_the_table(self, dom_fn):
+        # the sampler brackets each target in the table instead of running
+        # np.interp over the table's full angle grid; the points agree
+        dom = dom_fn()
+        for m in range(10, 39, 4):
+            want = []
+            for curve in dom.boundary:
+                cum = curve.image_arclength
+                n_pts = int(np.ceil(m / 2.0 * cum[-1] / np.pi))
+                targets = np.arange(n_pts) * (cum[-1] / n_pts)
+                theta = np.interp(targets, cum,
+                                  np.linspace(0.0, 2.0 * np.pi, cum.size))
+                want.append(curve.param(theta))
+            got = sample_boundary_2d(dom, m).points
+            assert np.array_equal(got, np.concatenate(want)), m
+
+    def test_curve_leaving_the_box_rejected(self):
+        # named at the first table level, not refined to the segment cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^3053 of 4097 boundary curve samples lie outside "
+                    r"\(-1, 1\)\^2; the first is at angle 0\.0, point "
+                    r"\[1\.2, 0\.0\]$")):
+                sample_boundary(disc_domain(radius=1.2), 10)
 
     def test_warns_at_segment_cap(self):
         # 200 wiggles: the image length still moves by ~8e-6 at 2^20 segments

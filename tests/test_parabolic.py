@@ -77,8 +77,8 @@ class TestInputChecks:
 
     def test_boundary_samples_outside_box_rejected(self):
         # the samples come from the boundary curve alone: a small circle
-        # beyond x = 1 puts every one outside (a curve that crosses
-        # |x| = 1 stalls the arccos-image arclength table instead)
+        # beyond x = 1 puts every one outside, and its arclength table is
+        # refused before any sample is drawn
         centre = np.array([1.5, 0.0])
         curve = BoundaryCurve(
             param=lambda t: centre + 0.3 * np.stack([np.cos(t), np.sin(t)],

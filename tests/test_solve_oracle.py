@@ -1,0 +1,102 @@
+"""pinv_solve end to end against the dense normal-equation oracle.
+
+Property tests over random small star and annulus domains, random smooth
+operator and boundary coefficients, random smooth data and random
+smoothness p > d/2: the minimal-selection-norm solution must equal
+S^{-1} C^T (C S^{-1} C^T)^{-1} b formed densely from the implicit
+constraint operator and the implicit smoother.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssem import geometry
+from ssem.assembly import (
+    BoundaryConditionSpec,
+    EllipticOperatorSpec,
+    SmootherSpec,
+    apply_smoother_half_inverse,
+    assemble_elliptic,
+)
+from ssem.chebyshev import roots_axis
+from ssem.geometry import DomainSpec, annulus_domain
+from ssem.solver import pinv_solve
+
+from oracles import dense_from_apply, dense_operator, normal_equation_solve
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
+                    database=None)
+# The oracle solves the normal equations, so its own error grows like
+# eps * cond(C S^{-1} C^T); the QR solve is far more accurate than that.
+ABS_FLOOR = 1e-12
+COND_TOL = 1e-15
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def random_star(r0, amp, lobes, phase) -> DomainSpec:
+    """Star r < r0 (1 + amp cos(lobes theta + phase))."""
+    rho = lambda t: r0 * (1.0 + amp * np.cos(lobes * t + phase))
+    drho = lambda t: -r0 * amp * lobes * np.sin(lobes * t + phase)
+    return DomainSpec(
+        dim=2,
+        inside=lambda x, y: np.hypot(x, y) - rho(np.arctan2(y, x)),
+        boundary=(geometry._polar_curve(rho, drho),),
+        name="random star",
+    )
+
+
+@st.composite
+def domains(draw):
+    if draw(st.booleans()):
+        return annulus_domain(inner_radius=draw(st.floats(0.2, 0.35)))
+    return random_star(r0=draw(st.floats(0.6, 0.75)),
+                       amp=draw(st.floats(0.0, 0.2)),
+                       lobes=draw(st.integers(3, 6)),
+                       phase=draw(st.floats(0.0, 2.0 * np.pi)))
+
+
+@st.composite
+def problems(draw):
+    """A uniformly elliptic operator and a trace, flux or Robin condition,
+    every coefficient and datum smooth and nonconstant in general."""
+    a0, a1, b0, b1, c0, f0, f1 = (draw(unit) for _ in range(7))
+    op = EllipticOperatorSpec(
+        second_order={(0, 0): lambda x, y: 2.0 + 0.5 * a0 * y,
+                      (1, 1): lambda x, y: 2.0 + 0.5 * a1 * x},
+        first_order={0: lambda x, y: b0 + b1 * x * y},
+        zeroth=lambda x, y: 1.0 + 0.5 * c0 * x,
+        source=lambda x, y: f0 + f1 * np.sin(x + 2.0 * y))
+    g0, g1 = (draw(unit) for _ in range(2))
+    data = lambda pts, nrm: 1.0 + g0 * pts[:, 0] ** 2 + g1 * pts[:, 1]
+    kind = draw(st.sampled_from(["trace", "flux", "robin"]))
+    if kind == "trace":
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=data)
+    elif kind == "flux":
+        bc = BoundaryConditionSpec(trace=0.0, flux=1.0, data=data)
+    else:
+        bc = BoundaryConditionSpec(
+            trace=lambda pts, nrm: 1.0 + 0.25 * pts[:, 0],
+            flux=lambda pts, nrm: 1.0 - 0.25 * pts[:, 1], data=data)
+    return op, bc
+
+
+@PROPERTY
+@given(dom=domains(), m=st.integers(8, 11), problem=problems(),
+       p=st.floats(1.25, 6.0))
+def test_pinv_solve_matches_normal_equations(dom, m, problem, p):
+    op, bc = problem
+    spec = SmootherSpec("power", p)
+    shape = (m, m)
+    system = assemble_elliptic(dom, (roots_axis(m), roots_axis(m)), op, bc)
+    report = pinv_solve(system, spec)
+
+    c_mat = dense_from_apply(system.apply, shape, system.n_rows)
+    s_inv = dense_operator(
+        lambda u: apply_smoother_half_inverse(
+            apply_smoother_half_inverse(u, spec), spec), shape)
+    u_ref = normal_equation_solve(c_mat, s_inv, system.rhs)
+    gram_cond = np.linalg.cond(c_mat @ s_inv @ c_mat.T)
+    gap = np.max(np.abs(report.solution.ravel() - u_ref))
+    assert gap <= (ABS_FLOOR + COND_TOL * gram_cond) * np.max(np.abs(u_ref))
