@@ -144,20 +144,6 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _require_in_box(boundary: BoundaryPointSet) -> None:
-    """ValueError when a boundary sample lies outside (-1, 1)^d, where the
-    Chebyshev basis and the barycentric rows are not defined."""
-    pts = boundary.points
-    outside = np.flatnonzero(~np.all(np.abs(pts) < 1.0, axis=1))
-    if outside.size:
-        k = outside[0]
-        raise ValueError(
-            f"{outside.size} of {boundary.count} boundary samples lie "
-            f"outside (-1, 1)^{pts.shape[1]}; the first is sample {k} at "
-            f"{pts[k].tolist()}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # interior operator
 # ---------------------------------------------------------------------------
@@ -378,7 +364,6 @@ def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,
     m = axes[0].m
     interior = classify_interior(domain, axes)
     boundary = sample_boundary(domain, m)
-    _require_in_box(boundary)
     rhs = build_rhs(op, bc, interior, boundary, axes)
     interior_terms = _operator_terms(op, interior, axes)
     boundary_terms = _boundary_terms(bc, boundary, axes)

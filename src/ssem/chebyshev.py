@@ -251,22 +251,17 @@ def gram_factor(ax) -> np.ndarray:
     return np.diag(np.sqrt(g))
 
 
-def tensor_rows(factors, out: np.ndarray | None = None) -> np.ndarray:
+def tensor_rows(factors) -> np.ndarray:
     """Row-wise Kronecker (Khatri-Rao) product of per-axis row matrices.
 
     factors[a] is (n, size_a); row r of the (n, prod size_a) result is the
     C-ordered outer product of the rows r of all factors, i.e. the tensor
-    basis evaluated at the r-th point. Written into out when given.
+    basis evaluated at the r-th point.
     """
-    lead = factors[0]
-    for f in factors[1:-1]:
-        lead = (lead[:, :, None] * f[:, None, :]).reshape(len(lead), -1)
-    last = factors[-1] if len(factors) > 1 else np.ones((len(lead), 1))
-    if out is None:
-        out = np.empty((len(lead), lead.shape[1] * last.shape[1]))
-    np.multiply(lead[:, :, None], last[:, None, :],
-                out=out.reshape(len(lead), lead.shape[1], last.shape[1]))
-    return out
+    rows = factors[0]
+    for f in factors[1:]:
+        rows = (rows[:, :, None] * f[:, None, :]).reshape(len(rows), -1)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,20 @@ def read_csv_rows(path: str):
                 raise ConfigError(f"{path}: unexpected CSV header "
                                   f"{reader.fieldnames}")
             for rec in reader:
-                row = ConvergenceRow(
-                    m=int(rec["m"]), n_omega=int(rec["n_omega"]),
-                    n_gamma=int(rec["n_gamma"]), p=rec["p"],
-                    l2_error=float(rec["l2_error"]),
-                    linf_error=float(rec["linf_error"]),
-                    cond=float(rec["cond"]), seconds=float(rec["seconds"]),
-                )
+                where = f"{path} line {reader.line_num}"
+                if None in rec or None in rec.values():
+                    raise ConfigError(f"{where}: expected {len(CSV_HEADER)} "
+                                      f"fields")
+                try:
+                    row = ConvergenceRow(
+                        m=int(rec["m"]), n_omega=int(rec["n_omega"]),
+                        n_gamma=int(rec["n_gamma"]), p=rec["p"],
+                        l2_error=float(rec["l2_error"]),
+                        linf_error=float(rec["linf_error"]),
+                        cond=float(rec["cond"]), seconds=float(rec["seconds"]),
+                    )
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
                 row.failed = math.isnan(row.l2_error)
                 row.mark_floor()
                 rows.append(row)

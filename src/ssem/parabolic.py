@@ -26,7 +26,6 @@ from .assembly import (
     _apply_terms,
     _fill_rows,
     _require_finite,
-    _require_in_box,
     smoother_multiplier_array,
 )
 from .chebyshev import (
@@ -116,7 +115,6 @@ def assemble_parabolic(problem: ParabolicProblem,
     axes = (sx, sy, taxis)
     interior = classify_interior(problem.domain, grid.space_axes)
     boundary = sample_boundary_2d(problem.domain, sx.m)
-    _require_in_box(boundary)
     # Dirichlet trace rows in space, tensored with time restrictions
     trace = [(1.0, [bary_rows(ax, boundary.points[:, j])
                     for j, ax in enumerate(grid.space_axes)])]

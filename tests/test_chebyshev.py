@@ -303,13 +303,10 @@ class TestCoefficientSpace:
                              factors[2][r])
             assert rows[r] == pytest.approx(expect, abs=1e-15)
 
-    def test_tensor_rows_into_out(self):
+    def test_tensor_rows_of_one_factor(self):
         rng = np.random.default_rng(32)
-        factors = [rng.standard_normal((3, 4)), rng.standard_normal((3, 2))]
-        out = np.empty((3, 8))
-        assert tensor_rows(factors, out=out) is out
-        assert out == pytest.approx(tensor_rows(factors), abs=0.0)
-        assert tensor_rows(factors[:1]) == pytest.approx(factors[0], abs=0.0)
+        factor = rng.standard_normal((3, 4))
+        assert tensor_rows([factor]) == pytest.approx(factor, abs=0.0)
 
     def test_synthesis_matches_direct_sum(self):
         rng = np.random.default_rng(33)

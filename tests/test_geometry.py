@@ -204,21 +204,46 @@ def table_builds(monkeypatch):
     return calls
 
 
+def image_angles(points):
+    """Angles in [0, 2 pi) of points on a _polar_curve."""
+    return np.arctan2(points[:, 1], points[:, 0]) % (2.0 * np.pi)
+
+
+def seven_lobe_star():
+    return geometry._polar_curve(lambda t: 0.8 * (1.0 + 0.2 * np.cos(7 * t)),
+                                 lambda t: -1.12 * np.sin(7 * t))
+
+
+def two_hundred_wiggles():
+    return geometry._polar_curve(lambda t: 0.5 + 0.05 * np.cos(200 * t),
+                                 lambda t: -10.0 * np.sin(200 * t))
+
+
 class TestImageArclength:
     @pytest.mark.parametrize("dom_fn,component", [
         (disc_domain, 0), (star_domain, 0),
         (annulus_domain, 0), (annulus_domain, 1),
     ])
-    def test_chunked_table_matches_one_shot(self, dom_fn, component):
+    def test_table_matches_one_shot(self, dom_fn, component):
+        # the series' cumulative length against 2^20 chords, on the
+        # chord table's nodes that the series grid shares
         curve = dom_fn().boundary[component]
-        assert np.array_equal(geometry._image_arclength(curve),
-                              one_shot_image_arclength(curve))
+        cum, _ = curve.image_arclength
+        brute = one_shot_image_arclength(curve, nseg=1 << 20)
+        stride = (brute.size - 1) // (cum.size - 1)
+        assert np.max(np.abs(cum - brute[::stride])) < 1e-9
 
     def test_table_is_read_only(self):
-        cum = disc_domain().boundary[0].image_arclength
-        assert not cum.flags.writeable
-        with pytest.raises(ValueError):
-            cum[1] = 0.0
+        for table in disc_domain().boundary[0].image_arclength:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1] = 0.0
+
+    @pytest.mark.parametrize("dom_fn", [disc_domain, star_domain,
+                                        annulus_domain])
+    def test_built_in_tables_fit_in_a_quarter_mib(self, dom_fn):
+        for curve in dom_fn().boundary:
+            assert sum(t.nbytes for t in curve.image_arclength) <= 1 << 18
 
     def test_computed_once_per_curve(self, table_builds):
         dom = annulus_domain()
@@ -241,38 +266,56 @@ class TestImageArclength:
     @pytest.mark.parametrize("dom_fn", [disc_domain, star_domain,
                                         annulus_domain])
     def test_sampling_matches_interp_on_the_table(self, dom_fn):
-        # the sampler brackets each target in the table instead of running
-        # np.interp over the table's full angle grid; the points agree
+        # each sample's arclength, interpolated on the 2^20-chord table,
+        # is i / n of the curve's length: the samples are equally spaced
         dom = dom_fn()
+        tables = [one_shot_image_arclength(c, nseg=1 << 20)
+                  for c in dom.boundary]
         for m in range(10, 39, 4):
-            want = []
-            for curve in dom.boundary:
-                cum = curve.image_arclength
-                n_pts = int(np.ceil(m / 2.0 * cum[-1] / np.pi))
-                targets = np.arange(n_pts) * (cum[-1] / n_pts)
-                theta = np.interp(targets, cum,
-                                  np.linspace(0.0, 2.0 * np.pi, cum.size))
-                want.append(curve.param(theta))
-            got = sample_boundary_2d(dom, m).points
-            assert np.array_equal(got, np.concatenate(want)), m
+            pts = sample_boundary_2d(dom, m).points
+            for brute in tables:
+                n_pts = int(np.ceil(m / 2.0 * brute[-1] / np.pi))
+                arc = np.interp(image_angles(pts[:n_pts]),
+                                np.linspace(0.0, 2.0 * np.pi, brute.size),
+                                brute)
+                want = np.arange(n_pts) * (brute[-1] / n_pts)
+                assert np.max(np.abs(arc - want)) < 1e-9, m
+                pts = pts[n_pts:]
+            assert pts.size == 0, m
 
     def test_curve_leaving_the_box_rejected(self):
-        # named at the first table level, not refined to the segment cap
+        # named at the first series level, before any refinement
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=(
-                    r"^3053 of 4097 boundary curve samples lie outside "
+                    r"^188 of 256 boundary samples lie outside "
                     r"\(-1, 1\)\^2; the first is at angle 0\.0, point "
                     r"\[1\.2, 0\.0\]$")):
                 sample_boundary(disc_domain(radius=1.2), 10)
 
-    def test_warns_at_segment_cap(self):
-        # 200 wiggles: the image length still moves by ~8e-6 at 2^20 segments
-        curve = geometry._polar_curve(lambda t: 0.5 + 0.05 * np.cos(200 * t),
-                                      lambda t: -10.0 * np.sin(200 * t))
-        with pytest.warns(RuntimeWarning, match="1048576 segments"):
-            cum = curve.image_arclength
-        assert cum.size == (1 << 20) + 1
+    @pytest.mark.parametrize("curve_fn", [seven_lobe_star,
+                                          two_hundred_wiggles])
+    def test_fine_features_converge_without_warning(self, curve_fn):
+        curve = curve_fn()
+        dom = DomainSpec(dim=2, inside=None, boundary=(curve,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bset = sample_boundary_2d(dom, 24)
+        cum, _ = curve.image_arclength
+        assert bset.count == int(np.ceil(12.0 * cum[-1] / np.pi))
+        on_curve = curve.param(image_angles(bset.points))
+        assert np.max(np.abs(bset.points - on_curve)) < 1e-12
+
+    def test_warns_at_sample_cap_on_a_kink(self):
+        # r = 0.5 + 0.1 |sin t| has corners at t = 0 and pi: the series
+        # converges only algebraically there
+        curve = geometry._polar_curve(
+            lambda t: 0.5 + 0.1 * np.abs(np.sin(t)),
+            lambda t: 0.1 * np.sign(np.sin(t)) * np.cos(t))
+        with pytest.warns(RuntimeWarning, match=(
+                r"did not converge at the sample cap: 65536 samples")):
+            cum, _ = curve.image_arclength
+        assert cum.size == 8 * 65536 + 1
 
 
 class TestBoundary3D:

@@ -382,6 +382,24 @@ class TestEmitPlotData:
 
 
 class TestMain:
+    @pytest.mark.parametrize("row,culprit", [
+        ("10,40,12,4,0.5,0.5", "expected 8 fields"),
+        ("10,40,12,4,0.5,0.5,1e3,0.1,7", "expected 8 fields"),
+        ("10,40,12,4,0.5,bad,1e3,0.1", "could not convert string to float"),
+        ("ten,40,12,4,0.5,0.5,1e3,0.1", "invalid literal for int"),
+    ], ids=["short", "long", "float", "int"])
+    def test_plotdata_malformed_row_exit_code(self, tmp_path, capsys, row,
+                                              culprit):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(",".join(CSV_HEADER) + "\n"
+                            "14,76,17,4,0.25,0.5,1e3,0.1\n" + row + "\n")
+        code = main(["plotdata", "--in", str(csv_path),
+                     "--out", str(tmp_path / "plot.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path} line 3: {culprit}" in err
+        assert not (tmp_path / "plot.txt").exists()
+
     def test_study_and_plotdata(self, tmp_path):
         csv_path = str(tmp_path / "disc.csv")
         code = main(["study", "--problem", "dirichlet-disc",

@@ -77,7 +77,7 @@ class TestInputChecks:
 
     def test_boundary_samples_outside_box_rejected(self):
         # the samples come from the boundary curve alone: a small circle
-        # beyond x = 1 puts every one outside, and its arclength table is
+        # beyond x = 1 puts every one outside, and its arclength series is
         # refused before any sample is drawn
         centre = np.array([1.5, 0.0])
         curve = BoundaryCurve(
