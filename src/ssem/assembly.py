@@ -55,9 +55,9 @@ __all__ = [
     "assemble_elliptic",
 ]
 
-# Work on the N x n constraint matrix (filling its rows, applying R_V^{-1}
-# to them, the rank check's norms of R) goes through blocks of about this
-# size, so that no temporary approaches the size of the matrix.
+# Work on the N x n constraint matrix (filling its rows, scaling them and
+# applying R_V^{-1}, the rank check's pass over R) goes through blocks of
+# about this size, so that no temporary approaches the size of the matrix.
 BLOCK_BYTES = 4 << 20
 
 
@@ -254,28 +254,34 @@ def _apply_terms(terms, u: np.ndarray) -> np.ndarray:
 def _fill_rows(out: np.ndarray, terms) -> None:
     """Write the sum of the (w, factors) terms into the rows of out.
 
-    Per term, tensor_rows forms the product of all factors but the last
-    once: one grid axis short of a row, a fraction of out. The last axis
-    is multiplied in a block of rows of about BLOCK_BYTES at a time,
-    written in place for the first term and added for the others, so no
-    temporary approaches the size of out.
+    Row r of out, viewed as a (lead, last) matrix with last the width of
+    the last grid axis, is sum_k lead_k[r] (outer) last_k[r]: lead_k is
+    the tensor_rows product of term k's weight and other factors. For a
+    block of rows of about BLOCK_BYTES that sum is one batched matmul of
+    the stacked leads (rows, lead, K) with the stacked last-axis factors
+    (rows, K, last), written straight into out. Each row of out is
+    written once, and the leads of a block go into one reused buffer, so
+    no temporary approaches the size of out.
     """
-    terms = [(w, f) for w, f in terms if np.any(w)]
+    n_rows = len(out)
+    terms = [(np.broadcast_to(np.reshape(w, (-1, 1)), (n_rows, 1)), f)
+             for w, f in terms if np.any(w)]
     if not terms:
         out[:] = 0.0
+        return
+    width = terms[0][1][-1].shape[1]
+    lead_width = out.shape[1] // width
     step = max(1, BLOCK_BYTES // max(1, out.shape[1] * out.itemsize))
-    for k, (w, factors) in enumerate(terms):
-        lead = tensor_rows([np.reshape(w, (-1, 1)) * factors[0],
-                            *factors[1:-1]])
-        last = factors[-1]
-        for i in range(0, len(out), step):
-            rows = slice(i, i + step)
-            block = out[rows].reshape(-1, lead.shape[1], last.shape[1])
-            if k == 0:
-                np.multiply(lead[rows, :, None], last[rows, None, :],
-                            out=block)
-            else:
-                block += lead[rows, :, None] * last[rows, None, :]
+    lead_buf = np.empty((min(step, n_rows), lead_width, len(terms)))
+    for i in range(0, n_rows, step):
+        rows = slice(i, i + step)
+        block = out[rows].reshape(-1, lead_width, width)
+        leads = lead_buf[:len(block)]
+        for k, (w, factors) in enumerate(terms):
+            leads[:, :, k] = tensor_rows([w[rows] * factors[0][rows],
+                                          *(f[rows] for f in factors[1:-1])])
+        lasts = np.stack([f[-1][rows] for _, f in terms], axis=1)
+        np.matmul(leads, lasts, out=block)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ u = S^{-1/2} V R_V^{-1} Q' R^{-T} b, and cond is read from R alone.
 Q' is never formed: the factorization keeps LAPACK's Householder
 reflectors and applies them to the one vector R^{-T} b (ormqr).
 cond = sigma_max / sigma_min comes from two Lanczos runs on R (R^T R and
-R^{-1} R^{-T}), not from a dense SVD.
+R^{-1} R^{-T}), not from a dense SVD. A cond above 1 / RANK_TOL is
+refused as rank loss, like a negligible |R_ii|.
 
 The QR is LAPACK dgeqrt: blocked like dgeqrf, but each column panel is
 factored recursively (dgeqrt3, after Elmroth and Gustavson), so nearly
@@ -26,13 +27,17 @@ QR_BLOCK. dgeqrt leaves the reflectors where dgeqrf does and returns the
 upper-triangular T of each block reflector, whose diagonal is the tau of
 that block's reflectors (T_ii = tau_i); ormqr applies them as usual.
 
-Memory: pinv_solve builds M' once and dgeqrt overwrites that buffer with
-the reflectors, so the solve peaks at about one N x n matrix plus the
-n x n R (T and the workspace are QR_BLOCK x n each). dgeqrt is called
-through ctypes from the OpenBLAS that numpy bundles (its ILP64 symbol
-scipy_dgeqrt_64_), which keeps it on numpy's thread pool; a numpy
-without that library (the symbol does not resolve) falls back to
-numpy.linalg.qr(mode="raw"), which factors a copy.
+Memory and passes: pinv_solve builds A once and turns it into M' in
+place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
+time-axis R_V^{-1} together), and dgeqrt overwrites that buffer with the
+reflectors, so the solve peaks at about one N x n matrix plus the n x n
+R (T and the workspace are QR_BLOCK x n each). R is copied out once,
+F-ordered, and read once for its finiteness and norm estimate; the
+Lanczos solves read it in place. dgeqrt is called through ctypes from
+the OpenBLAS that numpy bundles (its ILP64 symbol scipy_dgeqrt_64_),
+which keeps it on numpy's thread pool; a numpy without that library
+(the symbol does not resolve) falls back to numpy.linalg.qr(mode="raw"),
+which factors a copy.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ DIAGONAL_TOL = 1e-10
 # (measured crossover between n = 100 and 150 on 2 cores).
 LANCZOS_TOL = 1e-14
 LANCZOS_MIN_ORDER = 128
+# Lanczos basis size between restarts: on heat-st (n = 1994) 8 vectors
+# take 26 matvecs per run where ARPACK's default of 20 takes 42.
+LANCZOS_NCV = 8
 # Column block of the dgeqrt factorization (its NB), capped at n.
 QR_BLOCK = 128
 
@@ -102,15 +110,25 @@ def _bundled_geqrt():
 
 
 class RankDeficientError(RuntimeError):
-    """The constraint matrix has (numerically) dependent columns."""
+    """The constraint matrix has (numerically) dependent columns.
 
-    def __init__(self, column: int, value: float, threshold: float):
+    column is the first column whose |R_ii| (value) falls below
+    threshold. It is None when every |R_ii| passes but cond (value)
+    exceeds the bound 1 / RANK_TOL (threshold): unpivoted R can hide a
+    dependence that sigma_min shows (the Kahan matrix).
+    """
+
+    def __init__(self, column: int | None, value: float, threshold: float):
         self.column = column
-        super().__init__(
-            f"rank-deficient constraint matrix: |R[{column},{column}]| = "
-            f"{value:.3e} below threshold {threshold:.3e}; constraint "
-            f"index {column} is numerically dependent on its predecessors"
-        )
+        if column is None:
+            detail = (f"cond = {value:.3e} above bound {threshold:.3e} "
+                      f"(1 / RANK_TOL), although no |R_ii| falls below "
+                      f"its threshold")
+        else:
+            detail = (f"|R[{column},{column}]| = {value:.3e} below threshold "
+                      f"{threshold:.3e}; constraint index {column} is "
+                      f"numerically dependent on its predecessors")
+        super().__init__(f"rank-deficient constraint matrix: {detail}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +138,8 @@ class QRFactorization:
     h.T (N x n) holds R on and above its diagonal and the Householder
     reflectors below it; tau holds their scales (dgeqrt: the diagonal of
     its block reflectors' T; fallback: geqrf's tau). r is the upper-
-    triangular n x n factor. Q is applied by apply_q and never formed.
+    triangular n x n factor, F-ordered. Q is applied by apply_q and never
+    formed.
     h.T is F-contiguous, so LAPACK reads it in place; when dgeqrt ran in
     place (pinv_solve's case) h.T is the very buffer that held the
     factored matrix, so the factorization costs no second N x n array.
@@ -175,6 +194,26 @@ def _geqrt_in_place(geqrt, buf: np.ndarray) -> np.ndarray:
     return t[cols % nb, cols]
 
 
+def _norm_estimate(r: np.ndarray) -> float:
+    """sqrt(||r||_1 ||r||_inf) >= ||r||_2 for upper-triangular r.
+
+    Cheap and deterministic: the column and row sums of |r| come from one
+    pass over r's upper triangle, a block of columns at a time (contiguous
+    when r is F-ordered). NaN or inf in r propagates into the result.
+    """
+    n = r.shape[1]
+    col_sums = np.empty(n)
+    row_sums = np.zeros(n)
+    step = max(1, BLOCK_BYTES // (8 * max(1, n)))
+    for j in range(0, n, step):
+        block = np.abs(r[:j + step, j:j + step])
+        col_sums[j:j + step] = block.sum(axis=0)
+        row_sums[:j + step] += block.sum(axis=1)
+        del block  # before the next, taller block is allocated
+    return float(np.sqrt(col_sums.max(initial=0.0)
+                         * row_sums.max(initial=0.0)))
+
+
 def householder_qr(mat: np.ndarray) -> QRFactorization:
     """Thin Householder QR (LAPACK dgeqrt) with a loud full-rank check.
 
@@ -202,22 +241,18 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     else:
         tau = _geqrt_in_place(geqrt, buf)
         h = buf.T
-    r = np.triu(h[:, :n].T)
-    # a NaN or inf anywhere in mat reaches R through the reflectors
-    if not (np.isfinite(r).all() and np.isfinite(tau).all()):
+    # R is the upper triangle of h.T; as the transpose of h's lower
+    # triangle it is copied without a transposing pass and is F-ordered,
+    # the layout the triangular solves read in place
+    r = np.tril(h[:, :n]).T
+    # a NaN or inf anywhere in mat reaches R through the reflectors, and
+    # from R the norm estimate
+    norm_est = _norm_estimate(r)
+    if not (np.isfinite(norm_est) and np.isfinite(tau).all()):
         raise ValueError(
             "householder_qr: the matrix has non-finite entries "
             "(NaN or inf in its R factor)"
         )
-    # ||A||_2 = ||R||_2 <= sqrt(||R||_1 ||R||_inf), cheap and deterministic;
-    # |R| is summed a block of columns (rows) at a time, not copied whole
-    step = max(1, BLOCK_BYTES // (8 * max(1, n)))
-    blocks = range(0, n, step)
-    norm_1 = max((np.abs(r[:, j:j + step]).sum(axis=0).max()
-                  for j in blocks), default=0.0)
-    norm_inf = max((np.abs(r[i:i + step]).sum(axis=1).max()
-                    for i in blocks), default=0.0)
-    norm_est = np.sqrt(norm_1 * norm_inf)
     diag = np.abs(np.diag(r))
     threshold = RANK_TOL * norm_est
     bad = np.flatnonzero(diag < threshold)
@@ -236,7 +271,8 @@ def _dense_cond(mat: np.ndarray) -> float:
 def _largest_eigenvalue(matvec, n: int) -> float:
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
-    return float(eigsh(op, k=1, which="LA", tol=LANCZOS_TOL, v0=v0,
+    return float(eigsh(op, k=1, which="LA", ncv=LANCZOS_NCV,
+                       tol=LANCZOS_TOL, v0=v0,
                        return_eigenvectors=False)[0])
 
 
@@ -248,7 +284,8 @@ def condition_estimate(r: np.ndarray) -> float:
     start vector) whose steps are O(n^2) products and triangular solves.
     Small r, or a run that does not converge, takes a dense SVD instead.
     """
-    r = np.asarray(r, dtype=float)
+    # F-ordered, as householder_qr returns R: LAPACK reads it in place
+    r = np.asfortranarray(r, dtype=float)
     n = r.shape[0]
     if not np.all(np.diag(r)):
         return np.inf
@@ -257,16 +294,14 @@ def condition_estimate(r: np.ndarray) -> float:
     # The products and the dense SVD run on numpy's BLAS, like the QR:
     # multithreaded calls into SciPy's OpenBLAS between QRs left its
     # threads competing with numpy's (sweep-2d ran 1.5x slower). The
-    # triangular solves go to LAPACK trtrs on R^T, lower-triangular and
-    # F-contiguous (a view when r is C-contiguous); trans=1 solves with R.
-    lower = np.asfortranarray(r.T)
+    # triangular solves go to LAPACK trtrs on R: trans=1 solves with R^T.
 
     def gram(x):
         return r.T @ (r @ x.ravel())
 
     def inverse_gram(x):
-        y, _ = lapack.dtrtrs(lower, x.reshape(n, 1), lower=1)
-        y, _ = lapack.dtrtrs(lower, y, lower=1, trans=1, overwrite_b=1)
+        y, _ = lapack.dtrtrs(r, x.reshape(n, 1), trans=1)
+        y, _ = lapack.dtrtrs(r, y, overwrite_b=1)
         return y.ravel()
 
     try:
@@ -277,12 +312,19 @@ def condition_estimate(r: np.ndarray) -> float:
     return float(np.sqrt(big * inv_small))
 
 
+# The steps of pinv_solve, in order, as SolveReport.phases names them.
+PHASES = ("build", "scale", "factor", "cond", "backsolve", "pullback",
+          "residual")
+
+
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one constrained solve.
 
     Residual norms are recomputed from the returned solution through the
     implicit constraint operators, never carried over from the factors.
+    phases maps each name in PHASES to the seconds pinv_solve spent on
+    that step; they add up to seconds.
     """
 
     solution: np.ndarray
@@ -292,6 +334,7 @@ class SolveReport:
     n_omega: int
     n_gamma: int
     seconds: float
+    phases: dict
 
 
 def _smoother(system: ConstraintSystem, smoother):
@@ -330,14 +373,37 @@ def _gram_inverse(axes):
     return scale, inverses
 
 
+def _scale_rows(rows: np.ndarray, weight: np.ndarray, inverses) -> None:
+    """Turn rows of A into rows of A diag(mu) R_V^{-1}, in place.
+
+    rows is A shaped (n_rows,) + grid shape and weight is mu * scale on
+    the grid. Each block of rows of about BLOCK_BYTES is scaled and then
+    multiplied by each (axis, R_a^{-1}) while it is in cache, so A is
+    read and written once. With that axis moved last, the product is one
+    matmul per block, batched over its rows: one small GEMM per row of
+    A. (A single tall-skinny 2-D GEMM per block is split across
+    OpenBLAS's threads and ran 3-20x slower on 2 cores.)
+    """
+    step = max(1, BLOCK_BYTES // (8 * weight.size))
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        block *= weight
+        for a, inv in inverses:
+            moved = np.moveaxis(block, a + 1, -1)
+            flat = moved.reshape(len(block), -1, len(inv))
+            moved[...] = np.matmul(flat, inv).reshape(moved.shape)
+
+
 def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     """Solve C u = b for the minimal-selection-norm u.
 
     smoother is a SmootherSpec (preferred: its multiplier is exact) or a
     callable applying S^{-1/2} to a grid tensor, which must be diagonal
-    in the Chebyshev basis (ValueError otherwise).
+    in the Chebyshev basis (ValueError otherwise). Raises
+    RankDeficientError when a diagonal entry of R is negligible or cond
+    exceeds 1 / RANK_TOL.
     """
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     shape = system.grid_shape
     size = int(np.prod(shape))
     if size < system.n_rows:
@@ -345,32 +411,36 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
             f"under-resolved grid: {size} grid points cannot carry "
             f"{system.n_rows} constraints"
         )
-    mult, half_inverse = _smoother(system, smoother)
-    scale, inverses = _gram_inverse(system.axes)
+    mat = system.coefficient_matrix()
+    marks.append(time.perf_counter())
 
     # rows of A become rows of A diag(mu) R_V^{-1}, i.e. columns of M'
-    mat = system.coefficient_matrix()
-    mat *= (mult * scale).reshape(1, size)
-    rows = mat.reshape((system.n_rows,) + shape)
-    step = max(1, BLOCK_BYTES // (8 * size))
-    for a, inv in inverses:
-        for i in range(0, system.n_rows, step):
-            block = rows[i:i + step]
-            block[...] = np.moveaxis(
-                np.moveaxis(block, a + 1, -1) @ inv, -1, a + 1)
+    mult, half_inverse = _smoother(system, smoother)
+    scale, inverses = _gram_inverse(system.axes)
+    _scale_rows(mat.reshape((system.n_rows,) + shape), mult * scale,
+                inverses)
+    marks.append(time.perf_counter())
     # dgeqrt overwrites mat: fac.h is mat's buffer from here on
     fac = householder_qr(mat.T)
-    del mat, rows
+    del mat
+    marks.append(time.perf_counter())
     cond = condition_estimate(fac.r)
-    z = solve_triangular(fac.r, system.rhs, trans="T", lower=False)
+    if cond > 1.0 / RANK_TOL:
+        raise RankDeficientError(None, cond, 1.0 / RANK_TOL)
+    marks.append(time.perf_counter())
+    # householder_qr has checked R: it is finite
+    z = solve_triangular(fac.r, system.rhs, trans="T", lower=False,
+                         check_finite=False)
+    marks.append(time.perf_counter())
 
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor)
     coef = fac.apply_q(z).reshape(shape)
     for a, inv in inverses:
         coef = np.moveaxis(np.tensordot(inv, coef, axes=([1], [a])), 0, a)
     u = half_inverse(synthesis(coef * scale, system.axes))
+    marks.append(time.perf_counter())
     res = system.residual(u)
-    seconds = time.perf_counter() - t0
+    marks.append(time.perf_counter())
     return SolveReport(
         solution=u,
         residual_l2=float(np.linalg.norm(res)),
@@ -378,5 +448,6 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
         cond_estimate=cond,
         n_omega=system.n_omega,
         n_gamma=system.n_gamma,
-        seconds=seconds,
+        seconds=marks[-1] - marks[0],
+        phases=dict(zip(PHASES, np.diff(marks).tolist())),
     )

@@ -9,15 +9,18 @@ tensor Vandermonde V.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssem.assembly
 from ssem.assembly import (
     BoundaryConditionSpec,
     EllipticOperatorSpec,
+    _fill_rows,
     assemble_elliptic,
 )
-from ssem.chebyshev import extrema_axis, forward_cheb, roots_axis
+from ssem.chebyshev import extrema_axis, forward_cheb, roots_axis, tensor_rows
 from ssem.geometry import (
     annulus_domain,
     disc_domain,
@@ -145,3 +148,38 @@ def test_spacetime_rows(m, n, t_hi, seed):
     vand_t = np.cos(np.pi * np.outer(j, j) / n)
     vand = np.kron(tensor_vandermonde(m, 2), vand_t)
     check_rows(system, (m, m, n + 1), vand, seed)
+
+
+@st.composite
+def row_terms(draw, n_rows, widths):
+    """(w, factors) terms over n_rows rows: per-row or scalar weights,
+    some of them zero, and random 1-D factor rows of the given widths."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rows", "scalar", "zero"]))
+        w = {"rows": rng.standard_normal(n_rows),
+             "scalar": float(rng.standard_normal()),
+             "zero": np.zeros(n_rows)}[kind]
+        terms.append((w, [rng.standard_normal((n_rows, k)) for k in widths]))
+    return terms
+
+
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data(), d=st.sampled_from([2, 3]),
+       n_rows=st.integers(1, 40), block_rows=st.integers(1, 7))
+def test_fill_rows_matches_per_term_sum(data, d, n_rows, block_rows):
+    # the batched per-block fill against the sum over terms of each
+    # term's tensor_rows product, on blocks of block_rows rows
+    widths = data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    terms = data.draw(row_terms(n_rows, widths))
+    size = int(np.prod(widths))
+    products = [tensor_rows([np.reshape(w, (-1, 1)) * f[0], *f[1:]])
+                for w, f in terms]
+    want = sum(products)
+    bound = sum(np.abs(p) for p in products)
+    out = np.full((n_rows, size), np.nan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssem.assembly, "BLOCK_BYTES", 8 * size * block_rows)
+        _fill_rows(out, terms)
+    assert np.all(np.abs(out - want) <= 1e-15 * bound)

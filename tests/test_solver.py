@@ -1,5 +1,6 @@
 """QR factorization, conditioning, and the minimal-norm constrained solve."""
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -19,9 +20,18 @@ from ssem.assembly import (
     assemble_elliptic,
     smoother_multiplier_array,
 )
-from ssem.chebyshev import forward_cheb, inverse_cheb, roots_axis
-from ssem.geometry import disc_domain
+from ssem.chebyshev import (
+    extrema_axis,
+    forward_cheb,
+    gram_factor,
+    inverse_cheb,
+    roots_axis,
+)
+from ssem.geometry import disc_domain, star_domain
+from ssem.parabolic import ParabolicProblem, SpaceTimeGrid, assemble_parabolic
 from ssem.solver import (
+    PHASES,
+    RANK_TOL,
     RankDeficientError,
     condition_estimate,
     householder_qr,
@@ -205,6 +215,39 @@ class TestQRPaths:
         with pytest.raises(ValueError, match="non-finite"):
             householder_qr(mat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_past_first_block_rejected(self, qr_path,
+                                                  monkeypatch, bad):
+        # in the last column of a square matrix, past dgeqrt's first
+        # column block and the norm pass's first 16-column block: its
+        # reflector is trivial (tau = 0), so only R carries the NaN
+        monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", 8 * 200 * 16)
+        mat = np.random.default_rng(22).standard_normal((200, 200))
+        mat[40, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            householder_qr(mat)
+
+    @pytest.mark.parametrize("n, block_bytes", [(150, 8 * 150 * 7),
+                                                (400, 4 << 20)])
+    def test_norm_estimate_matches_two_pass_formula(self, monkeypatch, n,
+                                                    block_bytes):
+        # the rank threshold's sqrt(||R||_1 ||R||_inf), once from a pass
+        # over R's column blocks (7 columns at a time, and one block),
+        # against the column and row sums of the whole |R|
+        monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", block_bytes)
+        fac = householder_qr(
+            np.random.default_rng(23).standard_normal((n + 50, n)))
+        for r in (fac.r, np.ascontiguousarray(fac.r)):
+            want = np.sqrt(np.abs(r).sum(axis=0).max()
+                           * np.abs(r).sum(axis=1).max())
+            assert ssem.solver._norm_estimate(r) == pytest.approx(
+                want, rel=1e-15)
+
+    def test_r_is_f_ordered(self, qr_path):
+        # LAPACK's triangular solves read R in place
+        fac = householder_qr(np.random.default_rng(24).standard_normal((90, 40)))
+        assert fac.r.flags.f_contiguous
+
     def test_bundled_lapack_selected_when_shipped(self):
         # a numpy that still ships scipy-openblas but renames its symbols
         # must fail here, not fall back silently to three matrix copies
@@ -257,6 +300,19 @@ class TestConditionEstimate:
     def test_lanczos_matches_dense_svd(self):
         r = self.graded_r()
         assert r.shape[0] >= ssem.solver.LANCZOS_MIN_ORDER
+        s = svdvals(r)
+        assert condition_estimate(r) == pytest.approx(s[0] / s[-1], rel=1e-9)
+
+    @pytest.mark.parametrize("n, seed", [(128, 1), (200, 2), (400, 3)])
+    @pytest.mark.parametrize("kind", ["graded", "random"])
+    def test_lanczos_matches_dense_svd_over_orders(self, n, seed, kind):
+        # orders from the dense-SVD cutoff up, with LANCZOS_NCV vectors
+        if kind == "graded":
+            r = self.graded_r(n, seed)
+        else:
+            rng = np.random.default_rng(seed)
+            r = np.triu(rng.standard_normal((n, n))) + np.sqrt(n) * np.eye(n)
+        assert n >= ssem.solver.LANCZOS_MIN_ORDER
         s = svdvals(r)
         assert condition_estimate(r) == pytest.approx(s[0] / s[-1], rel=1e-9)
 
@@ -360,6 +416,38 @@ class TestPinvSolve:
         assert first.residual_linf == second.residual_linf
         assert first.cond_estimate == second.cond_estimate
 
+    def test_phases_account_for_the_solve(self):
+        report = pinv_solve(disc_system(10), SmootherSpec("power", 4.0))
+        assert tuple(report.phases) == PHASES
+        assert all(t >= 0.0 for t in report.phases.values())
+        assert sum(report.phases.values()) <= report.seconds
+
+    def test_rank_deficiency_seen_by_cond(self):
+        # A Kahan matrix: every |R_ii| clears the threshold by nine orders
+        # of magnitude, but sigma_min shows the dependence (cond ~ 1e17)
+        n, m = 100, 12
+        c, s = np.cos(1.2), np.sin(1.2)
+        kahan = (s ** np.arange(n))[:, None] \
+            * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        q, _ = np.linalg.qr(
+            np.random.default_rng(25).standard_normal((m * m, n)))
+        factored = q @ kahan
+        householder_qr(factored)
+        # rows of A that the identity smoother and the roots-axis Gram
+        # scale turn back into the factored matrix
+        gram = np.diag(gram_factor(roots_axis(m)))
+        axes = (roots_axis(m), roots_axis(m))
+        system = ConstraintSystem(
+            axes, None, None, np.ones(n),
+            apply_fn=lambda u: np.zeros(n),
+            matrix_fn=lambda: factored.T * np.outer(gram, gram).ravel(),
+            n_omega=n, n_gamma=0)
+        bound = re.escape(f"above bound {1.0 / RANK_TOL:.3e}")
+        with pytest.raises(RankDeficientError, match=f"cond = .* {bound}") \
+                as err:
+            pinv_solve(system, lambda b: b)
+        assert err.value.column is None
+
     def test_rank_deficiency_propagates(self):
         axes = (roots_axis(4), roots_axis(4))
         vand = chebyshev_vandermonde(4)
@@ -399,3 +487,32 @@ class TestPinvSolve:
         weights = 1.0 + np.arange(64.0).reshape(8, 8)
         with pytest.raises(ValueError, match="not diagonal"):
             pinv_solve(system, lambda b: weights * b)
+
+
+class TestScaleRows:
+    def test_matches_dense_product(self, monkeypatch):
+        # rows of A diag(mu * scale) kron(I, I, R_t^{-1}) on a space-time
+        # system, five rows per block so the last block is partial
+        m, n = 6, 3
+        problem = ParabolicProblem(domain=star_domain(),
+                                   initial=lambda x, y: x * y,
+                                   lateral=lambda points, t: points[:, 0] + t)
+        grid = SpaceTimeGrid(space_axes=(roots_axis(m), roots_axis(m)),
+                             time_axis=extrema_axis(n, 0.0, 1.0))
+        system = assemble_parabolic(problem, grid)
+        shape = system.grid_shape
+        a_mat = system.coefficient_matrix()
+        mult = smoother_multiplier_array(SmootherSpec("power", 4.0), shape)
+        gram = np.diag(gram_factor(roots_axis(m)))
+        scale = np.multiply.outer(1.0 / np.outer(gram, gram), np.ones(n + 1))
+        r_t_inv = np.linalg.inv(gram_factor(grid.time_axis))
+        want = a_mat @ np.diag((mult * scale).ravel()) \
+            @ np.kron(np.eye(m * m), r_t_inv)
+
+        monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", 5 * 8 * a_mat.shape[1])
+        assert system.n_rows % 5
+        got_scale, inverses = ssem.solver._gram_inverse(system.axes)
+        assert got_scale == pytest.approx(scale, rel=1e-15)
+        ssem.solver._scale_rows(a_mat.reshape((system.n_rows,) + shape),
+                                mult * got_scale, inverses)
+        assert np.max(np.abs(a_mat - want)) <= 1e-14 * np.max(np.abs(want))
