@@ -7,17 +7,20 @@ batches (extra leading axes) unchanged.
 
 Spatial axes always use Chebyshev *roots* grids, which keep every node
 strictly inside (-1, 1); the extrema grid appears only as a time axis.
-Transforms are built on the scipy.fft DCT/DST family and are validated
-against direct O(m^2) evaluation of the defining sums in the test suite.
+Transforms and derivatives are dense m x m matrices applied along one
+axis. They are built once per size from the closed-form cosines and
+sines (cached), which at the sizes used here (m up to about 64) is
+faster than an FFT, and are validated against direct O(m^2) evaluation
+of the defining sums in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
-from scipy.fft import dct, dst
 
 __all__ = [
     "RootsAxis",
@@ -105,13 +108,60 @@ def _along(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _shift(v: np.ndarray, axis: int) -> np.ndarray:
-    """Superdiagonal shift along an axis: out_k = v_{k+1}, last slot zero."""
-    out = np.roll(v, -1, axis=axis)
-    idx = [slice(None)] * out.ndim
-    idx[axis % out.ndim] = -1
-    out[tuple(idx)] = 0.0
-    return out
+def _apply(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """The matrix mat applied along one axis of u."""
+    return np.moveaxis(np.tensordot(mat, u, axes=([1], [axis])), 0, axis)
+
+
+def _synthesize(synth: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
+    """Sum a Chebyshev series along one axis, highest degree first: the
+    coefficients of a smooth function decay, so the small terms are added
+    before the large ones. (On the smoother's decaying multipliers at
+    m = 9 this took the relative rounding error of S^{-1} from 2.4e-16 in
+    the forward order to 1.7e-16.)"""
+    return _apply(synth[:, ::-1], np.flip(c, axis), axis)
+
+
+def _frozen(*mats):
+    """Mark cached matrices read-only: every caller shares them."""
+    for mat in mats:
+        mat.flags.writeable = False
+    return mats
+
+
+@functools.cache
+def _roots_matrices(m: int):
+    """(analysis, synthesis, d/dx, d^2/dx^2) on the m-point roots grid.
+
+    synthesis[i, k] = T_k(x_i) = cos(k theta_i), and analysis is its
+    inverse (p_k / m) T_k(x_i), transposed (discrete orthogonality). At
+    x = cos(theta) the interpolant sum_k c_k T_k has the derivative
+    u' = sum_k c_k k sin(k theta) / sin(theta) and the second derivative
+    (x u' - sum_k c_k k^2 cos(k theta)) / sin(theta)^2.
+    """
+    k = np.arange(m)
+    # k (2i + 1) mod 4m keeps each angle pi k (2i + 1) / (2m) below 2 pi
+    angle = np.pi * (np.outer(2 * k + 1, k) % (4 * m)) / (2 * m)
+    synth = np.cos(angle)
+    forward = synth.T * np.where(k == 0, 1.0, 2.0)[:, None] / m
+    theta = np.pi * (2 * k + 1) / (2 * m)
+    sin = np.sin(theta)[:, None]
+    d1 = (np.sin(angle) * k / sin) @ forward
+    d2 = (np.cos(theta)[:, None] * d1 - (synth * k**2) @ forward) / sin**2
+    return _frozen(forward, synth, d1, d2)
+
+
+@functools.cache
+def _extrema_matrices(n: int):
+    """(analysis, synthesis) on the (n+1)-point extrema axis: synthesis
+    [j, k] = cos(pi j k / n), and analysis its inverse, by the discrete
+    orthogonality of the cosines under the trapezoid weights."""
+    j = np.arange(n + 1)
+    synth = np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n)
+    ends = (j == 0) | (j == n)
+    forward = synth * np.where(ends, 1.0, 2.0) \
+        / np.where(ends, 2.0 * n, n)[:, None]
+    return _frozen(forward, synth)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +172,7 @@ def forward_cheb(u: np.ndarray, axes=None) -> np.ndarray:
     """Discrete Chebyshev transform on a roots grid.
 
     Returns the coefficient tensor c with c_k = (p_k / m) sum_i u_i T_k(x_i)
-    per axis (p_0 = 1, p_k = 2 otherwise), computed via DCT-II.
+    per axis (p_0 = 1, p_k = 2 otherwise), the DCT-II as a matrix.
 
     Parameters
     ----------
@@ -136,10 +186,7 @@ def forward_cheb(u: np.ndarray, axes=None) -> np.ndarray:
         axes = range(u.ndim)
     c = u
     for ax in axes:
-        m = c.shape[ax]
-        scale = np.full(m, 1.0 / m)
-        scale[0] = 1.0 / (2 * m)
-        c = dct(c, type=2, axis=ax) * _along(scale, c.ndim, ax)
+        c = _apply(_roots_matrices(c.shape[ax])[0], c, ax)
     return c
 
 
@@ -150,9 +197,7 @@ def inverse_cheb(c: np.ndarray, axes=None) -> np.ndarray:
         axes = range(c.ndim)
     u = c
     for ax in axes:
-        half = np.full(u.shape[ax], 0.5)
-        half[0] = 1.0
-        u = dct(u * _along(half, u.ndim, ax), type=3, axis=ax)
+        u = _synthesize(_roots_matrices(u.shape[ax])[1], u, ax)
     return u
 
 
@@ -166,19 +211,13 @@ def forward_extrema(u: np.ndarray, axis: int = -1) -> np.ndarray:
     this basis indexes the smoother multiplier.
     """
     u = np.asarray(u, dtype=float)
-    n = u.shape[axis] - 1
-    gamma = np.full(n + 1, n / 2.0)
-    gamma[0] = gamma[-1] = float(n)
-    return dct(u, type=1, axis=axis) / (2.0 * _along(gamma, u.ndim, axis))
+    return _apply(_extrema_matrices(u.shape[axis] - 1)[0], u, axis)
 
 
 def inverse_extrema(c: np.ndarray, axis: int = -1) -> np.ndarray:
     """Inverse of :func:`forward_extrema`."""
     c = np.asarray(c, dtype=float)
-    n = c.shape[axis] - 1
-    half = np.full(n + 1, 0.5)
-    half[0] = half[-1] = 1.0
-    return dct(c * _along(half, c.ndim, axis), type=1, axis=axis)
+    return _synthesize(_extrema_matrices(c.shape[axis] - 1)[1], c, axis)
 
 
 def synthesis(c: np.ndarray, axes) -> np.ndarray:
@@ -243,9 +282,7 @@ def gram_factor(ax) -> np.ndarray:
     V[j, k] = cos(pi j k / n).
     """
     if isinstance(ax, ExtremaAxis):
-        j = np.arange(ax.n + 1)
-        v = np.cos(np.pi * (np.outer(j, j) % (2 * ax.n)) / ax.n)
-        return np.linalg.qr(v, mode="r")
+        return np.linalg.qr(_extrema_matrices(ax.n)[1], mode="r")
     g = np.full(ax.m, ax.m / 2.0)
     g[0] = ax.m
     return np.diag(np.sqrt(g))
@@ -272,31 +309,15 @@ def diff1(u: np.ndarray, axis: int) -> np.ndarray:
     """First spectral derivative along an axis of a roots grid.
 
     Computes the exact derivative of the degree-(m-1) interpolant at the
-    nodes, via DCT analysis, a frequency shift, and DST synthesis. The
-    scale constant is calibrated so that diff1 of samples of x is exactly
-    one (see the eigenvalue property tests, which lock the convention).
+    nodes: analysis, then the derivative of each T_k (a sine series over
+    sin(theta)), as one m x m matrix.
     """
     u = np.asarray(u, dtype=float)
-    m = u.shape[axis]
-    k = np.arange(m)
-    theta = np.pi * (2 * k + 1) / (2 * m)
-    v = dct(u, type=2, axis=axis) * _along(k / (2.0 * m), u.ndim, axis)
-    v = _shift(v, axis)
-    return dst(v, type=3, axis=axis) / _along(np.sin(theta), u.ndim, axis)
+    return _apply(_roots_matrices(u.shape[axis])[2], u, axis)
 
 
 def _diff2_same_axis(u: np.ndarray, axis: int) -> np.ndarray:
-    m = u.shape[axis]
-    k = np.arange(m)
-    theta = np.pi * (2 * k + 1) / (2 * m)
-    x = np.cos(theta)
-    ndim = u.ndim
-    c = dct(u, type=2, axis=axis)
-    term1 = -dct(c * _along(k**2 / (2.0 * m), ndim, axis), type=3, axis=axis)
-    term1 = term1 / _along(1.0 - x**2, ndim, axis)
-    v = _shift(c * _along(k / (2.0 * m), ndim, axis), axis)
-    term2 = dst(v, type=3, axis=axis) * _along(x / (1.0 - x**2) ** 1.5, ndim, axis)
-    return term1 + term2
+    return _apply(_roots_matrices(u.shape[axis])[3], u, axis)
 
 
 def diff2(u: np.ndarray, axis_i: int, axis_j: int) -> np.ndarray:

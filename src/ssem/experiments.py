@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from .assembly import (
     BoundaryConditionSpec,
@@ -46,6 +45,9 @@ __all__ = [
 EPS = 2.2e-16
 # Order n of the parabolic problem's time axis (n + 1 extrema nodes on [0, 2]).
 TIME_POINTS = 10
+# Trapezoid nodes of Bessel's integral for J0: the error is
+# 2 sum_l J_{2 l N}(r), below 1e-20 for |r| <= 8 at N = 20.
+J0_NODES = 20
 
 
 class ConfigError(ValueError):
@@ -75,6 +77,9 @@ class ExperimentConfig:
         if self.smoother not in ("power", "exp"):
             raise ConfigError(f"smoother must be 'power' or 'exp', "
                               f"got {self.smoother!r}")
+        if self.smoother == "exp" and self.p_list:
+            raise ConfigError(f"the exp smoother takes no exponents; got "
+                              f"p_list {list(self.p_list)}")
         if self.smoother == "power":
             if not self.p_list:
                 raise ConfigError("p_list must be non-empty for the power "
@@ -101,7 +106,8 @@ def _format_p(p) -> str:
 @dataclass
 class ConvergenceRow:
     """One (m, smoother) outcome; extra diagnostics ride along the CSV
-    columns (m..seconds) for acceptance checks."""
+    columns (m..seconds) for acceptance checks. A failed row's error is
+    "<ExceptionType>: <message>" of what failed it."""
 
     m: int
     n_omega: int
@@ -115,6 +121,7 @@ class ConvergenceRow:
     rhs_linf: float = math.nan
     floored: bool = False
     failed: bool = False
+    error: str = ""
 
     def mark_floor(self):
         self.floored = (np.isfinite(self.cond)
@@ -162,10 +169,20 @@ def _elliptic_problem(domain, op, bc, exact, quotient_constants=False):
     return _Problem(grid_dim=dim, build=build)
 
 
+def _j0(r):
+    """Bessel J0 by Bessel's integral (1/pi) int_0^pi cos(r sin th) dth.
+
+    The integrand is smooth and pi-periodic, so the trapezoid rule (the
+    mean over J0_NODES equispaced th) converges spectrally.
+    """
+    theta = np.pi * np.arange(J0_NODES) / J0_NODES
+    return np.cos(np.multiply.outer(r, np.sin(theta))).mean(axis=-1)
+
+
 def _parabolic_problem():
     def exact(x, y, t):
         r = np.hypot(x, y)
-        return np.exp(-t) * j0(r) - np.exp(-t / 4.0) * j0(r / 2.0)
+        return np.exp(-t) * _j0(r) - np.exp(-t / 4.0) * _j0(r / 2.0)
 
     problem = ParabolicProblem(
         domain=star_domain(),
@@ -315,10 +332,11 @@ def solve_problem(problem_id: str, m: int, spec: SmootherSpec):
     return _solve_built(system, errors, m, spec)
 
 
-def _failed_row(m: int, label: str) -> ConvergenceRow:
+def _failed_row(m: int, label: str, exc: Exception) -> ConvergenceRow:
     return ConvergenceRow(m=m, n_omega=0, n_gamma=0, p=label,
                           l2_error=math.nan, linf_error=math.nan,
-                          cond=math.nan, seconds=math.nan, failed=True)
+                          cond=math.nan, seconds=math.nan, failed=True,
+                          error=f"{type(exc).__name__}: {exc}")
 
 
 def run_experiment(config: ExperimentConfig):
@@ -327,22 +345,22 @@ def run_experiment(config: ExperimentConfig):
     Each m is assembled once and solved for every smoother: only the
     multiplier depends on the smoother. Solver failures (rank loss,
     LAPACK errors, rejected input) are recorded as failed rows (NaN
-    metrics) and the sweep continues; a failed build fails every row of
-    its m. Any other exception propagates.
+    metrics, the exception in error) and the sweep continues; a failed
+    build fails every row of its m. Any other exception propagates.
     """
     rows = []
     specs = config.smoother_specs()
     for m in config.grids:
         try:
             system, errors = _PROBLEMS[config.problem].build(m)
-        except _SOLVER_FAILURES:
-            rows += [_failed_row(m, label) for label, _ in specs]
+        except _SOLVER_FAILURES as exc:
+            rows += [_failed_row(m, label, exc) for label, _ in specs]
             continue
         for label, spec in specs:
             try:
                 _, row = _solve_built(system, errors, m, spec)
                 row.p = label
-            except _SOLVER_FAILURES:
-                row = _failed_row(m, label)
+            except _SOLVER_FAILURES as exc:
+                row = _failed_row(m, label, exc)
             rows.append(row)
     return rows

@@ -14,18 +14,16 @@ orthogonal, so M = Q_V M' with M' = R_V^{-T} diag(mu) A^T. M and M'
 share R and their singular values; the solution is
 u = S^{-1/2} V R_V^{-1} Q' R^{-T} b, and cond is read from R alone.
 
-Q' is never formed: the factorization keeps LAPACK's Householder
-reflectors and applies them to the one vector R^{-T} b (ormqr).
-cond = sigma_max / sigma_min comes from two Lanczos runs on R (R^T R and
-R^{-1} R^{-T}), not from a dense SVD. A cond above 1 / RANK_TOL is
-refused as rank loss, like a negligible |R_ii|.
-
 The QR is LAPACK dgeqrt: blocked like dgeqrf, but each column panel is
 factored recursively (dgeqrt3, after Elmroth and Gustavson), so nearly
 all of its flops run in level-3 BLAS. Its block size is the fixed
-QR_BLOCK. dgeqrt leaves the reflectors where dgeqrf does and returns the
-upper-triangular T of each block reflector, whose diagonal is the tau of
-that block's reflectors (T_ii = tau_i); ormqr applies them as usual.
+QR_BLOCK. dgeqrt leaves the Householder reflectors below R and returns
+the upper-triangular T of each block reflector. Q' is never formed: the
+factorization keeps the reflectors and T, and dgemqrt applies them to
+the one vector R^{-T} b. cond = sigma_max / sigma_min comes from two
+Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. A
+cond above 1 / RANK_TOL is refused as rank loss, like a negligible
+|R_ii|.
 
 Memory and passes: pinv_solve builds A once and turns it into M' in
 place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
@@ -33,11 +31,11 @@ time-axis R_V^{-1} together), and dgeqrt overwrites that buffer with the
 reflectors, so the solve peaks at about one N x n matrix plus the n x n
 R (T and the workspace are QR_BLOCK x n each). R is copied out once,
 F-ordered, and read once for its finiteness and norm estimate; the
-Lanczos solves read it in place. dgeqrt is called through ctypes from
-the OpenBLAS that numpy bundles (its ILP64 symbol scipy_dgeqrt_64_),
-which keeps it on numpy's thread pool; a numpy without that library
-(the symbol does not resolve) falls back to numpy.linalg.qr(mode="raw"),
-which factors a copy.
+triangular solves (LAPACK dtrtrs) read it in place. dgeqrt, dgemqrt and
+dtrtrs are called through ctypes from the OpenBLAS that numpy bundles
+(its ILP64 symbols scipy_dgeqrt_64_ and so on), which keeps them on
+numpy's thread pool; a numpy without that library runs the same three
+routines from SciPy's LAPACK, the only use of SciPy in a solve.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import (
     BLOCK_BYTES,
@@ -73,40 +69,114 @@ RANK_TOL = 1e-13
 # A smoother callable whose probed multiplier misses a random coefficient
 # tensor by more than this (relative) is not diagonal in the basis.
 DIAGONAL_TOL = 1e-10
-# Lanczos for cond: relative eigenvalue tolerance, and the order of R
-# below which a dense SVD of R is cheaper than the two Lanczos runs
-# (measured crossover between n = 100 and 150 on 2 cores).
+# Lanczos for cond: a run ends when the Ritz residual bound of its top
+# Ritz value theta falls to LANCZOS_TOL * theta. Below LANCZOS_MIN_ORDER
+# a dense SVD of R is cheaper than the two runs (measured crossover
+# between n = 100 and 150 on 2 cores); a run that has not converged in
+# LANCZOS_MAX_STEPS steps takes the dense SVD too.
 LANCZOS_TOL = 1e-14
 LANCZOS_MIN_ORDER = 128
-# Lanczos basis size between restarts: on heat-st (n = 1994) 8 vectors
-# take 26 matvecs per run where ARPACK's default of 20 takes 42.
-LANCZOS_NCV = 8
+LANCZOS_MAX_STEPS = 100
 # Column block of the dgeqrt factorization (its NB), capped at n.
 QR_BLOCK = 128
 
 
-@functools.cache
-def _bundled_geqrt():
-    """LAPACK dgeqrt from the OpenBLAS bundled with numpy, or None.
+def _int64(value: int):
+    """An ILP64 LAPACK integer argument: a pointer to an int64."""
+    return ctypes.byref(ctypes.c_int64(value))
 
-    numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols
-    (every integer argument is int64). The library is already loaded by
-    numpy, so this opens the same copy and the same thread pool. Resolved
-    on first use, not at import.
+
+def _require_fortran(*arrays) -> None:
+    """LAPACK reads these buffers through raw pointers: refuse any that is
+    not F-contiguous float64."""
+    if not all(a.dtype == np.float64 and a.flags.f_contiguous
+               for a in arrays):
+        raise ValueError("LAPACK arguments must be F-contiguous float64")
+
+
+@functools.cache
+def _bundled_lapack():
+    """dgeqrt, dgemqrt and dtrtrs from the OpenBLAS bundled with numpy, or
+    None unless all three resolve.
+
+    numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols:
+    every integer argument is a pointer to an int64, and each character
+    argument adds its length (gfortran's hidden size_t) after the others.
+    The library is already loaded by numpy, so this opens the same copy
+    and the same thread pool. Resolved on first use, not at import.
+
+    The wrappers take the arguments of SciPy's lapack functions that
+    pinv_solve uses, and work in place on the F-contiguous float64
+    arrays they are given, as SciPy's do with overwrite_a/_b/_c=1.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            fn = ctypes.CDLL(str(path)).scipy_dgeqrt_64_
+            lib = ctypes.CDLL(str(path))
+            geqrt, gemqrt, trtrs = (getattr(lib, f"scipy_{name}_64_")
+                                    for name in ("dgeqrt", "dgemqrt",
+                                                 "dtrtrs"))
         except (OSError, AttributeError):
             continue
-        fn.restype = None
-        int64 = ctypes.POINTER(ctypes.c_int64)
-        # M, N, NB, A, LDA, T, LDT, WORK, INFO
-        fn.argtypes = [int64, int64, int64, ctypes.c_void_p, int64,
-                       ctypes.c_void_p, int64, ctypes.c_void_p, int64]
-        return fn
-    return None
+        break
+    else:
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    char, size = ctypes.c_char_p, ctypes.c_size_t
+    # M, N, NB, A, LDA, T, LDT, WORK, INFO
+    geqrt.argtypes = [i64, i64, i64, ptr, i64, ptr, i64, ptr, i64]
+    # SIDE, TRANS, M, N, K, NB, V, LDV, T, LDT, C, LDC, WORK, INFO
+    gemqrt.argtypes = [char, char] + [i64] * 4 + [ptr, i64] * 3 \
+        + [ptr, i64, size, size]
+    # UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO
+    trtrs.argtypes = [char] * 3 + [i64, i64, ptr, i64, ptr, i64, i64] \
+        + [size] * 3
+
+    def dgeqrt(nb, a, overwrite_a=1):
+        _require_fortran(a)
+        info = ctypes.c_int64()
+        t = np.zeros((nb, a.shape[1]), order="F")
+        work = np.empty(t.size)
+        geqrt(_int64(a.shape[0]), _int64(a.shape[1]), _int64(nb),
+              a.ctypes.data, _int64(max(1, a.shape[0])), t.ctypes.data,
+              _int64(nb), work.ctypes.data, info)
+        return a, t, info.value
+
+    def dgemqrt(v, t, c, overwrite_c=1):
+        _require_fortran(v, t, c)
+        (big, cols), (nb, k) = c.shape, t.shape
+        info = ctypes.c_int64()
+        work = np.empty(nb * cols)
+        gemqrt(b"L", b"N", _int64(big), _int64(cols), _int64(k), _int64(nb),
+               v.ctypes.data, _int64(big), t.ctypes.data, _int64(nb),
+               c.ctypes.data, _int64(big), work.ctypes.data, info, 1, 1)
+        return c, info.value
+
+    def dtrtrs(a, b, trans=0, overwrite_b=1):
+        _require_fortran(a, b)
+        n, info = a.shape[0], ctypes.c_int64()
+        trtrs(b"U", b"T" if trans else b"N", b"N", _int64(n),
+              _int64(b.shape[1]), a.ctypes.data, _int64(max(1, n)),
+              b.ctypes.data, _int64(max(1, n)), info, 1, 1, 1)
+        return b, info.value
+
+    return dgeqrt, dgemqrt, dtrtrs
+
+
+def _lapack():
+    """(dgeqrt, dgemqrt, dtrtrs) with SciPy's signatures: numpy's bundled
+    ones, or SciPy's lapack where those do not resolve. Callers pass
+    F-contiguous float64 arrays and overwrite_*=1, so both work in place."""
+    bundled = _bundled_lapack()
+    if bundled is not None:
+        return bundled
+    from scipy.linalg import lapack
+    return lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs
+
+
+def _require(name: str, info: int) -> None:
+    if info:
+        raise np.linalg.LinAlgError(f"{name} failed with info={info}")
 
 
 class RankDeficientError(RuntimeError):
@@ -133,24 +203,26 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QRFactorization:
-    """Thin QR of a tall N x n matrix, kept as LAPACK left it.
+    """Thin QR of a tall N x n matrix, kept as LAPACK dgeqrt left it.
 
     h.T (N x n) holds R on and above its diagonal and the Householder
-    reflectors below it; tau holds their scales (dgeqrt: the diagonal of
-    its block reflectors' T; fallback: geqrf's tau). r is the upper-
-    triangular n x n factor, F-ordered. Q is applied by apply_q and never
-    formed.
+    reflectors below it; t holds the upper-triangular T of each block
+    reflector, side by side (QR_BLOCK x n). r is the upper-triangular
+    n x n factor, F-ordered, and rank_margin is min |R_ii| over the rank
+    threshold householder_qr applied (above 1 when it passed). Q is
+    applied by apply_q and never formed.
     h.T is F-contiguous, so LAPACK reads it in place; when dgeqrt ran in
     place (pinv_solve's case) h.T is the very buffer that held the
     factored matrix, so the factorization costs no second N x n array.
     """
 
     h: np.ndarray
-    tau: np.ndarray
+    t: np.ndarray
     r: np.ndarray
+    rank_margin: float
 
     def apply_q(self, z: np.ndarray) -> np.ndarray:
-        """Q z for z of shape (n,) or (n, k), by LAPACK ormqr on h.T."""
+        """Q z for z of shape (n,) or (n, k), by LAPACK dgemqrt on h.T."""
         refl = self.h.T
         big, n = refl.shape
         z = np.asarray(z, dtype=float)
@@ -158,40 +230,11 @@ class QRFactorization:
             raise ValueError(
                 f"apply_q expects shape ({n},) or ({n}, k), got {z.shape}"
             )
-        rhs = z.reshape(n, -1)
-        c = np.zeros((big, rhs.shape[1]), order="F")
-        c[:n] = rhs
-        _, work, _ = lapack.dormqr("L", "N", refl, self.tau, c, -1,
-                                   overwrite_c=1)
-        qz, _, info = lapack.dormqr("L", "N", refl, self.tau, c,
-                                    int(work[0]), overwrite_c=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+        c = np.zeros((big, z.size // n), order="F")
+        c[:n] = z.reshape(n, -1)
+        qz, info = _lapack()[1](refl, self.t, c, overwrite_c=1)
+        _require("dgemqrt", info)
         return qz.reshape((big,) + z.shape[1:])
-
-
-def _int64(value: int):
-    """An ILP64 LAPACK integer argument: a pointer to an int64."""
-    return ctypes.byref(ctypes.c_int64(value))
-
-
-def _geqrt_in_place(geqrt, buf: np.ndarray) -> np.ndarray:
-    """Factor the F-contiguous float64 buf in place with the ctypes
-    geqrt; returns tau, the diagonal of the block reflectors' T."""
-    big, n = buf.shape
-    nb = max(1, min(QR_BLOCK, n))
-    # T holds one nb x nb upper-triangular block per nb columns, side by
-    # side; the diagonal of each is the tau of its reflectors
-    t = np.empty((nb, n), order="F")
-    work = np.empty(nb * n)
-    info = ctypes.c_int64(0)
-    geqrt(_int64(big), _int64(n), _int64(nb), buf.ctypes.data,
-          _int64(max(1, big)), t.ctypes.data, _int64(nb),
-          work.ctypes.data, ctypes.byref(info))
-    if info.value:
-        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info.value}")
-    cols = np.arange(n)
-    return t[cols % nb, cols]
 
 
 def _norm_estimate(r: np.ndarray) -> float:
@@ -217,13 +260,11 @@ def _norm_estimate(r: np.ndarray) -> float:
 def householder_qr(mat: np.ndarray) -> QRFactorization:
     """Thin Householder QR (LAPACK dgeqrt) with a loud full-rank check.
 
-    dgeqrt factors blocks of QR_BLOCK columns, each panel recursively,
-    and tau is read off the diagonal of its T. It factors
-    np.asfortranarray(mat, dtype=float) in place, like SciPy's
+    dgeqrt factors blocks of QR_BLOCK columns, each panel recursively. It
+    factors np.asfortranarray(mat, dtype=float) in place, like SciPy's
     overwrite_a: an F-contiguous float64 mat (pinv_solve passes one) is
     overwritten by the reflectors and R, and the result's h.T is mat
-    itself; any other mat is copied once and left unchanged. Without
-    numpy's bundled LAPACK the QR runs through numpy.linalg.qr on a copy.
+    itself; any other mat is copied once and left unchanged.
 
     Raises ValueError for non-finite input, and RankDeficientError naming
     the first offending column when a diagonal entry of R falls below
@@ -235,20 +276,19 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
         raise ValueError(
             f"householder_qr expects a tall matrix, got {buf.shape}"
         )
-    geqrt = _bundled_geqrt()
-    if geqrt is None:
-        h, tau = np.linalg.qr(buf, mode="raw")
-    else:
-        tau = _geqrt_in_place(geqrt, buf)
-        h = buf.T
+    nb = max(1, min(QR_BLOCK, n))
+    buf, t, info = _lapack()[0](nb, buf, overwrite_a=1)
+    _require("dgeqrt", info)
+    h = buf.T
     # R is the upper triangle of h.T; as the transpose of h's lower
     # triangle it is copied without a transposing pass and is F-ordered,
     # the layout the triangular solves read in place
     r = np.tril(h[:, :n]).T
     # a NaN or inf anywhere in mat reaches R through the reflectors, and
-    # from R the norm estimate
+    # from R the norm estimate; T's diagonal holds the reflectors' tau
     norm_est = _norm_estimate(r)
-    if not (np.isfinite(norm_est) and np.isfinite(tau).all()):
+    cols = np.arange(n)
+    if not (np.isfinite(norm_est) and np.isfinite(t[cols % nb, cols]).all()):
         raise ValueError(
             "householder_qr: the matrix has non-finite entries "
             "(NaN or inf in its R factor)"
@@ -258,7 +298,9 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     bad = np.flatnonzero(diag < threshold)
     if bad.size:
         raise RankDeficientError(int(bad[0]), float(diag[bad[0]]), threshold)
-    return QRFactorization(h=h, tau=tau, r=r)
+    return QRFactorization(h=h, t=t, r=r,
+                           rank_margin=float(diag.min(initial=np.inf)
+                                             / threshold))
 
 
 def _dense_cond(mat: np.ndarray) -> float:
@@ -268,12 +310,35 @@ def _dense_cond(mat: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _largest_eigenvalue(matvec, n: int) -> float:
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    return float(eigsh(op, k=1, which="LA", ncv=LANCZOS_NCV,
-                       tol=LANCZOS_TOL, v0=v0,
-                       return_eigenvectors=False)[0])
+def _largest_eigenvalue(matvec, n: int) -> float | None:
+    """Top eigenvalue of a symmetric positive definite n x n operator, or
+    None when LANCZOS_MAX_STEPS Lanczos steps do not find it.
+
+    Lanczos with full reorthogonalization from a fixed start vector, so
+    repeat runs agree bit for bit. A run stops on the Ritz residual bound
+    |beta_j s_j| <= LANCZOS_TOL * theta, with theta the top eigenvalue of
+    the j x j tridiagonal T_j and s_j the last entry of its eigenvector
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
+    """
+    steps = min(n, LANCZOS_MAX_STEPS)
+    basis = np.zeros((steps + 1, n))
+    tri = np.zeros((steps + 1, steps + 1))
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = matvec(basis[j])
+        tri[j, j] = basis[j] @ w
+        # Gram-Schmidt twice against the whole basis: the three-term
+        # recurrence and the full reorthogonalization in one
+        for _ in range(2):
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+        beta = np.linalg.norm(w)
+        theta, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
+        if abs(beta * vecs[-1, -1]) <= LANCZOS_TOL * theta[-1]:
+            return float(theta[-1])
+        tri[j + 1, j] = tri[j, j + 1] = beta
+        basis[j + 1] = w / beta
+    return None
 
 
 def condition_estimate(r: np.ndarray) -> float:
@@ -291,25 +356,32 @@ def condition_estimate(r: np.ndarray) -> float:
         return np.inf
     if n < LANCZOS_MIN_ORDER:
         return _dense_cond(r)
-    # The products and the dense SVD run on numpy's BLAS, like the QR:
-    # multithreaded calls into SciPy's OpenBLAS between QRs left its
-    # threads competing with numpy's (sweep-2d ran 1.5x slower). The
-    # triangular solves go to LAPACK trtrs on R: trans=1 solves with R^T.
+    trtrs = _lapack()[2]
 
     def gram(x):
-        return r.T @ (r @ x.ravel())
+        return r.T @ (r @ x)
 
     def inverse_gram(x):
-        y, _ = lapack.dtrtrs(r, x.reshape(n, 1), trans=1)
-        y, _ = lapack.dtrtrs(r, y, overwrite_b=1)
+        y, _ = trtrs(r, x.reshape(n, 1).copy(order="F"), trans=1,
+                     overwrite_b=1)
+        y, _ = trtrs(r, y, overwrite_b=1)
         return y.ravel()
 
-    try:
-        big = _largest_eigenvalue(gram, n)
-        inv_small = _largest_eigenvalue(inverse_gram, n)
-    except ArpackNoConvergence:
+    big = _largest_eigenvalue(gram, n)
+    inv_small = None if big is None else _largest_eigenvalue(inverse_gram, n)
+    if inv_small is None:
         return _dense_cond(r)
     return float(np.sqrt(big * inv_small))
+
+
+def solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The back-solve z = R^{-T} b, by LAPACK dtrtrs on the upper-triangular
+    r in place (when F-ordered, as householder_qr returns it)."""
+    x = np.array(b, dtype=float).reshape(len(b), 1)
+    x, info = _lapack()[2](np.asfortranarray(r, dtype=float), x, trans=1,
+                           overwrite_b=1)
+    _require("dtrtrs", info)
+    return x.ravel()
 
 
 # The steps of pinv_solve, in order, as SolveReport.phases names them.
@@ -323,8 +395,10 @@ class SolveReport:
 
     Residual norms are recomputed from the returned solution through the
     implicit constraint operators, never carried over from the factors.
-    phases maps each name in PHASES to the seconds pinv_solve spent on
-    that step; they add up to seconds.
+    n_rows x grid_size is the shape of the constraint matrix, and
+    rank_margin is min |R_ii| over the rank threshold (see
+    QRFactorization). phases maps each name in PHASES to the seconds
+    pinv_solve spent on that step; they add up to seconds.
     """
 
     solution: np.ndarray
@@ -333,6 +407,9 @@ class SolveReport:
     cond_estimate: float
     n_omega: int
     n_gamma: int
+    n_rows: int
+    grid_size: int
+    rank_margin: float
     seconds: float
     phases: dict
 
@@ -367,7 +444,7 @@ def _gram_inverse(axes):
     inverses = []
     for a, r in enumerate(factors):
         if np.count_nonzero(np.triu(r, 1)):
-            inverses.append((a, solve_triangular(r, np.eye(len(r)))))
+            inverses.append((a, np.linalg.solve(r, np.eye(len(r)))))
         else:
             scale /= _along(np.diag(r), len(axes), a)
     return scale, inverses
@@ -428,9 +505,7 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     if cond > 1.0 / RANK_TOL:
         raise RankDeficientError(None, cond, 1.0 / RANK_TOL)
     marks.append(time.perf_counter())
-    # householder_qr has checked R: it is finite
-    z = solve_triangular(fac.r, system.rhs, trans="T", lower=False,
-                         check_finite=False)
+    z = solve_triangular(fac.r, system.rhs)
     marks.append(time.perf_counter())
 
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor)
@@ -448,6 +523,9 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
         cond_estimate=cond,
         n_omega=system.n_omega,
         n_gamma=system.n_gamma,
+        n_rows=system.n_rows,
+        grid_size=size,
+        rank_margin=fac.rank_margin,
         seconds=marks[-1] - marks[0],
         phases=dict(zip(PHASES, np.diff(marks).tolist())),
     )

@@ -2,8 +2,12 @@
 the README's library example runs against the package."""
 
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,35 @@ def test_readme_example_runs(capsys):
     residual, cond = (float(v) for v in capsys.readouterr().out.split())
     assert residual < 1e-10
     assert 1.0 < cond < 1e8
+
+
+GUARD = """
+import json, sys
+import ssem, ssem.cli
+for problem in ssem.PROBLEM_IDS:
+    ssem.solve_problem(problem, 10, ssem.SmootherSpec(p=4.0))
+try:
+    with open("/proc/self/maps") as fh:
+        blas = sorted({line.split()[-1] for line in fh if "openblas" in line})
+except OSError:
+    blas = None
+print(json.dumps({"scipy": sorted(name for name in sys.modules
+                                  if name.startswith("scipy")),
+                  "blas": blas}))
+"""
+
+
+def test_solves_load_no_scipy_and_one_openblas():
+    # SciPy is a fallback only: importing ssem and solving each built-in
+    # problem loads none of it, and so no second OpenBLAS
+    src = str(Path(ssem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", GUARD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["scipy"] == []
+    if loaded["blas"] is None:
+        pytest.skip("no /proc/self/maps to list the loaded libraries")
+    assert len(loaded["blas"]) == 1, loaded["blas"]

@@ -30,6 +30,7 @@ from oracles import (
     dense_operator,
     diff_matrix,
     forward_cheb_direct,
+    forward_extrema_direct,
     inverse_cheb_direct,
     roots_nodes,
 )
@@ -138,6 +139,52 @@ class TestTransforms:
         expect = np.diag(np.full(m, m / 2.0))
         expect[0, 0] = m
         assert np.max(np.abs(gram - expect)) < 1e-10
+
+
+class TestTransformMatrices:
+    """The cached transform and derivative matrices, applied along each
+    axis of a 3-D batch, against the defining sums (roots and extrema
+    grids) and the barycentric differentiation matrix."""
+
+    @staticmethod
+    def batch(m, axis):
+        shape = [3, 4, 5]
+        shape[axis] = m
+        return np.random.default_rng(m + axis).standard_normal(shape)
+
+    @staticmethod
+    def along(mat, u, axis):
+        return np.moveaxis(np.tensordot(mat, u, axes=([1], [axis])), 0, axis)
+
+    @staticmethod
+    def rel_err(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("m", [6, 7, 16, 33, 64])
+    def test_roots_grid(self, m, axis):
+        u = self.batch(m, axis)
+        one = (axis,)
+        assert self.rel_err(forward_cheb(u, axes=one),
+                            forward_cheb_direct(u, axes=one)) < 1e-13
+        assert self.rel_err(inverse_cheb(u, axes=one),
+                            inverse_cheb_direct(u, axes=one)) < 1e-12
+        d = diff_matrix(m)
+        assert self.rel_err(diff1(u, axis), self.along(d, u, axis)) < 1e-12
+        assert self.rel_err(diff2(u, axis, axis),
+                            self.along(d @ d, u, axis)) < 1e-12
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("n", [6, 7, 16, 33, 64])
+    def test_extrema_grid(self, n, axis):
+        # the oracle's nodes ascend, -cos(pi j / n); the axis basis is
+        # cos(pi j k / n) at node j, so the oracle sees u reversed
+        u = self.batch(n + 1, axis)
+        moved = np.moveaxis(u, axis, 0)
+        want = forward_extrema_direct(moved[::-1].reshape(n + 1, -1))
+        want = np.moveaxis(want.reshape(moved.shape), 0, axis)
+        assert self.rel_err(forward_extrema(u, axis), want) < 1e-12
+        assert self.rel_err(inverse_extrema(want, axis), u) < 1e-12
 
 
 class TestExtremaTransform:

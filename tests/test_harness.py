@@ -34,6 +34,17 @@ def make_row(m, l2, cond=1e3, p="4"):
     return row
 
 
+def test_bessel_integral_matches_scipy_j0():
+    # the parabolic problem's exact solution takes J0 from Bessel's
+    # integral by the trapezoid rule, not from scipy.special
+    from scipy.special import j0
+    r = np.linspace(0.0, 2.0, 2001)
+    assert np.max(np.abs(ssem.experiments._j0(r) - j0(r))) <= 1e-15
+    column = r[:, None]
+    assert ssem.experiments._j0(column).shape == column.shape
+    assert ssem.experiments._j0(0.0) == 1.0
+
+
 class TestL2Error:
     """The (l2, linf) error closure of a roster problem (dirichlet-disc,
     exact solution x^2 - y^2) on the interior grid nodes."""
@@ -134,6 +145,13 @@ class TestExperimentConfig:
                                   smoother="exp")
         assert config.smoother_specs()[0][0] == "exp"
 
+    def test_exp_smoother_rejects_p_list(self):
+        # the exponential smoother has no exponent: a p list would be
+        # dropped without a word
+        with pytest.raises(ConfigError, match="exp smoother takes no"):
+            ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                             p_list=(4.0, 6.0), smoother="exp")
+
 
 class TestRunExperiment:
     def test_disc_counts(self):
@@ -159,6 +177,42 @@ class TestRunExperiment:
         rows = run_experiment(config)
         assert [r.failed for r in rows] == [False, True, False]
         assert math.isnan(rows[1].l2_error)
+
+    def test_failed_row_names_its_error(self, monkeypatch, tmp_path):
+        error = RankDeficientError(3, 1e-20, 1e-13)
+
+        def rank_loss(system, spec):
+            raise error
+
+        monkeypatch.setattr(ssem.experiments, "pinv_solve", rank_loss)
+        config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                                  p_list=(4.0,))
+        rows = run_experiment(config)
+        assert rows[0].error == f"RankDeficientError: {error}"
+        assert "|R[3,3]|" in rows[0].error
+        # the CSV has no error column: a failed row writes as before
+        path = tmp_path / "failed.csv"
+        write_csv(rows, str(path))
+        assert path.read_text().splitlines()[1] == \
+            "10,0,0,4,nan,nan,nan,nan"
+
+    def test_failed_build_names_its_error(self, monkeypatch):
+        real = ssem.experiments._PROBLEMS["dirichlet-disc"]
+
+        def build(m):
+            raise ValueError("boundary data: NaN")
+
+        monkeypatch.setitem(ssem.experiments._PROBLEMS, "dirichlet-disc",
+                            dataclasses.replace(real, build=build))
+        config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                                  p_list=(4.0, 6.0))
+        assert [r.error for r in run_experiment(config)] == [
+            "ValueError: boundary data: NaN"] * 2
+
+    def test_solved_row_has_no_error(self):
+        config = ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                                  p_list=(4.0,))
+        assert run_experiment(config)[0].error == ""
 
     @pytest.mark.parametrize("error", [
         np.linalg.LinAlgError("synthetic LAPACK failure"),
@@ -425,6 +479,23 @@ class TestMain:
                      "--p", "4", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "ssem:" in capsys.readouterr().err
+
+    def test_study_exp_with_p_exit_code(self, tmp_path, capsys):
+        code = main(["study", "--problem", "dirichlet-disc", "--grids", "10",
+                     "--smoother", "exp", "--p", "4,6",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "exp smoother takes no exponents" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_run_exp_with_p_list_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = dirichlet-disc\ngrids = 10\n"
+                       f"smoother = exp\np_list = 4,6\n"
+                       f"out = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "exp smoother takes no exponents" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_seed_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -1,5 +1,6 @@
 """QR factorization, conditioning, and the minimal-norm constrained solve."""
 
+import ctypes
 import re
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import ssem.experiments
 import ssem.solver
@@ -79,12 +79,14 @@ QR_SHAPES = [(7, 7), (50, 20), (6, 3), (40, 40), (120, 31), (300, 150)]
 
 @pytest.fixture(params=["lapack", "fallback"])
 def qr_path(request, monkeypatch):
-    """Run a test on the in-place ctypes geqrt and on numpy.linalg.qr."""
+    """Run a test on numpy's bundled LAPACK through ctypes, and on the
+    same routines from SciPy's LAPACK."""
     if request.param == "fallback":
-        monkeypatch.setattr(ssem.solver, "_bundled_geqrt", lambda: None)
-    elif ssem.solver._bundled_geqrt() is None:
+        monkeypatch.setattr(ssem.solver, "_bundled_lapack", lambda: None)
+    elif ssem.solver._bundled_lapack() is None:
         pytest.skip("numpy's bundled LAPACK is not available")
     return request.param
+
 
 
 class TestHouseholderQR:
@@ -165,29 +167,56 @@ class TestQRPaths:
 
     @pytest.mark.parametrize("shape", QR_SHAPES)
     def test_bit_identical_to_numpy_raw(self, qr_path, shape):
-        # The fallback is numpy.linalg.qr itself, bit for bit. dgeqrt
-        # rounds differently from numpy's dgeqrf, so the ctypes path is
-        # held to the same factorization to rounding instead.
+        # Both paths run dgeqrt, which rounds differently from numpy's
+        # dgeqrf: each is held to numpy's factorization to rounding, and
+        # to itself bit for bit on a repeat call.
         mat = np.random.default_rng(19).standard_normal(shape)
         n = shape[1]
-        h_ref, tau_ref = np.linalg.qr(mat, mode="raw")
+        h_ref, _ = np.linalg.qr(mat, mode="raw")
         r_ref = np.triu(h_ref[:, :n].T)
         fac = householder_qr(mat)
-        if qr_path == "fallback":
-            assert np.array_equal(fac.h, h_ref)
-            assert np.array_equal(fac.tau, tau_ref)
-            assert np.array_equal(fac.r, r_ref)
-            return
         q = fac.apply_q(np.eye(n))
         assert np.max(np.abs(q @ fac.r - mat)) <= 1e-13 * np.max(np.abs(mat))
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
         assert np.max(np.abs(fac.r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
         assert np.array_equal(np.sign(np.diag(fac.r)), np.sign(np.diag(r_ref)))
-        assert np.all(((fac.tau >= 1.0) & (fac.tau <= 2.0)) | (fac.tau == 0.0))
+        # the reflectors' tau: the diagonal of each block reflector's T
+        nb = fac.t.shape[0]
+        tau = fac.t[np.arange(n) % nb, np.arange(n)]
+        assert np.all(((tau >= 1.0) & (tau <= 2.0)) | (tau == 0.0))
         again = householder_qr(mat)
         assert np.array_equal(again.h, fac.h)
-        assert np.array_equal(again.tau, fac.tau)
+        assert np.array_equal(again.t, fac.t)
         assert np.array_equal(again.r, fac.r)
+
+    def test_fallback_matches_bundled(self, monkeypatch):
+        # SciPy's dgeqrt/dgemqrt/dtrtrs against numpy's bundled ones on
+        # one matrix: the same factorization, Q and back-solve
+        if ssem.solver._bundled_lapack() is None:
+            pytest.skip("numpy's bundled LAPACK is not available")
+        rng = np.random.default_rng(28)
+        mat = rng.standard_normal((300, 150))
+        z = rng.standard_normal(150)
+        runs = []
+        for resolver in (ssem.solver._bundled_lapack, lambda: None):
+            monkeypatch.setattr(ssem.solver, "_bundled_lapack", resolver)
+            fac = householder_qr(mat)
+            runs.append((fac.r, fac.apply_q(z),
+                         ssem.solver.solve_triangular(fac.r, z)))
+        for bundled, fallback in zip(*runs):
+            assert np.max(np.abs(fallback - bundled)) \
+                <= 1e-13 * np.max(np.abs(bundled))
+
+    def test_bundled_wrappers_refuse_other_layouts(self):
+        # they hand raw pointers to LAPACK: a C-ordered or float32 buffer
+        # is refused, not read with the wrong strides
+        if ssem.solver._bundled_lapack() is None:
+            pytest.skip("numpy's bundled LAPACK is not available")
+        geqrt, _, trtrs = ssem.solver._bundled_lapack()
+        with pytest.raises(ValueError, match="F-contiguous float64"):
+            geqrt(4, np.ones((6, 4)), overwrite_a=1)
+        with pytest.raises(ValueError, match="F-contiguous float64"):
+            trtrs(np.eye(3, dtype=np.float32), np.ones((3, 1)), trans=1)
 
     def test_c_ordered_argument_unchanged(self, qr_path):
         mat = np.random.default_rng(20).standard_normal((60, 25))
@@ -196,7 +225,7 @@ class TestQRPaths:
         assert np.array_equal(mat, before)
 
     def test_f_ordered_argument_factored_in_place(self):
-        if ssem.solver._bundled_geqrt() is None:
+        if ssem.solver._bundled_lapack() is None:
             pytest.skip("numpy's bundled LAPACK is not available")
         mat = np.asfortranarray(
             np.random.default_rng(21).standard_normal((60, 25)))
@@ -205,7 +234,7 @@ class TestQRPaths:
         assert np.shares_memory(fac.h, mat)
         assert np.array_equal(mat, fac.h.T)
         assert np.array_equal(fac.h, ref.h)
-        assert np.array_equal(fac.tau, ref.tau)
+        assert np.array_equal(fac.t, ref.t)
         assert np.array_equal(fac.r, ref.r)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -243,18 +272,67 @@ class TestQRPaths:
             assert ssem.solver._norm_estimate(r) == pytest.approx(
                 want, rel=1e-15)
 
+    def test_triangular_solves_on_both_paths(self, qr_path):
+        # the back-solve and the Lanczos cond run on the selected binding
+        rng = np.random.default_rng(26)
+        n = 200
+        r = np.asfortranarray(np.triu(rng.standard_normal((n, n)))
+                              + np.sqrt(n) * np.eye(n))
+        b = rng.standard_normal(n)
+        z = ssem.solver.solve_triangular(r, b)
+        assert np.max(np.abs(r.T @ z - b)) <= 1e-13 * np.max(np.abs(b))
+        graded = TestConditionEstimate.graded_r(n, 4)
+        s = svdvals(graded)
+        assert condition_estimate(graded) == pytest.approx(s[0] / s[-1],
+                                                           rel=1e-9)
+
     def test_r_is_f_ordered(self, qr_path):
         # LAPACK's triangular solves read R in place
         fac = householder_qr(np.random.default_rng(24).standard_normal((90, 40)))
         assert fac.r.flags.f_contiguous
 
     def test_bundled_lapack_selected_when_shipped(self):
-        # a numpy that still ships scipy-openblas but renames its symbols
-        # must fail here, not fall back silently to three matrix copies
-        libs = Path(np.__file__).parent.parent / "numpy.libs"
-        if not list(libs.glob("libscipy_openblas64_*.so")):
+        # a numpy that still ships scipy-openblas but renames any of the
+        # three symbols must fail here, not fall back silently to SciPy
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so"))
+        if not libs:
             pytest.skip("this numpy does not bundle scipy-openblas")
-        assert ssem.solver._bundled_geqrt() is not None
+        exported = [ctypes.CDLL(str(path)) for path in libs]
+        for name in ("dgeqrt", "dgemqrt", "dtrtrs"):
+            assert any(hasattr(lib, f"scipy_{name}_64_") for lib in exported)
+        assert ssem.solver._bundled_lapack() is not None
+        assert ssem.solver._lapack() is ssem.solver._bundled_lapack()
+
+
+class TestRankMargin:
+    def test_margin_recomputed_from_r(self, qr_path):
+        rng = np.random.default_rng(27)
+        mat = rng.standard_normal((90, 40))
+        mat[:, 7] = mat[:, 3] + 1e-9 * rng.standard_normal(90)
+        fac = householder_qr(mat)
+        threshold = RANK_TOL * ssem.solver._norm_estimate(fac.r)
+        want = np.min(np.abs(np.diag(fac.r))) / threshold
+        assert fac.rank_margin == want
+        assert 1.0 < fac.rank_margin < 1e6
+
+    def test_report_carries_the_factorization_margin(self, monkeypatch):
+        factored = []
+        real = ssem.solver.householder_qr
+
+        def recorded(mat):
+            factored.append(real(mat))
+            return factored[-1]
+
+        monkeypatch.setattr(ssem.solver, "householder_qr", recorded)
+        system = disc_system(12)
+        report = pinv_solve(system, SmootherSpec("power", 4.0))
+        r = factored[0].r
+        threshold = RANK_TOL * ssem.solver._norm_estimate(r)
+        assert report.rank_margin == np.min(np.abs(np.diag(r))) / threshold
+        assert (report.n_rows, report.grid_size) == (system.n_rows, 144)
+        assert report.n_rows == report.n_omega + report.n_gamma
+        assert r.shape == (report.n_rows, report.n_rows)
 
 
 class TestPeakMemory:
@@ -306,7 +384,7 @@ class TestConditionEstimate:
     @pytest.mark.parametrize("n, seed", [(128, 1), (200, 2), (400, 3)])
     @pytest.mark.parametrize("kind", ["graded", "random"])
     def test_lanczos_matches_dense_svd_over_orders(self, n, seed, kind):
-        # orders from the dense-SVD cutoff up, with LANCZOS_NCV vectors
+        # orders from the dense-SVD cutoff up
         if kind == "graded":
             r = self.graded_r(n, seed)
         else:
@@ -320,19 +398,37 @@ class TestConditionEstimate:
         r = self.graded_r()
         assert condition_estimate(r) == condition_estimate(r)
 
-    def test_arpack_failure_falls_back_to_svd(self, monkeypatch):
-        calls = []
+    def test_step_cap_falls_back_to_svd(self, monkeypatch):
+        # two Lanczos steps cannot meet the Ritz residual bound on R of
+        # order 300: the run gives up and the dense SVD answers, exactly
+        runs = []
+        real = ssem.solver._largest_eigenvalue
 
-        def no_convergence(*args, **kwargs):
-            calls.append(1)
-            raise ArpackNoConvergence("synthetic", np.empty(0),
-                                      np.empty((0, 0)))
+        def counted(matvec, n):
+            runs.append(real(matvec, n))
+            return runs[-1]
 
-        monkeypatch.setattr(ssem.solver, "eigsh", no_convergence)
+        monkeypatch.setattr(ssem.solver, "LANCZOS_MAX_STEPS", 2)
+        monkeypatch.setattr(ssem.solver, "_largest_eigenvalue", counted)
         r = self.graded_r()
         s = np.linalg.svd(r, compute_uv=False)
         assert condition_estimate(r) == s[0] / s[-1]
-        assert calls
+        assert runs == [None]
+
+    def test_lanczos_stops_on_the_ritz_residual_bound(self):
+        # on a diagonal operator with a known top eigenvalue the run ends
+        # well inside the step cap, at that eigenvalue to LANCZOS_TOL
+        d = np.linspace(1.0, 2.0, 400)
+        d[-1] = 4.0
+        steps = []
+
+        def matvec(x):
+            steps.append(1)
+            return d * x
+
+        top = ssem.solver._largest_eigenvalue(matvec, len(d))
+        assert top == pytest.approx(4.0, rel=1e-13)
+        assert len(steps) < ssem.solver.LANCZOS_MAX_STEPS
 
     def test_zero_diagonal_is_inf_above_cutoff(self):
         r = self.graded_r()
