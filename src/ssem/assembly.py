@@ -1,10 +1,10 @@
 """Constraint assembly: interior operator rows, boundary rows, smoothers.
 
 The solve selects, among all grid functions satisfying the constraints
-C u = b, the one of minimal smoothness norm. C stacks interior rows
-(the differential operator collocated at interior grid nodes) over
-boundary rows (point evaluation / directional derivative at sampled
-boundary points); the smoother is a positive frequency multiplier. The
+C u = b, the one of minimal smoothness norm. C stacks groups of rows:
+operator rows (a differential operator collocated at a set of grid
+nodes) and boundary rows (point evaluation / directional derivative at
+sampled points); the smoother is a positive frequency multiplier. The
 constraints are realized twice: on grid functions through the implicit
 spectral operators (C u, used for residual checks), and on tensor
 Chebyshev coefficients as the dense matrix A = C V handed to the solver,
@@ -14,18 +14,20 @@ interior nodes and boundary points.
 Coefficient functions are evaluated lazily: interior coefficients are
 callables of the unpacked node coordinates (or plain constants),
 boundary coefficients and data are callables of (points, normals)
-arrays (or constants). Interior rows come first, boundary rows second,
-each in ascending index order.
+arrays (or constants). build_system stacks groups of rows in order:
+an elliptic problem's interior rows, then its boundary rows; the heat
+equation's three groups on the space-time grid (parabolic.py).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import (
-    RootsAxis,
+    ExtremaAxis,
     bary_rows,
     basis_values,
     diff1,
@@ -49,7 +51,6 @@ __all__ = [
     "SmootherSpec",
     "ConstraintSystem",
     "apply_operator",
-    "build_rhs",
     "smoother_multiplier_array",
     "apply_smoother_half_inverse",
     "assemble_elliptic",
@@ -110,20 +111,13 @@ class SmootherSpec:
         raise ValueError(f"unknown smoother kind {self.kind!r}")
 
 
-def _coeff_at_nodes(coeff, coords: np.ndarray) -> np.ndarray:
-    """Evaluate an interior coefficient at node coordinates (n, d)."""
-    n = coords.shape[0]
+def _coeff_values(coeff, *args) -> np.ndarray:
+    """A coefficient at len(args[0]) points: coeff(*args) if it is callable
+    (of the node coordinates, or of boundary points and normals), else the
+    constant."""
+    n = len(args[0])
     if callable(coeff):
-        return np.broadcast_to(np.asarray(coeff(*coords.T), dtype=float),
-                               (n,)).copy()
-    return np.full(n, float(coeff))
-
-
-def _coeff_at_points(coeff, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Evaluate a boundary coefficient at sampled points."""
-    n = points.shape[0]
-    if callable(coeff):
-        return np.broadcast_to(np.asarray(coeff(points, normals), dtype=float),
+        return np.broadcast_to(np.asarray(coeff(*args), dtype=float),
                                (n,)).copy()
     return np.full(n, float(coeff))
 
@@ -148,12 +142,22 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
 # interior operator
 # ---------------------------------------------------------------------------
 
+def _derivative(u: np.ndarray, axes, i: int) -> np.ndarray:
+    """d/dx_i of a grid function: spectral on a roots axis, by the
+    barycentric differentiation matrix on an extrema axis."""
+    ax, axis = axes[i], i - len(axes)
+    if isinstance(ax, ExtremaAxis):
+        return np.moveaxis(np.tensordot(bary_rows(ax, ax.nodes, 1), u,
+                                        axes=([1], [axis])), 0, axis)
+    return diff1(u, axis)
+
+
 def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
                    interior: InteriorIndexSet, axes) -> np.ndarray:
     """Collocate the operator at the interior nodes.
 
-    Derivatives are taken spectrally on the full grid, then restricted;
-    coefficients are evaluated only at the interior nodes.
+    Derivatives are taken on the full grid, then restricted; coefficients
+    are evaluated only at the interior nodes.
     """
     u = np.asarray(u, dtype=float)
     d = len(axes)
@@ -161,28 +165,16 @@ def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
     coords = interior_coordinates(axes, interior)
     out = np.zeros(interior.count)
     for (i, j), a in op.second_order.items():
-        out -= _coeff_at_nodes(a, coords) * diff2(u, i - d, j - d)[sel]
+        if i == j and not isinstance(axes[i], ExtremaAxis):
+            uij = diff2(u, i - d, i - d)
+        else:
+            uij = _derivative(_derivative(u, axes, i), axes, j)
+        out -= _coeff_values(a, *coords.T) * uij[sel]
     for i, b in op.first_order.items():
-        out += _coeff_at_nodes(b, coords) * diff1(u, i - d)[sel]
+        out += _coeff_values(b, *coords.T) * _derivative(u, axes, i)[sel]
     if op.zeroth is not None:
-        out += _coeff_at_nodes(op.zeroth, coords) * u[sel]
+        out += _coeff_values(op.zeroth, *coords.T) * u[sel]
     return out
-
-
-# ---------------------------------------------------------------------------
-# right-hand side
-# ---------------------------------------------------------------------------
-
-def build_rhs(op: EllipticOperatorSpec, bc: BoundaryConditionSpec,
-              interior: InteriorIndexSet, boundary: BoundaryPointSet,
-              axes) -> np.ndarray:
-    """Stack the data: source at interior nodes, boundary data after."""
-    coords = interior_coordinates(axes, interior)
-    f = _require_finite(_coeff_at_nodes(op.source, coords), "source")
-    g = _require_finite(
-        _coeff_at_points(bc.data, boundary.points, boundary.normals),
-        "boundary data")
-    return np.concatenate([f, g])
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +188,18 @@ def _operator_terms(op: EllipticOperatorSpec, interior: InteriorIndexSet,
     function, collocated at the interior nodes."""
     d = len(axes)
     coords = interior_coordinates(axes, interior)
-    # at_nodes[a][k]: k-th derivative of axis a's basis at each node
-    at_nodes = [[basis_values(ax, ax.nodes, k)[interior.indices[:, a]]
-                 for k in range(3)] for a, ax in enumerate(axes)]
+
+    @functools.cache
+    def at_nodes(a, k):
+        """k-th derivative of axis a's basis at each node."""
+        return basis_values(axes[a], axes[a].nodes, k)[interior.indices[:, a]]
 
     def factors(*diff_axes):
         orders = [sum(i % d == a for i in diff_axes) for a in range(d)]
-        return [at_nodes[a][k] for a, k in enumerate(orders)]
+        return [at_nodes(a, k) for a, k in enumerate(orders)]
 
     def weight(coeff, name):
-        return _require_finite(_coeff_at_nodes(coeff, coords),
+        return _require_finite(_coeff_values(coeff, *coords.T),
                                f"operator coefficient {name}")
 
     terms = [(-weight(a, f"a[{i}, {j}]"), factors(i, j))
@@ -223,31 +217,33 @@ def _boundary_terms(bc: BoundaryConditionSpec, boundary: BoundaryPointSet,
     1-D factors rows(ax, x, order) -- basis_values for the rows of A,
     bary_rows for the rows of C on grid functions."""
     pts, nrm = boundary.points, boundary.normals
-    a = _require_finite(_coeff_at_points(bc.trace, pts, nrm),
+    a = _require_finite(_coeff_values(bc.trace, pts, nrm),
                         "boundary trace coefficient")
-    b = _require_finite(_coeff_at_points(bc.flux, pts, nrm),
+    b = _require_finite(_coeff_values(bc.flux, pts, nrm),
                         "boundary flux coefficient")
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("boundary condition vanishes at a sampled point")
     values = [rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
     terms = [(a, values)]
     for j, ax in enumerate(axes):
-        slope = list(values)
-        slope[j] = rows(ax, pts[:, j], 1)
-        terms.append((b * nrm[:, j], slope))
+        w = b * nrm[:, j]
+        if np.any(w):  # not for a trace condition, or a zero normal axis
+            slope = list(values)
+            slope[j] = rows(ax, pts[:, j], 1)
+            terms.append((w, slope))
     return terms
 
 
 def _apply_terms(terms, u: np.ndarray) -> np.ndarray:
     """The (w, factors) rows applied to a grid function, one axis at a
-    time; axes of u beyond the factors' are kept."""
+    time."""
     out = 0.0
     for w, factors in terms:
         if np.any(w):
             vals = np.tensordot(factors[0], u, axes=1)
             for f in factors[1:]:
                 vals = np.einsum("rj...,rj->r...", vals, f)
-            out = out + np.reshape(w, (-1,) + (1,) * (vals.ndim - 1)) * vals
+            out = out + w * vals
     return out
 
 
@@ -321,25 +317,19 @@ class ConstraintSystem:
     the coefficients c of u = V c. The solver factors A and rechecks its
     answer through apply. grid_smoother is S^{-1/2} of a SmootherSpec on
     this grid (systems built by hand may leave out half_inverse_fn and
-    solve with a smoother callable). A space-time system also counts its
-    heat, initial and lateral rows.
+    solve with a smoother callable).
     """
 
     def __init__(self, axes, interior, boundary, rhs, apply_fn, matrix_fn,
-                 n_omega, n_gamma, half_inverse_fn=None, n_heat_rows=0,
-                 n_initial_rows=0, n_lateral_rows=0):
+                 n_omega, n_gamma, half_inverse_fn=None):
         self.axes = tuple(axes)
-        self.grid_shape = tuple(ax.m if isinstance(ax, RootsAxis) else ax.n + 1
-                                for ax in axes)
+        self.grid_shape = tuple(len(ax.nodes) for ax in axes)
         self.interior = interior
         self.boundary = boundary
         self.rhs = rhs
         self.n_rows = rhs.shape[0]
         self.n_omega = n_omega
         self.n_gamma = n_gamma
-        self.n_heat_rows = n_heat_rows
-        self.n_initial_rows = n_initial_rows
-        self.n_lateral_rows = n_lateral_rows
         self._apply = apply_fn
         self._matrix = matrix_fn
         self._half_inverse = half_inverse_fn
@@ -364,28 +354,55 @@ class ConstraintSystem:
         return self.apply(u) - self.rhs
 
 
-def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,
-                      bc: BoundaryConditionSpec) -> ConstraintSystem:
-    """Classify, sample, and wire up the constraint system of a BVP."""
-    m = axes[0].m
-    interior = classify_interior(domain, axes)
-    boundary = sample_boundary(domain, m)
-    rhs = build_rhs(op, bc, interior, boundary, axes)
-    interior_terms = _operator_terms(op, interior, axes)
-    boundary_terms = _boundary_terms(bc, boundary, axes)
-    bary_terms = _boundary_terms(bc, boundary, axes, bary_rows)
+def build_system(axes, groups, interior, boundary,
+                 half_inverse_fn) -> ConstraintSystem:
+    """The constraint system of row groups on the tensor grid of axes.
+
+    A group (InteriorIndexSet, EllipticOperatorSpec) collocates the
+    operator at those nodes, (BoundaryPointSet, BoundaryConditionSpec)
+    imposes the condition at those points, each with its source or data
+    as right-hand side. Rows follow the group order. n_omega and n_gamma
+    count the given interior and boundary sets.
+    """
+    rhs, matrix_terms, appliers = [], [], []
+    for where, spec in groups:
+        if isinstance(spec, EllipticOperatorSpec):
+            coords = interior_coordinates(axes, where).T
+            rhs.append(_require_finite(_coeff_values(spec.source, *coords),
+                                       "source"))
+            matrix_terms.append(_operator_terms(spec, where, axes))
+            appliers.append(functools.partial(
+                apply_operator, op=spec, interior=where, axes=axes))
+        else:
+            rhs.append(_require_finite(
+                _coeff_values(spec.data, where.points, where.normals),
+                "boundary data"))
+            matrix_terms.append(_boundary_terms(spec, where, axes))
+            appliers.append(functools.partial(
+                _apply_terms, _boundary_terms(spec, where, axes, bary_rows)))
+    starts = np.cumsum([0] + [len(b) for b in rhs])
+    rhs = np.concatenate(rhs)
+    size = int(np.prod([len(ax.nodes) for ax in axes]))
 
     def apply_fn(u):
-        vals_a = apply_operator(u, op, interior, axes)
-        return np.concatenate([vals_a, _apply_terms(bary_terms, u)])
+        return np.concatenate([apply(u) for apply in appliers])
 
     def matrix_fn():
-        mat = np.empty((rhs.shape[0], int(np.prod([ax.m for ax in axes]))))
-        _fill_rows(mat[:interior.count], interior_terms)
-        _fill_rows(mat[interior.count:], boundary_terms)
+        mat = np.empty((len(rhs), size))
+        for lo, hi, terms in zip(starts, starts[1:], matrix_terms):
+            _fill_rows(mat[lo:hi], terms)
         return mat
 
     return ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
                             matrix_fn, n_omega=interior.count,
                             n_gamma=boundary.count,
-                            half_inverse_fn=apply_smoother_half_inverse)
+                            half_inverse_fn=half_inverse_fn)
+
+
+def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,
+                      bc: BoundaryConditionSpec) -> ConstraintSystem:
+    """Classify, sample, and wire up the constraint system of a BVP."""
+    interior = classify_interior(domain, axes)
+    boundary = sample_boundary(domain, axes[0].m)
+    return build_system(axes, [(interior, op), (boundary, bc)], interior,
+                        boundary, apply_smoother_half_inverse)

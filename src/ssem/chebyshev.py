@@ -260,13 +260,10 @@ def basis_values(ax, x, order: int = 0) -> np.ndarray:
     Derivatives are taken in coefficient space (chebder), so they stay
     accurate at points near the ends of the interval.
     """
-    x = np.asarray(x, dtype=float)
+    size, scale, s = len(ax.nodes), 1.0, np.asarray(x, dtype=float)
     if isinstance(ax, ExtremaAxis):
-        size = ax.n + 1
         scale = -2.0 / (ax.t_hi - ax.t_lo)
-        s = 1.0 + scale * (x - ax.t_lo)
-    else:
-        size, scale, s = ax.m, 1.0, x
+        s = 1.0 + scale * (s - ax.t_lo)
     if order == 0:
         return ncheb.chebvander(s, size - 1)
     deriv = ncheb.chebder(np.eye(size), order) * scale ** order
@@ -353,48 +350,54 @@ def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
 # barycentric interpolation
 # ---------------------------------------------------------------------------
 
-def bary_weights(ax: RootsAxis) -> np.ndarray:
-    """Barycentric weights for the roots grid: w_k = (-1)^k sin(theta_k)."""
+def bary_weights(ax) -> np.ndarray:
+    """Barycentric weights of an axis' nodes: w_k = (-1)^k sin(theta_k) on
+    a roots axis; on an extrema axis (-1)^j, halved at both ends (Berrut &
+    Trefethen, SIAM Review 46, 2004). The affine map to [t_lo, t_hi] and
+    the reversed node order scale every weight alike, which cancels."""
+    if isinstance(ax, ExtremaAxis):
+        w = (-1.0) ** np.arange(ax.n + 1)
+        w[[0, -1]] *= 0.5
+        return w
     return (-1.0) ** np.arange(ax.m) * np.sin(ax.angles)
 
 
-def _interp_row_1d(ax: RootsAxis, y: float) -> np.ndarray:
-    d = y - ax.nodes
-    hit = np.argmin(np.abs(d))
-    if abs(d[hit]) < NODE_MATCH_TOL:
-        row = np.zeros(ax.m)
-        row[hit] = 1.0
-        return row
-    t = bary_weights(ax) / d
-    return t / t.sum()
+def _node_diff_rows(ax, k: np.ndarray) -> np.ndarray:
+    """Rows k of the barycentric differentiation matrix: the derivative
+    rows at the nodes themselves, where the formula at other points has
+    a removable singularity."""
+    w, x = bary_weights(ax), ax.nodes
+    off = np.arange(len(x)) != k[:, None]
+    rows = np.divide(w / w[k, None], x[k, None] - x, where=off,
+                     out=np.zeros(off.shape))
+    rows[~off] = -rows[off].reshape(len(k), len(x) - 1).sum(axis=1)
+    return rows
 
 
-def _deriv_row_1d(ax: RootsAxis, y: float) -> np.ndarray:
-    w = bary_weights(ax)
-    d = y - ax.nodes
-    hit = np.argmin(np.abs(d))
-    if abs(d[hit]) < NODE_MATCH_TOL:
-        # limiting row: the differentiation-matrix row at the node
-        row = np.zeros(ax.m)
-        others = np.arange(ax.m) != hit
-        row[others] = (w[others] / w[hit]) / (ax.nodes[hit] - ax.nodes[others])
-        row[hit] = -row[others].sum()
-        return row
-    t = w / d
-    q = t.sum()
-    qp = (t / d).sum()
-    return -t / d / q + t * (qp / q**2)
-
-
-def bary_rows(ax: RootsAxis, x, order: int = 0) -> np.ndarray:
+def bary_rows(ax, x, order: int = 0) -> np.ndarray:
     """Barycentric value (order 0) or derivative (order 1) rows at points x.
 
-    Row r, contracted with samples at the axis' nodes, gives the degree-
-    (m-1) interpolant (or its derivative) at x[r]: the 1-D factors of
-    :func:`bary_interp_row` and of the boundary rows of the assembly.
+    Row r, contracted with samples at the axis' nodes, gives the
+    interpolant of those samples (or its derivative) at x[r]: the 1-D
+    factors of :func:`bary_interp_row` and of the boundary rows of the
+    assembly. A point within NODE_MATCH_TOL of a node gets that node's
+    indicator row (order 0) or differentiation-matrix row (order 1).
     """
-    row = (_interp_row_1d, _deriv_row_1d)[order]
-    return np.array([row(ax, xi) for xi in np.ravel(x)]).reshape(-1, ax.m)
+    d = np.ravel(np.asarray(x, dtype=float))[:, None] - ax.nodes
+    hit = np.argmin(np.abs(d), axis=1)
+    on_node = np.abs(d[np.arange(len(d)), hit]) < NODE_MATCH_TOL
+    rows = np.zeros(d.shape)
+    d = d[~on_node]
+    t = bary_weights(ax) / d
+    q = t.sum(axis=1, keepdims=True)
+    if order == 0:
+        rows[~on_node] = t / q
+        rows[on_node, hit[on_node]] = 1.0
+    else:
+        qp = (t / d).sum(axis=1, keepdims=True)
+        rows[~on_node] = -t / d / q + t * (qp / q**2)
+        rows[on_node] = _node_diff_rows(ax, hit[on_node])
+    return rows
 
 
 def bary_interp_row(axes, y) -> np.ndarray:
@@ -405,8 +408,5 @@ def bary_interp_row(axes, y) -> np.ndarray:
     Points that coincide with a node (within 1e-14 per axis) yield exact
     indicator weights on that axis.
     """
-    rows = [_interp_row_1d(ax, yi) for ax, yi in zip(axes, y)]
-    out = rows[0]
-    for r in rows[1:]:
-        out = np.multiply.outer(out, r)
-    return out
+    return functools.reduce(np.multiply.outer,
+                            [bary_rows(ax, yi)[0] for ax, yi in zip(axes, y)])

@@ -1,17 +1,23 @@
 """Space-time solve of the heat initial-boundary value problem.
 
 The grid is a tensor product of two spatial Chebyshev roots axes with a
-Chebyshev extrema axis in time (so t = 0 is an actual node and the
-initial condition is a plain restriction row). Constraints collocate
-u_t - lap(u) = 0 at interior nodes for t > 0, restrict to the initial
-slice, and interpolate spatially on the lateral boundary for t > 0; the
-smoother is the same power/exponential multiplier extended with the
-integer time frequency.
+Chebyshev extrema axis in time (so t = 0 is an actual node). The heat
+problem is an elliptic-form problem on (x, y, t), assembled by the same
+builder as an elliptic one from three row groups:
 
-The coefficient-space rows are products of 1-D basis evaluations, as in
-the elliptic case; the solver folds the R factor of the (n+1)x(n+1) time
-synthesis into the factored matrix, so the non-symmetric space-time
-smoother needs no separate adjoint.
+- heat rows: the elliptic-form operator u_t - lap(u) (HEAT) collocated
+  at the spatial interior nodes for t > 0, node outer and time inner,
+  with zero source;
+- initial rows: zeroth-order rows (u itself) at the interior nodes at
+  t = 0, with source u0;
+- lateral rows: a Dirichlet condition at the sampled boundary points for
+  t > 0, point outer and time inner, with normals that have no time
+  component.
+
+The smoother is the same power/exponential multiplier extended with the
+integer time frequency; the solver folds the R factor of the
+(n+1)x(n+1) time synthesis into the factored matrix, so the
+non-symmetric space-time smoother needs no separate adjoint.
 """
 
 from __future__ import annotations
@@ -21,25 +27,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
+    BoundaryConditionSpec,
     ConstraintSystem,
+    EllipticOperatorSpec,
     SmootherSpec,
-    _apply_terms,
-    _fill_rows,
     _require_finite,
+    build_system,
     smoother_multiplier_array,
 )
 from .chebyshev import (
     ExtremaAxis,
-    bary_rows,
-    basis_values,
-    diff2,
     forward_cheb,
     forward_extrema,
     inverse_cheb,
     inverse_extrema,
 )
 from .geometry import (
+    BoundaryPointSet,
     DomainSpec,
+    InteriorIndexSet,
     classify_interior,
     interior_coordinates,
     sample_boundary_2d,
@@ -49,11 +55,14 @@ from .solver import SolveReport, pinv_solve
 __all__ = [
     "SpaceTimeGrid",
     "ParabolicProblem",
-    "time_diff_matrix",
     "assemble_parabolic",
     "spacetime_half_inverse",
     "solve_parabolic",
 ]
+
+# u_t - lap(u) on the axes (x, y, t)
+HEAT = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
+                            first_order={2: 1.0})
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,25 +88,10 @@ class ParabolicProblem:
     exact: callable = None
 
 
-def time_diff_matrix(axis: ExtremaAxis) -> np.ndarray:
-    """Dense spectral differentiation matrix on the extrema time axis.
-
-    Built from the barycentric weights of the extrema nodes (+-1
-    alternation, halved at the endpoints), so it is exact on polynomials
-    of degree <= n in t regardless of the interval; cf. Trefethen,
-    Spectral Methods in MATLAB (2000).
-    """
-    t = axis.nodes
-    n = axis.n
-    w = (-1.0) ** np.arange(n + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    mat = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        others = np.arange(n + 1) != j
-        mat[j, others] = (w[others] / w[j]) / (t[j] - t[others])
-        mat[j, j] = -mat[j, others].sum()
-    return mat
+def _with_times(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Each row of rows extended by each of times, row outer, time inner."""
+    return np.column_stack([np.repeat(rows, len(times), axis=0),
+                            np.tile(times, len(rows))])
 
 
 def assemble_parabolic(problem: ParabolicProblem,
@@ -105,77 +99,36 @@ def assemble_parabolic(problem: ParabolicProblem,
     """Constraint system of the heat IBVP on the space-time grid.
 
     Row order: heat-operator rows at interior nodes for t > 0 (node
-    outer, time inner), then the initial restriction rows, then lateral
-    rows (boundary point outer, time inner); right-hand side stacks
-    (0; u0; g) to match.
+    outer, time inner), then the initial rows, then lateral rows
+    (boundary point outer, time inner); right-hand side stacks
+    (0; u0; g) to match. The system reports the spatial interior and
+    boundary sets.
     """
-    sx, sy = grid.space_axes
-    taxis = grid.time_axis
-    n = taxis.n
-    axes = (sx, sy, taxis)
+    times = grid.time_axis.nodes
     interior = classify_interior(problem.domain, grid.space_axes)
-    boundary = sample_boundary_2d(problem.domain, sx.m)
-    # Dirichlet trace rows in space, tensored with time restrictions
-    trace = [(1.0, [bary_rows(ax, boundary.points[:, j])
-                    for j, ax in enumerate(grid.space_axes)])]
-    dmat = time_diff_matrix(taxis)
-    ii, jj = interior.indices[:, 0], interior.indices[:, 1]
-    n_heat = interior.count * n
-    n_init = interior.count
-    n_lat = boundary.count * n
-
+    boundary = sample_boundary_2d(problem.domain, grid.space_axes[0].m)
     coords = interior_coordinates(grid.space_axes, interior)
-    u0 = _require_finite(
-        np.asarray(problem.initial(coords[:, 0], coords[:, 1]), dtype=float),
-        "initial values")
-    gvals = _require_finite(np.stack(
-        [np.asarray(problem.lateral(boundary.points, taxis.nodes[j]),
-                    dtype=float) for j in range(1, n + 1)],
-        axis=1,
-    ), "lateral values")  # (n_gamma, n)
-    rhs = np.concatenate([np.zeros(n_heat), u0, gvals.ravel()])
+    u0 = _require_finite(np.asarray(problem.initial(*coords.T), dtype=float),
+                         "initial values")
+    gvals = _require_finite(np.column_stack(
+        [problem.lateral(boundary.points, t) for t in times[1:]]
+    ).astype(float), "lateral values")  # (n_gamma, n)
 
-    def heat_operator(u):
-        ut = np.tensordot(u, dmat, axes=([2], [1]))
-        return ut - diff2(u, -3, -3) - diff2(u, -2, -2)
-
-    def apply_fn(u):
-        heat = heat_operator(u)[ii, jj, 1:]          # (n_omega, n)
-        init = u[ii, jj, 0]
-        lat = _apply_terms(trace, u)[:, 1:]
-        return np.concatenate([heat.ravel(), init, lat.ravel()])
-
-    # coefficient rows: 1-D basis values and derivatives (x0, x2 at the
-    # interior nodes' x, likewise y; t0, t1 at the time nodes), gathered
-    # into the row order above
-    x0, x2 = (basis_values(sx, sx.nodes, k)[ii] for k in (0, 2))
-    y0, y2 = (basis_values(sy, sy.nodes, k)[jj] for k in (0, 2))
-    t0, t1 = (basis_values(taxis, taxis.nodes, k) for k in (0, 1))
-    node = np.repeat(np.arange(interior.count), n)
-    node_time = np.tile(np.arange(1, n + 1), interior.count)
-    point = np.repeat(np.arange(boundary.count), n)
-    point_time = np.tile(np.arange(1, n + 1), boundary.count)
-    heat_terms = [(1.0, [x0[node], y0[node], t1[node_time]]),
-                  (-1.0, [x2[node], y0[node], t0[node_time]]),
-                  (-1.0, [x0[node], y2[node], t0[node_time]])]
-    init_terms = [(1.0, [x0, y0, np.repeat(t0[:1], n_init, axis=0)])]
-    lat_terms = [(1.0, [basis_values(sx, boundary.points[point, 0]),
-                        basis_values(sy, boundary.points[point, 1]),
-                        t0[point_time]])]
-
-    def matrix_fn():
-        mat = np.empty((rhs.shape[0], sx.m * sy.m * (n + 1)))
-        _fill_rows(mat[:n_heat], heat_terms)
-        _fill_rows(mat[n_heat:n_heat + n_init], init_terms)
-        _fill_rows(mat[n_heat + n_init:], lat_terms)
-        return mat
-
-    return ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
-                            matrix_fn, n_omega=interior.count,
-                            n_gamma=boundary.count,
-                            half_inverse_fn=spacetime_half_inverse,
-                            n_heat_rows=n_heat, n_initial_rows=n_init,
-                            n_lateral_rows=n_lat)
+    heat_nodes = _with_times(interior.indices, np.arange(1, len(times)))
+    initial_nodes = _with_times(interior.indices, [0])
+    lateral_points = _with_times(boundary.points, times[1:])
+    lateral_normals = _with_times(boundary.normals, np.zeros(len(times) - 1))
+    groups = [
+        (InteriorIndexSet(heat_nodes, len(heat_nodes)), HEAT),
+        (InteriorIndexSet(initial_nodes, len(initial_nodes)),
+         EllipticOperatorSpec({}, {}, zeroth=1.0, source=lambda *_: u0)),
+        (BoundaryPointSet(lateral_points, lateral_normals,
+                          len(lateral_points)),
+         BoundaryConditionSpec(trace=1.0, flux=0.0,
+                               data=lambda *_: gvals.ravel())),
+    ]
+    return build_system((*grid.space_axes, grid.time_axis), groups,
+                        interior, boundary, spacetime_half_inverse)
 
 
 def spacetime_half_inverse(u: np.ndarray, spec: SmootherSpec) -> np.ndarray:

@@ -13,7 +13,6 @@ from ssem.assembly import (
     apply_operator,
     apply_smoother_half_inverse,
     assemble_elliptic,
-    build_rhs,
     smoother_multiplier_array,
 )
 from ssem.chebyshev import (
@@ -31,7 +30,6 @@ from ssem.geometry import (
     classify_interior,
     disc_domain,
     interior_coordinates,
-    sample_boundary_2d,
     star_domain,
 )
 
@@ -190,13 +188,15 @@ class TestInputChecks:
 
 
 class TestBuildRhs:
+    """The right-hand side: source at interior nodes, boundary data after."""
+
     def test_zero_source_unit_data(self):
-        axes, domain, interior, _ = disc_setup()
-        boundary = sample_boundary_2d(domain, 10)
+        axes, domain, _, _ = disc_setup()
         op = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
                                   first_order={}, zeroth=None, source=0.0)
         bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=1.0)
-        b = build_rhs(op, bc, interior, boundary, axes)
+        system = assemble_elliptic(domain, axes, op, bc)
+        interior, boundary, b = system.interior, system.boundary, system.rhs
         assert b.shape == (interior.count + boundary.count,)
         assert b[:interior.count] == pytest.approx(
             np.zeros(interior.count), abs=0.0)
@@ -204,12 +204,12 @@ class TestBuildRhs:
             np.ones(boundary.count), abs=0.0)
 
     def test_dirichlet_disc_data(self):
-        axes, domain, interior, _ = disc_setup()
-        boundary = sample_boundary_2d(domain, 10)
+        axes, domain, _, _ = disc_setup()
         bc = BoundaryConditionSpec(
             trace=1.0, flux=0.0,
             data=lambda pts, nrm: pts[:, 0] ** 2 - pts[:, 1] ** 2)
-        b = build_rhs(LAPLACE, bc, interior, boundary, axes)
+        system = assemble_elliptic(domain, axes, LAPLACE, bc)
+        interior, boundary, b = system.interior, system.boundary, system.rhs
         expect = boundary.points[:, 0] ** 2 - boundary.points[:, 1] ** 2
         assert b[interior.count:] == pytest.approx(expect, abs=1e-14)
 

@@ -11,6 +11,7 @@ from ssem.chebyshev import (
     apply_sturm_liouville,
     bary_interp_row,
     bary_rows,
+    bary_weights,
     basis_values,
     diff1,
     diff2,
@@ -40,6 +41,28 @@ def t_samples(j, m):
     """Samples of T_j on the m-point roots grid."""
     theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
     return np.cos(j * theta)
+
+
+def loop_bary_row(ax, y, order):
+    """One barycentric value or derivative row at the point y, formed on
+    its own: the per-point reference for the vectorized bary_rows."""
+    w, d = bary_weights(ax), y - ax.nodes
+    hit = np.argmin(np.abs(d))
+    row = np.zeros(len(ax.nodes))
+    if abs(d[hit]) < NODE_MATCH_TOL:
+        if order == 0:
+            row[hit] = 1.0
+        else:  # the differentiation-matrix row at the node
+            others = np.arange(len(ax.nodes)) != hit
+            row[others] = (w[others] / w[hit]) \
+                / (ax.nodes[hit] - ax.nodes[others])
+            row[hit] = -row[others].sum()
+        return row
+    t = w / d
+    if order == 0:
+        return t / t.sum()
+    q, qp = t.sum(), (t / d).sum()
+    return -t / d / q + t * (qp / q**2)
 
 
 def deriv_row(axes, y, direction):
@@ -443,6 +466,48 @@ class TestInterpolation:
         ax = roots_axis(8)
         row = bary_interp_row((ax,), (ax.nodes[2] + NODE_MATCH_TOL / 10,))
         assert row[2] == 1.0
+
+    @pytest.mark.parametrize("ax, domain", [
+        (roots_axis(9), (-1.0, 1.0)),
+        (extrema_axis(8, 0.0, 2.0), (0.0, 2.0)),
+        (extrema_axis(5, -0.5, 1.5), (-0.5, 1.5)),
+    ], ids=["roots", "extrema", "extrema-shifted"])
+    def test_rows_exact_off_nodes(self, ax, domain):
+        # a polynomial of the full degree len(nodes) - 1, and its derivative
+        rng = np.random.default_rng(12)
+        poly = np.polynomial.Chebyshev(rng.standard_normal(len(ax.nodes)),
+                                       domain=domain)
+        x = np.linspace(*domain, 14)[1:-1]
+        assert np.min(np.abs(x[:, None] - ax.nodes)) > 1e-3
+        samples = poly(ax.nodes)
+        assert bary_rows(ax, x) @ samples == pytest.approx(
+            poly(x), rel=1e-12, abs=1e-12)
+        assert bary_rows(ax, x, 1) @ samples == pytest.approx(
+            poly.deriv()(x), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("ax", [
+        roots_axis(1), roots_axis(5), roots_axis(24),
+        extrema_axis(1, 0.0, 2.0), extrema_axis(10, 0.0, 2.0),
+    ], ids=["roots-1", "roots-5", "roots-24", "extrema-1", "extrema-10"])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_rows_equal_per_point_rows(self, ax, order):
+        # same arithmetic, one point at a time: equal to the last bit
+        lo, hi = ax.nodes.min(), ax.nodes.max()
+        x = np.concatenate([
+            np.random.default_rng(13).uniform(lo - 0.1, hi + 0.1, 40),
+            ax.nodes, ax.nodes + NODE_MATCH_TOL / 10,
+            ax.nodes + 100 * NODE_MATCH_TOL])
+        expect = np.array([loop_bary_row(ax, y, order) for y in x])
+        assert np.array_equal(bary_rows(ax, x, order), expect)
+
+    def test_extrema_rows_at_nodes(self):
+        ax = extrema_axis(7, 0.0, 2.0)
+        near = ax.nodes + np.where(np.arange(8) % 2, 1.0, -1.0) \
+            * NODE_MATCH_TOL / 10
+        for x in (ax.nodes, near):
+            assert bary_rows(ax, x) == pytest.approx(np.eye(8), abs=0.0)
+            assert bary_rows(ax, x, 1) == pytest.approx(
+                bary_rows(ax, ax.nodes, 1), abs=0.0)
 
     def test_cubic_sum_value(self):
         axes = (roots_axis(10), roots_axis(10))

@@ -7,6 +7,7 @@ from scipy.special import j0
 from ssem.assembly import SmootherSpec, smoother_multiplier_array
 from ssem.chebyshev import (
     analysis,
+    bary_rows,
     extrema_axis,
     gram_factor,
     inverse_extrema,
@@ -21,7 +22,6 @@ from ssem.parabolic import (
     assemble_parabolic,
     solve_parabolic,
     spacetime_half_inverse,
-    time_diff_matrix,
 )
 
 from oracles import (
@@ -59,6 +59,13 @@ def star_grid(m, n=10):
                          time_axis=extrema_axis(n, 0.0, 2.0))
 
 
+def row_counts(system, n):
+    """(heat, initial, lateral) rows of a heat system with n + 1 time
+    points: the interior nodes for t > 0, at t = 0, and the boundary
+    points for t > 0."""
+    return system.n_omega * n, system.n_omega, system.n_gamma * n
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("field, culprit, value, kind", [
         ("initial", "initial values", np.nan, "NaN"),
@@ -93,24 +100,28 @@ class TestInputChecks:
 
 
 class TestTimeDiffMatrix:
+    """The extrema axis' differentiation matrix: its barycentric
+    derivative rows at its own nodes."""
+
     def test_constant(self):
-        mat = time_diff_matrix(extrema_axis(10, 0.0, 2.0))
+        axis = extrema_axis(10, 0.0, 2.0)
+        mat = bary_rows(axis, axis.nodes, 1)
         assert np.max(np.abs(mat @ np.ones(11))) < 1e-12
 
     def test_linear(self):
         axis = extrema_axis(10, 0.0, 2.0)
-        mat = time_diff_matrix(axis)
+        mat = bary_rows(axis, axis.nodes, 1)
         assert mat @ axis.nodes == pytest.approx(np.ones(11), abs=1e-12)
 
     def test_cubic(self):
         axis = extrema_axis(10, 0.0, 2.0)
-        mat = time_diff_matrix(axis)
+        mat = bary_rows(axis, axis.nodes, 1)
         assert mat @ axis.nodes ** 3 == pytest.approx(
             3.0 * axis.nodes ** 2, abs=1e-10)
 
     def test_full_degree(self):
         axis = extrema_axis(8, 0.0, 2.0)
-        mat = time_diff_matrix(axis)
+        mat = bary_rows(axis, axis.nodes, 1)
         expect = 8.0 * axis.nodes ** 7
         assert mat @ axis.nodes ** 8 == pytest.approx(
             expect, abs=1e-10 * np.max(np.abs(expect)))
@@ -119,20 +130,17 @@ class TestTimeDiffMatrix:
 class TestAssembleParabolic:
     def test_row_counts_m10(self):
         system = assemble_parabolic(STAR_HEAT, star_grid(10))
-        assert system.n_heat_rows == 280
-        assert system.n_initial_rows == 28
-        assert system.n_lateral_rows == 130
+        assert row_counts(system, 10) == (280, 28, 130)
         assert system.n_rows == 438
 
     def test_row_counts_m12(self):
         system = assemble_parabolic(STAR_HEAT, star_grid(12))
-        assert (system.n_heat_rows, system.n_initial_rows,
-                system.n_lateral_rows) == (400, 40, 150)
+        assert row_counts(system, 10) == (400, 40, 150)
 
     def test_rhs_stacking(self):
         grid = star_grid(10)
         system = assemble_parabolic(STAR_HEAT, grid)
-        nh, ni = system.n_heat_rows, system.n_initial_rows
+        nh, ni, _ = row_counts(system, 10)
         assert system.rhs[:nh] == pytest.approx(np.zeros(nh), abs=0.0)
         from ssem.geometry import interior_coordinates
         coords = interior_coordinates(grid.space_axes, system.interior)
@@ -151,7 +159,7 @@ class TestAssembleParabolic:
         y = grid.space_axes[1].nodes[None, :, None]
         t = grid.time_axis.nodes[None, None, :]
         res = system.residual(exact_heat(x, y, t))
-        assert np.max(np.abs(res[:system.n_heat_rows])) <= 1e-7
+        assert np.max(np.abs(res[:row_counts(system, 10)[0]])) <= 1e-7
 
     def test_steady_harmonic_state_consistent(self):
         steady = ParabolicProblem(

@@ -4,7 +4,9 @@ Property tests over random small star and annulus domains, random smooth
 operator and boundary coefficients, random smooth data and random
 smoothness p > d/2: the minimal-selection-norm solution must equal
 S^{-1} C^T (C S^{-1} C^T)^{-1} b formed densely from the implicit
-constraint operator and the implicit smoother.
+constraint operator and a factor of S^{-1} built from the closed-form
+Chebyshev Vandermonde matrix (not from the package's transforms, so the
+oracle's own rounding does not move with theirs).
 """
 
 import numpy as np
@@ -16,14 +18,17 @@ from ssem.assembly import (
     BoundaryConditionSpec,
     EllipticOperatorSpec,
     SmootherSpec,
-    apply_smoother_half_inverse,
     assemble_elliptic,
 )
 from ssem.chebyshev import roots_axis
 from ssem.geometry import DomainSpec, annulus_domain
 from ssem.solver import pinv_solve
 
-from oracles import dense_from_apply, dense_operator, normal_equation_solve
+from oracles import (
+    chebyshev_vandermonde,
+    dense_from_apply,
+    normal_equation_solve,
+)
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
                     database=None)
@@ -45,6 +50,23 @@ def random_star(r0, amp, lobes, phase) -> DomainSpec:
         boundary=(geometry._polar_curve(rho, drho),),
         name="random star",
     )
+
+
+def smoother_inverse_factor(spec: SmootherSpec, m: int) -> np.ndarray:
+    """H with H H^T = S^{-1} = V diag(mu^2) V^{-1} on the m x m roots grid.
+
+    V is the tensor Chebyshev synthesis and mu the S^{-1/2} multiplier.
+    By discrete orthogonality V^{-1} = D^{-1} V^T with D = diag(m, m/2,
+    ..., m/2) per axis, so H = V diag(mu) D^{-1/2}. Kept as a factor, the
+    small multipliers of the high modes scale whole columns, where a
+    dense S^{-1} would bury them in the rounding of its large entries.
+    """
+    vand = chebyshev_vandermonde(m)
+    gram = np.full(m, m / 2.0)
+    gram[0] = m
+    k_squared = np.add.outer(np.arange(m) ** 2, np.arange(m) ** 2)
+    mu = spec.half_inverse_multiplier(k_squared.astype(float))
+    return np.kron(vand, vand) * (mu / np.sqrt(np.outer(gram, gram))).ravel()
 
 
 @st.composite
@@ -93,10 +115,10 @@ def test_pinv_solve_matches_normal_equations(dom, m, problem, p):
     report = pinv_solve(system, spec)
 
     c_mat = dense_from_apply(system.apply, shape, system.n_rows)
-    s_inv = dense_operator(
-        lambda u: apply_smoother_half_inverse(
-            apply_smoother_half_inverse(u, spec), spec), shape)
-    u_ref = normal_equation_solve(c_mat, s_inv, system.rhs)
-    gram_cond = np.linalg.cond(c_mat @ s_inv @ c_mat.T)
+    # the normal equations in w = H^{-1} u, where the norm is Euclidean
+    h = smoother_inverse_factor(spec, m)
+    ch = c_mat @ h
+    u_ref = h @ normal_equation_solve(ch, np.eye(len(h)), system.rhs)
+    gram_cond = np.linalg.cond(ch @ ch.T)
     gap = np.max(np.abs(report.solution.ravel() - u_ref))
     assert gap <= (ABS_FLOOR + COND_TOL * gram_cond) * np.max(np.abs(u_ref))
