@@ -28,14 +28,17 @@ cond above 1 / RANK_TOL is refused as rank loss, like a negligible
 Memory and passes: pinv_solve builds A once and turns it into M' in
 place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
 time-axis R_V^{-1} together), and dgeqrt overwrites that buffer with the
-reflectors, so the solve peaks at about one N x n matrix plus the n x n
-R (T and the workspace are QR_BLOCK x n each). R is copied out once,
-F-ordered, and read once for its finiteness and norm estimate; the
-triangular solves (LAPACK dtrtrs) read it in place. dgeqrt, dgemqrt and
-dtrtrs are called through ctypes from the OpenBLAS that numpy bundles
-(its ILP64 symbols scipy_dgeqrt_64_ and so on), which keeps them on
-numpy's thread pool; a numpy without that library runs the same three
-routines from SciPy's LAPACK, the only use of SciPy in a solve.
+reflectors, so the solve peaks at about one N x n matrix plus T and the
+workspace (QR_BLOCK x n each). R is never copied: it is the upper
+triangle of the leading n x n block of that buffer (LDA = N), with the
+reflectors below it, and everything that reads R reads that triangle
+only, as LAPACK does with UPLO = 'U': the finiteness and norm pass, the
+Lanczos products (BLAS dtrmv) and the triangular solves (LAPACK
+dtrtrs). dgeqrt, dgemqrt, dtrtrs and dtrmv are called through ctypes
+from the OpenBLAS that numpy bundles (its ILP64 symbols
+scipy_dgeqrt_64_ and so on), which keeps them on numpy's thread pool; a
+numpy without that library runs the same four routines from SciPy, the
+only use of SciPy in a solve.
 """
 
 from __future__ import annotations
@@ -86,18 +89,43 @@ def _int64(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _require_fortran(*arrays) -> None:
-    """LAPACK reads these buffers through raw pointers: refuse any that is
-    not F-contiguous float64."""
-    if not all(a.dtype == np.float64 and a.flags.f_contiguous
-               for a in arrays):
-        raise ValueError("LAPACK arguments must be F-contiguous float64")
+def _leading_dimension(a: np.ndarray) -> int | None:
+    """LAPACK's LDA for reading the matrix a in place: its column stride in
+    elements. None unless a is float64 with unit row stride and its
+    columns do not overlap (a view such as h.T[:n] has LDA = N > n)."""
+    if a.dtype != np.float64 or a.ndim != 2:
+        return None
+    if a.flags.f_contiguous:
+        return max(1, a.shape[0])
+    lda, rem = divmod(a.strides[1], a.itemsize)
+    if a.strides[0] != a.itemsize or rem or lda < a.shape[0]:
+        return None
+    return lda
+
+
+def _leading_dimensions(*arrays) -> list[int]:
+    """LAPACK reads these matrices through raw pointers: their LDAs, or
+    ValueError for any it could only read with the wrong strides."""
+    ldas = [_leading_dimension(a) for a in arrays]
+    if None in ldas:
+        raise ValueError(
+            "LAPACK arguments must be float64 matrices with unit row stride")
+    return ldas
+
+
+def _readable(r) -> np.ndarray:
+    """r itself when LAPACK can read it in place, else an F-ordered
+    float64 copy."""
+    r = np.asarray(r)
+    if _leading_dimension(r) is None:
+        r = np.asfortranarray(r, dtype=float)
+    return r
 
 
 @functools.cache
 def _bundled_lapack():
-    """dgeqrt, dgemqrt and dtrtrs from the OpenBLAS bundled with numpy, or
-    None unless all three resolve.
+    """dgeqrt, dgemqrt, dtrtrs and the BLAS dtrmv from the OpenBLAS bundled
+    with numpy, or None unless all four resolve.
 
     numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols:
     every integer argument is a pointer to an int64, and each character
@@ -105,17 +133,19 @@ def _bundled_lapack():
     The library is already loaded by numpy, so this opens the same copy
     and the same thread pool. Resolved on first use, not at import.
 
-    The wrappers take the arguments of SciPy's lapack functions that
-    pinv_solve uses, and work in place on the F-contiguous float64
-    arrays they are given, as SciPy's do with overwrite_a/_b/_c=1.
+    The wrappers take the arguments of SciPy's lapack and blas functions
+    that pinv_solve uses, and work in place on the arrays they are given,
+    as SciPy's do with overwrite_a/_b/_c/_x=1. A matrix is read with the
+    LDA of its column stride, so a view into a larger F-ordered buffer
+    needs no copy.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-            geqrt, gemqrt, trtrs = (getattr(lib, f"scipy_{name}_64_")
-                                    for name in ("dgeqrt", "dgemqrt",
-                                                 "dtrtrs"))
+            geqrt, gemqrt, trtrs, trmv = (
+                getattr(lib, f"scipy_{name}_64_")
+                for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv"))
         except (OSError, AttributeError):
             continue
         break
@@ -131,47 +161,59 @@ def _bundled_lapack():
     # UPLO, TRANS, DIAG, N, NRHS, A, LDA, B, LDB, INFO
     trtrs.argtypes = [char] * 3 + [i64, i64, ptr, i64, ptr, i64, i64] \
         + [size] * 3
+    # UPLO, TRANS, DIAG, N, A, LDA, X, INCX
+    trmv.argtypes = [char] * 3 + [i64, ptr, i64, ptr, i64] + [size] * 3
+    for routine in (geqrt, gemqrt, trtrs, trmv):
+        routine.restype = None
 
     def dgeqrt(nb, a, overwrite_a=1):
-        _require_fortran(a)
+        lda, = _leading_dimensions(a)
         info = ctypes.c_int64()
         t = np.zeros((nb, a.shape[1]), order="F")
         work = np.empty(t.size)
         geqrt(_int64(a.shape[0]), _int64(a.shape[1]), _int64(nb),
-              a.ctypes.data, _int64(max(1, a.shape[0])), t.ctypes.data,
-              _int64(nb), work.ctypes.data, info)
+              a.ctypes.data, _int64(lda), t.ctypes.data, _int64(nb),
+              work.ctypes.data, info)
         return a, t, info.value
 
     def dgemqrt(v, t, c, overwrite_c=1):
-        _require_fortran(v, t, c)
+        ldv, ldt, ldc = _leading_dimensions(v, t, c)
         (big, cols), (nb, k) = c.shape, t.shape
         info = ctypes.c_int64()
         work = np.empty(nb * cols)
         gemqrt(b"L", b"N", _int64(big), _int64(cols), _int64(k), _int64(nb),
-               v.ctypes.data, _int64(big), t.ctypes.data, _int64(nb),
-               c.ctypes.data, _int64(big), work.ctypes.data, info, 1, 1)
+               v.ctypes.data, _int64(ldv), t.ctypes.data, _int64(ldt),
+               c.ctypes.data, _int64(ldc), work.ctypes.data, info, 1, 1)
         return c, info.value
 
     def dtrtrs(a, b, trans=0, overwrite_b=1):
-        _require_fortran(a, b)
-        n, info = a.shape[0], ctypes.c_int64()
-        trtrs(b"U", b"T" if trans else b"N", b"N", _int64(n),
-              _int64(b.shape[1]), a.ctypes.data, _int64(max(1, n)),
-              b.ctypes.data, _int64(max(1, n)), info, 1, 1, 1)
+        lda, ldb = _leading_dimensions(a, b)
+        info = ctypes.c_int64()
+        trtrs(b"U", b"T" if trans else b"N", b"N", _int64(a.shape[0]),
+              _int64(b.shape[1]), a.ctypes.data, _int64(lda),
+              b.ctypes.data, _int64(ldb), info, 1, 1, 1)
         return b, info.value
 
-    return dgeqrt, dgemqrt, dtrtrs
+    def dtrmv(a, x, trans=0, overwrite_x=1):
+        # x as one column: a strided x is refused like a strided matrix
+        lda, _ = _leading_dimensions(a, x.reshape(-1, 1))
+        trmv(b"U", b"T" if trans else b"N", b"N", _int64(a.shape[0]),
+             a.ctypes.data, _int64(lda), x.ctypes.data, _int64(1), 1, 1, 1)
+        return x
+
+    return dgeqrt, dgemqrt, dtrtrs, dtrmv
 
 
 def _lapack():
-    """(dgeqrt, dgemqrt, dtrtrs) with SciPy's signatures: numpy's bundled
-    ones, or SciPy's lapack where those do not resolve. Callers pass
-    F-contiguous float64 arrays and overwrite_*=1, so both work in place."""
+    """(dgeqrt, dgemqrt, dtrtrs, dtrmv) with SciPy's signatures: numpy's
+    bundled ones, or SciPy's lapack and blas where those do not resolve.
+    Callers pass float64 arrays with unit row stride and overwrite_*=1, so
+    both work in place (f2py copies a strided matrix first)."""
     bundled = _bundled_lapack()
     if bundled is not None:
         return bundled
-    from scipy.linalg import lapack
-    return lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs
+    from scipy.linalg import blas, lapack
+    return lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, blas.dtrmv
 
 
 def _require(name: str, info: int) -> None:
@@ -207,19 +249,32 @@ class QRFactorization:
 
     h.T (N x n) holds R on and above its diagonal and the Householder
     reflectors below it; t holds the upper-triangular T of each block
-    reflector, side by side (QR_BLOCK x n). r is the upper-triangular
-    n x n factor, F-ordered, and rank_margin is min |R_ii| over the rank
-    threshold householder_qr applied (above 1 when it passed). Q is
-    applied by apply_q and never formed.
+    reflector, side by side (QR_BLOCK x n). rank_margin is min |R_ii|
+    over the rank threshold householder_qr applied (above 1 when it
+    passed). Q is applied by apply_q and never formed.
     h.T is F-contiguous, so LAPACK reads it in place; when dgeqrt ran in
     place (pinv_solve's case) h.T is the very buffer that held the
-    factored matrix, so the factorization costs no second N x n array.
+    factored matrix, so the factorization costs no second N x n array,
+    and upper reads R from it without a copy.
     """
 
     h: np.ndarray
     t: np.ndarray
-    r: np.ndarray
     rank_margin: float
+
+    @property
+    def upper(self) -> np.ndarray:
+        """The leading n x n block of h.T, a view (LDA = N): R is its upper
+        triangle and the reflectors lie below it. condition_estimate and
+        solve_triangular read it in place."""
+        return self.h.T[:self.h.shape[0]]
+
+    @property
+    def r(self) -> np.ndarray:
+        """R as an F-ordered n x n copy, with zeros below the diagonal."""
+        # the transpose of h's lower triangle: copied without a
+        # transposing pass, and F-ordered
+        return np.tril(self.h[:, :self.h.shape[0]]).T
 
     def apply_q(self, z: np.ndarray) -> np.ndarray:
         """Q z for z of shape (n,) or (n, k), by LAPACK dgemqrt on h.T."""
@@ -238,11 +293,13 @@ class QRFactorization:
 
 
 def _norm_estimate(r: np.ndarray) -> float:
-    """sqrt(||r||_1 ||r||_inf) >= ||r||_2 for upper-triangular r.
+    """sqrt(||R||_1 ||R||_inf) >= ||R||_2 for R the upper triangle of r.
 
-    Cheap and deterministic: the column and row sums of |r| come from one
+    Cheap and deterministic: the column and row sums of |R| come from one
     pass over r's upper triangle, a block of columns at a time (contiguous
-    when r is F-ordered). NaN or inf in r propagates into the result.
+    when r has unit row stride). What lies below r's diagonal is never
+    summed, so r may be QRFactorization.upper. NaN or inf in R propagates
+    into the result.
     """
     n = r.shape[1]
     col_sums = np.empty(n)
@@ -250,6 +307,10 @@ def _norm_estimate(r: np.ndarray) -> float:
     step = max(1, BLOCK_BYTES // (8 * max(1, n)))
     for j in range(0, n, step):
         block = np.abs(r[:j + step, j:j + step])
+        # zero the strictly lower part of the (square) diagonal block, in
+        # place; no name holds the view, so del frees the block
+        np.copyto(block[j:], 0.0,
+                  where=np.tri(block.shape[1], k=-1, dtype=bool))
         col_sums[j:j + step] = block.sum(axis=0)
         row_sums[:j + step] += block.sum(axis=1)
         del block  # before the next, taller block is allocated
@@ -279,26 +340,22 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     nb = max(1, min(QR_BLOCK, n))
     buf, t, info = _lapack()[0](nb, buf, overwrite_a=1)
     _require("dgeqrt", info)
-    h = buf.T
-    # R is the upper triangle of h.T; as the transpose of h's lower
-    # triangle it is copied without a transposing pass and is F-ordered,
-    # the layout the triangular solves read in place
-    r = np.tril(h[:, :n]).T
-    # a NaN or inf anywhere in mat reaches R through the reflectors, and
+    # R is the upper triangle of buf[:n], read in place (fac.upper); a NaN
+    # or inf anywhere in mat reaches R through the reflectors, and
     # from R the norm estimate; T's diagonal holds the reflectors' tau
-    norm_est = _norm_estimate(r)
+    norm_est = _norm_estimate(buf[:n])
     cols = np.arange(n)
     if not (np.isfinite(norm_est) and np.isfinite(t[cols % nb, cols]).all()):
         raise ValueError(
             "householder_qr: the matrix has non-finite entries "
             "(NaN or inf in its R factor)"
         )
-    diag = np.abs(np.diag(r))
+    diag = np.abs(np.diag(buf))
     threshold = RANK_TOL * norm_est
     bad = np.flatnonzero(diag < threshold)
     if bad.size:
         raise RankDeficientError(int(bad[0]), float(diag[bad[0]]), threshold)
-    return QRFactorization(h=h, t=t, r=r,
+    return QRFactorization(h=buf.T, t=t,
                            rank_margin=float(diag.min(initial=np.inf)
                                              / threshold))
 
@@ -342,24 +399,27 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
 
 
 def condition_estimate(r: np.ndarray) -> float:
-    """Two-norm condition number sigma_max / sigma_min of upper-triangular r.
+    """Two-norm condition number sigma_max / sigma_min of R, the upper
+    triangle of r.
 
-    sigma_max^2 is the top eigenvalue of R^T R, 1/sigma_min^2 that of
-    R^{-1} R^{-T}; each comes from a deterministic Lanczos run (fixed
-    start vector) whose steps are O(n^2) products and triangular solves.
-    Small r, or a run that does not converge, takes a dense SVD instead.
+    Only r's upper triangle is read (LAPACK's UPLO = 'U'), so r may be
+    QRFactorization.upper, which is read in place. sigma_max^2 is the top
+    eigenvalue of R^T R, 1/sigma_min^2 that of R^{-1} R^{-T}; each comes
+    from a deterministic Lanczos run (fixed start vector) whose steps are
+    triangular products (BLAS dtrmv) and solves (LAPACK dtrtrs). Small r,
+    or a run that does not converge, takes a dense SVD of R instead.
     """
-    # F-ordered, as householder_qr returns R: LAPACK reads it in place
-    r = np.asfortranarray(r, dtype=float)
+    r = _readable(r)
     n = r.shape[0]
     if not np.all(np.diag(r)):
         return np.inf
     if n < LANCZOS_MIN_ORDER:
-        return _dense_cond(r)
-    trtrs = _lapack()[2]
+        return _dense_cond(np.triu(r))
+    _, _, trtrs, trmv = _lapack()
 
     def gram(x):
-        return r.T @ (r @ x)
+        y = trmv(r, x.copy(), overwrite_x=1)
+        return trmv(r, y, trans=1, overwrite_x=1)
 
     def inverse_gram(x):
         y, _ = trtrs(r, x.reshape(n, 1).copy(order="F"), trans=1,
@@ -370,16 +430,16 @@ def condition_estimate(r: np.ndarray) -> float:
     big = _largest_eigenvalue(gram, n)
     inv_small = None if big is None else _largest_eigenvalue(inverse_gram, n)
     if inv_small is None:
-        return _dense_cond(r)
+        return _dense_cond(np.triu(r))
     return float(np.sqrt(big * inv_small))
 
 
 def solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The back-solve z = R^{-T} b, by LAPACK dtrtrs on the upper-triangular
-    r in place (when F-ordered, as householder_qr returns it)."""
+    """The back-solve z = R^{-T} b, by LAPACK dtrtrs on R, the upper
+    triangle of r. Only that triangle is read, in place when r has unit
+    row stride (QRFactorization.upper and .r both do)."""
     x = np.array(b, dtype=float).reshape(len(b), 1)
-    x, info = _lapack()[2](np.asfortranarray(r, dtype=float), x, trans=1,
-                           overwrite_b=1)
+    x, info = _lapack()[2](_readable(r), x, trans=1, overwrite_b=1)
     _require("dtrtrs", info)
     return x.ravel()
 
@@ -501,11 +561,11 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     fac = householder_qr(mat.T)
     del mat
     marks.append(time.perf_counter())
-    cond = condition_estimate(fac.r)
+    cond = condition_estimate(fac.upper)
     if cond > 1.0 / RANK_TOL:
         raise RankDeficientError(None, cond, 1.0 / RANK_TOL)
     marks.append(time.perf_counter())
-    z = solve_triangular(fac.r, system.rhs)
+    z = solve_triangular(fac.upper, system.rhs)
     marks.append(time.perf_counter())
 
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor)

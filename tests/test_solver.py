@@ -208,15 +208,24 @@ class TestQRPaths:
                 <= 1e-13 * np.max(np.abs(bundled))
 
     def test_bundled_wrappers_refuse_other_layouts(self):
-        # they hand raw pointers to LAPACK: a C-ordered or float32 buffer
-        # is refused, not read with the wrong strides
+        # they hand raw pointers to LAPACK: a C-ordered, float32 or
+        # row-strided matrix is refused, not read with the wrong strides
         if ssem.solver._bundled_lapack() is None:
             pytest.skip("numpy's bundled LAPACK is not available")
-        geqrt, _, trtrs = ssem.solver._bundled_lapack()
-        with pytest.raises(ValueError, match="F-contiguous float64"):
+        geqrt, gemqrt, trtrs, trmv = ssem.solver._bundled_lapack()
+        refused = "float64 matrices with unit row stride"
+        every_other_row = np.asfortranarray(np.eye(6))[::2, :3]
+        with pytest.raises(ValueError, match=refused):
             geqrt(4, np.ones((6, 4)), overwrite_a=1)
-        with pytest.raises(ValueError, match="F-contiguous float64"):
+        with pytest.raises(ValueError, match=refused):
             trtrs(np.eye(3, dtype=np.float32), np.ones((3, 1)), trans=1)
+        with pytest.raises(ValueError, match=refused):
+            trmv(every_other_row, np.ones(3))
+        with pytest.raises(ValueError, match=refused):
+            trmv(np.asfortranarray(np.eye(3)), np.ones(6)[::2])
+        with pytest.raises(ValueError, match=refused):
+            gemqrt(np.asfortranarray(np.eye(6, 3)),
+                   np.asfortranarray(np.eye(3)), np.ones((6, 2)))
 
     def test_c_ordered_argument_unchanged(self, qr_path):
         mat = np.random.default_rng(20).standard_normal((60, 25))
@@ -264,11 +273,13 @@ class TestQRPaths:
         # over R's column blocks (7 columns at a time, and one block),
         # against the column and row sums of the whole |R|
         monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", block_bytes)
+        # and from the in-place block, whose reflectors below the
+        # diagonal the pass must not sum
         fac = householder_qr(
             np.random.default_rng(23).standard_normal((n + 50, n)))
-        for r in (fac.r, np.ascontiguousarray(fac.r)):
-            want = np.sqrt(np.abs(r).sum(axis=0).max()
-                           * np.abs(r).sum(axis=1).max())
+        want = np.sqrt(np.abs(fac.r).sum(axis=0).max()
+                       * np.abs(fac.r).sum(axis=1).max())
+        for r in (fac.r, np.ascontiguousarray(fac.r), fac.upper):
             assert ssem.solver._norm_estimate(r) == pytest.approx(
                 want, rel=1e-15)
 
@@ -286,6 +297,19 @@ class TestQRPaths:
         assert condition_estimate(graded) == pytest.approx(s[0] / s[-1],
                                                            rel=1e-9)
 
+    def test_r_read_in_place(self, qr_path):
+        # pinv_solve reads R from the factored buffer itself: the same
+        # triangle as the copy r, and bit for bit the same back-solve and
+        # cond (Lanczos at this order)
+        rng = np.random.default_rng(29)
+        fac = householder_qr(rng.standard_normal((600, 300)))
+        b = rng.standard_normal(300)
+        assert np.shares_memory(fac.upper, fac.h)
+        assert np.array_equal(np.triu(fac.upper), fac.r)
+        assert np.array_equal(ssem.solver.solve_triangular(fac.upper, b),
+                              ssem.solver.solve_triangular(fac.r, b))
+        assert condition_estimate(fac.upper) == condition_estimate(fac.r)
+
     def test_r_is_f_ordered(self, qr_path):
         # LAPACK's triangular solves read R in place
         fac = householder_qr(np.random.default_rng(24).standard_normal((90, 40)))
@@ -293,13 +317,13 @@ class TestQRPaths:
 
     def test_bundled_lapack_selected_when_shipped(self):
         # a numpy that still ships scipy-openblas but renames any of the
-        # three symbols must fail here, not fall back silently to SciPy
+        # four symbols must fail here, not fall back silently to SciPy
         libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
                       .glob("libscipy_openblas64_*.so"))
         if not libs:
             pytest.skip("this numpy does not bundle scipy-openblas")
         exported = [ctypes.CDLL(str(path)) for path in libs]
-        for name in ("dgeqrt", "dgemqrt", "dtrtrs"):
+        for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv"):
             assert any(hasattr(lib, f"scipy_{name}_64_") for lib in exported)
         assert ssem.solver._bundled_lapack() is not None
         assert ssem.solver._lapack() is ssem.solver._bundled_lapack()
@@ -336,11 +360,12 @@ class TestRankMargin:
 
 
 class TestPeakMemory:
-    """A warm pinv_solve holds about one matrix (plus R) at its peak."""
+    """A warm pinv_solve holds about one matrix at its peak: R is read in
+    place from the factored buffer, not copied."""
 
-    @pytest.mark.parametrize("problem_id, m", [("parabolic-star", 14),
-                                               ("dirichlet-3d", 12)])
-    def test_peak_within_two_matrices(self, problem_id, m):
+    @staticmethod
+    def warm_peak(problem_id, m):
+        """tracemalloc peak of a warm pinv_solve over the bytes of M'."""
         system, _ = ssem.experiments._PROBLEMS[problem_id].build(m)
         spec = SmootherSpec("power", 4.0)
         pinv_solve(system, spec)
@@ -351,13 +376,32 @@ class TestPeakMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * matrix_bytes
+        return peak / matrix_bytes
+
+    @pytest.mark.parametrize("problem_id, m", [("parabolic-star", 14),
+                                               ("dirichlet-3d", 12)])
+    def test_peak_within_two_matrices(self, problem_id, m):
+        assert self.warm_peak(problem_id, m) <= 2.0
+
+    def test_peak_holds_no_copy_of_r(self):
+        # M' is 3564 x 1176 here, so a copy of R alone is a third of it
+        assert self.warm_peak("parabolic-star", 18) <= 1.25
 
 
 class TestConditionEstimate:
     def test_orthogonal(self):
-        q, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((9, 9)))
-        assert condition_estimate(q) == pytest.approx(1.0, rel=1e-12)
+        # only R, the upper triangle, is read: garbage below it (the
+        # reflectors, in place) changes nothing, by dense SVD (n = 9) and
+        # by Lanczos; a +-1 diagonal is orthogonal, cond 1
+        rng = np.random.default_rng(13)
+        for n in (9, ssem.solver.LANCZOS_MIN_ORDER + 22):
+            garbage = np.tril(rng.standard_normal((n, n)), -1)
+            clean = self.graded_r(n, n)
+            assert condition_estimate(clean + garbage) \
+                == condition_estimate(clean)
+            signs = np.diag(rng.choice([-1.0, 1.0], n))
+            assert condition_estimate(signs + garbage) \
+                == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal(self):
         assert condition_estimate(np.diag([1.0, 1e-3])) \
