@@ -4,19 +4,23 @@ The solve selects, among all grid functions satisfying the constraints
 C u = b, the one of minimal smoothness norm. C stacks groups of rows:
 operator rows (a differential operator collocated at a set of grid
 nodes) and boundary rows (point evaluation / directional derivative at
-sampled points); the smoother is a positive frequency multiplier. The
-constraints are realized twice: on grid functions through the implicit
-spectral operators (C u, used for residual checks), and on tensor
-Chebyshev coefficients as the dense matrix A = C V handed to the solver,
-built directly from 1-D evaluations of T_k, T_k' and T_k'' at the
-interior nodes and boundary points.
+sampled points); the smoother is a positive frequency multiplier.
 
-Coefficient functions are evaluated lazily: interior coefficients are
-callables of the unpacked node coordinates (or plain constants),
-boundary coefficients and data are callables of (points, normals)
-arrays (or constants). build_system stacks groups of rows in order:
-an elliptic problem's interior rows, then its boundary rows; the heat
-equation's three groups on the space-time grid (parabolic.py).
+Each group's rows are one list of terms, a weight per row times a
+product of 1-D derivative rows, one per axis, and both realizations of
+the constraints come from it. On tensor Chebyshev coefficients it is
+the dense matrix A = C V handed to the solver, with 1-D evaluations of
+T_k, T_k' and T_k'' as factors. On grid functions it is C u, used for
+residual checks, with the derivative rows of the interpolant as
+factors: the axis' own differentiation matrix at interior nodes,
+barycentric rows at boundary points.
+
+Coefficient functions are evaluated once per build: interior
+coefficients are callables of the unpacked node coordinates (or plain
+constants), boundary coefficients and data are callables of (points,
+normals) arrays (or constants). build_system stacks groups of rows in
+order: an elliptic problem's interior rows, then its boundary rows; the
+heat equation's three groups on the space-time grid (parabolic.py).
 """
 
 from __future__ import annotations
@@ -27,13 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import (
-    ExtremaAxis,
     bary_rows,
     basis_values,
-    diff1,
-    diff2,
     forward_cheb,
     inverse_cheb,
+    node_diff_matrix,
     tensor_rows,
 )
 from .geometry import (
@@ -103,12 +105,18 @@ class SmootherSpec:
     kind: str = "power"
     p: float | None = 4.0
 
+    def __post_init__(self):
+        if self.kind not in ("power", "exp"):
+            raise ValueError(f"unknown smoother kind {self.kind!r}")
+        if self.kind == "power" and (self.p is None
+                                     or not np.isfinite(self.p)):
+            raise ValueError(f"the power smoother needs a finite exponent, "
+                             f"got p = {self.p!r}")
+
     def half_inverse_multiplier(self, k_squared: np.ndarray) -> np.ndarray:
         if self.kind == "power":
             return (1.0 + k_squared) ** (-self.p / 2.0)
-        if self.kind == "exp":
-            return np.exp(-np.sqrt(k_squared) / 2.0)
-        raise ValueError(f"unknown smoother kind {self.kind!r}")
+        return np.exp(-np.sqrt(k_squared) / 2.0)
 
 
 def _coeff_values(coeff, *args) -> np.ndarray:
@@ -139,83 +147,36 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# interior operator
+# rows as sums of terms (w, orders): a weight (per row, or a scalar) times
+# the product over the axes of 1-D rows of the orders[a]-th derivative.
+# One term list gives both realizations of a group's rows; only the 1-D
+# factors differ (_realize).
 # ---------------------------------------------------------------------------
 
-def _derivative(u: np.ndarray, axes, i: int) -> np.ndarray:
-    """d/dx_i of a grid function: spectral on a roots axis, by the
-    barycentric differentiation matrix on an extrema axis."""
-    ax, axis = axes[i], i - len(axes)
-    if isinstance(ax, ExtremaAxis):
-        return np.moveaxis(np.tensordot(bary_rows(ax, ax.nodes, 1), u,
-                                        axes=([1], [axis])), 0, axis)
-    return diff1(u, axis)
-
-
-def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
-                   interior: InteriorIndexSet, axes) -> np.ndarray:
-    """Collocate the operator at the interior nodes.
-
-    Derivatives are taken on the full grid, then restricted; coefficients
-    are evaluated only at the interior nodes.
-    """
-    u = np.asarray(u, dtype=float)
-    d = len(axes)
-    sel = tuple(interior.indices.T)
-    coords = interior_coordinates(axes, interior)
-    out = np.zeros(interior.count)
-    for (i, j), a in op.second_order.items():
-        if i == j and not isinstance(axes[i], ExtremaAxis):
-            uij = diff2(u, i - d, i - d)
-        else:
-            uij = _derivative(_derivative(u, axes, i), axes, j)
-        out -= _coeff_values(a, *coords.T) * uij[sel]
-    for i, b in op.first_order.items():
-        out += _coeff_values(b, *coords.T) * _derivative(u, axes, i)[sel]
-    if op.zeroth is not None:
-        out += _coeff_values(op.zeroth, *coords.T) * u[sel]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# coefficient-space rows A = C V, as sums of terms (w, factors): a weight
-# (per row, or a scalar) times the tensor_rows product of 1-D basis rows
-# ---------------------------------------------------------------------------
-
-def _operator_terms(op: EllipticOperatorSpec, interior: InteriorIndexSet,
-                    axes) -> list:
-    """Interior rows of A: the operator applied to each tensor basis
-    function, collocated at the interior nodes."""
-    d = len(axes)
-    coords = interior_coordinates(axes, interior)
-
-    @functools.cache
-    def at_nodes(a, k):
-        """k-th derivative of axis a's basis at each node."""
-        return basis_values(axes[a], axes[a].nodes, k)[interior.indices[:, a]]
-
-    def factors(*diff_axes):
-        orders = [sum(i % d == a for i in diff_axes) for a in range(d)]
-        return [at_nodes(a, k) for a, k in enumerate(orders)]
+def _operator_terms(op: EllipticOperatorSpec, coords: np.ndarray) -> list:
+    """Interior rows: the operator's terms, with its coefficients at the
+    node coordinates coords (one row per axis)."""
+    d = len(coords)
 
     def weight(coeff, name):
-        return _require_finite(_coeff_values(coeff, *coords.T),
+        return _require_finite(_coeff_values(coeff, *coords),
                                f"operator coefficient {name}")
 
-    terms = [(-weight(a, f"a[{i}, {j}]"), factors(i, j))
+    def orders(*diff_axes):
+        return [sum(i % d == a for i in diff_axes) for a in range(d)]
+
+    terms = [(-weight(a, f"a[{i}, {j}]"), orders(i, j))
              for (i, j), a in op.second_order.items()]
-    terms += [(weight(b, f"b[{i}]"), factors(i))
+    terms += [(weight(b, f"b[{i}]"), orders(i))
               for i, b in op.first_order.items()]
     if op.zeroth is not None:
-        terms.append((weight(op.zeroth, "c"), factors()))
+        terms.append((weight(op.zeroth, "c"), orders()))
     return terms
 
 
-def _boundary_terms(bc: BoundaryConditionSpec, boundary: BoundaryPointSet,
-                    axes, rows=basis_values) -> list:
-    """Boundary rows: a u + b grad(u) . nu at the sampled points, with the
-    1-D factors rows(ax, x, order) -- basis_values for the rows of A,
-    bary_rows for the rows of C on grid functions."""
+def _boundary_terms(bc: BoundaryConditionSpec,
+                    boundary: BoundaryPointSet) -> list:
+    """Boundary rows: a u + b grad(u) . nu at the sampled points."""
     pts, nrm = boundary.points, boundary.normals
     a = _require_finite(_coeff_values(bc.trace, pts, nrm),
                         "boundary trace coefficient")
@@ -223,27 +184,60 @@ def _boundary_terms(bc: BoundaryConditionSpec, boundary: BoundaryPointSet,
                         "boundary flux coefficient")
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("boundary condition vanishes at a sampled point")
-    values = [rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
-    terms = [(a, values)]
-    for j, ax in enumerate(axes):
+    d = pts.shape[1]
+    terms = [(a, [0] * d)]
+    for j in range(d):
         w = b * nrm[:, j]
         if np.any(w):  # not for a trace condition, or a zero normal axis
-            slope = list(values)
-            slope[j] = rows(ax, pts[:, j], 1)
-            terms.append((w, slope))
+            terms.append((w, [int(i == j) for i in range(d)]))
     return terms
 
 
-def _apply_terms(terms, u: np.ndarray) -> np.ndarray:
-    """The (w, factors) rows applied to a grid function, one axis at a
-    time."""
-    out = 0.0
+def _realize(terms, where, axes):
+    """The (w, orders) terms of a group as (w, factors) terms, once for A
+    and once for C: factors[a] is the 1-D rows of the orders[a]-th
+    derivative along axis a at the group's nodes or points. For A they
+    are of the basis (basis_values); for C, of the interpolant of a grid
+    function: the axis' own differentiation matrix at interior nodes
+    (node_diff_matrix), barycentric rows at boundary points (bary_rows).
+    C keeps its own arithmetic, so the residual checks A."""
+    if isinstance(where, InteriorIndexSet):
+        def for_a(a, k):
+            ax = axes[a]
+            return basis_values(ax, ax.nodes, k)[where.indices[:, a]]
+
+        def for_c(a, k):
+            return node_diff_matrix(axes[a], k)[where.indices[:, a]]
+    else:
+        def for_a(a, k):
+            return basis_values(axes[a], where.points[:, a], k)
+
+        def for_c(a, k):
+            return bary_rows(axes[a], where.points[:, a], k)
+    return [[(w, [rows(a, k) for a, k in enumerate(orders)])
+             for w, orders in terms]
+            for rows in map(functools.cache, (for_a, for_c))]
+
+
+def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
+                   interior: InteriorIndexSet, axes) -> np.ndarray:
+    """The operator collocated at the interior nodes, applied to a grid
+    function: the interior rows of C."""
+    terms = _operator_terms(op, interior_coordinates(axes, interior).T)
+    return _apply_terms(_realize(terms, interior, axes)[1],
+                        np.asarray(u, dtype=float), interior.count)
+
+
+def _apply_terms(terms, u: np.ndarray, n_rows: int) -> np.ndarray:
+    """The n_rows rows of the (w, factors) terms applied to a grid
+    function, one axis at a time."""
+    out = np.zeros(n_rows)
     for w, factors in terms:
         if np.any(w):
-            vals = np.tensordot(factors[0], u, axes=1)
+            vals = factors[0] @ u.reshape(len(u), -1)
             for f in factors[1:]:
-                vals = np.einsum("rj...,rj->r...", vals, f)
-            out = out + w * vals
+                vals = f[:, None] @ vals.reshape(n_rows, f.shape[1], -1)
+            out += w * vals.reshape(n_rows)
     return out
 
 
@@ -312,9 +306,9 @@ def apply_smoother_half_inverse(u: np.ndarray, spec: SmootherSpec,
 class ConstraintSystem:
     """The linear constraints C u = b of one discrete problem.
 
-    apply realizes C on grid functions through the implicit spectral
-    operators; coefficient_matrix builds A = C V, the same constraints on
-    the coefficients c of u = V c. The solver factors A and rechecks its
+    apply realizes C on grid functions; coefficient_matrix builds A = C V,
+    the same constraints on the coefficients c of u = V c, from the same
+    terms with other 1-D factors. The solver factors A and rechecks its
     answer through apply. grid_smoother is S^{-1/2} of a SmootherSpec on
     this grid (systems built by hand may leave out half_inverse_fn and
     solve with a smoother callable).
@@ -364,28 +358,27 @@ def build_system(axes, groups, interior, boundary,
     as right-hand side. Rows follow the group order. n_omega and n_gamma
     count the given interior and boundary sets.
     """
-    rhs, matrix_terms, appliers = [], [], []
+    rhs, realized = [], []
     for where, spec in groups:
         if isinstance(spec, EllipticOperatorSpec):
             coords = interior_coordinates(axes, where).T
             rhs.append(_require_finite(_coeff_values(spec.source, *coords),
                                        "source"))
-            matrix_terms.append(_operator_terms(spec, where, axes))
-            appliers.append(functools.partial(
-                apply_operator, op=spec, interior=where, axes=axes))
+            terms = _operator_terms(spec, coords)
         else:
             rhs.append(_require_finite(
                 _coeff_values(spec.data, where.points, where.normals),
                 "boundary data"))
-            matrix_terms.append(_boundary_terms(spec, where, axes))
-            appliers.append(functools.partial(
-                _apply_terms, _boundary_terms(spec, where, axes, bary_rows)))
+            terms = _boundary_terms(spec, where)
+        realized.append(_realize(terms, where, axes))
+    matrix_terms, grid_terms = zip(*realized)
     starts = np.cumsum([0] + [len(b) for b in rhs])
     rhs = np.concatenate(rhs)
     size = int(np.prod([len(ax.nodes) for ax in axes]))
 
     def apply_fn(u):
-        return np.concatenate([apply(u) for apply in appliers])
+        return np.concatenate([_apply_terms(terms, u, hi - lo) for lo, hi,
+                               terms in zip(starts, starts[1:], grid_terms)])
 
     def matrix_fn():
         mat = np.empty((len(rhs), size))

@@ -30,10 +30,10 @@ __all__ = [
     "forward_cheb",
     "inverse_cheb",
     "diff1",
-    "diff2",
     "apply_sturm_liouville",
     "bary_weights",
     "bary_rows",
+    "node_diff_matrix",
     "bary_interp_row",
     "forward_extrema",
     "inverse_extrema",
@@ -313,22 +313,6 @@ def diff1(u: np.ndarray, axis: int) -> np.ndarray:
     return _apply(_roots_matrices(u.shape[axis])[2], u, axis)
 
 
-def _diff2_same_axis(u: np.ndarray, axis: int) -> np.ndarray:
-    return _apply(_roots_matrices(u.shape[axis])[3], u, axis)
-
-
-def diff2(u: np.ndarray, axis_i: int, axis_j: int) -> np.ndarray:
-    """Second spectral derivative.
-
-    For equal axes this is the two-term single-transform formula (exact
-    on polynomials of degree <= m-1 along the axis); for distinct axes it
-    is the composition of the two first derivatives.
-    """
-    if axis_i == axis_j:
-        return _diff2_same_axis(np.asarray(u, dtype=float), axis_i)
-    return diff1(diff1(u, axis_i), axis_j)
-
-
 def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
     """Apply the Chebyshev Sturm-Liouville operator -(1-x^2) u'' + x u'.
 
@@ -342,7 +326,8 @@ def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     m = u.shape[axis]
     x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    return (-_along(1.0 - x**2, u.ndim, axis) * _diff2_same_axis(u, axis)
+    return (-_along(1.0 - x**2, u.ndim, axis)
+            * _apply(_roots_matrices(m)[3], u, axis)
             + _along(x, u.ndim, axis) * diff1(u, axis))
 
 
@@ -398,6 +383,22 @@ def bary_rows(ax, x, order: int = 0) -> np.ndarray:
         rows[~on_node] = -t / d / q + t * (qp / q**2)
         rows[on_node] = _node_diff_rows(ax, hit[on_node])
     return rows
+
+
+def node_diff_matrix(ax, order: int) -> np.ndarray:
+    """The order-th (0, 1 or 2) differentiation matrix at an axis' nodes.
+
+    Row i, contracted with samples at the nodes, gives the order-th
+    derivative of their interpolant at node i: on a roots axis from the
+    closed-form d/dx and d^2/dx^2 of the cached transform matrices, on an
+    extrema axis the barycentric differentiation matrix and its square.
+    """
+    if order == 0:
+        return np.eye(len(ax.nodes))
+    if isinstance(ax, ExtremaAxis):
+        d1 = bary_rows(ax, ax.nodes, 1)
+        return d1 if order == 1 else d1 @ d1
+    return _roots_matrices(ax.m)[1 + order]
 
 
 def bary_interp_row(axes, y) -> np.ndarray:

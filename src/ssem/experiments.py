@@ -84,6 +84,10 @@ class ExperimentConfig:
             if not self.p_list:
                 raise ConfigError("p_list must be non-empty for the power "
                                   "smoother")
+            bad = [p for p in self.p_list if not math.isfinite(p)]
+            if bad:
+                raise ConfigError(f"smoother exponents must be finite; "
+                                  f"got {bad}")
             d = _PROBLEMS[self.problem].grid_dim
             bad = [p for p in self.p_list if p <= d / 2]
             if bad:

@@ -269,13 +269,6 @@ class QRFactorization:
         solve_triangular read it in place."""
         return self.h.T[:self.h.shape[0]]
 
-    @property
-    def r(self) -> np.ndarray:
-        """R as an F-ordered n x n copy, with zeros below the diagonal."""
-        # the transpose of h's lower triangle: copied without a
-        # transposing pass, and F-ordered
-        return np.tril(self.h[:, :self.h.shape[0]]).T
-
     def apply_q(self, z: np.ndarray) -> np.ndarray:
         """Q z for z of shape (n,) or (n, k), by LAPACK dgemqrt on h.T."""
         refl = self.h.T
@@ -437,7 +430,7 @@ def condition_estimate(r: np.ndarray) -> float:
 def solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The back-solve z = R^{-T} b, by LAPACK dtrtrs on R, the upper
     triangle of r. Only that triangle is read, in place when r has unit
-    row stride (QRFactorization.upper and .r both do)."""
+    row stride (QRFactorization.upper does)."""
     x = np.array(b, dtype=float).reshape(len(b), 1)
     x, info = _lapack()[2](_readable(r), x, trans=1, overwrite_b=1)
     _require("dtrtrs", info)

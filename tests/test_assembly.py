@@ -263,6 +263,22 @@ class TestSmoother:
         rows = np.stack([apply_smoother_half_inverse(r, spec) for r in u])
         assert batched == pytest.approx(rows, abs=1e-13)
 
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown smoother kind 'gauss'"):
+            SmootherSpec("gauss", 4.0)
+
+    @pytest.mark.parametrize("p", [None, np.nan, np.inf, -np.inf])
+    def test_power_needs_a_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="finite exponent"):
+            SmootherSpec("power", p)
+
+    @pytest.mark.parametrize("p", [0.0, -4.0])
+    def test_zero_and_negative_exponents_allowed(self, p):
+        # S^0 is the identity and a negative p gives S^{+1/2}
+        k2 = np.arange(5.0) ** 2
+        assert SmootherSpec("power", p).half_inverse_multiplier(k2) \
+            == pytest.approx((1.0 + k2) ** (-p / 2.0), rel=1e-15)
+
 
 def dirichlet_disc_system(m=10):
     axes = (roots_axis(m), roots_axis(m))
@@ -313,6 +329,25 @@ class TestConstraintSystem:
         system = dirichlet_disc_system()
         assert (system.n_omega, system.n_gamma) == (40, 12)
         assert system.n_rows == 52
+
+    def test_coefficients_evaluated_once_per_build(self):
+        calls = []
+
+        def a11(x, y):
+            calls.append(len(x))
+            return 2.0 - x
+
+        op = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): a11},
+                                  first_order={}, zeroth=None, source=0.0)
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=0.0)
+        axes = (roots_axis(10), roots_axis(10))
+        system = assemble_elliptic(disc_domain(), axes, op, bc)
+        built = len(calls)
+        u = np.random.default_rng(9).standard_normal((10, 10))
+        for _ in range(3):
+            system.residual(u)
+        assert built >= 1
+        assert len(calls) == built
 
 
 class TestMaterialize:

@@ -14,13 +14,13 @@ from ssem.chebyshev import (
     bary_weights,
     basis_values,
     diff1,
-    diff2,
     extrema_axis,
     forward_cheb,
     forward_extrema,
     gram_factor,
     inverse_cheb,
     inverse_extrema,
+    node_diff_matrix,
     roots_axis,
     synthesis,
     tensor_rows,
@@ -194,7 +194,8 @@ class TestTransformMatrices:
                             inverse_cheb_direct(u, axes=one)) < 1e-12
         d = diff_matrix(m)
         assert self.rel_err(diff1(u, axis), self.along(d, u, axis)) < 1e-12
-        assert self.rel_err(diff2(u, axis, axis),
+        d2 = node_diff_matrix(roots_axis(m), 2)
+        assert self.rel_err(self.along(d2, u, axis),
                             self.along(d @ d, u, axis)) < 1e-12
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -243,20 +244,13 @@ class TestDerivatives:
 
     def test_second_derivative_of_square(self):
         x = roots_nodes(10)
-        out = diff2(x**2, 0, 0)
+        out = node_diff_matrix(roots_axis(10), 2) @ x**2
         assert out == pytest.approx(np.full(10, 2.0), abs=1e-11)
-
-    def test_mixed_derivative(self):
-        x = roots_nodes(7)
-        y = roots_nodes(9)
-        u = np.outer(x, y)
-        out = diff2(u, 0, 1)
-        assert out == pytest.approx(np.ones((7, 9)), abs=1e-11)
 
     def test_t4_second_derivative(self):
         m = 12
         x = roots_nodes(m)
-        out = diff2(t_samples(4, m), 0, 0)
+        out = node_diff_matrix(roots_axis(m), 2) @ t_samples(4, m)
         assert np.max(np.abs(out - (96 * x**2 - 16))) < 1e-10
 
     def test_diff1_twice_is_diff2(self):
@@ -264,8 +258,30 @@ class TestDerivatives:
         x = roots_nodes(m)
         u = 2 * x**5 - x**3 + 0.25 * x**2 - 3 * x + 1  # degree <= m-3
         once = diff1(diff1(u, 0), 0)
-        twice = diff2(u, 0, 0)
+        twice = node_diff_matrix(roots_axis(m), 2) @ u
         assert np.max(np.abs(once - twice)) < 1e-9 * np.max(np.abs(twice))
+
+    @pytest.mark.parametrize("ax, domain", [
+        (roots_axis(9), (-1.0, 1.0)),
+        (extrema_axis(8, 0.0, 2.0), (0.0, 2.0)),
+        (extrema_axis(5, -0.5, 1.5), (-0.5, 1.5)),
+    ], ids=["roots", "extrema", "extrema-shifted"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_node_diff_matrix_exact_on_full_degree(self, ax, domain, order):
+        # a polynomial of the full degree len(nodes) - 1 at the nodes
+        poly = np.polynomial.Chebyshev(
+            np.random.default_rng(14).standard_normal(len(ax.nodes)),
+            domain=domain)
+        got = node_diff_matrix(ax, order) @ poly(ax.nodes)
+        want = poly.deriv(order)(ax.nodes)
+        assert np.max(np.abs(got - want)) \
+            <= 1e-11 * np.max(np.abs(want)) * len(ax.nodes) ** order
+
+    def test_node_diff_matrix_on_extrema_axis_is_barycentric(self):
+        ax = extrema_axis(7, 0.0, 2.0)
+        d1 = bary_rows(ax, ax.nodes, 1)
+        assert np.array_equal(node_diff_matrix(ax, 1), d1)
+        assert np.array_equal(node_diff_matrix(ax, 2), d1 @ d1)
 
     def test_diff1_matches_differentiation_matrix(self):
         m = 11

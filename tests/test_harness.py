@@ -488,6 +488,23 @@ class TestMain:
         assert "exp smoother takes no exponents" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "4,-inf"])
+    def test_study_non_finite_p_exit_code(self, tmp_path, capsys, p):
+        # nan <= d/2 is False: without its own check a NaN exponent ran
+        code = main(["study", "--problem", "dirichlet-disc", "--grids", "10",
+                     "--p", p, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "smoother exponents must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_run_non_finite_p_list_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = dirichlet-disc\ngrids = 10\n"
+                       f"p_list = 4,nan\nout = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "smoother exponents must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_run_exp_with_p_list_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"problem = dirichlet-disc\ngrids = 10\n"

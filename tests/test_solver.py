@@ -93,7 +93,7 @@ class TestHouseholderQR:
     def test_identity(self):
         fac = householder_qr(np.eye(7))
         assert fac.apply_q(np.eye(7)) == pytest.approx(np.eye(7), abs=0.0)
-        assert fac.r == pytest.approx(np.eye(7), abs=0.0)
+        assert np.triu(fac.upper) == pytest.approx(np.eye(7), abs=0.0)
 
     def test_random_tall(self):
         rng = np.random.default_rng(12)
@@ -101,9 +101,8 @@ class TestHouseholderQR:
         fac = householder_qr(mat)
         q = fac.apply_q(np.eye(20))
         assert np.max(np.abs(q.T @ q - np.eye(20))) < 1e-12
-        assert np.max(np.abs(q @ fac.r - mat)) \
+        assert np.max(np.abs(q @ np.triu(fac.upper) - mat)) \
             < 1e-11 * np.max(np.abs(mat))
-        assert fac.r == pytest.approx(np.triu(fac.r), abs=0.0)
 
     def test_matches_gram_schmidt_oracle(self):
         mat = np.array([[2.0, -1.0, 0.5],
@@ -117,7 +116,8 @@ class TestHouseholderQR:
         q = fac.apply_q(np.eye(3))
         signs = np.sign(np.sum(q * q_ref, axis=0))
         assert q * signs == pytest.approx(q_ref, abs=1e-12)
-        assert signs[:, None] * fac.r == pytest.approx(r_ref, abs=1e-12)
+        assert signs[:, None] * np.triu(fac.upper) == pytest.approx(
+            r_ref, abs=1e-12)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ class TestHouseholderQR:
         n = shape[1]
         fac = householder_qr(mat)
         q_ref, r_ref = np.linalg.qr(mat, mode="reduced")
-        signs = np.sign(np.diag(r_ref)) * np.sign(np.diag(fac.r))
+        signs = np.sign(np.diag(r_ref)) * np.sign(np.diag(fac.upper))
         z = rng.standard_normal(n)
         block = rng.standard_normal((n, 4))
         qz = fac.apply_q(z)
@@ -175,11 +175,12 @@ class TestQRPaths:
         h_ref, _ = np.linalg.qr(mat, mode="raw")
         r_ref = np.triu(h_ref[:, :n].T)
         fac = householder_qr(mat)
+        r = np.triu(fac.upper)
         q = fac.apply_q(np.eye(n))
-        assert np.max(np.abs(q @ fac.r - mat)) <= 1e-13 * np.max(np.abs(mat))
+        assert np.max(np.abs(q @ r - mat)) <= 1e-13 * np.max(np.abs(mat))
         assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
-        assert np.max(np.abs(fac.r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
-        assert np.array_equal(np.sign(np.diag(fac.r)), np.sign(np.diag(r_ref)))
+        assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
+        assert np.array_equal(np.sign(np.diag(r)), np.sign(np.diag(r_ref)))
         # the reflectors' tau: the diagonal of each block reflector's T
         nb = fac.t.shape[0]
         tau = fac.t[np.arange(n) % nb, np.arange(n)]
@@ -187,7 +188,7 @@ class TestQRPaths:
         again = householder_qr(mat)
         assert np.array_equal(again.h, fac.h)
         assert np.array_equal(again.t, fac.t)
-        assert np.array_equal(again.r, fac.r)
+        assert np.array_equal(np.triu(again.upper), np.triu(fac.upper))
 
     def test_fallback_matches_bundled(self, monkeypatch):
         # SciPy's dgeqrt/dgemqrt/dtrtrs against numpy's bundled ones on
@@ -201,8 +202,8 @@ class TestQRPaths:
         for resolver in (ssem.solver._bundled_lapack, lambda: None):
             monkeypatch.setattr(ssem.solver, "_bundled_lapack", resolver)
             fac = householder_qr(mat)
-            runs.append((fac.r, fac.apply_q(z),
-                         ssem.solver.solve_triangular(fac.r, z)))
+            runs.append((np.triu(fac.upper), fac.apply_q(z),
+                         ssem.solver.solve_triangular(fac.upper, z)))
         for bundled, fallback in zip(*runs):
             assert np.max(np.abs(fallback - bundled)) \
                 <= 1e-13 * np.max(np.abs(bundled))
@@ -244,7 +245,7 @@ class TestQRPaths:
         assert np.array_equal(mat, fac.h.T)
         assert np.array_equal(fac.h, ref.h)
         assert np.array_equal(fac.t, ref.t)
-        assert np.array_equal(fac.r, ref.r)
+        assert np.array_equal(np.triu(fac.upper), np.triu(ref.upper))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, qr_path, bad):
@@ -277,9 +278,10 @@ class TestQRPaths:
         # diagonal the pass must not sum
         fac = householder_qr(
             np.random.default_rng(23).standard_normal((n + 50, n)))
-        want = np.sqrt(np.abs(fac.r).sum(axis=0).max()
-                       * np.abs(fac.r).sum(axis=1).max())
-        for r in (fac.r, np.ascontiguousarray(fac.r), fac.upper):
+        tri = np.asfortranarray(np.triu(fac.upper))
+        want = np.sqrt(np.abs(tri).sum(axis=0).max()
+                       * np.abs(tri).sum(axis=1).max())
+        for r in (tri, np.ascontiguousarray(tri), fac.upper):
             assert ssem.solver._norm_estimate(r) == pytest.approx(
                 want, rel=1e-15)
 
@@ -298,22 +300,17 @@ class TestQRPaths:
                                                            rel=1e-9)
 
     def test_r_read_in_place(self, qr_path):
-        # pinv_solve reads R from the factored buffer itself: the same
-        # triangle as the copy r, and bit for bit the same back-solve and
-        # cond (Lanczos at this order)
+        # pinv_solve reads R from the factored buffer itself: bit for bit
+        # the same back-solve and cond (Lanczos at this order) as from a
+        # copy of R with zeros below the diagonal
         rng = np.random.default_rng(29)
         fac = householder_qr(rng.standard_normal((600, 300)))
         b = rng.standard_normal(300)
+        r = np.triu(fac.upper)
         assert np.shares_memory(fac.upper, fac.h)
-        assert np.array_equal(np.triu(fac.upper), fac.r)
         assert np.array_equal(ssem.solver.solve_triangular(fac.upper, b),
-                              ssem.solver.solve_triangular(fac.r, b))
-        assert condition_estimate(fac.upper) == condition_estimate(fac.r)
-
-    def test_r_is_f_ordered(self, qr_path):
-        # LAPACK's triangular solves read R in place
-        fac = householder_qr(np.random.default_rng(24).standard_normal((90, 40)))
-        assert fac.r.flags.f_contiguous
+                              ssem.solver.solve_triangular(r, b))
+        assert condition_estimate(fac.upper) == condition_estimate(r)
 
     def test_bundled_lapack_selected_when_shipped(self):
         # a numpy that still ships scipy-openblas but renames any of the
@@ -335,8 +332,8 @@ class TestRankMargin:
         mat = rng.standard_normal((90, 40))
         mat[:, 7] = mat[:, 3] + 1e-9 * rng.standard_normal(90)
         fac = householder_qr(mat)
-        threshold = RANK_TOL * ssem.solver._norm_estimate(fac.r)
-        want = np.min(np.abs(np.diag(fac.r))) / threshold
+        threshold = RANK_TOL * ssem.solver._norm_estimate(fac.upper)
+        want = np.min(np.abs(np.diag(fac.upper))) / threshold
         assert fac.rank_margin == want
         assert 1.0 < fac.rank_margin < 1e6
 
@@ -351,8 +348,8 @@ class TestRankMargin:
         monkeypatch.setattr(ssem.solver, "householder_qr", recorded)
         system = disc_system(12)
         report = pinv_solve(system, SmootherSpec("power", 4.0))
-        r = factored[0].r
-        threshold = RANK_TOL * ssem.solver._norm_estimate(r)
+        r = np.triu(factored[0].upper)
+        threshold = RANK_TOL * ssem.solver._norm_estimate(factored[0].upper)
         assert report.rank_margin == np.min(np.abs(np.diag(r))) / threshold
         assert (report.n_rows, report.grid_size) == (system.n_rows, 144)
         assert report.n_rows == report.n_omega + report.n_gamma
