@@ -26,6 +26,7 @@ heat equation's three groups on the space-time grid (parabolic.py).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,14 @@ __all__ = [
     "BoundaryConditionSpec",
     "SmootherSpec",
     "ConstraintSystem",
-    "apply_operator",
     "smoother_multiplier_array",
     "apply_smoother_half_inverse",
     "assemble_elliptic",
 ]
 
 # Work on the N x n constraint matrix (filling its rows, scaling them and
-# applying R_V^{-1}, the rank check's pass over R) goes through blocks of
-# about this size, so that no temporary approaches the size of the matrix.
+# applying R_V^{-1}) goes through blocks of about this size, so that no
+# temporary approaches the size of the matrix.
 BLOCK_BYTES = 4 << 20
 
 
@@ -155,22 +155,37 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 def _operator_terms(op: EllipticOperatorSpec, coords: np.ndarray) -> list:
     """Interior rows: the operator's terms, with its coefficients at the
-    node coordinates coords (one row per axis)."""
+    node coordinates coords (one row per axis). Every key of the operator
+    is checked before any coefficient is evaluated: a ValueError names a
+    second-order key that is not a pair of axes in 0..d-1, or a
+    first-order key that is not one such axis."""
     d = len(coords)
 
     def weight(coeff, name):
         return _require_finite(_coeff_values(coeff, *coords),
                                f"operator coefficient {name}")
 
-    def orders(*diff_axes):
-        return [sum(i % d == a for i in diff_axes) for a in range(d)]
+    def orders(key, order):
+        diff_axes = key if order == 2 else (key,)
+        try:
+            valid = len(diff_axes) == order and all(
+                0 <= operator.index(i) < d for i in diff_axes)
+        except TypeError:
+            valid = False
+        if not valid:
+            kind = "a pair of axes" if order == 2 else "an axis"
+            raise ValueError(f"operator order-{order} key {key!r}: expected "
+                             f"{kind} in 0..{d - 1}")
+        return [sum(i == a for i in diff_axes) for a in range(d)]
 
-    terms = [(-weight(a, f"a[{i}, {j}]"), orders(i, j))
-             for (i, j), a in op.second_order.items()]
-    terms += [(weight(b, f"b[{i}]"), orders(i))
-              for i, b in op.first_order.items()]
+    second = {key: orders(key, 2) for key in op.second_order}
+    first = {key: orders(key, 1) for key in op.first_order}
+    terms = [(-weight(a, "a[{}, {}]".format(*key)), second[key])
+             for key, a in op.second_order.items()]
+    terms += [(weight(b, f"b[{key}]"), first[key])
+              for key, b in op.first_order.items()]
     if op.zeroth is not None:
-        terms.append((weight(op.zeroth, "c"), orders()))
+        terms.append((weight(op.zeroth, "c"), [0] * d))
     return terms
 
 
@@ -217,15 +232,6 @@ def _realize(terms, where, axes):
     return [[(w, [rows(a, k) for a, k in enumerate(orders)])
              for w, orders in terms]
             for rows in map(functools.cache, (for_a, for_c))]
-
-
-def apply_operator(u: np.ndarray, op: EllipticOperatorSpec,
-                   interior: InteriorIndexSet, axes) -> np.ndarray:
-    """The operator collocated at the interior nodes, applied to a grid
-    function: the interior rows of C."""
-    terms = _operator_terms(op, interior_coordinates(axes, interior).T)
-    return _apply_terms(_realize(terms, interior, axes)[1],
-                        np.asarray(u, dtype=float), interior.count)
 
 
 def _apply_terms(terms, u: np.ndarray, n_rows: int) -> np.ndarray:

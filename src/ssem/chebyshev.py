@@ -17,6 +17,7 @@ of the defining sums in the test suite.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,17 @@ class ExtremaAxis:
     nodes: np.ndarray
 
 
+def _node_count(value, name: str) -> int:
+    """value as an int, or a ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def roots_axis(m: int) -> RootsAxis:
     """Build the m-point Chebyshev roots axis x_k = cos(pi (2k+1) / (2m))."""
+    m = _node_count(m, "roots axis m")
     if m < 1:
         raise ValueError(f"roots axis needs m >= 1, got {m}")
     k = np.arange(m)
@@ -91,14 +101,19 @@ def roots_axis(m: int) -> RootsAxis:
 
 def extrema_axis(n: int, t_lo: float = 0.0, t_hi: float = 2.0) -> ExtremaAxis:
     """Build the (n+1)-point extrema axis on [t_lo, t_hi]."""
+    n = _node_count(n, "extrema axis n")
     if n < 1:
         raise ValueError(f"extrema axis needs n >= 1, got {n}")
+    t_lo, t_hi = float(t_lo), float(t_hi)
+    if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
+        raise ValueError(f"extrema axis needs finite t_lo < t_hi, got "
+                         f"[{t_lo}, {t_hi}]")
     j = np.arange(n + 1)
     ref = -np.cos(np.pi * j / n)  # -1 .. 1, increasing, endpoints exact
     nodes = t_lo + (ref + 1.0) * (t_hi - t_lo) / 2.0
     nodes[0] = t_lo
     nodes[-1] = t_hi
-    return ExtremaAxis(n=n, t_lo=float(t_lo), t_hi=float(t_hi), nodes=nodes)
+    return ExtremaAxis(n=n, t_lo=t_lo, t_hi=t_hi, nodes=nodes)
 
 
 def _along(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:

@@ -61,8 +61,11 @@ def _parse_p_list(text: str):
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read a flat key = value config file into an ExperimentConfig."""
-    values = {}
+    """Read a flat key = value config file into an ExperimentConfig.
+
+    A key set twice is refused, naming both lines.
+    """
+    values, lines = {}, {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -79,7 +82,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
                                       f"valid keys are {', '.join(CONFIG_KEYS)}")
-                values[key] = val
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is set "
+                                      f"again (first on line {lines[key]})")
+                values[key], lines[key] = val, lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for required in ("problem", "grids", "out"):

@@ -110,7 +110,10 @@ class InteriorIndexSet:
     """Grid multi-indices of the interior nodes, in lexicographic order."""
 
     indices: np.ndarray  # (count, d) integer array
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +122,10 @@ class BoundaryPointSet:
 
     points: np.ndarray   # (count, d)
     normals: np.ndarray  # (count, d)
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.points)
 
 
 def classify_interior(domain: DomainSpec, axes) -> InteriorIndexSet:
@@ -141,7 +147,7 @@ def classify_interior(domain: DomainSpec, axes) -> InteriorIndexSet:
             f"grid points at this resolution"
         )
     idx = np.argwhere(mask)
-    return InteriorIndexSet(indices=idx, count=idx.shape[0])
+    return InteriorIndexSet(indices=idx)
 
 
 def interior_coordinates(axes, interior: InteriorIndexSet) -> np.ndarray:
@@ -252,7 +258,7 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
         all_nrm.append(curve.normal(pts))
     points = _require_in_box(np.concatenate(all_pts, axis=0))
     normals = np.concatenate(all_nrm, axis=0)
-    return BoundaryPointSet(points=points, normals=normals, count=points.shape[0])
+    return BoundaryPointSet(points=points, normals=normals)
 
 
 def sample_boundary_3d(domain: DomainSpec, m: int) -> BoundaryPointSet:
@@ -281,7 +287,7 @@ def sample_boundary_3d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     unit = np.stack([sin_p * np.cos(azim), sin_p * np.sin(azim), z], axis=-1)
     points = _require_in_box(unit * surface.radius(polar, azim)[:, None])
     normals = surface.normal(points)
-    return BoundaryPointSet(points=points, normals=normals, count=n_pts)
+    return BoundaryPointSet(points=points, normals=normals)
 
 
 def sample_boundary(domain: DomainSpec, m: int) -> BoundaryPointSet:

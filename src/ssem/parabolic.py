@@ -119,11 +119,10 @@ def assemble_parabolic(problem: ParabolicProblem,
     lateral_points = _with_times(boundary.points, times[1:])
     lateral_normals = _with_times(boundary.normals, np.zeros(len(times) - 1))
     groups = [
-        (InteriorIndexSet(heat_nodes, len(heat_nodes)), HEAT),
-        (InteriorIndexSet(initial_nodes, len(initial_nodes)),
+        (InteriorIndexSet(heat_nodes), HEAT),
+        (InteriorIndexSet(initial_nodes),
          EllipticOperatorSpec({}, {}, zeroth=1.0, source=lambda *_: u0)),
-        (BoundaryPointSet(lateral_points, lateral_normals,
-                          len(lateral_points)),
+        (BoundaryPointSet(lateral_points, lateral_normals),
          BoundaryConditionSpec(trace=1.0, flux=0.0,
                                data=lambda *_: gvals.ravel())),
     ]

@@ -32,13 +32,13 @@ reflectors, so the solve peaks at about one N x n matrix plus T and the
 workspace (QR_BLOCK x n each). R is never copied: it is the upper
 triangle of the leading n x n block of that buffer (LDA = N), with the
 reflectors below it, and everything that reads R reads that triangle
-only, as LAPACK does with UPLO = 'U': the finiteness and norm pass, the
-Lanczos products (BLAS dtrmv) and the triangular solves (LAPACK
-dtrtrs). dgeqrt, dgemqrt, dtrtrs and dtrmv are called through ctypes
-from the OpenBLAS that numpy bundles (its ILP64 symbols
-scipy_dgeqrt_64_ and so on), which keeps them on numpy's thread pool; a
-numpy without that library runs the same four routines from SciPy, the
-only use of SciPy in a solve.
+only, in place, through LAPACK with UPLO = 'U': the norms of the rank
+check (LAPACK dlantr), the Lanczos products (BLAS dtrmv) and the
+triangular solves (LAPACK dtrtrs). dgeqrt, dgemqrt, dtrtrs, dtrmv and
+dlantr are called through ctypes from the OpenBLAS that numpy bundles
+(its ILP64 symbols scipy_dgeqrt_64_ and so on), which keeps them on
+numpy's thread pool; a numpy without that library runs the same five
+routines from SciPy, the only use of SciPy in a solve.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def _int64(value: int):
 def _leading_dimension(a: np.ndarray) -> int | None:
     """LAPACK's LDA for reading the matrix a in place: its column stride in
     elements. None unless a is float64 with unit row stride and its
-    columns do not overlap (a view such as h.T[:n] has LDA = N > n)."""
+    columns do not overlap (a view such as a[:n] of an F-ordered N x n
+    buffer has LDA = N > n)."""
     if a.dtype != np.float64 or a.ndim != 2:
         return None
     if a.flags.f_contiguous:
@@ -124,8 +125,8 @@ def _readable(r) -> np.ndarray:
 
 @functools.cache
 def _bundled_lapack():
-    """dgeqrt, dgemqrt, dtrtrs and the BLAS dtrmv from the OpenBLAS bundled
-    with numpy, or None unless all four resolve.
+    """dgeqrt, dgemqrt, dtrtrs, the BLAS dtrmv and dlantr from the OpenBLAS
+    bundled with numpy, or None unless all five resolve.
 
     numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols:
     every integer argument is a pointer to an int64, and each character
@@ -143,9 +144,9 @@ def _bundled_lapack():
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-            geqrt, gemqrt, trtrs, trmv = (
-                getattr(lib, f"scipy_{name}_64_")
-                for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv"))
+            geqrt, gemqrt, trtrs, trmv, lantr = (
+                getattr(lib, f"scipy_{name}_64_") for name in
+                ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv", "dlantr"))
         except (OSError, AttributeError):
             continue
         break
@@ -165,6 +166,9 @@ def _bundled_lapack():
     trmv.argtypes = [char] * 3 + [i64, ptr, i64, ptr, i64] + [size] * 3
     for routine in (geqrt, gemqrt, trtrs, trmv):
         routine.restype = None
+    # NORM, UPLO, DIAG, M, N, A, LDA, WORK; returns a double
+    lantr.argtypes = [char] * 3 + [i64, i64, ptr, i64, ptr] + [size] * 3
+    lantr.restype = ctypes.c_double
 
     def dgeqrt(nb, a, overwrite_a=1):
         lda, = _leading_dimensions(a)
@@ -201,19 +205,29 @@ def _bundled_lapack():
              a.ctypes.data, _int64(lda), x.ctypes.data, _int64(1), 1, 1, 1)
         return x
 
-    return dgeqrt, dgemqrt, dtrtrs, dtrmv
+    def dlantr(norm, a):
+        # the upper triangle, non-unit diagonal; 'I' sums rows into work
+        lda, = _leading_dimensions(a)
+        work = np.empty(max(1, a.shape[0]))
+        return lantr(norm, b"U", b"N", _int64(a.shape[0]),
+                     _int64(a.shape[1]), a.ctypes.data, _int64(lda),
+                     work.ctypes.data, 1, 1, 1)
+
+    return dgeqrt, dgemqrt, dtrtrs, dtrmv, dlantr
 
 
 def _lapack():
-    """(dgeqrt, dgemqrt, dtrtrs, dtrmv) with SciPy's signatures: numpy's
-    bundled ones, or SciPy's lapack and blas where those do not resolve.
-    Callers pass float64 arrays with unit row stride and overwrite_*=1, so
-    both work in place (f2py copies a strided matrix first)."""
+    """(dgeqrt, dgemqrt, dtrtrs, dtrmv, dlantr) with SciPy's signatures:
+    numpy's bundled ones, or SciPy's lapack and blas where those do not
+    resolve. Callers pass float64 arrays with unit row stride and
+    overwrite_*=1, so both work in place (f2py copies a strided matrix
+    first)."""
     bundled = _bundled_lapack()
     if bundled is not None:
         return bundled
     from scipy.linalg import blas, lapack
-    return lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, blas.dtrmv
+    return (lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, blas.dtrmv,
+            lapack.dlantr)
 
 
 def _require(name: str, info: int) -> None:
@@ -247,32 +261,30 @@ class RankDeficientError(RuntimeError):
 class QRFactorization:
     """Thin QR of a tall N x n matrix, kept as LAPACK dgeqrt left it.
 
-    h.T (N x n) holds R on and above its diagonal and the Householder
-    reflectors below it; t holds the upper-triangular T of each block
-    reflector, side by side (QR_BLOCK x n). rank_margin is min |R_ii|
-    over the rank threshold householder_qr applied (above 1 when it
-    passed). Q is applied by apply_q and never formed.
-    h.T is F-contiguous, so LAPACK reads it in place; when dgeqrt ran in
-    place (pinv_solve's case) h.T is the very buffer that held the
-    factored matrix, so the factorization costs no second N x n array,
-    and upper reads R from it without a copy.
+    a is dgeqrt's F-ordered N x n buffer: R on and above its diagonal,
+    the Householder reflectors below it. When dgeqrt ran in place
+    (pinv_solve's case) it is the buffer that held the factored matrix,
+    so the factorization costs no second N x n array. t holds the
+    upper-triangular T of each block reflector, side by side
+    (QR_BLOCK x n). rank_margin is min |R_ii| over the rank threshold
+    householder_qr applied (above 1 when it passed). Q is applied by
+    apply_q and never formed.
     """
 
-    h: np.ndarray
+    a: np.ndarray
     t: np.ndarray
     rank_margin: float
 
     @property
     def upper(self) -> np.ndarray:
-        """The leading n x n block of h.T, a view (LDA = N): R is its upper
+        """The leading n x n block of a, a view (LDA = N): R is its upper
         triangle and the reflectors lie below it. condition_estimate and
         solve_triangular read it in place."""
-        return self.h.T[:self.h.shape[0]]
+        return self.a[:self.a.shape[1]]
 
     def apply_q(self, z: np.ndarray) -> np.ndarray:
-        """Q z for z of shape (n,) or (n, k), by LAPACK dgemqrt on h.T."""
-        refl = self.h.T
-        big, n = refl.shape
+        """Q z for z of shape (n,) or (n, k), by LAPACK dgemqrt on a."""
+        big, n = self.a.shape
         z = np.asarray(z, dtype=float)
         if z.ndim not in (1, 2) or z.shape[0] != n:
             raise ValueError(
@@ -280,7 +292,7 @@ class QRFactorization:
             )
         c = np.zeros((big, z.size // n), order="F")
         c[:n] = z.reshape(n, -1)
-        qz, info = _lapack()[1](refl, self.t, c, overwrite_c=1)
+        qz, info = _lapack()[1](self.a, self.t, c, overwrite_c=1)
         _require("dgemqrt", info)
         return qz.reshape((big,) + z.shape[1:])
 
@@ -288,27 +300,13 @@ class QRFactorization:
 def _norm_estimate(r: np.ndarray) -> float:
     """sqrt(||R||_1 ||R||_inf) >= ||R||_2 for R the upper triangle of r.
 
-    Cheap and deterministic: the column and row sums of |R| come from one
-    pass over r's upper triangle, a block of columns at a time (contiguous
-    when r has unit row stride). What lies below r's diagonal is never
-    summed, so r may be QRFactorization.upper. NaN or inf in R propagates
-    into the result.
+    Both norms come from LAPACK dlantr, which reads only that triangle,
+    in place when r has unit row stride, so r may be
+    QRFactorization.upper. NaN or inf in R propagates into the result.
     """
-    n = r.shape[1]
-    col_sums = np.empty(n)
-    row_sums = np.zeros(n)
-    step = max(1, BLOCK_BYTES // (8 * max(1, n)))
-    for j in range(0, n, step):
-        block = np.abs(r[:j + step, j:j + step])
-        # zero the strictly lower part of the (square) diagonal block, in
-        # place; no name holds the view, so del frees the block
-        np.copyto(block[j:], 0.0,
-                  where=np.tri(block.shape[1], k=-1, dtype=bool))
-        col_sums[j:j + step] = block.sum(axis=0)
-        row_sums[:j + step] += block.sum(axis=1)
-        del block  # before the next, taller block is allocated
-    return float(np.sqrt(col_sums.max(initial=0.0)
-                         * row_sums.max(initial=0.0)))
+    r = _readable(r)
+    lantr = _lapack()[4]
+    return float(np.sqrt(lantr(b"1", r) * lantr(b"I", r)))
 
 
 def householder_qr(mat: np.ndarray) -> QRFactorization:
@@ -317,7 +315,7 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     dgeqrt factors blocks of QR_BLOCK columns, each panel recursively. It
     factors np.asfortranarray(mat, dtype=float) in place, like SciPy's
     overwrite_a: an F-contiguous float64 mat (pinv_solve passes one) is
-    overwritten by the reflectors and R, and the result's h.T is mat
+    overwritten by the reflectors and R, and the result's a is mat
     itself; any other mat is copied once and left unchanged.
 
     Raises ValueError for non-finite input, and RankDeficientError naming
@@ -348,7 +346,7 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     bad = np.flatnonzero(diag < threshold)
     if bad.size:
         raise RankDeficientError(int(bad[0]), float(diag[bad[0]]), threshold)
-    return QRFactorization(h=buf.T, t=t,
+    return QRFactorization(a=buf, t=t,
                            rank_margin=float(diag.min(initial=np.inf)
                                              / threshold))
 
@@ -408,7 +406,7 @@ def condition_estimate(r: np.ndarray) -> float:
         return np.inf
     if n < LANCZOS_MIN_ORDER:
         return _dense_cond(np.triu(r))
-    _, _, trtrs, trmv = _lapack()
+    trtrs, trmv = _lapack()[2:4]
 
     def gram(x):
         y = trmv(r, x.copy(), overwrite_x=1)
@@ -550,7 +548,7 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     _scale_rows(mat.reshape((system.n_rows,) + shape), mult * scale,
                 inverses)
     marks.append(time.perf_counter())
-    # dgeqrt overwrites mat: fac.h is mat's buffer from here on
+    # dgeqrt overwrites mat: fac.a is mat's buffer from here on
     fac = householder_qr(mat.T)
     del mat
     marks.append(time.perf_counter())

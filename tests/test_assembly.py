@@ -10,9 +10,9 @@ from ssem.assembly import (
     ConstraintSystem,
     EllipticOperatorSpec,
     SmootherSpec,
-    apply_operator,
     apply_smoother_half_inverse,
     assemble_elliptic,
+    build_system,
     smoother_multiplier_array,
 )
 from ssem.chebyshev import (
@@ -24,12 +24,14 @@ from ssem.chebyshev import (
     synthesis,
 )
 from ssem.geometry import (
+    BoundaryPointSet,
     DomainSpec,
     StarSurface,
     annulus_domain,
     classify_interior,
     disc_domain,
     interior_coordinates,
+    star_ball_domain,
     star_domain,
 )
 
@@ -62,6 +64,15 @@ def boundary_values(domain, m, bc, u_fn):
     return vals, system.boundary.points, system.boundary.normals
 
 
+def interior_values(u, op, interior, axes):
+    """The interior rows of C, for op collocated at interior, applied to
+    the grid function u: a system of that one group."""
+    d = len(axes)
+    no_boundary = BoundaryPointSet(np.empty((0, d)), np.empty((0, d)))
+    return build_system(axes, [(interior, op)], interior, no_boundary,
+                        None).apply(u)
+
+
 def disc_setup(m=10):
     axes = (roots_axis(m), roots_axis(m))
     domain = disc_domain()
@@ -74,7 +85,7 @@ class TestApplyOperator:
     def test_harmonic_polynomial(self):
         axes, _, interior, _ = disc_setup()
         u = axes[0].nodes[:, None] ** 2 - axes[1].nodes[None, :] ** 2
-        vals = apply_operator(u, LAPLACE, interior, axes)
+        vals = interior_values(u, LAPLACE, interior, axes)
         assert np.max(np.abs(vals)) < 1e-10
 
     def test_variable_coefficients(self):
@@ -83,7 +94,7 @@ class TestApplyOperator:
         interior = classify_interior(star_domain(), axes)
         coords = interior_coordinates(axes, interior)
         u = axes[0].nodes[:, None] ** 3 + axes[1].nodes[None, :] ** 3
-        vals = apply_operator(u, VARCOEF, interior, axes)
+        vals = interior_values(u, VARCOEF, interior, axes)
         expect = -12.0 * (coords[:, 0] + coords[:, 1])
         assert np.max(np.abs(vals - expect)) < 1e-9
 
@@ -93,7 +104,7 @@ class TestApplyOperator:
         u = rng.standard_normal((10, 10))
         spec = EllipticOperatorSpec(second_order={}, first_order={},
                                     zeroth=1.0, source=0.0)
-        vals = apply_operator(u, spec, interior, axes)
+        vals = interior_values(u, spec, interior, axes)
         assert vals == pytest.approx(u[tuple(interior.indices.T)], abs=0.0)
 
     def test_first_order_term(self):
@@ -101,7 +112,7 @@ class TestApplyOperator:
         u = np.broadcast_to(axes[0].nodes[:, None] ** 2, (10, 10)).copy()
         spec = EllipticOperatorSpec(second_order={}, first_order={0: 1.0},
                                     zeroth=None, source=0.0)
-        vals = apply_operator(u, spec, interior, axes)
+        vals = interior_values(u, spec, interior, axes)
         assert vals == pytest.approx(2.0 * coords[:, 0], abs=1e-11)
 
 
@@ -168,6 +179,46 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=rf"^{re.escape(culprit)}: "
                                              rf"{kind} at \d+ of \d+ points"):
             assemble_elliptic(disc_domain(), axes, op, bc)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("field, key", [
+        ("second_order", (3, 3)), ("second_order", (-1, -1)),
+        ("second_order", (0, 3)), ("second_order", 0),
+        ("second_order", (0, 0, 0)), ("first_order", 3),
+        ("first_order", -1), ("first_order", (0,)), ("first_order", 0.0)])
+    def test_operator_axis_out_of_range_rejected(self, d, field, key):
+        # axis i was taken as i % d, so (3, 3) on a 2-D grid solved the
+        # Laplacian
+        calls = []
+
+        def coeff(*coords):
+            calls.append(1)
+            return 1.0
+
+        spec = {"second_order": {}, "first_order": {}}
+        spec[field] = {key: coeff}
+        op = EllipticOperatorSpec(**spec)
+        axes = (roots_axis(6),) * d
+        domain = disc_domain() if d == 2 else star_ball_domain()
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=0.0)
+        order = 2 if field == "second_order" else 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"operator order-{order} key {key!r}: expected")):
+            assemble_elliptic(domain, axes, op, bc)
+        assert not calls  # refused before any coefficient is evaluated
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_axis_in_range_accepted(self, d):
+        # the last axis, e.g. the heat operator's u_t on (x, y, t)
+        op = EllipticOperatorSpec(
+            second_order={(d - 1, d - 1): 1.0, (0, d - 1): 0.5,
+                          (d - 1, 0): 0.5},
+            first_order={d - 1: 1.0}, zeroth=1.0)
+        axes = (roots_axis(6),) * d
+        domain = disc_domain() if d == 2 else star_ball_domain()
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=0.0)
+        system = assemble_elliptic(domain, axes, op, bc)
+        assert system.coefficient_matrix().shape == (system.n_rows, 6 ** d)
 
     def test_boundary_samples_outside_box_rejected(self):
         # a ball of radius 1.2: its Fibonacci samples leave (-1, 1)^3

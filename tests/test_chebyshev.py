@@ -99,6 +99,35 @@ class TestAxes:
         with pytest.raises(ValueError):
             roots_axis(0)
 
+    @pytest.mark.parametrize("m", [5.5, 4.0, "6"])
+    def test_roots_axis_needs_an_integer(self, m):
+        # np.arange(5.5) has 6 entries: a fractional m made a 6-node axis
+        with pytest.raises(ValueError, match="roots axis m must be an "
+                                             "integer"):
+            roots_axis(m)
+
+    def test_extrema_axis_needs_an_integer(self):
+        with pytest.raises(ValueError, match="extrema axis n must be an "
+                                             "integer"):
+            extrema_axis(4.5)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.0, np.nan), (np.nan, 1.0),
+                                            (-np.inf, 1.0), (0.0, np.inf)])
+    def test_extrema_axis_needs_finite_bounds(self, t_lo, t_hi):
+        with pytest.raises(ValueError, match="finite t_lo < t_hi"):
+            extrema_axis(4, t_lo, t_hi)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(1.0, 1.0), (2.0, 0.0)])
+    def test_extrema_axis_needs_increasing_bounds(self, t_lo, t_hi):
+        # equal bounds gave five equal nodes, on which the barycentric
+        # and basis rows divide by zero
+        with pytest.raises(ValueError, match="finite t_lo < t_hi"):
+            extrema_axis(4, t_lo, t_hi)
+
+    def test_numpy_integers_accepted(self):
+        assert roots_axis(np.int64(5)).nodes.shape == (5,)
+        assert extrema_axis(np.int32(4), 0, 2).nodes.shape == (5,)
+
     def test_extrema_endpoints_exact(self):
         ax = extrema_axis(10, 0.0, 2.0)
         assert ax.nodes[0] == 0.0

@@ -342,6 +342,16 @@ out = results.csv   # destination
             with pytest.raises(ConfigError):
                 parse_config(path)
 
+    def test_repeated_key(self, tmp_path):
+        # the second problem used to win silently
+        path = self.write(tmp_path, "problem = dirichlet-disc\ngrids = 10\n"
+                          "p_list = 4\n\nproblem = dirichlet-star\n"
+                          "out = r.csv\n")
+        with pytest.raises(ConfigError, match=r"exp\.cfg:5: key 'problem' "
+                                              r"is set again \(first on "
+                                              r"line 1\)"):
+            parse_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "absent.cfg"))
@@ -503,6 +513,14 @@ class TestMain:
                        f"p_list = 4,nan\nout = {tmp_path / 'x.csv'}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "smoother exponents must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_run_repeated_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = dirichlet-disc\ngrids = 10\np_list = 4\n"
+                       f"grids = 12\nout = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "key 'grids' is set again" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_run_exp_with_p_list_exit_code(self, tmp_path, capsys):

@@ -186,7 +186,7 @@ class TestQRPaths:
         tau = fac.t[np.arange(n) % nb, np.arange(n)]
         assert np.all(((tau >= 1.0) & (tau <= 2.0)) | (tau == 0.0))
         again = householder_qr(mat)
-        assert np.array_equal(again.h, fac.h)
+        assert np.array_equal(again.a, fac.a)
         assert np.array_equal(again.t, fac.t)
         assert np.array_equal(np.triu(again.upper), np.triu(fac.upper))
 
@@ -213,7 +213,7 @@ class TestQRPaths:
         # row-strided matrix is refused, not read with the wrong strides
         if ssem.solver._bundled_lapack() is None:
             pytest.skip("numpy's bundled LAPACK is not available")
-        geqrt, gemqrt, trtrs, trmv = ssem.solver._bundled_lapack()
+        geqrt, gemqrt, trtrs, trmv, lantr = ssem.solver._bundled_lapack()
         refused = "float64 matrices with unit row stride"
         every_other_row = np.asfortranarray(np.eye(6))[::2, :3]
         with pytest.raises(ValueError, match=refused):
@@ -227,6 +227,10 @@ class TestQRPaths:
         with pytest.raises(ValueError, match=refused):
             gemqrt(np.asfortranarray(np.eye(6, 3)),
                    np.asfortranarray(np.eye(3)), np.ones((6, 2)))
+        with pytest.raises(ValueError, match=refused):
+            lantr(b"1", np.ones((3, 3)))
+        with pytest.raises(ValueError, match=refused):
+            lantr(b"I", every_other_row)
 
     def test_c_ordered_argument_unchanged(self, qr_path):
         mat = np.random.default_rng(20).standard_normal((60, 25))
@@ -241,9 +245,9 @@ class TestQRPaths:
             np.random.default_rng(21).standard_normal((60, 25)))
         ref = householder_qr(mat.copy())
         fac = householder_qr(mat)
-        assert np.shares_memory(fac.h, mat)
-        assert np.array_equal(mat, fac.h.T)
-        assert np.array_equal(fac.h, ref.h)
+        assert np.shares_memory(fac.a, mat)
+        assert np.array_equal(mat, fac.a)
+        assert np.array_equal(fac.a, ref.a)
         assert np.array_equal(fac.t, ref.t)
         assert np.array_equal(np.triu(fac.upper), np.triu(ref.upper))
 
@@ -255,35 +259,58 @@ class TestQRPaths:
             householder_qr(mat)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_past_first_block_rejected(self, qr_path,
-                                                  monkeypatch, bad):
+    def test_non_finite_past_first_block_rejected(self, qr_path, bad):
         # in the last column of a square matrix, past dgeqrt's first
-        # column block and the norm pass's first 16-column block: its
-        # reflector is trivial (tau = 0), so only R carries the NaN
-        monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", 8 * 200 * 16)
+        # column block: its reflector is trivial (tau = 0), so only R
+        # carries the NaN, and only the norms of R (dlantr) can see it
         mat = np.random.default_rng(22).standard_normal((200, 200))
         mat[40, -1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             householder_qr(mat)
 
-    @pytest.mark.parametrize("n, block_bytes", [(150, 8 * 150 * 7),
-                                                (400, 4 << 20)])
-    def test_norm_estimate_matches_two_pass_formula(self, monkeypatch, n,
-                                                    block_bytes):
-        # the rank threshold's sqrt(||R||_1 ||R||_inf), once from a pass
-        # over R's column blocks (7 columns at a time, and one block),
-        # against the column and row sums of the whole |R|
-        monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", block_bytes)
-        # and from the in-place block, whose reflectors below the
-        # diagonal the pass must not sum
+    @staticmethod
+    def upper_triangle(n):
+        """(R, F-ordered with zeros below, and the factorization it came
+        from) for a random (n + 50) x n matrix."""
         fac = householder_qr(
             np.random.default_rng(23).standard_normal((n + 50, n)))
-        tri = np.asfortranarray(np.triu(fac.upper))
+        return np.asfortranarray(np.triu(fac.upper)), fac
+
+    @pytest.mark.parametrize("n", [150, 400])
+    def test_norm_estimate_matches_two_pass_formula(self, qr_path, n):
+        # the rank threshold's sqrt(||R||_1 ||R||_inf) by dlantr, against
+        # the column and row sums of the whole |R|: on R F-ordered,
+        # C-ordered, every other row of a taller buffer (row stride 2)
+        # and in place, where the reflectors lie below the diagonal
+        tri, fac = self.upper_triangle(n)
         want = np.sqrt(np.abs(tri).sum(axis=0).max()
                        * np.abs(tri).sum(axis=1).max())
-        for r in (tri, np.ascontiguousarray(tri), fac.upper):
+        strided = np.zeros((2 * n, n), order="F")
+        strided[::2] = tri
+        for r in (tri, np.ascontiguousarray(tri), strided[::2], fac.upper):
             assert ssem.solver._norm_estimate(r) == pytest.approx(
                 want, rel=1e-15)
+
+    def test_norm_estimate_ignores_the_lower_part(self, qr_path):
+        # only the upper triangle is read: garbage below the diagonal,
+        # NaN and inf included, leaves the estimate bit for bit
+        tri, _ = self.upper_triangle(150)
+        garbage = np.tril(np.random.default_rng(24).standard_normal(
+            tri.shape), -1)
+        garbage[5, 0], garbage[149, 148] = np.nan, np.inf
+        assert ssem.solver._norm_estimate(tri + garbage) \
+            == ssem.solver._norm_estimate(tri)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_norm_estimate_propagates_non_finite(self, qr_path, bad):
+        # one NaN or inf on or above the diagonal reaches the estimate,
+        # which is how householder_qr sees a non-finite R
+        clean, _ = self.upper_triangle(150)
+        for i, j in ((0, 0), (3, 140), (149, 149)):
+            tri = clean.copy(order="F")
+            tri[i, j] = bad
+            got = ssem.solver._norm_estimate(tri)
+            assert np.isnan(got) if np.isnan(bad) else got == np.inf
 
     def test_triangular_solves_on_both_paths(self, qr_path):
         # the back-solve and the Lanczos cond run on the selected binding
@@ -307,20 +334,20 @@ class TestQRPaths:
         fac = householder_qr(rng.standard_normal((600, 300)))
         b = rng.standard_normal(300)
         r = np.triu(fac.upper)
-        assert np.shares_memory(fac.upper, fac.h)
+        assert np.shares_memory(fac.upper, fac.a)
         assert np.array_equal(ssem.solver.solve_triangular(fac.upper, b),
                               ssem.solver.solve_triangular(r, b))
         assert condition_estimate(fac.upper) == condition_estimate(r)
 
     def test_bundled_lapack_selected_when_shipped(self):
         # a numpy that still ships scipy-openblas but renames any of the
-        # four symbols must fail here, not fall back silently to SciPy
+        # five symbols must fail here, not fall back silently to SciPy
         libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
                       .glob("libscipy_openblas64_*.so"))
         if not libs:
             pytest.skip("this numpy does not bundle scipy-openblas")
         exported = [ctypes.CDLL(str(path)) for path in libs]
-        for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv"):
+        for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv", "dlantr"):
             assert any(hasattr(lib, f"scipy_{name}_64_") for lib in exported)
         assert ssem.solver._bundled_lapack() is not None
         assert ssem.solver._lapack() is ssem.solver._bundled_lapack()
