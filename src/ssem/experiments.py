@@ -11,6 +11,7 @@ are flagged and excluded from order fits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,17 @@ class ExperimentConfig:
             )
         if not self.grids:
             raise ConfigError("grids must be a non-empty list of sizes")
+        for m in self.grids:
+            try:
+                operator.index(m)
+            except TypeError:
+                raise ConfigError(
+                    f"grid sizes must be integers, got {m!r}") from None
+        repeated = [m for i, m in enumerate(self.grids)
+                    if m in self.grids[:i]]
+        if repeated:
+            raise ConfigError(f"grid size {repeated[0]} is listed twice in "
+                              f"{list(self.grids)}")
         if any(m < 6 for m in self.grids):
             raise ConfigError(f"grid sizes must be >= 6, got {list(self.grids)}")
         if self.smoother not in ("power", "exp"):

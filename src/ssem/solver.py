@@ -21,9 +21,11 @@ QR_BLOCK. dgeqrt leaves the Householder reflectors below R and returns
 the upper-triangular T of each block reflector. Q' is never formed: the
 factorization keeps the reflectors and T, and dgemqrt applies them to
 the one vector R^{-T} b. cond = sigma_max / sigma_min comes from two
-Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. A
-cond above 1 / RANK_TOL is refused as rank loss, like a negligible
-|R_ii|.
+Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. Each
+run stops once the error bound of its top Ritz value, (Ritz residual)^2
+over the Ritz gap, is at rounding level and the residual itself is
+small (see the LANCZOS_* constants). A cond above 1 / RANK_TOL is
+refused as rank loss, like a negligible |R_ii|.
 
 Memory and passes: pinv_solve builds A once and turns it into M' in
 place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
@@ -38,7 +40,10 @@ triangular solves (LAPACK dtrtrs). dgeqrt, dgemqrt, dtrtrs, dtrmv and
 dlantr are called through ctypes from the OpenBLAS that numpy bundles
 (its ILP64 symbols scipy_dgeqrt_64_ and so on), which keeps them on
 numpy's thread pool; a numpy without that library runs the same five
-routines from SciPy, the only use of SciPy in a solve.
+routines from SciPy, the only use of SciPy in a solve. For the Lanczos
+runs, R's layout is checked and its arguments are built once per
+condition_estimate call, so each step is two dtrmv or two dtrtrs calls
+on one reused vector.
 """
 
 from __future__ import annotations
@@ -72,13 +77,21 @@ RANK_TOL = 1e-13
 # A smoother callable whose probed multiplier misses a random coefficient
 # tensor by more than this (relative) is not diagonal in the basis.
 DIAGONAL_TOL = 1e-10
-# Lanczos for cond: a run ends when the Ritz residual bound of its top
-# Ritz value theta falls to LANCZOS_TOL * theta. Below LANCZOS_MIN_ORDER
-# a dense SVD of R is cheaper than the two runs (measured crossover
-# between n = 100 and 150 on 2 cores); a run that has not converged in
-# LANCZOS_MAX_STEPS steps takes the dense SVD too.
+# Lanczos for cond: a run ends when the error bound of its top Ritz value
+# theta, (Ritz residual)^2 / (gap to the next Ritz value), falls to
+# LANCZOS_ERROR_TOL * theta, so theta is exact to rounding. A pair of
+# eigenvalues too close for the run to resolve shows a large Ritz gap,
+# and its theta is off by about the residual; so that bound counts only
+# once the residual is below LANCZOS_CLUSTER_TOL * theta. A gap too
+# small for the bound falls back to the residual reaching
+# LANCZOS_TOL * theta. Below LANCZOS_MIN_ORDER a dense SVD of R is
+# cheaper than the two runs (measured crossover between n = 93 and 103
+# on 2 cores); a run that has not converged in LANCZOS_MAX_STEPS steps
+# takes the dense SVD too.
+LANCZOS_ERROR_TOL = np.finfo(float).eps
+LANCZOS_CLUSTER_TOL = 1e-10
 LANCZOS_TOL = 1e-14
-LANCZOS_MIN_ORDER = 128
+LANCZOS_MIN_ORDER = 100
 LANCZOS_MAX_STEPS = 100
 # Column block of the dgeqrt factorization (its NB), capped at n.
 QR_BLOCK = 128
@@ -125,8 +138,9 @@ def _readable(r) -> np.ndarray:
 
 @functools.cache
 def _bundled_lapack():
-    """dgeqrt, dgemqrt, dtrtrs, the BLAS dtrmv and dlantr from the OpenBLAS
-    bundled with numpy, or None unless all five resolve.
+    """(dgeqrt, dgemqrt, dtrtrs, grams, dlantr) on the OpenBLAS bundled
+    with numpy, grams by the BLAS dtrmv and dtrtrs; None unless all five
+    routines resolve.
 
     numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols:
     every integer argument is a pointer to an int64, and each character
@@ -134,11 +148,11 @@ def _bundled_lapack():
     The library is already loaded by numpy, so this opens the same copy
     and the same thread pool. Resolved on first use, not at import.
 
-    The wrappers take the arguments of SciPy's lapack and blas functions
-    that pinv_solve uses, and work in place on the arrays they are given,
-    as SciPy's do with overwrite_a/_b/_c/_x=1. A matrix is read with the
-    LDA of its column stride, so a view into a larger F-ordered buffer
-    needs no copy.
+    The wrappers take the arguments of SciPy's lapack functions that
+    pinv_solve uses, and work in place on the arrays they are given, as
+    SciPy's do with overwrite_a/_b/_c=1; grams is _scipy_grams' twin. A
+    matrix is read with the LDA of its column stride, so a view into a
+    larger F-ordered buffer needs no copy.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
@@ -198,12 +212,31 @@ def _bundled_lapack():
               b.ctypes.data, _int64(ldb), info, 1, 1, 1)
         return b, info.value
 
-    def dtrmv(a, x, trans=0, overwrite_x=1):
-        # x as one column: a strided x is refused like a strided matrix
-        lda, _ = _leading_dimensions(a, x.reshape(-1, 1))
-        trmv(b"U", b"T" if trans else b"N", b"N", _int64(a.shape[0]),
-             a.ctypes.data, _int64(lda), x.ctypes.data, _int64(1), 1, 1, 1)
-        return x
+    def grams(a):
+        # R's layout is checked and its arguments built here, once; each
+        # call of gram or inverse_gram is then two BLAS or LAPACK calls
+        lda, = _leading_dimensions(a)
+        x = np.zeros(a.shape[0])
+        dim, ld, one = _int64(len(x)), _int64(lda), _int64(1)
+        # data_as keeps a reference to its array, so a and x stay alive
+        ptr_a, ptr_x = (v.ctypes.data_as(ctypes.c_void_p) for v in (a, x))
+        info = ctypes.c_int64()
+
+        def gram(v):
+            x[:] = v
+            for trans in (b"N", b"T"):
+                trmv(b"U", trans, b"N", dim, ptr_a, ld, ptr_x, one, 1, 1, 1)
+            return x
+
+        def inverse_gram(v):
+            x[:] = v
+            for trans in (b"T", b"N"):
+                trtrs(b"U", trans, b"N", dim, one, ptr_a, ld, ptr_x, dim,
+                      info, 1, 1, 1)
+                _require("dtrtrs", info.value)
+            return x
+
+        return gram, inverse_gram
 
     def dlantr(norm, a):
         # the upper triangle, non-unit diagonal; 'I' sums rows into work
@@ -213,20 +246,51 @@ def _bundled_lapack():
                      _int64(a.shape[1]), a.ctypes.data, _int64(lda),
                      work.ctypes.data, 1, 1, 1)
 
-    return dgeqrt, dgemqrt, dtrtrs, dtrmv, dlantr
+    return dgeqrt, dgemqrt, dtrtrs, grams, dlantr
+
+
+def _scipy_grams(a):
+    """(gram, inverse_gram) for R, the upper triangle of the n x n a:
+    gram(v) is R^T R v and inverse_gram(v) is R^{-1} R^{-T} v, by two
+    BLAS dtrmv or two LAPACK dtrtrs calls in place on one vector, which
+    each call returns and the next overwrites.
+
+    The SciPy twin of the bundled grams. f2py copies a strided matrix on
+    every call, so a strided a (QRFactorization.upper) is copied once
+    here instead.
+    """
+    from scipy.linalg import blas, lapack
+    a = np.asfortranarray(a, dtype=float)
+    x = np.zeros(a.shape[0])
+    col = x.reshape(-1, 1)
+
+    def gram(v):
+        x[:] = v
+        for trans in (0, 1):
+            blas.dtrmv(a, x, trans=trans, overwrite_x=1)
+        return x
+
+    def inverse_gram(v):
+        x[:] = v
+        for trans in (1, 0):
+            _require("dtrtrs",
+                     lapack.dtrtrs(a, col, trans=trans, overwrite_b=1)[1])
+        return x
+
+    return gram, inverse_gram
 
 
 def _lapack():
-    """(dgeqrt, dgemqrt, dtrtrs, dtrmv, dlantr) with SciPy's signatures:
-    numpy's bundled ones, or SciPy's lapack and blas where those do not
-    resolve. Callers pass float64 arrays with unit row stride and
-    overwrite_*=1, so both work in place (f2py copies a strided matrix
-    first)."""
+    """(dgeqrt, dgemqrt, dtrtrs, grams, dlantr): numpy's bundled ones, or
+    SciPy's lapack and _scipy_grams where those do not resolve. The LAPACK
+    routines take SciPy's signatures. Callers pass float64 arrays with
+    unit row stride and overwrite_*=1, so both work in place (f2py copies
+    a strided matrix first)."""
     bundled = _bundled_lapack()
     if bundled is not None:
         return bundled
-    from scipy.linalg import blas, lapack
-    return (lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, blas.dtrmv,
+    from scipy.linalg import lapack
+    return (lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, _scipy_grams,
             lapack.dlantr)
 
 
@@ -363,29 +427,44 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
     None when LANCZOS_MAX_STEPS Lanczos steps do not find it.
 
     Lanczos with full reorthogonalization from a fixed start vector, so
-    repeat runs agree bit for bit. A run stops on the Ritz residual bound
-    |beta_j s_j| <= LANCZOS_TOL * theta, with theta the top eigenvalue of
-    the j x j tridiagonal T_j and s_j the last entry of its eigenvector
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
+    repeat runs agree bit for bit. matvec(v) returns A v in an array that
+    the run may overwrite. With theta_1 > theta_2 the top Ritz values of
+    the j x j tridiagonal T_j and s_j the last entry of theta_1's
+    eigenvector, |beta_j s_j| is the Ritz residual and about
+    (beta_j s_j)^2 / (theta_1 - theta_2) the error of theta_1 (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 11 and 13). That bound trusts
+    the Ritz gap, which an unresolved close pair of eigenvalues hides: it
+    then misses an error of about the residual. So a run stops when the
+    residual is below LANCZOS_CLUSTER_TOL * theta_1 and the bound below
+    LANCZOS_ERROR_TOL * theta_1, or, for a gap too small for the bound to
+    help, when the residual falls to LANCZOS_TOL * theta_1; so no run
+    takes more steps than that residual test alone would.
     """
     steps = min(n, LANCZOS_MAX_STEPS)
     basis = np.zeros((steps + 1, n))
     tri = np.zeros((steps + 1, steps + 1))
+    coef, proj = np.empty(steps + 1), np.empty(n)
     start = np.random.default_rng(0).standard_normal(n)
     basis[0] = start / np.linalg.norm(start)
     for j in range(steps):
         w = matvec(basis[j])
+        head = basis[:j + 1]
         tri[j, j] = basis[j] @ w
         # Gram-Schmidt twice against the whole basis: the three-term
         # recurrence and the full reorthogonalization in one
         for _ in range(2):
-            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
-        beta = np.linalg.norm(w)
+            w -= np.matmul(np.matmul(head, w, out=coef[:j + 1]), head,
+                           out=proj)
+        beta = np.sqrt(w @ w)
         theta, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
-        if abs(beta * vecs[-1, -1]) <= LANCZOS_TOL * theta[-1]:
-            return float(theta[-1])
+        top, residual = theta[-1], abs(beta * vecs[-1, -1])
+        gap = top - theta[-2] if j else 0.0
+        if residual <= LANCZOS_TOL * top or (
+                residual <= LANCZOS_CLUSTER_TOL * top
+                and residual * residual <= LANCZOS_ERROR_TOL * top * gap):
+            return float(top)
         tri[j + 1, j] = tri[j, j + 1] = beta
-        basis[j + 1] = w / beta
+        np.divide(w, beta, out=basis[j + 1])
     return None
 
 
@@ -397,8 +476,10 @@ def condition_estimate(r: np.ndarray) -> float:
     QRFactorization.upper, which is read in place. sigma_max^2 is the top
     eigenvalue of R^T R, 1/sigma_min^2 that of R^{-1} R^{-T}; each comes
     from a deterministic Lanczos run (fixed start vector) whose steps are
-    triangular products (BLAS dtrmv) and solves (LAPACK dtrtrs). Small r,
-    or a run that does not converge, takes a dense SVD of R instead.
+    triangular products (BLAS dtrmv) and solves (LAPACK dtrtrs). R's
+    layout is checked and its arguments bound once per call, so a step
+    is those two calls on one reused vector. Small r, or a run that does
+    not converge, takes a dense SVD of R instead.
     """
     r = _readable(r)
     n = r.shape[0]
@@ -406,18 +487,7 @@ def condition_estimate(r: np.ndarray) -> float:
         return np.inf
     if n < LANCZOS_MIN_ORDER:
         return _dense_cond(np.triu(r))
-    trtrs, trmv = _lapack()[2:4]
-
-    def gram(x):
-        y = trmv(r, x.copy(), overwrite_x=1)
-        return trmv(r, y, trans=1, overwrite_x=1)
-
-    def inverse_gram(x):
-        y, _ = trtrs(r, x.reshape(n, 1).copy(order="F"), trans=1,
-                     overwrite_b=1)
-        y, _ = trtrs(r, y, overwrite_b=1)
-        return y.ravel()
-
+    gram, inverse_gram = _lapack()[3](r)
     big = _largest_eigenvalue(gram, n)
     inv_small = None if big is None else _largest_eigenvalue(inverse_gram, n)
     if inv_small is None:

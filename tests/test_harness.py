@@ -122,6 +122,25 @@ class TestExperimentConfig:
             ExperimentConfig(problem="dirichlet-disc", grids=(4, 10),
                              p_list=(4.0,))
 
+    @pytest.mark.parametrize("bad", [10.5, 10.0, "10"])
+    def test_non_integer_grid_rejected(self, bad):
+        # 10.5 used to run and write a failed row from the axis builder
+        with pytest.raises(ConfigError, match=f"integers, got {bad!r}"):
+            ExperimentConfig(problem="dirichlet-disc", grids=(10, bad),
+                             p_list=(4.0,))
+
+    def test_numpy_integer_grid_accepted(self):
+        config = ExperimentConfig(problem="dirichlet-disc",
+                                  grids=(np.int64(10),), p_list=(4.0,))
+        assert config.grids == (10,)
+
+    def test_repeated_grid_rejected(self):
+        # a repeat used to be solved twice and counted twice by the fit
+        with pytest.raises(ConfigError, match=r"grid size 12 is listed "
+                                              r"twice in \[10, 12, 14, 12\]"):
+            ExperimentConfig(problem="dirichlet-disc", grids=(10, 12, 14, 12),
+                             p_list=(4.0,))
+
     def test_exponent_must_exceed_half_dimension(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="dirichlet-disc", grids=(10,),
@@ -356,6 +375,12 @@ out = results.csv   # destination
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "absent.cfg"))
 
+    def test_repeated_grid_size(self, tmp_path):
+        path = self.write(tmp_path, "problem = dirichlet-disc\n"
+                          "grids = 10,10\np_list = 4\nout = r.csv\n")
+        with pytest.raises(ConfigError, match="grid size 10 is listed twice"):
+            parse_config(path)
+
 
 class TestWriteCsv:
     def test_empty_rows(self, tmp_path):
@@ -489,6 +514,21 @@ class TestMain:
                      "--p", "4", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "ssem:" in capsys.readouterr().err
+
+    def test_repeated_grid_exit_code(self, tmp_path, capsys):
+        code = main(["study", "--problem", "dirichlet-disc", "--grids",
+                     "10,10", "--p", "4", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "grid size 10 is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_repeated_grid_in_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = dirichlet-disc\ngrids = 14,10,14\n"
+                       f"p_list = 4\nout = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "grid size 14 is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_study_exp_with_p_exit_code(self, tmp_path, capsys):
         code = main(["study", "--problem", "dirichlet-disc", "--grids", "10",

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 import ssem.experiments
@@ -131,6 +133,14 @@ class TestHouseholderQR:
         assert err.value.column == 2
         assert "index 2" in str(err.value)
 
+    def test_rank_deficiency_names_the_first_column(self):
+        # columns 1 and 2 both repeat column 0: the first of them is named
+        col = np.linspace(1.0, 2.0, 8)
+        with pytest.raises(RankDeficientError) as err:
+            householder_qr(np.stack([col, col, col], axis=1))
+        assert err.value.column == 1
+        assert "index 1" in str(err.value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         mat = np.random.default_rng(15).standard_normal((5, 3))
@@ -213,7 +223,7 @@ class TestQRPaths:
         # row-strided matrix is refused, not read with the wrong strides
         if ssem.solver._bundled_lapack() is None:
             pytest.skip("numpy's bundled LAPACK is not available")
-        geqrt, gemqrt, trtrs, trmv, lantr = ssem.solver._bundled_lapack()
+        geqrt, gemqrt, trtrs, grams, lantr = ssem.solver._bundled_lapack()
         refused = "float64 matrices with unit row stride"
         every_other_row = np.asfortranarray(np.eye(6))[::2, :3]
         with pytest.raises(ValueError, match=refused):
@@ -221,9 +231,9 @@ class TestQRPaths:
         with pytest.raises(ValueError, match=refused):
             trtrs(np.eye(3, dtype=np.float32), np.ones((3, 1)), trans=1)
         with pytest.raises(ValueError, match=refused):
-            trmv(every_other_row, np.ones(3))
+            grams(every_other_row)
         with pytest.raises(ValueError, match=refused):
-            trmv(np.asfortranarray(np.eye(3)), np.ones(6)[::2])
+            grams(np.ones((3, 3)))
         with pytest.raises(ValueError, match=refused):
             gemqrt(np.asfortranarray(np.eye(6, 3)),
                    np.asfortranarray(np.eye(3)), np.ones((6, 2)))
@@ -231,6 +241,19 @@ class TestQRPaths:
             lantr(b"1", np.ones((3, 3)))
         with pytest.raises(ValueError, match=refused):
             lantr(b"I", every_other_row)
+
+    def test_overlapping_columns_refused(self):
+        # a view whose column stride (2) is below its row count (4) has no
+        # LDA: it is copied before LAPACK sees it, never read in place
+        buf = np.arange(12.0)
+        view = np.lib.stride_tricks.as_strided(buf, shape=(4, 3),
+                                               strides=(8, 16))
+        assert ssem.solver._leading_dimension(view) is None
+        with pytest.raises(ValueError, match="unit row stride"):
+            ssem.solver._leading_dimensions(view)
+        copy = ssem.solver._readable(view)
+        assert not np.shares_memory(copy, buf)
+        assert np.array_equal(copy, view)
 
     def test_c_ordered_argument_unchanged(self, qr_path):
         mat = np.random.default_rng(20).standard_normal((60, 25))
@@ -435,13 +458,18 @@ class TestConditionEstimate:
         assert condition_estimate(np.diag([1.0, 0.0])) == np.inf
 
     @staticmethod
-    def graded_r(n=300, seed=18):
-        """Upper-triangular R with singular values spread from 1 to 1e10."""
+    def r_with_singular_values(s, seed):
+        """Upper-triangular R with singular values s, from random U and V."""
         rng = np.random.default_rng(seed)
+        n = len(s)
         u, _ = np.linalg.qr(rng.standard_normal((n, n)))
         v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        mat = (u * np.logspace(0.0, 10.0, n)) @ v.T
-        return np.linalg.qr(mat, mode="r")
+        return np.linalg.qr((u * s) @ v.T, mode="r")
+
+    @classmethod
+    def graded_r(cls, n=300, seed=18):
+        """Upper-triangular R with singular values spread from 1 to 1e10."""
+        return cls.r_with_singular_values(np.logspace(0.0, 10.0, n), seed)
 
     def test_lanczos_matches_dense_svd(self):
         r = self.graded_r()
@@ -467,7 +495,7 @@ class TestConditionEstimate:
         assert condition_estimate(r) == condition_estimate(r)
 
     def test_step_cap_falls_back_to_svd(self, monkeypatch):
-        # two Lanczos steps cannot meet the Ritz residual bound on R of
+        # two Lanczos steps cannot meet either stopping test on R of
         # order 300: the run gives up and the dense SVD answers, exactly
         runs = []
         real = ssem.solver._largest_eigenvalue
@@ -485,7 +513,8 @@ class TestConditionEstimate:
 
     def test_lanczos_stops_on_the_ritz_residual_bound(self):
         # on a diagonal operator with a known top eigenvalue the run ends
-        # well inside the step cap, at that eigenvalue to LANCZOS_TOL
+        # well inside the step cap, at that eigenvalue to rounding, once
+        # its Ritz residual (and the error bound built from it) is small
         d = np.linspace(1.0, 2.0, 400)
         d[-1] = 4.0
         steps = []
@@ -497,6 +526,79 @@ class TestConditionEstimate:
         top = ssem.solver._largest_eigenvalue(matvec, len(d))
         assert top == pytest.approx(4.0, rel=1e-13)
         assert len(steps) < ssem.solver.LANCZOS_MAX_STEPS
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("pair", ["top", "bottom"])
+    def test_close_pair_keeps_accuracy(self, pair, seed):
+        # two singular values 1e-8 apart (relative) at either end: a run
+        # that has not yet told them apart sees a Ritz gap that is not
+        # theirs; without the LANCZOS_CLUSTER_TOL guard, cond was off by
+        # about 1e-8 for the top pair at seeds 4, 5 and 6
+        s = np.logspace(0.0, 10.0, 200)
+        if pair == "top":
+            s[-2] = s[-1] * (1.0 - 1e-8)
+        else:
+            s[1] = s[0] * (1.0 + 1e-8)
+        r = self.r_with_singular_values(s, seed)
+        ref = svdvals(r)
+        assert condition_estimate(r) == pytest.approx(ref[0] / ref[-1],
+                                                      rel=1e-9)
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(ssem.solver.LANCZOS_MIN_ORDER,
+                         ssem.solver.LANCZOS_MIN_ORDER + 150),
+           decades=st.floats(0.5, 12.0), seed=st.integers(0, 2 ** 32 - 1),
+           spacing=st.sampled_from(["even", "random"]))
+    def test_lanczos_matches_dense_svd_property(self, n, decades, seed,
+                                                spacing):
+        # graded R of any order the runs see: singular values from 1 to
+        # 10^decades, evenly or randomly spaced in the exponent
+        if spacing == "even":
+            exponents = np.linspace(0.0, decades, n)
+        else:
+            exponents = np.sort(np.random.default_rng(seed)
+                                .uniform(0.0, decades, n))
+        r = self.r_with_singular_values(10.0 ** exponents, seed)
+        ref = svdvals(r)
+        assert condition_estimate(r) == pytest.approx(ref[0] / ref[-1],
+                                                      rel=1e-9)
+
+    def test_error_bound_never_takes_more_steps(self, monkeypatch):
+        # count each run's steps under the full rule and under the
+        # residual test alone (a cluster tolerance of 0 turns the error
+        # bound off): never more, and fewer in all
+        real = ssem.solver._largest_eigenvalue
+
+        def steps_per_run(r, cluster_tol):
+            monkeypatch.setattr(ssem.solver, "LANCZOS_CLUSTER_TOL",
+                                cluster_tol)
+            counts = []
+
+            def counted(matvec, n):
+                counts.append(0)
+
+                def step(v):
+                    counts[-1] += 1
+                    return matvec(v)
+                return real(step, n)
+
+            monkeypatch.setattr(ssem.solver, "_largest_eigenvalue", counted)
+            condition_estimate(r)
+            return counts
+
+        rng = np.random.default_rng(30)
+        mats = [self.graded_r(n, seed) for n, seed in
+                [(128, 1), (200, 2), (300, 18), (400, 3)]]
+        mats.append(np.triu(rng.standard_normal((250, 250)))
+                    + np.sqrt(250) * np.eye(250))
+        new, old = [], []
+        for r in mats:
+            new += steps_per_run(r, ssem.solver.LANCZOS_CLUSTER_TOL)
+            old += steps_per_run(r, 0.0)
+        assert len(new) == len(old) == 2 * len(mats)
+        assert all(a <= b for a, b in zip(new, old))
+        assert sum(new) < sum(old)
 
     def test_zero_diagonal_is_inf_above_cutoff(self):
         r = self.graded_r()
@@ -623,6 +725,42 @@ class TestPinvSolve:
         with pytest.raises(RankDeficientError):
             pinv_solve(system, lambda b: b)
 
+    def test_residual_linf_is_the_largest_magnitude(self):
+        # C = I, but the recheck's operator adds an offset to C u, so the
+        # residual is that offset; its largest entry in size is negative
+        m = 4
+        vand = chebyshev_vandermonde(m)
+        offset = np.zeros(m * m)
+        offset[3], offset[9] = -2.0, 0.5
+        system = ConstraintSystem(
+            (roots_axis(m), roots_axis(m)), None, None,
+            rhs=np.random.default_rng(31).standard_normal(m * m),
+            apply_fn=lambda u: u.ravel() + offset,
+            matrix_fn=lambda: np.kron(vand, vand),
+            n_omega=m * m, n_gamma=0)
+        report = pinv_solve(system, lambda b: b)
+        assert report.residual_linf == pytest.approx(2.0, abs=1e-12)
+        assert report.residual_l2 == pytest.approx(np.sqrt(4.25), abs=1e-12)
+
+    def test_timed_helpers_called_once_by_name(self, monkeypatch):
+        # the benchmark times the factor, cond and the back-solve by
+        # wrapping these names in ssem.solver: pinv_solve must call each
+        # once, through the module, or a metric reads 0 or a traced run
+        # cannot find its helper
+        calls = []
+        for name in ("householder_qr", "condition_estimate",
+                     "solve_triangular"):
+            real = getattr(ssem.solver, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(ssem.solver, name, counted)
+        pinv_solve(disc_system(10), SmootherSpec("power", 4.0))
+        assert calls == ["householder_qr", "condition_estimate",
+                         "solve_triangular"]
+
     def test_spec_and_callable_agree(self):
         system = disc_system(8)
         spec = SmootherSpec("power", 4.0)
@@ -644,6 +782,21 @@ class TestPinvSolve:
         with pytest.raises(ValueError, match="not diagonal") as err:
             pinv_solve(system, lambda b: np.roll(b, 1, axis=-1))
         assert "relative defect" in str(err.value)
+
+    def test_slightly_non_diagonal_smoother_rejected(self):
+        # a relative defect of about 1e-8 is far above DIAGONAL_TOL
+        system = disc_system(8)
+        spec = SmootherSpec("power", 4.0)
+
+        def smoother(b):
+            u = apply_smoother_half_inverse(b, spec, d=2)
+            return u + 1e-8 * np.roll(u, 1, axis=-1)
+
+        with pytest.raises(ValueError, match="not diagonal") as err:
+            pinv_solve(system, smoother)
+        defect = float(re.search(r"relative defect (\S+) ",
+                                 str(err.value)).group(1))
+        assert 1e-9 < defect < 1e-7
 
     def test_grid_space_smoother_rejected(self):
         # pointwise grid weights are not a frequency multiplier
