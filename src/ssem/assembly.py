@@ -361,21 +361,26 @@ def build_system(axes, groups, interior, boundary,
     A group (InteriorIndexSet, EllipticOperatorSpec) collocates the
     operator at those nodes, (BoundaryPointSet, BoundaryConditionSpec)
     imposes the condition at those points, each with its source or data
-    as right-hand side. Rows follow the group order. n_omega and n_gamma
-    count the given interior and boundary sets.
+    as right-hand side; a spec of any other type is a TypeError naming
+    the group. Rows follow the group order. n_omega and n_gamma count
+    the given interior and boundary sets.
     """
     rhs, realized = [], []
-    for where, spec in groups:
+    for i, (where, spec) in enumerate(groups):
         if isinstance(spec, EllipticOperatorSpec):
             coords = interior_coordinates(axes, where).T
             rhs.append(_require_finite(_coeff_values(spec.source, *coords),
                                        "source"))
             terms = _operator_terms(spec, coords)
-        else:
+        elif isinstance(spec, BoundaryConditionSpec):
             rhs.append(_require_finite(
                 _coeff_values(spec.data, where.points, where.normals),
                 "boundary data"))
             terms = _boundary_terms(spec, where)
+        else:
+            raise TypeError(f"row group {i}: expected an EllipticOperatorSpec "
+                            f"or a BoundaryConditionSpec, got "
+                            f"{type(spec).__name__}")
         realized.append(_realize(terms, where, axes))
     matrix_terms, grid_terms = zip(*realized)
     starts = np.cumsum([0] + [len(b) for b in rhs])

@@ -203,8 +203,8 @@ def _parabolic_problem():
     problem = ParabolicProblem(
         domain=star_domain(),
         initial=lambda x, y: exact(x, y, 0.0),
-        lateral=lambda points, t: exact(points[:, 0], points[:, 1], t),
-        exact=exact,
+        lateral=BoundaryConditionSpec(trace=1.0, flux=0.0,
+                                      data=lambda pts, nrm: exact(*pts.T)),
     )
 
     def build(m):

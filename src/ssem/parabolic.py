@@ -10,9 +10,10 @@ builder as an elliptic one from three row groups:
   with zero source;
 - initial rows: zeroth-order rows (u itself) at the interior nodes at
   t = 0, with source u0;
-- lateral rows: a Dirichlet condition at the sampled boundary points for
-  t > 0, point outer and time inner, with normals that have no time
-  component.
+- lateral rows: the problem's boundary condition a u + b du/dnu = g at
+  the sampled boundary points for t > 0, point outer and time inner;
+  its callables take the space-time points (k, 3) and their normals
+  (k, 3), which have no time component.
 
 The smoother is the same power/exponential multiplier extended with the
 integer time frequency; the solver folds the R factor of the
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
-    BoundaryConditionSpec,
     ConstraintSystem,
     EllipticOperatorSpec,
     SmootherSpec,
@@ -75,17 +75,17 @@ class SpaceTimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class ParabolicProblem:
-    """Heat IBVP data: spatial domain, initial value, lateral data.
+    """Heat IBVP data: spatial domain, initial value, lateral condition.
 
-    initial is u0(x, y) vectorized over coordinate arrays; lateral is
-    g(points, t) for boundary points (n, 2) at a scalar time; exact, if
-    given, is u(x, y, t) for error reporting.
+    initial is u0(x, y) vectorized over coordinate arrays; lateral is a
+    BoundaryConditionSpec (any a u + b du/dnu = g) for t > 0, whose
+    callables take the space-time points (k, 3) as (x, y, t) and their
+    normals (k, 3), which have no time component.
     """
 
     domain: DomainSpec
     initial: callable
-    lateral: callable
-    exact: callable = None
+    lateral: object  # BoundaryConditionSpec
 
 
 def _with_times(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -110,9 +110,6 @@ def assemble_parabolic(problem: ParabolicProblem,
     coords = interior_coordinates(grid.space_axes, interior)
     u0 = _require_finite(np.asarray(problem.initial(*coords.T), dtype=float),
                          "initial values")
-    gvals = _require_finite(np.column_stack(
-        [problem.lateral(boundary.points, t) for t in times[1:]]
-    ).astype(float), "lateral values")  # (n_gamma, n)
 
     heat_nodes = _with_times(interior.indices, np.arange(1, len(times)))
     initial_nodes = _with_times(interior.indices, [0])
@@ -122,9 +119,7 @@ def assemble_parabolic(problem: ParabolicProblem,
         (InteriorIndexSet(heat_nodes), HEAT),
         (InteriorIndexSet(initial_nodes),
          EllipticOperatorSpec({}, {}, zeroth=1.0, source=lambda *_: u0)),
-        (BoundaryPointSet(lateral_points, lateral_normals),
-         BoundaryConditionSpec(trace=1.0, flux=0.0,
-                               data=lambda *_: gvals.ravel())),
+        (BoundaryPointSet(lateral_points, lateral_normals), problem.lateral),
     ]
     return build_system((*grid.space_axes, grid.time_axis), groups,
                         interior, boundary, spacetime_half_inverse)

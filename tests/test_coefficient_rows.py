@@ -140,7 +140,8 @@ def test_spacetime_rows(m, n, t_hi, seed):
     problem = ParabolicProblem(
         domain=DOMAINS_2D["star"],
         initial=lambda x, y: x * y,
-        lateral=lambda points, t: points[:, 0] + t)
+        lateral=BoundaryConditionSpec(
+            trace=1.0, flux=0.0, data=lambda pts, nrm: pts[:, 0] + pts[:, 2]))
     grid = SpaceTimeGrid(space_axes=(roots_axis(m), roots_axis(m)),
                          time_axis=extrema_axis(n, 0.0, t_hi))
     system = assemble_parabolic(problem, grid)

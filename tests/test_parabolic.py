@@ -1,10 +1,16 @@
 """Space-time heat solve: time differentiation, smoother, assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import j0
 
-from ssem.assembly import SmootherSpec, smoother_multiplier_array
+from ssem.assembly import (
+    BoundaryConditionSpec,
+    SmootherSpec,
+    smoother_multiplier_array,
+)
 from ssem.chebyshev import (
     analysis,
     bary_rows,
@@ -14,7 +20,12 @@ from ssem.chebyshev import (
     roots_axis,
     synthesis,
 )
-from ssem.geometry import BoundaryCurve, DomainSpec, star_domain
+from ssem.geometry import (
+    BoundaryCurve,
+    DomainSpec,
+    interior_coordinates,
+    star_domain,
+)
 from ssem.solver import pinv_solve
 from ssem.parabolic import (
     ParabolicProblem,
@@ -46,11 +57,16 @@ def spacetime_vandermonde(m, n):
     return np.kron(np.kron(v1, v1), vt)
 
 
+def dirichlet(u):
+    """The lateral condition u = g for a solution u(x, y, t)."""
+    return BoundaryConditionSpec(trace=1.0, flux=0.0,
+                                 data=lambda pts, nrm: u(*pts.T))
+
+
 STAR_HEAT = ParabolicProblem(
     domain=star_domain(),
     initial=lambda x, y: exact_heat(x, y, 0.0),
-    lateral=lambda points, t: exact_heat(points[:, 0], points[:, 1], t),
-    exact=exact_heat,
+    lateral=dirichlet(exact_heat),
 )
 
 
@@ -69,17 +85,41 @@ def row_counts(system, n):
 class TestInputChecks:
     @pytest.mark.parametrize("field, culprit, value, kind", [
         ("initial", "initial values", np.nan, "NaN"),
-        ("lateral", "lateral values", np.inf, "inf"),
+        ("lateral", "boundary data", np.inf, "inf"),
     ])
     def test_non_finite_data_named(self, field, culprit, value, kind):
-        def bad(first, second):
-            good = getattr(STAR_HEAT, field)(first, second)
-            return np.where(np.arange(good.size) % 3 == 0, value, good)
+        def spoil(fn):
+            def bad(first, second):
+                good = fn(first, second)
+                return np.where(np.arange(good.size) % 3 == 0, value, good)
+            return bad
 
-        problem = ParabolicProblem(**{
-            "domain": STAR_HEAT.domain, "initial": STAR_HEAT.initial,
-            "lateral": STAR_HEAT.lateral, field: bad})
+        spoiled = {
+            "initial": spoil(STAR_HEAT.initial),
+            "lateral": dataclasses.replace(
+                STAR_HEAT.lateral, data=spoil(STAR_HEAT.lateral.data)),
+        }
+        problem = dataclasses.replace(STAR_HEAT, **{field: spoiled[field]})
         with pytest.raises(ValueError, match=rf"^{culprit}: {kind} at "):
+            assemble_parabolic(problem, star_grid(8, 4))
+
+    def test_vanishing_lateral_condition_rejected(self):
+        # a u + b du/dnu with a = t - 2 and b = 0 vanishes at the last
+        # time node only: the lateral rows see the time column
+        vanishing = BoundaryConditionSpec(
+            trace=lambda pts, nrm: pts[:, 2] - 2.0, flux=0.0, data=0.0)
+        problem = dataclasses.replace(STAR_HEAT, lateral=vanishing)
+        with pytest.raises(ValueError, match="boundary condition vanishes "
+                                             "at a sampled point"):
+            assemble_parabolic(problem, star_grid(8, 4))
+
+    def test_callable_lateral_refused_by_type(self):
+        problem = dataclasses.replace(
+            STAR_HEAT, lateral=lambda points, t: np.zeros(len(points)))
+        with pytest.raises(TypeError, match=r"^row group 2: expected an "
+                                            r"EllipticOperatorSpec or a "
+                                            r"BoundaryConditionSpec, got "
+                                            r"function$"):
             assemble_parabolic(problem, star_grid(8, 4))
 
     def test_boundary_samples_outside_box_rejected(self):
@@ -142,7 +182,6 @@ class TestAssembleParabolic:
         system = assemble_parabolic(STAR_HEAT, grid)
         nh, ni, _ = row_counts(system, 10)
         assert system.rhs[:nh] == pytest.approx(np.zeros(nh), abs=0.0)
-        from ssem.geometry import interior_coordinates
         coords = interior_coordinates(grid.space_axes, system.interior)
         assert system.rhs[nh:nh + ni] == pytest.approx(
             exact_heat(coords[:, 0], coords[:, 1], 0.0), abs=1e-15)
@@ -165,7 +204,7 @@ class TestAssembleParabolic:
         steady = ParabolicProblem(
             domain=star_domain(),
             initial=lambda x, y: x**2 - y**2,
-            lateral=lambda points, t: points[:, 0] ** 2 - points[:, 1] ** 2,
+            lateral=dirichlet(lambda x, y, t: x**2 - y**2),
         )
         grid = star_grid(10, n=6)
         system = assemble_parabolic(steady, grid)
@@ -323,8 +362,52 @@ class TestSolveParabolic:
         quiet = ParabolicProblem(
             domain=star_domain(),
             initial=lambda x, y: np.zeros_like(x),
-            lateral=lambda points, t: np.zeros(points.shape[0]),
+            lateral=dirichlet(lambda x, y, t: np.zeros_like(x)),
         )
         report = solve_parabolic(quiet, star_grid(8, n=5),
                                  SmootherSpec("power", 4.0))
         assert np.max(np.abs(report.solution)) < 1e-12
+
+
+def decaying_mode(x, y, t):
+    """u = exp(-2t) cos x cos y, a solution of u_t = lap(u)."""
+    return np.exp(-2.0 * t) * np.cos(x) * np.cos(y)
+
+
+def decaying_mode_flux(pts, nrm):
+    """du/dnu of decaying_mode at space-time points with normals."""
+    x, y, t = pts.T
+    return -np.exp(-2.0 * t) * (nrm[:, 0] * np.sin(x) * np.cos(y)
+                                + nrm[:, 1] * np.cos(x) * np.sin(y))
+
+
+class TestLateralConditions:
+    """Neumann and Robin lateral data need no code of their own: the
+    lateral rows are whatever BoundaryConditionSpec the problem holds.
+    On the star, with p = 6 and the time axis of parabolic-star, both
+    converge at an order of at least p - 1."""
+
+    @pytest.mark.parametrize("trace, flux", [(0.0, 1.0), (1.0, 1.0)],
+                             ids=["neumann", "robin"])
+    def test_fitted_order(self, trace, flux):
+        def data(pts, nrm):
+            return (trace * decaying_mode(*pts.T)
+                    + flux * decaying_mode_flux(pts, nrm))
+
+        problem = ParabolicProblem(
+            domain=star_domain(),
+            initial=lambda x, y: decaying_mode(x, y, 0.0),
+            lateral=BoundaryConditionSpec(trace=trace, flux=flux, data=data))
+        sizes, errors = [10, 14, 18, 22], []
+        for m in sizes:
+            grid = star_grid(m)
+            system = assemble_parabolic(problem, grid)
+            report = pinv_solve(system, SmootherSpec("power", 6.0))
+            ii, jj = system.interior.indices.T
+            coords = interior_coordinates(grid.space_axes, system.interior)
+            exact = decaying_mode(coords[:, 0:1], coords[:, 1:2],
+                                  grid.time_axis.nodes[None, :])
+            errors.append(np.sqrt(np.mean(
+                (report.solution[ii, jj, :] - exact) ** 2)))
+        order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+        assert order >= 5.0

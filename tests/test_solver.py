@@ -291,6 +291,26 @@ class TestQRPaths:
         with pytest.raises(ValueError, match="non-finite"):
             householder_qr(mat)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(7, 7), (50, 20), (300, 150)])
+    def test_non_finite_anywhere_rejected(self, qr_path, shape, bad):
+        # the four corners, the end of the diagonal, the top of the first
+        # column past dgeqrt's first block (the last column if there is
+        # none) and random entries: wherever the NaN or inf sits, it
+        # reaches R, and from R its dlantr norms, so the check needs
+        # nothing from T
+        big, n = shape
+        rng = np.random.default_rng(24)
+        base = rng.standard_normal(shape)
+        fixed = [(0, 0), (0, n - 1), (big - 1, 0), (big - 1, n - 1),
+                 (n - 1, n - 1), (0, min(n - 1, ssem.solver.QR_BLOCK))]
+        drawn = zip(rng.integers(big, size=8), rng.integers(n, size=8))
+        for pos in [*fixed, *drawn]:
+            mat = base.copy()
+            mat[pos] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                householder_qr(mat)
+
     @staticmethod
     def upper_triangle(n):
         """(R, F-ordered with zeros below, and the factorization it came
@@ -811,9 +831,11 @@ class TestScaleRows:
         # rows of A diag(mu * scale) kron(I, I, R_t^{-1}) on a space-time
         # system, five rows per block so the last block is partial
         m, n = 6, 3
+        lateral = BoundaryConditionSpec(
+            trace=1.0, flux=0.0, data=lambda pts, nrm: pts[:, 0] + pts[:, 2])
         problem = ParabolicProblem(domain=star_domain(),
                                    initial=lambda x, y: x * y,
-                                   lateral=lambda points, t: points[:, 0] + t)
+                                   lateral=lateral)
         grid = SpaceTimeGrid(space_axes=(roots_axis(m), roots_axis(m)),
                              time_axis=extrema_axis(n, 0.0, 1.0))
         system = assemble_parabolic(problem, grid)
