@@ -138,7 +138,9 @@ def _synthesize(synth: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _frozen(*mats):
-    """Mark cached matrices read-only: every caller shares them."""
+    """Mark cached matrices read-only: every caller shares them. (Two
+    threads that miss the cache at once both compute an entry; the
+    results are equal and either is kept.)"""
     for mat in mats:
         mat.flags.writeable = False
     return mats

@@ -23,7 +23,7 @@ to m^2 points per (4 pi) of circumscribed-sphere area.
 
 from __future__ import annotations
 
-import functools
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 TOL_INSIDE = 1e-12
+# Guards the first computation of each curve's image-arclength tables.
+_TABLES_LOCK = threading.Lock()
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
@@ -62,17 +64,22 @@ class BoundaryCurve:
     param: callable
     normal: callable
 
-    @functools.cached_property
+    @property
     def image_arclength(self) -> tuple:
         """(cum, speed): cumulative arccos-image arclength and image speed
         at theta = linspace(0, 2 pi, cum.size).
 
-        Computed on first use and kept, read-only, with the curve.
+        Computed once, on first use, and kept, read-only, with the curve.
+        A sweep's threads can ask for it at once: the first computes it
+        under _TABLES_LOCK, and the others wait for it.
         """
-        tables = _image_arclength(self)
-        for table in tables:
-            table.flags.writeable = False
-        return tables
+        with _TABLES_LOCK:
+            if "_tables" not in self.__dict__:
+                tables = _image_arclength(self)
+                for table in tables:
+                    table.flags.writeable = False
+                object.__setattr__(self, "_tables", tables)
+            return self._tables
 
 
 @dataclass(frozen=True, eq=False)

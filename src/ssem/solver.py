@@ -48,6 +48,7 @@ on one reused vector.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import time
@@ -136,17 +137,45 @@ def _readable(r) -> np.ndarray:
     return r
 
 
+# What the solve and the sweep call in numpy's bundled OpenBLAS.
+_BUNDLED_LAPACK = ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv", "dlantr")
+_BUNDLED_THREADS = ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _bundled_openblas():
+    """The OpenBLAS bundled with numpy, as a ctypes.CDLL, or None unless
+    every routine in _BUNDLED_LAPACK and _BUNDLED_THREADS resolves.
+
+    numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols.
+    The library is already loaded by numpy, so this opens the same copy
+    and the same thread pool. Resolved on first use, not at import.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            for name in _BUNDLED_LAPACK:
+                getattr(lib, f"scipy_{name}_64_")
+            get, put = (getattr(lib, name) for name in _BUNDLED_THREADS)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
 @functools.cache
 def _bundled_lapack():
     """(dgeqrt, dgemqrt, dtrtrs, grams, dlantr) on the OpenBLAS bundled
-    with numpy, grams by the BLAS dtrmv and dtrtrs; None unless all five
-    routines resolve.
+    with numpy, grams by the BLAS dtrmv and dtrtrs; None where that
+    library does not resolve.
 
-    numpy's wheels ship scipy-openblas in numpy.libs with ILP64 symbols:
-    every integer argument is a pointer to an int64, and each character
-    argument adds its length (gfortran's hidden size_t) after the others.
-    The library is already loaded by numpy, so this opens the same copy
-    and the same thread pool. Resolved on first use, not at import.
+    Every integer argument of the ILP64 symbols is a pointer to an int64,
+    and each character argument adds its length (gfortran's hidden
+    size_t) after the others.
 
     The wrappers take the arguments of SciPy's lapack functions that
     pinv_solve uses, and work in place on the arrays they are given, as
@@ -154,18 +183,11 @@ def _bundled_lapack():
     matrix is read with the LDA of its column stride, so a view into a
     larger F-ordered buffer needs no copy.
     """
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            geqrt, gemqrt, trtrs, trmv, lantr = (
-                getattr(lib, f"scipy_{name}_64_") for name in
-                ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv", "dlantr"))
-        except (OSError, AttributeError):
-            continue
-        break
-    else:
+    lib = _bundled_openblas()
+    if lib is None:
         return None
+    geqrt, gemqrt, trtrs, trmv, lantr = (
+        getattr(lib, f"scipy_{name}_64_") for name in _BUNDLED_LAPACK)
     i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     char, size = ctypes.c_char_p, ctypes.c_size_t
     # M, N, NB, A, LDA, T, LDT, WORK, INFO
@@ -292,6 +314,30 @@ def _lapack():
     from scipy.linalg import lapack
     return (lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, _scipy_grams,
             lapack.dlantr)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the bundled OpenBLAS to one thread inside the block, for
+    callers that run solves side by side, and restore its previous count
+    on the way out, also on an error.
+
+    Yields True when it pinned, False where solves run on SciPy's LAPACK
+    (_bundled_lapack is None), whose thread pool it leaves alone. The
+    count is one setting for the whole process: blocks nest, but two
+    threads whose blocks overlap without nesting can leave the pin in
+    place.
+    """
+    if _bundled_lapack() is None:
+        yield False
+        return
+    lib = _bundled_openblas()
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield True
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _require(name: str, info: int) -> None:

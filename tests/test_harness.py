@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import ssem.experiments
+import ssem.solver
 from ssem.assembly import SmootherSpec
-from ssem.chebyshev import roots_axis
+from ssem.chebyshev import extrema_axis, roots_axis
 from ssem.cli import (
     CSV_HEADER,
     emit_plot_data,
@@ -24,6 +27,7 @@ from ssem.experiments import (
     fit_convergence_order,
     run_experiment,
 )
+from ssem.geometry import classify_interior, star_domain
 from ssem.solver import RankDeficientError
 
 
@@ -72,6 +76,47 @@ class TestL2Error:
     def test_empty_interior_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ssem.experiments._error_norms(np.zeros((0, 11)))
+
+
+def test_neumann_errors_in_the_quotient():
+    # pure Neumann data fixes u up to a constant: the errors are those of
+    # u - exact less its mean over the interior nodes
+    system, errors = ssem.experiments._PROBLEMS["neumann-star"].build(10)
+    nodes = roots_axis(10).nodes
+    x, y = np.meshgrid(nodes, nodes, indexing="ij")
+    noise = np.random.default_rng(5).standard_normal((10, 10))
+    l2, linf = errors(x**3 + y**3 + 2.0 + noise)
+    inner = noise[tuple(system.interior.indices.T)]
+    inner = inner - inner.mean()
+    assert l2 == pytest.approx(np.sqrt(np.mean(inner**2)), rel=1e-12)
+    assert linf == pytest.approx(np.max(np.abs(inner)), rel=1e-12)
+
+
+def test_rhs_linf_is_the_largest_magnitude():
+    # parabolic-star's right-hand side is nowhere positive
+    system, _ = ssem.experiments._PROBLEMS["parabolic-star"].build(10)
+    _, row = ssem.experiments.solve_problem("parabolic-star", 10,
+                                            SmootherSpec(p=4.0))
+    assert row.rhs_linf == np.max(np.abs(system.rhs))
+    assert np.max(system.rhs) < row.rhs_linf
+
+
+def test_heat_errors_cover_every_time_node():
+    # parabolic-star's errors run over every interior node at every time,
+    # t = 0 included, against its exact solution taken with scipy's J0
+    from scipy.special import j0
+    axis = roots_axis(10)
+    report, row = ssem.experiments.solve_problem("parabolic-star", 10,
+                                                 SmootherSpec(p=6.0))
+    times = extrema_axis(ssem.experiments.TIME_POINTS, 0.0, 2.0).nodes
+    ii, jj = classify_interior(star_domain(), (axis, axis)).indices.T
+    r = np.hypot(axis.nodes[ii], axis.nodes[jj])[:, None]
+    exact = np.exp(-times) * j0(r) - np.exp(-times / 4.0) * j0(r / 2.0)
+    diff = report.solution[ii, jj, :] - exact
+    assert diff.shape == (len(ii), times.size)
+    assert row.l2_error == pytest.approx(np.sqrt(np.mean(diff**2)),
+                                         rel=1e-9)
+    assert row.linf_error == pytest.approx(np.max(np.abs(diff)), rel=1e-9)
 
 
 class TestFitConvergenceOrder:
@@ -282,10 +327,12 @@ class TestAssembleOncePerM:
     def test_one_build_per_m_same_rows(self, monkeypatch):
         built = self.patch_build(monkeypatch)
         rows = run_experiment(self.config())
-        assert built == [10, 12]
+        # the builds run side by side, the largest m first
+        assert sorted(built) == [10, 12]
         for row in rows:
-            _, ref = ssem.experiments.solve_problem(
-                "dirichlet-disc", row.m, SmootherSpec(p=float(row.p)))
+            with ssem.solver._one_blas_thread():
+                _, ref = ssem.experiments.solve_problem(
+                    "dirichlet-disc", row.m, SmootherSpec(p=float(row.p)))
             assert (row.l2_error, row.linf_error, row.cond,
                     row.residual_linf, row.rhs_linf, row.floored) \
                 == (ref.l2_error, ref.linf_error, ref.cond,
@@ -303,6 +350,173 @@ class TestAssembleOncePerM:
         self.patch_build(monkeypatch, TypeError("synthetic bug"))
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(self.config())
+
+
+# every ConvergenceRow field but the wall time
+ROW_FIELDS = tuple(f.name for f in dataclasses.fields(ConvergenceRow)
+                   if f.name != "seconds")
+
+
+def row_values(row):
+    return tuple(getattr(row, f) for f in ROW_FIELDS)
+
+
+@pytest.fixture
+def bundled_threads():
+    """(get, set) of the bundled OpenBLAS's thread count; the count is
+    put back after the test."""
+    if ssem.solver._bundled_lapack() is None:
+        pytest.skip("numpy bundles no OpenBLAS with LAPACK")
+    lib = ssem.solver._bundled_openblas()
+    get = lib.scipy_openblas_get_num_threads64_
+    put = lib.scipy_openblas_set_num_threads64_
+    before = get()
+    yield get, put
+    put(before)
+
+
+class TestSweepPool:
+    """run_experiment solves its grid sizes side by side, each on one
+    BLAS thread, and returns the rows in config order."""
+
+    GRIDS = (22, 10, 18, 14)
+    P_LIST = (4.0, 6.0)
+
+    def config(self, grids=GRIDS):
+        return ExperimentConfig(problem="neumann-star", grids=grids,
+                                p_list=self.P_LIST)
+
+    def watch_builds(self, monkeypatch, hook=lambda m: None):
+        """Each build records its m, its thread and the bundled BLAS
+        thread count (None without the bundled library), then calls
+        hook(m); returns the records."""
+        real = ssem.experiments._PROBLEMS["neumann-star"]
+        lib = ssem.solver._bundled_openblas()
+        seen = []
+
+        def build(m):
+            seen.append((m, threading.get_ident(),
+                         lib and lib.scipy_openblas_get_num_threads64_()))
+            hook(m)
+            return real.build(m)
+
+        monkeypatch.setitem(ssem.experiments._PROBLEMS, "neumann-star",
+                            dataclasses.replace(real, build=build))
+        return seen
+
+    def test_rows_match_each_solve_alone_on_one_thread(self):
+        rows = run_experiment(self.config())
+        alone = []
+        with ssem.solver._one_blas_thread():
+            for m in self.GRIDS:
+                for p in self.P_LIST:
+                    _, row = ssem.experiments.solve_problem(
+                        "neumann-star", m, SmootherSpec(p=p))
+                    row.p = f"{p:g}"
+                    alone.append(row)
+        assert [row_values(r) for r in rows] == \
+            [row_values(r) for r in alone]
+
+    def test_two_workers_build_at_once(self, monkeypatch, bundled_threads):
+        # neither of the two largest builds can go on until the other has
+        # started
+        _, put = bundled_threads
+        put(2)
+        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 2)
+        meeting = threading.Barrier(2, timeout=30)
+        seen = self.watch_builds(
+            monkeypatch, lambda m: m in (22, 18) and meeting.wait())
+        rows = run_experiment(self.config())
+        assert not any(r.failed for r in rows)
+        assert sorted(m for m, _, _ in seen) == sorted(self.GRIDS)
+        assert len({thread for _, thread, _ in seen}) == 2
+        assert {threads for _, _, threads in seen} == {1}
+
+    def test_rows_in_config_order_either_way(self):
+        forward = run_experiment(self.config())
+        backward = run_experiment(self.config(self.GRIDS[::-1]))
+        labels = [f"{p:g}" for p in self.P_LIST]
+        assert [(r.m, r.p) for r in forward] == [
+            (m, p) for m in self.GRIDS for p in labels]
+        assert [(r.m, r.p) for r in backward] == [
+            (m, p) for m in self.GRIDS[::-1] for p in labels]
+        assert sorted(map(row_values, forward)) == \
+            sorted(map(row_values, backward))
+
+    def test_thread_count_restored(self, monkeypatch, bundled_threads):
+        get, put = bundled_threads
+        put(2)
+        before = get()
+        seen = self.watch_builds(monkeypatch)
+        run_experiment(self.config())
+        assert get() == before
+        assert {threads for _, _, threads in seen} == {1}
+
+    def test_thread_count_restored_after_an_error(self, monkeypatch,
+                                                  bundled_threads):
+        get, put = bundled_threads
+        put(2)
+        before = get()
+
+        def fail(m):
+            if m == 18:
+                raise TypeError("synthetic bug")
+
+        self.watch_builds(monkeypatch, fail)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(self.config())
+        assert get() == before
+
+    def test_an_error_cancels_the_sizes_not_started(self, monkeypatch):
+        # one worker: 22 fails while 18 is queued or holds the worker, so
+        # 14 and 10 never start
+        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 1)
+
+        def hook(m):
+            if m == 22:
+                raise TypeError("synthetic bug")
+            time.sleep(0.5)
+
+        seen = self.watch_builds(monkeypatch, hook)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(self.config())
+        assert [m for m, _, _ in seen] in ([22], [22, 18])
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(ssem.experiments.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert ssem.experiments._usable_cpus() == 1
+
+    def test_one_grid_keeps_the_blas_pool(self, monkeypatch,
+                                          bundled_threads):
+        # a single m has nothing to run beside it
+        get, put = bundled_threads
+        put(2)
+        before = get()
+        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 8)
+        seen = self.watch_builds(monkeypatch)
+        run_experiment(self.config((14,)))
+        assert [threads for _, _, threads in seen] == [before]
+
+    def test_scipy_path_runs_one_worker(self, monkeypatch):
+        alone = []
+        for m in self.GRIDS:
+            for p in self.P_LIST:
+                _, row = ssem.experiments.solve_problem(
+                    "neumann-star", m, SmootherSpec(p=p))
+                alone.append(row)
+        monkeypatch.setattr(ssem.solver, "_bundled_lapack", lambda: None)
+        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 8)
+        seen = self.watch_builds(monkeypatch)
+        rows = run_experiment(self.config())
+        assert len({thread for _, thread, _ in seen}) == 1
+        # one worker takes the grid sizes in the order they were submitted
+        assert [m for m, _, _ in seen] == sorted(self.GRIDS, reverse=True)
+        assert [(r.m, r.n_omega, r.n_gamma, r.failed) for r in rows] == \
+            [(r.m, r.n_omega, r.n_gamma, r.failed) for r in alone]
+        for got, want in zip(rows, alone):
+            assert got.l2_error == pytest.approx(want.l2_error, rel=1e-9)
+            assert got.cond == pytest.approx(want.cond, rel=1e-9)
 
 
 class TestParseConfig:
