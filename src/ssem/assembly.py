@@ -11,9 +11,8 @@ product of 1-D derivative rows, one per axis, and both realizations of
 the constraints come from it. On tensor Chebyshev coefficients it is
 the dense matrix A = C V handed to the solver, with 1-D evaluations of
 T_k, T_k' and T_k'' as factors. On grid functions it is C u, used for
-residual checks, with the derivative rows of the interpolant as
-factors: the axis' own differentiation matrix at interior nodes,
-barycentric rows at boundary points.
+residual checks, with the barycentric derivative rows of the
+interpolant as factors, at interior nodes and boundary points alike.
 
 Coefficient functions are evaluated once per build: interior
 coefficients are callables of the unpacked node coordinates (or plain
@@ -36,7 +35,6 @@ from .chebyshev import (
     basis_values,
     forward_cheb,
     inverse_cheb,
-    node_diff_matrix,
     tensor_rows,
 )
 from .geometry import (
@@ -213,25 +211,21 @@ def _realize(terms, where, axes):
     and once for C: factors[a] is the 1-D rows of the orders[a]-th
     derivative along axis a at the group's nodes or points. For A they
     are of the basis (basis_values); for C, of the interpolant of a grid
-    function: the axis' own differentiation matrix at interior nodes
-    (node_diff_matrix), barycentric rows at boundary points (bary_rows).
+    function (bary_rows), at interior nodes and boundary points alike.
     C keeps its own arithmetic, so the residual checks A."""
-    if isinstance(where, InteriorIndexSet):
-        def for_a(a, k):
-            ax = axes[a]
-            return basis_values(ax, ax.nodes, k)[where.indices[:, a]]
+    def factors(rows_of):
+        if isinstance(where, InteriorIndexSet):
+            def factor(a, k):
+                ax = axes[a]
+                return rows_of(ax, ax.nodes, k)[where.indices[:, a]]
+        else:
+            def factor(a, k):
+                return rows_of(axes[a], where.points[:, a], k)
+        return functools.cache(factor)
 
-        def for_c(a, k):
-            return node_diff_matrix(axes[a], k)[where.indices[:, a]]
-    else:
-        def for_a(a, k):
-            return basis_values(axes[a], where.points[:, a], k)
-
-        def for_c(a, k):
-            return bary_rows(axes[a], where.points[:, a], k)
     return [[(w, [rows(a, k) for a, k in enumerate(orders)])
              for w, orders in terms]
-            for rows in map(functools.cache, (for_a, for_c))]
+            for rows in map(factors, (basis_values, bary_rows))]
 
 
 def _apply_terms(terms, u: np.ndarray, n_rows: int) -> np.ndarray:

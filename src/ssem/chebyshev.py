@@ -7,11 +7,12 @@ batches (extra leading axes) unchanged.
 
 Spatial axes always use Chebyshev *roots* grids, which keep every node
 strictly inside (-1, 1); the extrema grid appears only as a time axis.
-Transforms and derivatives are dense m x m matrices applied along one
-axis. They are built once per size from the closed-form cosines and
-sines (cached), which at the sizes used here (m up to about 64) is
-faster than an FFT, and are validated against direct O(m^2) evaluation
-of the defining sums in the test suite.
+Transforms are dense m x m matrices applied along one axis, built once
+per size from the closed-form cosines (cached), which at the sizes used
+here (m up to about 64) is faster than an FFT, and are validated against
+direct O(m^2) evaluation of the defining sums in the test suite. The
+interpolant of a grid function is differentiated one way on every axis:
+by the barycentric rows of bary_rows, at the nodes and at other points.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "apply_sturm_liouville",
     "bary_weights",
     "bary_rows",
-    "node_diff_matrix",
     "bary_interp_row",
     "forward_extrema",
     "inverse_extrema",
@@ -110,8 +110,8 @@ def extrema_axis(n: int, t_lo: float = 0.0, t_hi: float = 2.0) -> ExtremaAxis:
                          f"[{t_lo}, {t_hi}]")
     j = np.arange(n + 1)
     ref = -np.cos(np.pi * j / n)  # -1 .. 1, increasing, endpoints exact
+    # ref[0] + 1 is exactly 0, so nodes[0] is t_lo; nodes[-1] may round
     nodes = t_lo + (ref + 1.0) * (t_hi - t_lo) / 2.0
-    nodes[0] = t_lo
     nodes[-1] = t_hi
     return ExtremaAxis(n=n, t_lo=t_lo, t_hi=t_hi, nodes=nodes)
 
@@ -148,24 +148,14 @@ def _frozen(*mats):
 
 @functools.cache
 def _roots_matrices(m: int):
-    """(analysis, synthesis, d/dx, d^2/dx^2) on the m-point roots grid.
-
-    synthesis[i, k] = T_k(x_i) = cos(k theta_i), and analysis is its
-    inverse (p_k / m) T_k(x_i), transposed (discrete orthogonality). At
-    x = cos(theta) the interpolant sum_k c_k T_k has the derivative
-    u' = sum_k c_k k sin(k theta) / sin(theta) and the second derivative
-    (x u' - sum_k c_k k^2 cos(k theta)) / sin(theta)^2.
-    """
+    """(analysis, synthesis) on the m-point roots grid: synthesis[i, k] =
+    T_k(x_i) = cos(k theta_i), and analysis its inverse (p_k / m)
+    T_k(x_i), transposed (discrete orthogonality)."""
     k = np.arange(m)
     # k (2i + 1) mod 4m keeps each angle pi k (2i + 1) / (2m) below 2 pi
-    angle = np.pi * (np.outer(2 * k + 1, k) % (4 * m)) / (2 * m)
-    synth = np.cos(angle)
+    synth = np.cos(np.pi * (np.outer(2 * k + 1, k) % (4 * m)) / (2 * m))
     forward = synth.T * np.where(k == 0, 1.0, 2.0)[:, None] / m
-    theta = np.pi * (2 * k + 1) / (2 * m)
-    sin = np.sin(theta)[:, None]
-    d1 = (np.sin(angle) * k / sin) @ forward
-    d2 = (np.cos(theta)[:, None] * d1 - (synth * k**2) @ forward) / sin**2
-    return _frozen(forward, synth, d1, d2)
+    return _frozen(forward, synth)
 
 
 @functools.cache
@@ -283,8 +273,16 @@ def basis_values(ax, x, order: int = 0) -> np.ndarray:
         s = 1.0 + scale * (s - ax.t_lo)
     if order == 0:
         return ncheb.chebvander(s, size - 1)
-    deriv = ncheb.chebder(np.eye(size), order) * scale ** order
+    deriv = _chebder_matrix(size, order) * scale ** order
     return ncheb.chebvander(s, deriv.shape[0] - 1) @ deriv
+
+
+@functools.cache
+def _chebder_matrix(size: int, order: int) -> np.ndarray:
+    """Column k: the Chebyshev coefficients of the order-th derivative of
+    T_k, k < size (chebder of the identity, cached: it is a Python loop
+    over the degrees)."""
+    return _frozen(ncheb.chebder(np.eye(size), order))[0]
 
 
 def gram_factor(ax) -> np.ndarray:
@@ -323,11 +321,10 @@ def diff1(u: np.ndarray, axis: int) -> np.ndarray:
     """First spectral derivative along an axis of a roots grid.
 
     Computes the exact derivative of the degree-(m-1) interpolant at the
-    nodes: analysis, then the derivative of each T_k (a sine series over
-    sin(theta)), as one m x m matrix.
+    nodes: the barycentric differentiation matrix D of bary_rows.
     """
     u = np.asarray(u, dtype=float)
-    return _apply(_roots_matrices(u.shape[axis])[2], u, axis)
+    return _apply(_bary_diff_matrix(roots_axis(u.shape[axis])), u, axis)
 
 
 def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
@@ -335,17 +332,17 @@ def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
 
     This is the square of the first-order operator sqrt(1-x^2) d/dx with
     a sign; its discrete eigenfunctions are the sampled T_j with
-    eigenvalue j^2. Realized by single applications of the exact
-    derivative operators (a literal composition of the first-order
-    operator re-analyzes a sine-series intermediate as a cosine series
-    and aliases, so it does not satisfy the eigenvalue identity).
+    eigenvalue j^2. Realized with the exact derivatives of the
+    interpolant, D u and D @ D u for the barycentric differentiation
+    matrix D (a literal composition of the first-order operator would
+    differentiate the interpolant of sqrt(1-x^2) u', which is not a
+    polynomial, so it would not satisfy the eigenvalue identity).
     """
     u = np.asarray(u, dtype=float)
-    m = u.shape[axis]
-    x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    return (-_along(1.0 - x**2, u.ndim, axis)
-            * _apply(_roots_matrices(m)[3], u, axis)
-            + _along(x, u.ndim, axis) * diff1(u, axis))
+    ax = roots_axis(u.shape[axis])
+    d = _bary_diff_matrix(ax)
+    x = _along(ax.nodes, u.ndim, axis)
+    return -(1.0 - x**2) * _apply(d @ d, u, axis) + x * _apply(d, u, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +373,27 @@ def _node_diff_rows(ax, k: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _bary_diff_matrix(ax) -> np.ndarray:
+    """The barycentric differentiation matrix D at an axis' nodes."""
+    return _node_diff_rows(ax, np.arange(len(ax.nodes)))
+
+
 def bary_rows(ax, x, order: int = 0) -> np.ndarray:
-    """Barycentric value (order 0) or derivative (order 1) rows at points x.
+    """Barycentric value (order 0), first- or second-derivative rows at x.
 
     Row r, contracted with samples at the axis' nodes, gives the
-    interpolant of those samples (or its derivative) at x[r]: the 1-D
-    factors of :func:`bary_interp_row` and of the boundary rows of the
-    assembly. A point within NODE_MATCH_TOL of a node gets that node's
-    indicator row (order 0) or differentiation-matrix row (order 1).
+    interpolant of those samples, or its derivative, at x[r]: the 1-D
+    factors of :func:`bary_interp_row` and of the grid operator C of the
+    assembly, at interior nodes and at boundary points alike. A point
+    within NODE_MATCH_TOL of a node gets that node's indicator row
+    (order 0) or differentiation-matrix row (order 1). Order-2 rows are
+    the order-1 rows times the differentiation matrix D at the nodes,
+    exact at any x: the derivative of the interpolant is a polynomial of
+    lower degree, which its own node values D u interpolate exactly.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"bary_rows has no derivative of order {order}; "
+                         f"it takes 0, 1 or 2")
     d = np.ravel(np.asarray(x, dtype=float))[:, None] - ax.nodes
     hit = np.argmin(np.abs(d), axis=1)
     on_node = np.abs(d[np.arange(len(d)), hit]) < NODE_MATCH_TOL
@@ -395,27 +404,11 @@ def bary_rows(ax, x, order: int = 0) -> np.ndarray:
     if order == 0:
         rows[~on_node] = t / q
         rows[on_node, hit[on_node]] = 1.0
-    else:
-        qp = (t / d).sum(axis=1, keepdims=True)
-        rows[~on_node] = -t / d / q + t * (qp / q**2)
-        rows[on_node] = _node_diff_rows(ax, hit[on_node])
-    return rows
-
-
-def node_diff_matrix(ax, order: int) -> np.ndarray:
-    """The order-th (0, 1 or 2) differentiation matrix at an axis' nodes.
-
-    Row i, contracted with samples at the nodes, gives the order-th
-    derivative of their interpolant at node i: on a roots axis from the
-    closed-form d/dx and d^2/dx^2 of the cached transform matrices, on an
-    extrema axis the barycentric differentiation matrix and its square.
-    """
-    if order == 0:
-        return np.eye(len(ax.nodes))
-    if isinstance(ax, ExtremaAxis):
-        d1 = bary_rows(ax, ax.nodes, 1)
-        return d1 if order == 1 else d1 @ d1
-    return _roots_matrices(ax.m)[1 + order]
+        return rows
+    qp = (t / d).sum(axis=1, keepdims=True)
+    rows[~on_node] = -t / d / q + t * (qp / q**2)
+    rows[on_node] = _node_diff_rows(ax, hit[on_node])
+    return rows if order == 1 else rows @ _bary_diff_matrix(ax)
 
 
 def bary_interp_row(axes, y) -> np.ndarray:

@@ -102,6 +102,12 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"smoother exponents must be finite; "
                                   f"got {bad}")
+            labels = [_format_p(p) for p in self.p_list]
+            repeated = [lab for i, lab in enumerate(labels)
+                        if lab in labels[:i]]
+            if repeated:
+                raise ConfigError(f"smoother exponent {repeated[0]} is "
+                                  f"listed twice in {list(self.p_list)}")
             d = _PROBLEMS[self.problem].grid_dim
             bad = [p for p in self.p_list if p <= d / 2]
             if bad:

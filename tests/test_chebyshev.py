@@ -7,6 +7,9 @@ import pytest
 from ssem.assembly import SmootherSpec, apply_smoother_half_inverse
 from ssem.chebyshev import (
     NODE_MATCH_TOL,
+    _chebder_matrix,
+    _extrema_matrices,
+    _roots_matrices,
     analysis,
     apply_sturm_liouville,
     bary_interp_row,
@@ -20,7 +23,6 @@ from ssem.chebyshev import (
     gram_factor,
     inverse_cheb,
     inverse_extrema,
-    node_diff_matrix,
     roots_axis,
     synthesis,
     tensor_rows,
@@ -129,10 +131,12 @@ class TestAxes:
         assert extrema_axis(np.int32(4), 0, 2).nodes.shape == (5,)
 
     def test_extrema_endpoints_exact(self):
-        ax = extrema_axis(10, 0.0, 2.0)
-        assert ax.nodes[0] == 0.0
-        assert ax.nodes[-1] == 2.0
-        assert np.all(np.diff(ax.nodes) > 0)
+        # 0.7 + (2.9 - 0.7) rounds to 2.9000000000000004
+        for t_lo, t_hi in ((0.0, 2.0), (0.7, 2.9)):
+            ax = extrema_axis(10, t_lo, t_hi)
+            assert ax.nodes[0] == t_lo
+            assert ax.nodes[-1] == t_hi
+            assert np.all(np.diff(ax.nodes) > 0)
 
 
 class TestTransforms:
@@ -223,7 +227,8 @@ class TestTransformMatrices:
                             inverse_cheb_direct(u, axes=one)) < 1e-12
         d = diff_matrix(m)
         assert self.rel_err(diff1(u, axis), self.along(d, u, axis)) < 1e-12
-        d2 = node_diff_matrix(roots_axis(m), 2)
+        ax = roots_axis(m)
+        d2 = bary_rows(ax, ax.nodes, 2)
         assert self.rel_err(self.along(d2, u, axis),
                             self.along(d @ d, u, axis)) < 1e-12
 
@@ -272,14 +277,14 @@ class TestDerivatives:
         assert diff1(t_samples(3, m), 0) == pytest.approx(expect, abs=1e-12)
 
     def test_second_derivative_of_square(self):
-        x = roots_nodes(10)
-        out = node_diff_matrix(roots_axis(10), 2) @ x**2
+        ax = roots_axis(10)
+        out = bary_rows(ax, ax.nodes, 2) @ roots_nodes(10)**2
         assert out == pytest.approx(np.full(10, 2.0), abs=1e-11)
 
     def test_t4_second_derivative(self):
         m = 12
-        x = roots_nodes(m)
-        out = node_diff_matrix(roots_axis(m), 2) @ t_samples(4, m)
+        x, ax = roots_nodes(m), roots_axis(m)
+        out = bary_rows(ax, ax.nodes, 2) @ t_samples(4, m)
         assert np.max(np.abs(out - (96 * x**2 - 16))) < 1e-10
 
     def test_diff1_twice_is_diff2(self):
@@ -287,7 +292,8 @@ class TestDerivatives:
         x = roots_nodes(m)
         u = 2 * x**5 - x**3 + 0.25 * x**2 - 3 * x + 1  # degree <= m-3
         once = diff1(diff1(u, 0), 0)
-        twice = node_diff_matrix(roots_axis(m), 2) @ u
+        ax = roots_axis(m)
+        twice = bary_rows(ax, ax.nodes, 2) @ u
         assert np.max(np.abs(once - twice)) < 1e-9 * np.max(np.abs(twice))
 
     @pytest.mark.parametrize("ax, domain", [
@@ -297,20 +303,23 @@ class TestDerivatives:
     ], ids=["roots", "extrema", "extrema-shifted"])
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_node_diff_matrix_exact_on_full_degree(self, ax, domain, order):
-        # a polynomial of the full degree len(nodes) - 1 at the nodes
+        # a polynomial of the full degree len(nodes) - 1, differentiated
+        # from its node values at the nodes and at points between them
         poly = np.polynomial.Chebyshev(
             np.random.default_rng(14).standard_normal(len(ax.nodes)),
             domain=domain)
-        got = node_diff_matrix(ax, order) @ poly(ax.nodes)
-        want = poly.deriv(order)(ax.nodes)
-        assert np.max(np.abs(got - want)) \
-            <= 1e-11 * np.max(np.abs(want)) * len(ax.nodes) ** order
+        for x in (ax.nodes, np.linspace(*domain, 14)[1:-1]):
+            got = bary_rows(ax, x, order) @ poly(ax.nodes)
+            want = poly.deriv(order)(x)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-11 * np.max(np.abs(want)) * len(ax.nodes) ** order
 
-    def test_node_diff_matrix_on_extrema_axis_is_barycentric(self):
-        ax = extrema_axis(7, 0.0, 2.0)
-        d1 = bary_rows(ax, ax.nodes, 1)
-        assert np.array_equal(node_diff_matrix(ax, 1), d1)
-        assert np.array_equal(node_diff_matrix(ax, 2), d1 @ d1)
+    @pytest.mark.parametrize("order", [3, -1])
+    def test_bary_rows_refuses_other_orders(self, order):
+        # an unknown order must not fall through to first-derivative rows
+        with pytest.raises(ValueError, match=f"no derivative of order "
+                                             f"{order};"):
+            bary_rows(roots_axis(6), np.array([0.1, 0.4]), order)
 
     def test_diff1_matches_differentiation_matrix(self):
         m = 11
@@ -408,6 +417,12 @@ class TestCoefficientSpace:
             grad = nrm[r, 0] * diff1(u, 0) + nrm[r, 1] * diff1(u, 1)
             assert np.sum(deriv * u) == pytest.approx(
                 np.sum(interp * grad), rel=1e-10, abs=1e-10)
+
+    def test_cached_matrices_are_read_only(self):
+        # every build, and every thread of a pooled sweep, shares them
+        for mat in (*_roots_matrices(7), *_extrema_matrices(6),
+                    _chebder_matrix(7, 2)):
+            assert not mat.flags.writeable
 
     def test_tensor_rows_are_rowwise_kron(self):
         rng = np.random.default_rng(31)
@@ -511,6 +526,20 @@ class TestInterpolation:
         ax = roots_axis(8)
         row = bary_interp_row((ax,), (ax.nodes[2] + NODE_MATCH_TOL / 10,))
         assert row[2] == 1.0
+
+    @pytest.mark.parametrize("ax, domain", [
+        (roots_axis(9), (-1.0, 1.0)),
+        (extrema_axis(8, 0.0, 2.0), (0.0, 2.0)),
+    ], ids=["roots", "extrema"])
+    def test_points_just_off_a_node_are_not_snapped(self, ax, domain):
+        # 1e-12 from a node the rows are still the interpolant's: the
+        # node's own row there would be off by about 1e-12 |p'|
+        poly = np.polynomial.Chebyshev(
+            np.random.default_rng(15).standard_normal(len(ax.nodes)),
+            domain=domain)
+        x = np.concatenate([ax.nodes - 1e-12, ax.nodes + 1e-12])
+        got = bary_rows(ax, x) @ poly(ax.nodes)
+        assert np.max(np.abs(got - poly(x))) < 1e-13 * np.max(np.abs(poly(x)))
 
     @pytest.mark.parametrize("ax, domain", [
         (roots_axis(9), (-1.0, 1.0)),

@@ -186,6 +186,17 @@ class TestExperimentConfig:
             ExperimentConfig(problem="dirichlet-disc", grids=(10, 12, 14, 12),
                              p_list=(4.0,))
 
+    @pytest.mark.parametrize("p_list", [(4, 4.0), (6.0, 4.0, 6.0),
+                                        (4.0, 4.0000001)])
+    def test_repeated_exponent_rejected(self, p_list):
+        # exponents that print alike give two rows labelled alike, which
+        # the plot data and the order fit would count twice
+        label = f"{p_list[-1]:g}"
+        with pytest.raises(ConfigError, match=rf"smoother exponent {label} "
+                                              rf"is listed twice in "):
+            ExperimentConfig(problem="dirichlet-disc", grids=(10, 12),
+                             p_list=p_list)
+
     def test_exponent_must_exceed_half_dimension(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="dirichlet-disc", grids=(10,),
@@ -595,6 +606,13 @@ out = results.csv   # destination
         with pytest.raises(ConfigError, match="grid size 10 is listed twice"):
             parse_config(path)
 
+    def test_repeated_exponent(self, tmp_path):
+        path = self.write(tmp_path, "problem = dirichlet-disc\n"
+                          "grids = 10\np_list = 4,6,4.0\nout = r.csv\n")
+        with pytest.raises(ConfigError, match="smoother exponent 4 is "
+                                              "listed twice"):
+            parse_config(path)
+
 
 class TestWriteCsv:
     def test_empty_rows(self, tmp_path):
@@ -742,6 +760,14 @@ class TestMain:
                        f"p_list = 4\nout = {tmp_path / 'x.csv'}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "grid size 14 is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_repeated_exponent_exit_code(self, tmp_path, capsys):
+        code = main(["study", "--problem", "dirichlet-disc", "--grids",
+                     "10", "--p", "4,4", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "smoother exponent 4 is listed twice" \
+            in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_study_exp_with_p_exit_code(self, tmp_path, capsys):
