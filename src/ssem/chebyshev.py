@@ -1,18 +1,18 @@
-"""Tensor Chebyshev machinery on roots grids.
+"""Tensor Chebyshev machinery on roots and extrema axes.
 
 Grid functions and coefficient tensors are plain numpy arrays; the k-th
 axis of a grid function is sampled at the nodes of the k-th axis object.
 All operations act along a designated axis so they can be applied to
 batches (extra leading axes) unchanged.
 
-Spatial axes always use Chebyshev *roots* grids, which keep every node
-strictly inside (-1, 1); the extrema grid appears only as a time axis.
-Transforms are dense m x m matrices applied along one axis, built once
-per size from the closed-form cosines (cached), which at the sizes used
-here (m up to about 64) is faster than an FFT, and are validated against
-direct O(m^2) evaluation of the defining sums in the test suite. The
-interpolant of a grid function is differentiated one way on every axis:
-by the barycentric rows of bary_rows, at the nodes and at other points.
+Space uses Chebyshev *roots* axes, whose nodes lie strictly inside
+(-1, 1); time uses an *extrema* axis. Only the two axis classes and their
+cached AxisBasis records know the kind. A kind supplies its nodes, the
+map to the reference variable of its basis, and per size its analysis
+and synthesis matrices, Gram factor and barycentric weights. Dense
+matrices beat an FFT at these sizes (m up to about 64); the tests check
+them against the defining sums. The interpolant of a grid function is
+differentiated one way on every axis: by the rows of bary_rows.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
@@ -31,9 +32,7 @@ __all__ = [
     "extrema_axis",
     "forward_cheb",
     "inverse_cheb",
-    "diff1",
     "apply_sturm_liouville",
-    "bary_weights",
     "bary_rows",
     "bary_interp_row",
     "forward_extrema",
@@ -41,11 +40,19 @@ __all__ = [
     "synthesis",
     "analysis",
     "basis_values",
-    "gram_factor",
     "tensor_rows",
 ]
 
 NODE_MATCH_TOL = 1e-14
+
+
+class AxisBasis(NamedTuple):
+    """One axis kind's 1-D matrices at one size, cached and read-only."""
+
+    analysis: np.ndarray   # node values to coefficients
+    synthesis: np.ndarray  # [i, k]: basis function k at node i
+    gram: np.ndarray       # upper-triangular R: synthesis^T synthesis = R^T R
+    weights: np.ndarray    # barycentric weights of the nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +63,21 @@ class RootsAxis:
     ----------
     m : int
         Number of nodes.
-    angles : ndarray
-        theta_k = pi (2k+1) / (2m), strictly increasing in (0, pi).
     nodes : ndarray
-        x_k = cos(theta_k), strictly decreasing, all in (-1, 1).
+        x_k = cos(pi (2k+1) / (2m)), strictly decreasing, all in (-1, 1).
+    basis : AxisBasis
+        The matrices of T_k in x itself.
     """
 
     m: int
-    angles: np.ndarray
     nodes: np.ndarray
+    basis: AxisBasis
+
+    scale = 1.0  # the reference variable is x itself
+
+    @staticmethod
+    def reference(x):
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,18 +85,32 @@ class ExtremaAxis:
     """A Chebyshev extrema (endpoint-including) axis on [t_lo, t_hi].
 
     Holds n+1 nodes, affinely mapped from -cos(pi j / n) so that they
-    increase from t_lo to t_hi and include both endpoints exactly.
+    increase from t_lo to t_hi and include both endpoints exactly. Its
+    basis is T_k(s) in the reversed reference variable
+    s = 1 + scale (t - t_lo), scale = -2 / (t_hi - t_lo), which is
+    cos(pi j / n) at node j.
     """
 
     n: int
     t_lo: float
     t_hi: float
     nodes: np.ndarray
+    basis: AxisBasis
+
+    @property
+    def scale(self) -> float:
+        return -2.0 / (self.t_hi - self.t_lo)
+
+    def reference(self, t):
+        return 1.0 + self.scale * (t - self.t_lo)
 
 
 def _node_count(value, name: str) -> int:
-    """value as an int, or a ValueError naming the argument."""
+    """value as an int, or a ValueError naming the argument (a bool is an
+    int to operator.index, but not a node count)."""
     try:
+        if type(value) is bool:
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -94,9 +121,8 @@ def roots_axis(m: int) -> RootsAxis:
     m = _node_count(m, "roots axis m")
     if m < 1:
         raise ValueError(f"roots axis needs m >= 1, got {m}")
-    k = np.arange(m)
-    angles = np.pi * (2 * k + 1) / (2 * m)
-    return RootsAxis(m=m, angles=angles, nodes=np.cos(angles))
+    nodes = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
+    return RootsAxis(m=m, nodes=nodes, basis=_roots_basis(m))
 
 
 def extrema_axis(n: int, t_lo: float = 0.0, t_hi: float = 2.0) -> ExtremaAxis:
@@ -113,7 +139,8 @@ def extrema_axis(n: int, t_lo: float = 0.0, t_hi: float = 2.0) -> ExtremaAxis:
     # ref[0] + 1 is exactly 0, so nodes[0] is t_lo; nodes[-1] may round
     nodes = t_lo + (ref + 1.0) * (t_hi - t_lo) / 2.0
     nodes[-1] = t_hi
-    return ExtremaAxis(n=n, t_lo=t_lo, t_hi=t_hi, nodes=nodes)
+    return ExtremaAxis(n=n, t_lo=t_lo, t_hi=t_hi, nodes=nodes,
+                       basis=_extrema_basis(n))
 
 
 def _along(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
@@ -147,28 +174,37 @@ def _frozen(*mats):
 
 
 @functools.cache
-def _roots_matrices(m: int):
-    """(analysis, synthesis) on the m-point roots grid: synthesis[i, k] =
-    T_k(x_i) = cos(k theta_i), and analysis its inverse (p_k / m)
-    T_k(x_i), transposed (discrete orthogonality)."""
+def _roots_basis(m: int) -> AxisBasis:
+    """The m-point roots axis: synthesis[i, k] = T_k(x_i) = cos(k theta_i),
+    and analysis its inverse (p_k / m) T_k(x_i), transposed (discrete
+    orthogonality). So V^T V = diag(m, m/2, ..., m/2), and R is its
+    exactly diagonal square root. Weights (-1)^k sin(theta_k)."""
     k = np.arange(m)
     # k (2i + 1) mod 4m keeps each angle pi k (2i + 1) / (2m) below 2 pi
     synth = np.cos(np.pi * (np.outer(2 * k + 1, k) % (4 * m)) / (2 * m))
     forward = synth.T * np.where(k == 0, 1.0, 2.0)[:, None] / m
-    return _frozen(forward, synth)
+    gram = np.diag(np.sqrt(np.where(k == 0, m, m / 2.0)))
+    weights = (-1.0) ** k * np.sin(np.pi * (2 * k + 1) / (2 * m))
+    return AxisBasis(*_frozen(forward, synth, gram, weights))
 
 
 @functools.cache
-def _extrema_matrices(n: int):
-    """(analysis, synthesis) on the (n+1)-point extrema axis: synthesis
-    [j, k] = cos(pi j k / n), and analysis its inverse, by the discrete
-    orthogonality of the cosines under the trapezoid weights."""
+def _extrema_basis(n: int) -> AxisBasis:
+    """The (n+1)-point extrema axis: synthesis[j, k] = cos(pi j k / n), and
+    analysis its inverse, by the discrete orthogonality of the cosines
+    under the trapezoid weights. R comes from a QR of the synthesis.
+    Weights (-1)^j, halved at both ends (Berrut & Trefethen, SIAM Review
+    46, 2004); the affine map to [t_lo, t_hi] and the reversed node order
+    scale every weight alike, which cancels."""
     j = np.arange(n + 1)
     synth = np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n)
     ends = (j == 0) | (j == n)
     forward = synth * np.where(ends, 1.0, 2.0) \
         / np.where(ends, 2.0 * n, n)[:, None]
-    return _frozen(forward, synth)
+    weights = (-1.0) ** j
+    weights[[0, -1]] *= 0.5
+    return AxisBasis(*_frozen(forward, synth, np.linalg.qr(synth, mode="r"),
+                              weights))
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +224,17 @@ def forward_cheb(u: np.ndarray, axes=None) -> np.ndarray:
     axes : iterable of int, optional
         Axes to transform (default: all).
     """
-    u = np.asarray(u, dtype=float)
-    if axes is None:
-        axes = range(u.ndim)
-    c = u
-    for ax in axes:
-        c = _apply(_roots_matrices(c.shape[ax])[0], c, ax)
+    c = np.asarray(u, dtype=float)
+    for a in range(c.ndim) if axes is None else axes:
+        c = _apply(_roots_basis(c.shape[a]).analysis, c, a)
     return c
 
 
 def inverse_cheb(c: np.ndarray, axes=None) -> np.ndarray:
     """Inverse of :func:`forward_cheb`: u_i = sum_k c_k T_k(x_i) per axis."""
-    c = np.asarray(c, dtype=float)
-    if axes is None:
-        axes = range(c.ndim)
-    u = c
-    for ax in axes:
-        u = _synthesize(_roots_matrices(u.shape[ax])[1], u, ax)
+    u = np.asarray(c, dtype=float)
+    for a in range(u.ndim) if axes is None else axes:
+        u = _synthesize(_roots_basis(u.shape[a]).synthesis, u, a)
     return u
 
 
@@ -218,13 +248,13 @@ def forward_extrema(u: np.ndarray, axis: int = -1) -> np.ndarray:
     this basis indexes the smoother multiplier.
     """
     u = np.asarray(u, dtype=float)
-    return _apply(_extrema_matrices(u.shape[axis] - 1)[0], u, axis)
+    return _apply(_extrema_basis(u.shape[axis] - 1).analysis, u, axis)
 
 
 def inverse_extrema(c: np.ndarray, axis: int = -1) -> np.ndarray:
     """Inverse of :func:`forward_extrema`."""
     c = np.asarray(c, dtype=float)
-    return _synthesize(_extrema_matrices(c.shape[axis] - 1)[1], c, axis)
+    return _synthesize(_extrema_basis(c.shape[axis] - 1).synthesis, c, axis)
 
 
 def synthesis(c: np.ndarray, axes) -> np.ndarray:
@@ -235,10 +265,7 @@ def synthesis(c: np.ndarray, axes) -> np.ndarray:
     """
     u = np.asarray(c, dtype=float)
     for i, ax in enumerate(axes):
-        if isinstance(ax, ExtremaAxis):
-            u = inverse_extrema(u, axis=i)
-        else:
-            u = inverse_cheb(u, axes=(i,))
+        u = _synthesize(ax.basis.synthesis, u, i)
     return u
 
 
@@ -246,34 +273,27 @@ def analysis(u: np.ndarray, axes) -> np.ndarray:
     """Inverse of :func:`synthesis`: the coefficient tensor of grid values."""
     c = np.asarray(u, dtype=float)
     for i, ax in enumerate(axes):
-        if isinstance(ax, ExtremaAxis):
-            c = forward_extrema(c, axis=i)
-        else:
-            c = forward_cheb(c, axes=(i,))
+        c = _apply(ax.basis.analysis, c, i)
     return c
 
 
 # ---------------------------------------------------------------------------
-# coefficient space: basis evaluation and Gram factors
+# coefficient space: basis evaluation
 # ---------------------------------------------------------------------------
 
 def basis_values(ax, x, order: int = 0) -> np.ndarray:
     """The order-th derivatives of an axis' basis functions at points x.
 
     Returns a (len(x), size) matrix whose column k is the basis function
-    behind coefficient k of :func:`synthesis`: T_k on a roots axis; on an
-    extrema axis T_k(s) in the reversed reference variable
-    s = 1 - 2 (t - t_lo) / (t_hi - t_lo), which is cos(pi j / n) at node j.
+    behind coefficient k of :func:`synthesis`: T_k of the axis' reference
+    variable ax.reference(x), whose derivative in x is ax.scale.
     Derivatives are taken in coefficient space (chebder), so they stay
     accurate at points near the ends of the interval.
     """
-    size, scale, s = len(ax.nodes), 1.0, np.asarray(x, dtype=float)
-    if isinstance(ax, ExtremaAxis):
-        scale = -2.0 / (ax.t_hi - ax.t_lo)
-        s = 1.0 + scale * (s - ax.t_lo)
+    size, s = len(ax.nodes), ax.reference(np.asarray(x, dtype=float))
     if order == 0:
         return ncheb.chebvander(s, size - 1)
-    deriv = _chebder_matrix(size, order) * scale ** order
+    deriv = _chebder_matrix(size, order) * ax.scale ** order
     return ncheb.chebvander(s, deriv.shape[0] - 1) @ deriv
 
 
@@ -283,21 +303,6 @@ def _chebder_matrix(size: int, order: int) -> np.ndarray:
     T_k, k < size (chebder of the identity, cached: it is a Python loop
     over the degrees)."""
     return _frozen(ncheb.chebder(np.eye(size), order))[0]
-
-
-def gram_factor(ax) -> np.ndarray:
-    """Upper-triangular R with V^T V = R^T R for the axis' synthesis V.
-
-    On a roots axis the basis is discretely orthogonal, V^T V =
-    diag(m, m/2, ..., m/2), so R is its (exactly diagonal) square root; on
-    an extrema axis R comes from a QR factorization of
-    V[j, k] = cos(pi j k / n).
-    """
-    if isinstance(ax, ExtremaAxis):
-        return np.linalg.qr(_extrema_matrices(ax.n)[1], mode="r")
-    g = np.full(ax.m, ax.m / 2.0)
-    g[0] = ax.m
-    return np.diag(np.sqrt(g))
 
 
 def tensor_rows(factors) -> np.ndarray:
@@ -316,16 +321,6 @@ def tensor_rows(factors) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
-
-def diff1(u: np.ndarray, axis: int) -> np.ndarray:
-    """First spectral derivative along an axis of a roots grid.
-
-    Computes the exact derivative of the degree-(m-1) interpolant at the
-    nodes: the barycentric differentiation matrix D of bary_rows.
-    """
-    u = np.asarray(u, dtype=float)
-    return _apply(_bary_diff_matrix(roots_axis(u.shape[axis])), u, axis)
-
 
 def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
     """Apply the Chebyshev Sturm-Liouville operator -(1-x^2) u'' + x u'.
@@ -349,23 +344,11 @@ def apply_sturm_liouville(u: np.ndarray, axis: int) -> np.ndarray:
 # barycentric interpolation
 # ---------------------------------------------------------------------------
 
-def bary_weights(ax) -> np.ndarray:
-    """Barycentric weights of an axis' nodes: w_k = (-1)^k sin(theta_k) on
-    a roots axis; on an extrema axis (-1)^j, halved at both ends (Berrut &
-    Trefethen, SIAM Review 46, 2004). The affine map to [t_lo, t_hi] and
-    the reversed node order scale every weight alike, which cancels."""
-    if isinstance(ax, ExtremaAxis):
-        w = (-1.0) ** np.arange(ax.n + 1)
-        w[[0, -1]] *= 0.5
-        return w
-    return (-1.0) ** np.arange(ax.m) * np.sin(ax.angles)
-
-
 def _node_diff_rows(ax, k: np.ndarray) -> np.ndarray:
     """Rows k of the barycentric differentiation matrix: the derivative
     rows at the nodes themselves, where the formula at other points has
     a removable singularity."""
-    w, x = bary_weights(ax), ax.nodes
+    w, x = ax.basis.weights, ax.nodes
     off = np.arange(len(x)) != k[:, None]
     rows = np.divide(w / w[k, None], x[k, None] - x, where=off,
                      out=np.zeros(off.shape))
@@ -399,7 +382,7 @@ def bary_rows(ax, x, order: int = 0) -> np.ndarray:
     on_node = np.abs(d[np.arange(len(d)), hit]) < NODE_MATCH_TOL
     rows = np.zeros(d.shape)
     d = d[~on_node]
-    t = bary_weights(ax) / d
+    t = ax.basis.weights / d
     q = t.sum(axis=1, keepdims=True)
     if order == 0:
         rows[~on_node] = t / q

@@ -63,7 +63,7 @@ from .assembly import (
     SmootherSpec,
     smoother_multiplier_array,
 )
-from .chebyshev import _along, analysis, gram_factor, synthesis
+from .chebyshev import _along, analysis, synthesis
 
 __all__ = [
     "QRFactorization",
@@ -605,7 +605,7 @@ def _smoother(system: ConstraintSystem, smoother):
 def _gram_inverse(axes):
     """R_V^{-1} = diag(scale) times the (axis, R_a^{-1}) factors listed:
     diagonal Gram factors (roots axes) fold into the scale tensor."""
-    factors = [gram_factor(ax) for ax in axes]
+    factors = [ax.basis.gram for ax in axes]
     scale = np.ones(tuple(len(r) for r in factors))
     inverses = []
     for a, r in enumerate(factors):

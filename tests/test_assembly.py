@@ -18,7 +18,6 @@ from ssem.assembly import (
 from ssem.chebyshev import (
     analysis,
     forward_cheb,
-    gram_factor,
     inverse_cheb,
     roots_axis,
     synthesis,
@@ -341,7 +340,7 @@ def dirichlet_disc_system(m=10):
 
 def factored_transpose(system, spec):
     """M' = R_V^{-T} diag(mu) A^T, the matrix pinv_solve factors."""
-    r_v = np.kron(*(gram_factor(ax) for ax in system.axes))
+    r_v = np.kron(*(ax.basis.gram for ax in system.axes))
     mult = smoother_multiplier_array(spec, system.grid_shape).ravel()
     return np.linalg.solve(r_v.T, mult[:, None]
                            * system.coefficient_matrix().T)
@@ -400,6 +399,24 @@ class TestConstraintSystem:
         assert built >= 1
         assert len(calls) == built
 
+    def test_coefficient_arrays_are_copied_at_build(self):
+        # a callable may return an array it keeps; changing that array
+        # after the build must not change the built constraints
+        kept = {}
+
+        def trace(pts, nrm):
+            kept["a"] = 1.0 + pts[:, 0] ** 2
+            return kept["a"]
+
+        bc = BoundaryConditionSpec(trace=trace, flux=0.5, data=0.0)
+        axes = (roots_axis(10), roots_axis(10))
+        system = assemble_elliptic(disc_domain(), axes, LAPLACE, bc)
+        u = np.random.default_rng(10).standard_normal((10, 10))
+        before, mat = system.apply(u), system.coefficient_matrix()
+        kept["a"][:] = -7.0
+        assert np.array_equal(system.apply(u), before)
+        assert np.array_equal(system.coefficient_matrix(), mat)
+
 
 class TestMaterialize:
     def test_shape(self):
@@ -422,7 +439,7 @@ class TestMaterialize:
         mat = factored_transpose(system, spec)
         rng = np.random.default_rng(7)
         u = rng.standard_normal((10, 10))
-        r_v = np.kron(*(gram_factor(ax) for ax in system.axes))
+        r_v = np.kron(*(ax.basis.gram for ax in system.axes))
         via_matrix = mat.T @ (r_v @ analysis(u, system.axes).ravel())
         via_ops = system.apply(apply_smoother_half_inverse(u, spec))
         assert np.max(np.abs(via_matrix - via_ops)) \
@@ -435,7 +452,7 @@ class TestMaterialize:
         mat = factored_transpose(system, spec)
         dense_c = dense_from_apply(system.apply, (8, 8), system.n_rows)
         v = np.kron(chebyshev_vandermonde(8), chebyshev_vandermonde(8))
-        r_v = np.kron(*(gram_factor(ax) for ax in system.axes))
+        r_v = np.kron(*(ax.basis.gram for ax in system.axes))
         rng = np.random.default_rng(8)
         for i in rng.choice(system.n_rows, size=5, replace=False):
             grid_col = apply_smoother_half_inverse(

@@ -8,19 +8,16 @@ from ssem.assembly import SmootherSpec, apply_smoother_half_inverse
 from ssem.chebyshev import (
     NODE_MATCH_TOL,
     _chebder_matrix,
-    _extrema_matrices,
-    _roots_matrices,
+    _extrema_basis,
+    _roots_basis,
     analysis,
     apply_sturm_liouville,
     bary_interp_row,
     bary_rows,
-    bary_weights,
     basis_values,
-    diff1,
     extrema_axis,
     forward_cheb,
     forward_extrema,
-    gram_factor,
     inverse_cheb,
     inverse_extrema,
     roots_axis,
@@ -48,7 +45,7 @@ def t_samples(j, m):
 def loop_bary_row(ax, y, order):
     """One barycentric value or derivative row at the point y, formed on
     its own: the per-point reference for the vectorized bary_rows."""
-    w, d = bary_weights(ax), y - ax.nodes
+    w, d = ax.basis.weights, y - ax.nodes
     hit = np.argmin(np.abs(d))
     row = np.zeros(len(ax.nodes))
     if abs(d[hit]) < NODE_MATCH_TOL:
@@ -101,7 +98,7 @@ class TestAxes:
         with pytest.raises(ValueError):
             roots_axis(0)
 
-    @pytest.mark.parametrize("m", [5.5, 4.0, "6"])
+    @pytest.mark.parametrize("m", [5.5, 4.0, "6", True])
     def test_roots_axis_needs_an_integer(self, m):
         # np.arange(5.5) has 6 entries: a fractional m made a 6-node axis
         with pytest.raises(ValueError, match="roots axis m must be an "
@@ -109,9 +106,11 @@ class TestAxes:
             roots_axis(m)
 
     def test_extrema_axis_needs_an_integer(self):
-        with pytest.raises(ValueError, match="extrema axis n must be an "
-                                             "integer"):
-            extrema_axis(4.5)
+        # True is an int to operator.index: it made a 2-node axis
+        for n in (4.5, True):
+            with pytest.raises(ValueError, match="extrema axis n must be an "
+                                                 "integer"):
+                extrema_axis(n, 0, 1)
 
     @pytest.mark.parametrize("t_lo, t_hi", [(0.0, np.nan), (np.nan, 1.0),
                                             (-np.inf, 1.0), (0.0, np.inf)])
@@ -137,6 +136,31 @@ class TestAxes:
             assert ax.nodes[0] == t_lo
             assert ax.nodes[-1] == t_hi
             assert np.all(np.diff(ax.nodes) > 0)
+
+
+# Each axis kind's axis of `size` nodes on [lo, hi] (a roots axis has
+# no interval): a further kind joins here and must pass the contract.
+AXIS_KINDS = {
+    "roots": lambda size, lo, hi: roots_axis(size),
+    "extrema": lambda size, lo, hi: extrema_axis(size - 1, lo, hi),
+}
+
+
+class TestAxisContract:
+    @pytest.mark.parametrize("size", [2, 5, 16, 33])
+    @pytest.mark.parametrize("kind", sorted(AXIS_KINDS))
+    def test_axis_contract(self, kind, size):
+        ax = AXIS_KINDS[kind](size, 0.0, 2.0)
+        basis, eye = ax.basis, np.eye(size)
+        v, r = basis.synthesis, basis.gram
+        assert np.max(np.abs(basis.analysis @ v - eye)) < 1e-13
+        assert basis_values(ax, ax.nodes) == pytest.approx(v, abs=1e-12)
+        assert np.array_equal(r, np.triu(r))
+        assert r.T @ r == pytest.approx(v.T @ v, abs=1e-12 * size)
+        assert np.array_equal(bary_rows(ax, ax.nodes, 0), eye)
+        assert not any(mat.flags.writeable for mat in basis)
+        # one record per kind and size, whatever the interval
+        assert AXIS_KINDS[kind](size, -0.7, 2.9).basis is basis
 
 
 class TestTransforms:
@@ -226,8 +250,9 @@ class TestTransformMatrices:
         assert self.rel_err(inverse_cheb(u, axes=one),
                             inverse_cheb_direct(u, axes=one)) < 1e-12
         d = diff_matrix(m)
-        assert self.rel_err(diff1(u, axis), self.along(d, u, axis)) < 1e-12
         ax = roots_axis(m)
+        assert self.rel_err(self.along(bary_rows(ax, ax.nodes, 1), u, axis),
+                            self.along(d, u, axis)) < 1e-12
         d2 = bary_rows(ax, ax.nodes, 2)
         assert self.rel_err(self.along(d2, u, axis),
                             self.along(d @ d, u, axis)) < 1e-12
@@ -263,18 +288,24 @@ class TestExtremaTransform:
 
 
 class TestDerivatives:
+    @staticmethod
+    def d(m):
+        """The barycentric differentiation matrix D on m roots nodes."""
+        ax = roots_axis(m)
+        return bary_rows(ax, ax.nodes, 1)
+
     def test_linear(self):
         ax = roots_axis(9)
-        assert diff1(ax.nodes, 0) == pytest.approx(np.ones(9), abs=1e-13)
+        assert self.d(9) @ ax.nodes == pytest.approx(np.ones(9), abs=1e-13)
 
     def test_constant(self):
-        assert diff1(np.ones(8), 0) == pytest.approx(np.zeros(8), abs=1e-13)
+        assert self.d(8) @ np.ones(8) == pytest.approx(np.zeros(8), abs=1e-13)
 
     def test_t3(self):
         m = 8
         theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
         expect = 3.0 * np.sin(3 * theta) / np.sin(theta)
-        assert diff1(t_samples(3, m), 0) == pytest.approx(expect, abs=1e-12)
+        assert self.d(m) @ t_samples(3, m) == pytest.approx(expect, abs=1e-12)
 
     def test_second_derivative_of_square(self):
         ax = roots_axis(10)
@@ -291,7 +322,7 @@ class TestDerivatives:
         m = 14
         x = roots_nodes(m)
         u = 2 * x**5 - x**3 + 0.25 * x**2 - 3 * x + 1  # degree <= m-3
-        once = diff1(diff1(u, 0), 0)
+        once = self.d(m) @ (self.d(m) @ u)
         ax = roots_axis(m)
         twice = bary_rows(ax, ax.nodes, 2) @ u
         assert np.max(np.abs(once - twice)) < 1e-9 * np.max(np.abs(twice))
@@ -323,14 +354,7 @@ class TestDerivatives:
 
     def test_diff1_matches_differentiation_matrix(self):
         m = 11
-        dense = dense_operator(lambda u: diff1(u, 0), (m,))
-        assert np.max(np.abs(dense - diff_matrix(m))) < 1e-11
-
-    def test_diff1_on_batched_axis(self):
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal((3, 10))
-        rows = np.stack([diff1(r, 0) for r in u])
-        assert diff1(u, 1) == pytest.approx(rows, abs=1e-12)
+        assert np.max(np.abs(self.d(m) - diff_matrix(m))) < 1e-11
 
 
 class TestCoefficientSpace:
@@ -386,15 +410,15 @@ class TestCoefficientSpace:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 16])
     def test_gram_factor_roots(self, m):
-        r = gram_factor(roots_axis(m))
+        # exactly diagonal: the solver folds it into its scale tensor
+        r = roots_axis(m).basis.gram
         vand = chebyshev_vandermonde(m)
         assert np.count_nonzero(r - np.diag(np.diag(r))) == 0
         assert r.T @ r == pytest.approx(vand.T @ vand, abs=1e-12 * m)
 
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_gram_factor_extrema(self, n):
-        axis = extrema_axis(n)
-        r = gram_factor(axis)
+        r = extrema_axis(n).basis.gram
         vand = dense_operator(inverse_extrema, (n + 1,))
         assert r == pytest.approx(np.triu(r), abs=0.0)
         assert r.T @ r == pytest.approx(vand.T @ vand, abs=1e-12 * n)
@@ -405,6 +429,7 @@ class TestCoefficientSpace:
         nrm = np.array([[0.6, 0.8], [1.0, 0.0]])
         values = [bary_rows(ax, pts[:, j]) for j, ax in enumerate(axes)]
         slopes = [bary_rows(ax, pts[:, j], 1) for j, ax in enumerate(axes)]
+        slopes_at_nodes = [bary_rows(ax, ax.nodes, 1) for ax in axes]
         u = np.random.default_rng(35).standard_normal((9, 7))
         for r in range(2):
             interp = bary_interp_row(axes, pts[r])
@@ -414,13 +439,14 @@ class TestCoefficientSpace:
             # spectral derivative (both exact on degree m-1)
             deriv = (nrm[r, 0] * np.outer(slopes[0][r], values[1][r])
                      + nrm[r, 1] * np.outer(values[0][r], slopes[1][r]))
-            grad = nrm[r, 0] * diff1(u, 0) + nrm[r, 1] * diff1(u, 1)
+            grad = (nrm[r, 0] * slopes_at_nodes[0] @ u
+                    + nrm[r, 1] * u @ slopes_at_nodes[1].T)
             assert np.sum(deriv * u) == pytest.approx(
                 np.sum(interp * grad), rel=1e-10, abs=1e-10)
 
     def test_cached_matrices_are_read_only(self):
         # every build, and every thread of a pooled sweep, shares them
-        for mat in (*_roots_matrices(7), *_extrema_matrices(6),
+        for mat in (*_roots_basis(7), *_extrema_basis(6),
                     _chebder_matrix(7, 2)):
             assert not mat.flags.writeable
 

@@ -15,7 +15,6 @@ from ssem.chebyshev import (
     analysis,
     bary_rows,
     extrema_axis,
-    gram_factor,
     inverse_extrema,
     roots_axis,
     synthesis,
@@ -302,8 +301,8 @@ class TestSpacetimeSmoother:
         m, n = 4, 3
         axes = (roots_axis(m), roots_axis(m), extrema_axis(n))
         vand = spacetime_vandermonde(m, n)
-        r = np.kron(np.kron(gram_factor(axes[0]), gram_factor(axes[1])),
-                    gram_factor(axes[2]))
+        r = np.kron(np.kron(axes[0].basis.gram, axes[1].basis.gram),
+                    axes[2].basis.gram)
         q_v = vand @ np.linalg.inv(r)
         assert np.max(np.abs(q_v.T @ q_v - np.eye(len(r)))) < 1e-13
         for spec in (SmootherSpec("power", 4.0), SmootherSpec("exp")):

@@ -25,7 +25,6 @@ from ssem.assembly import (
 from ssem.chebyshev import (
     extrema_axis,
     forward_cheb,
-    gram_factor,
     inverse_cheb,
     roots_axis,
 )
@@ -721,7 +720,7 @@ class TestPinvSolve:
         householder_qr(factored)
         # rows of A that the identity smoother and the roots-axis Gram
         # scale turn back into the factored matrix
-        gram = np.diag(gram_factor(roots_axis(m)))
+        gram = np.diag(roots_axis(m).basis.gram)
         axes = (roots_axis(m), roots_axis(m))
         system = ConstraintSystem(
             axes, None, None, np.ones(n),
@@ -842,9 +841,9 @@ class TestScaleRows:
         shape = system.grid_shape
         a_mat = system.coefficient_matrix()
         mult = smoother_multiplier_array(SmootherSpec("power", 4.0), shape)
-        gram = np.diag(gram_factor(roots_axis(m)))
+        gram = np.diag(roots_axis(m).basis.gram)
         scale = np.multiply.outer(1.0 / np.outer(gram, gram), np.ones(n + 1))
-        r_t_inv = np.linalg.inv(gram_factor(grid.time_axis))
+        r_t_inv = np.linalg.inv(grid.time_axis.basis.gram)
         want = a_mat @ np.diag((mult * scale).ravel()) \
             @ np.kron(np.eye(m * m), r_t_inv)
 
