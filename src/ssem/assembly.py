@@ -14,12 +14,12 @@ T_k, T_k' and T_k'' as factors. On grid functions it is C u, used for
 residual checks, with the barycentric derivative rows of the
 interpolant as factors, at interior nodes and boundary points alike.
 
-Coefficient functions are evaluated once per build: interior
-coefficients are callables of the unpacked node coordinates (or plain
-constants), boundary coefficients and data are callables of (points,
-normals) arrays (or constants). build_system stacks groups of rows in
-order: an elliptic problem's interior rows, then its boundary rows; the
-heat equation's three groups on the space-time grid (parabolic.py).
+build_system evaluates and checks every coefficient, source and data
+item once per build, through one evaluator that names what it refuses.
+Interior ones are callables of the unpacked node coordinates, boundary
+ones of (points, normals) arrays, or constants. build_system stacks
+groups of rows in order: an elliptic problem's interior rows, then its
+boundary rows; the heat problem's three groups (parabolic.py).
 """
 
 from __future__ import annotations
@@ -117,31 +117,30 @@ class SmootherSpec:
         return np.exp(-np.sqrt(k_squared) / 2.0)
 
 
-def _coeff_values(coeff, *args) -> np.ndarray:
-    """A coefficient at len(args[0]) points: coeff(*args) if it is callable
-    (of the node coordinates, or of boundary points and normals), else the
-    constant."""
+# ---------------------------------------------------------------------------
+# input checks: assembly names the culprit of what would otherwise surface
+# as an unnamed numpy error, or as a non-finite factor after the full QR
+# ---------------------------------------------------------------------------
+
+def _values(coeff, what: str, *args) -> np.ndarray:
+    """coeff at len(args[0]) points as a new array: coeff(*args) if it is
+    callable (of node coordinates, or of boundary points and normals),
+    else the constant. A ValueError names what if a callable gives neither
+    a scalar nor one value per point, or if a value is NaN or inf."""
     n = len(args[0])
-    if callable(coeff):
-        return np.broadcast_to(np.asarray(coeff(*args), dtype=float),
-                               (n,)).copy()
-    return np.full(n, float(coeff))
-
-
-# ---------------------------------------------------------------------------
-# input checks: assembly rejects what would otherwise surface only as a
-# non-finite factor (or a LAPACK error) after the full QR
-# ---------------------------------------------------------------------------
-
-def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
-    """values, or a ValueError naming what holds NaN or inf entries."""
-    bad = ~np.isfinite(values)
+    vals = np.asarray(coeff(*args) if callable(coeff) else float(coeff),
+                      dtype=float)
+    if vals.shape not in ((), (n,)):
+        raise ValueError(f"{what}: expected a scalar or {n} values, got "
+                         f"shape {vals.shape}")
+    vals = np.broadcast_to(vals, (n,)).copy()
+    bad = ~np.isfinite(vals)
     if bad.any():
         kinds = [kind for kind, test in (("NaN", np.isnan), ("inf", np.isinf))
-                 if test(values).any()]
+                 if test(vals).any()]
         raise ValueError(f"{what}: {' and '.join(kinds)} at "
-                         f"{np.count_nonzero(bad)} of {values.size} points")
-    return values
+                         f"{np.count_nonzero(bad)} of {n} points")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +159,7 @@ def _operator_terms(op: EllipticOperatorSpec, coords: np.ndarray) -> list:
     d = len(coords)
 
     def weight(coeff, name):
-        return _require_finite(_coeff_values(coeff, *coords),
-                               f"operator coefficient {name}")
+        return _values(coeff, f"operator coefficient {name}", *coords)
 
     def orders(key, order):
         diff_axes = key if order == 2 else (key,)
@@ -191,18 +189,14 @@ def _boundary_terms(bc: BoundaryConditionSpec,
                     boundary: BoundaryPointSet) -> list:
     """Boundary rows: a u + b grad(u) . nu at the sampled points."""
     pts, nrm = boundary.points, boundary.normals
-    a = _require_finite(_coeff_values(bc.trace, pts, nrm),
-                        "boundary trace coefficient")
-    b = _require_finite(_coeff_values(bc.flux, pts, nrm),
-                        "boundary flux coefficient")
+    a = _values(bc.trace, "boundary trace coefficient", pts, nrm)
+    b = _values(bc.flux, "boundary flux coefficient", pts, nrm)
     if np.any((a == 0.0) & (b == 0.0)):
         raise ValueError("boundary condition vanishes at a sampled point")
     d = pts.shape[1]
     terms = [(a, [0] * d)]
     for j in range(d):
-        w = b * nrm[:, j]
-        if np.any(w):  # not for a trace condition, or a zero normal axis
-            terms.append((w, [int(i == j) for i in range(d)]))
+        terms.append((b * nrm[:, j], [int(i == j) for i in range(d)]))
     return terms
 
 
@@ -212,7 +206,9 @@ def _realize(terms, where, axes):
     derivative along axis a at the group's nodes or points. For A they
     are of the basis (basis_values); for C, of the interpolant of a grid
     function (bary_rows), at interior nodes and boundary points alike.
-    C keeps its own arithmetic, so the residual checks A."""
+    C keeps its own arithmetic, so the residual checks A. A term whose
+    weight is zero on every row is dropped before its factors are built."""
+    terms = [(w, orders) for w, orders in terms if np.any(w)]
     def factors(rows_of):
         if isinstance(where, InteriorIndexSet):
             def factor(a, k):
@@ -233,11 +229,10 @@ def _apply_terms(terms, u: np.ndarray, n_rows: int) -> np.ndarray:
     function, one axis at a time."""
     out = np.zeros(n_rows)
     for w, factors in terms:
-        if np.any(w):
-            vals = factors[0] @ u.reshape(len(u), -1)
-            for f in factors[1:]:
-                vals = f[:, None] @ vals.reshape(n_rows, f.shape[1], -1)
-            out += w * vals.reshape(n_rows)
+        vals = factors[0] @ u.reshape(len(u), -1)
+        for f in factors[1:]:
+            vals = f[:, None] @ vals.reshape(n_rows, f.shape[1], -1)
+        out += w * vals.reshape(n_rows)
     return out
 
 
@@ -255,7 +250,7 @@ def _fill_rows(out: np.ndarray, terms) -> None:
     """
     n_rows = len(out)
     terms = [(np.broadcast_to(np.reshape(w, (-1, 1)), (n_rows, 1)), f)
-             for w, f in terms if np.any(w)]
+             for w, f in terms]
     if not terms:
         out[:] = 0.0
         return
@@ -363,13 +358,11 @@ def build_system(axes, groups, interior, boundary,
     for i, (where, spec) in enumerate(groups):
         if isinstance(spec, EllipticOperatorSpec):
             coords = interior_coordinates(axes, where).T
-            rhs.append(_require_finite(_coeff_values(spec.source, *coords),
-                                       "source"))
+            rhs.append(_values(spec.source, "source", *coords))
             terms = _operator_terms(spec, coords)
         elif isinstance(spec, BoundaryConditionSpec):
-            rhs.append(_require_finite(
-                _coeff_values(spec.data, where.points, where.normals),
-                "boundary data"))
+            rhs.append(_values(spec.data, "boundary data", where.points,
+                               where.normals))
             terms = _boundary_terms(spec, where)
         else:
             raise TypeError(f"row group {i}: expected an EllipticOperatorSpec "

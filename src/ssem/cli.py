@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
+import tempfile
 
 from .experiments import (
     ConfigError,
@@ -116,17 +118,14 @@ def write_csv(rows, path: str) -> None:
     Numeric columns are deterministic for identical inputs; only the
     seconds column varies between reruns.
     """
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\n")
-            for r in rows:
-                fh.write(",".join([
-                    str(r.m), str(r.n_omega), str(r.n_gamma), r.p,
-                    _fmt(r.l2_error), _fmt(r.linf_error), _fmt(r.cond),
-                    _fmt(r.seconds),
-                ]) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for r in rows:
+            fh.write(",".join([
+                str(r.m), str(r.n_omega), str(r.n_gamma), r.p,
+                _fmt(r.l2_error), _fmt(r.linf_error), _fmt(r.cond),
+                _fmt(r.seconds),
+            ]) + "\n")
 
 
 def read_csv_rows(path: str):
@@ -193,19 +192,29 @@ def emit_plot_data(rows, path: str) -> None:
                        f"m={anchor.m}"]
                       + [f"{m} {_fmt(anchor.cond * (m / anchor.m) ** p)}"
                          for m in ms])
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n\n".join("\n".join(b) for b in blocks) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write plot data to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write("\n\n".join("\n".join(b) for b in blocks) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+def _require_writable(path: str, what: str) -> None:
+    """A ConfigError unless path can be written, found without creating or
+    truncating it: opened to append, or else a temporary file in its dir."""
+    try:
+        if os.path.exists(path) or not path:
+            os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+        else:
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} to {path}: {exc.strerror}")
+
+
 def _sweep(config: ExperimentConfig) -> int:
     """Run the sweep, write its CSV; exit code 1 if any row failed."""
+    _require_writable(config.out, "CSV")
     rows = run_experiment(config)
     write_csv(rows, config.out)
     return 1 if any(r.failed for r in rows) else 0
@@ -226,6 +235,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
+    _require_writable(args.out, "plot data")
     rows = read_csv_rows(args.infile)
     emit_plot_data(rows, args.out)
     return 0

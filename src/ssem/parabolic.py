@@ -9,7 +9,7 @@ builder as an elliptic one from three row groups:
   at the spatial interior nodes for t > 0, node outer and time inner,
   with zero source;
 - initial rows: zeroth-order rows (u itself) at the interior nodes at
-  t = 0, with source u0;
+  t = 0, with source u0 (build_system evaluates it as any source);
 - lateral rows: the problem's boundary condition a u + b du/dnu = g at
   the sampled boundary points for t > 0, point outer and time inner;
   its callables take the space-time points (k, 3) and their normals
@@ -31,7 +31,6 @@ from .assembly import (
     ConstraintSystem,
     EllipticOperatorSpec,
     SmootherSpec,
-    _require_finite,
     build_system,
     smoother_multiplier_array,
 )
@@ -47,7 +46,6 @@ from .geometry import (
     DomainSpec,
     InteriorIndexSet,
     classify_interior,
-    interior_coordinates,
     sample_boundary_2d,
 )
 from .solver import SolveReport, pinv_solve
@@ -101,16 +99,13 @@ def assemble_parabolic(problem: ParabolicProblem,
     Row order: heat-operator rows at interior nodes for t > 0 (node
     outer, time inner), then the initial rows, then lateral rows
     (boundary point outer, time inner); right-hand side stacks
-    (0; u0; g) to match. The system reports the spatial interior and
-    boundary sets.
+    (0; u0; g) to match: u0 and g are their groups' source and data, which
+    build_system evaluates and checks ("source", "boundary data"). The
+    system reports the spatial interior and boundary sets.
     """
     times = grid.time_axis.nodes
     interior = classify_interior(problem.domain, grid.space_axes)
     boundary = sample_boundary_2d(problem.domain, grid.space_axes[0].m)
-    coords = interior_coordinates(grid.space_axes, interior)
-    u0 = _require_finite(np.asarray(problem.initial(*coords.T), dtype=float),
-                         "initial values")
-
     heat_nodes = _with_times(interior.indices, np.arange(1, len(times)))
     initial_nodes = _with_times(interior.indices, [0])
     lateral_points = _with_times(boundary.points, times[1:])
@@ -118,7 +113,8 @@ def assemble_parabolic(problem: ParabolicProblem,
     groups = [
         (InteriorIndexSet(heat_nodes), HEAT),
         (InteriorIndexSet(initial_nodes),
-         EllipticOperatorSpec({}, {}, zeroth=1.0, source=lambda *_: u0)),
+         EllipticOperatorSpec({}, {}, zeroth=1.0,
+                              source=lambda x, y, t: problem.initial(x, y))),
         (BoundaryPointSet(lateral_points, lateral_normals), problem.lateral),
     ]
     return build_system((*grid.space_axes, grid.time_axis), groups,

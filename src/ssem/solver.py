@@ -63,7 +63,7 @@ from .assembly import (
     SmootherSpec,
     smoother_multiplier_array,
 )
-from .chebyshev import _along, analysis, synthesis
+from .chebyshev import _along, _apply, analysis, synthesis
 
 __all__ = [
     "QRFactorization",
@@ -677,7 +677,7 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor)
     coef = fac.apply_q(z).reshape(shape)
     for a, inv in inverses:
-        coef = np.moveaxis(np.tensordot(inv, coef, axes=([1], [a])), 0, a)
+        coef = _apply(inv, coef, a)
     u = half_inverse(synthesis(coef * scale, system.axes))
     marks.append(time.perf_counter())
     res = system.residual(u)

@@ -143,11 +143,12 @@ class TestBoundaryRow:
             assemble_elliptic(disc_domain(), axes, LAPLACE, bc)
 
 
-def bad_inputs(value):
+def bad_inputs(spoil):
     """culprit -> (operator fields, boundary fields) that make that one
-    input of a Dirichlet Laplace problem equal value at some points."""
-    nodes = lambda x, y: np.where(x > 0.0, value, 1.0)
-    points = lambda pts, nrm: np.where(pts[:, 0] > 0.0, value, 1.0)
+    input of a Dirichlet Laplace problem return spoil(x > 0) at its nodes
+    or points."""
+    nodes = lambda x, y: spoil(x > 0.0)
+    points = lambda pts, nrm: spoil(pts[:, 0] > 0.0)
     return {
         "operator coefficient a[1, 1]":
             ({"second_order": {(0, 0): 1.0, (1, 1): nodes}}, {}),
@@ -166,18 +167,35 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("value, kind", [(np.nan, "NaN"),
                                              (np.inf, "inf")])
-    @pytest.mark.parametrize("culprit", list(bad_inputs(0.0)))
+    @pytest.mark.parametrize("culprit", list(bad_inputs(None)))
     def test_non_finite_culprit_named(self, culprit, value, kind):
-        op_fields, bc_fields = bad_inputs(value)[culprit]
+        spoil = lambda mask: np.where(mask, value, 1.0)
+        with pytest.raises(ValueError, match=rf"^{re.escape(culprit)}: "
+                                             rf"{kind} at \d+ of \d+ points"):
+            self.assemble(*bad_inputs(spoil)[culprit])
+
+    @pytest.mark.parametrize("spoil, got", [
+        (lambda mask: np.ones((len(mask), 2)), r"\(\d+, 2\)"),
+        (lambda mask: np.ones(3), r"\(3,\)")], ids=["n-by-2", "three"])
+    @pytest.mark.parametrize("culprit", list(bad_inputs(None)))
+    def test_wrong_shape_culprit_named(self, culprit, spoil, got):
+        # numpy's broadcast error named nothing: "operands could not be
+        # broadcast together", "input operand has more dimensions"
+        with pytest.raises(ValueError, match=rf"^{re.escape(culprit)}: "
+                                             rf"expected a scalar or \d+ "
+                                             rf"values, got shape {got}$"):
+            self.assemble(*bad_inputs(spoil)[culprit])
+
+    @staticmethod
+    def assemble(op_fields, bc_fields):
+        """A Dirichlet Laplace problem on the disc, with the given fields."""
         op = EllipticOperatorSpec(**{
             "second_order": {(0, 0): 1.0, (1, 1): 1.0}, "first_order": {},
             **op_fields})
         bc = BoundaryConditionSpec(**{"trace": 1.0, "flux": 0.0, "data": 0.0,
                                       **bc_fields})
         axes = (roots_axis(10), roots_axis(10))
-        with pytest.raises(ValueError, match=rf"^{re.escape(culprit)}: "
-                                             rf"{kind} at \d+ of \d+ points"):
-            assemble_elliptic(disc_domain(), axes, op, bc)
+        return assemble_elliptic(disc_domain(), axes, op, bc)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("field, key", [

@@ -77,6 +77,26 @@ class TestClassifyInterior:
                            boundary=(), name="box")
         assert classify_interior(whole, axes_2d(7)).count == 49
 
+    @pytest.mark.parametrize("dom_fn, axes", [(disc_domain, axes_3d(6)),
+                                              (star_ball_domain, axes_2d(6))])
+    def test_grid_of_another_dimension_rejected(self, dom_fn, axes):
+        dom = dom_fn()
+        with pytest.raises(ValueError, match=(
+                rf"^domain dimension {dom.dim} != grid dimension "
+                rf"{len(axes)}$")):
+            classify_interior(dom, axes)
+
+    def test_nodes_on_or_near_the_boundary_excluded(self):
+        # phi = 0 on node column 3 and -1e-13 on column 4: neither is
+        # inside by more than TOL_INSIDE, so neither column is interior
+        axes = axes_2d(8)
+        near = {axes[0].nodes[3]: 0.0, axes[0].nodes[4]: -1e-13}
+        level = lambda x, y: np.vectorize(lambda v: near.get(v, -1.0))(x)
+        domain = DomainSpec(dim=2, inside=level, boundary=(), name="strip")
+        interior = classify_interior(domain, axes)
+        assert interior.count == 6 * 8
+        assert not np.isin(interior.indices[:, 0], [3, 4]).any()
+
     def test_empty_interior_raises(self):
         empty = DomainSpec(dim=2, inside=lambda x, y: np.ones_like(x),
                            boundary=(), name="void")
@@ -226,10 +246,19 @@ def two_hundred_wiggles():
                                  lambda t: -10.0 * np.sin(200 * t))
 
 
+def turned_star_domain():
+    """The star turned by 0.3 rad: not symmetric about angle 0, where the
+    cumulative arclength starts."""
+    curve = geometry._polar_curve(
+        lambda t: 0.8 * (1.0 + 0.2 * np.cos(5.0 * t + 0.3)),
+        lambda t: -0.8 * np.sin(5.0 * t + 0.3))
+    return DomainSpec(dim=2, inside=None, boundary=(curve,), name="turned")
+
+
 class TestImageArclength:
     @pytest.mark.parametrize("dom_fn,component", [
         (disc_domain, 0), (star_domain, 0),
-        (annulus_domain, 0), (annulus_domain, 1),
+        (annulus_domain, 0), (annulus_domain, 1), (turned_star_domain, 0),
     ])
     def test_table_matches_one_shot(self, dom_fn, component):
         # the series' cumulative length against 2^20 chords, on the
@@ -335,6 +364,49 @@ class TestImageArclength:
                     r"\[1\.2, 0\.0\]$")):
                 sample_boundary(disc_domain(radius=1.2), 10)
 
+    def test_curve_touching_the_box_rejected(self):
+        # x = 1 exactly at angle 0, where the image speed 1/sqrt(1 - x^2)
+        # is infinite: the box is open
+        centre = np.array([0.5, 0.0])
+        curve = geometry.BoundaryCurve(
+            param=lambda t: centre + 0.5 * np.stack([np.cos(t), np.sin(t)],
+                                                    axis=-1),
+            normal=lambda pts: (pts - centre) / 0.5)
+        dom = DomainSpec(dim=2, inside=None, boundary=(curve,))
+        with pytest.raises(ValueError, match=(
+                r"^1 of 256 boundary samples lie outside \(-1, 1\)\^2; the "
+                r"first is at angle 0\.0, point \[1\.0, 0\.0\]$")):
+            sample_boundary_2d(dom, 10)
+
+    def test_samples_outside_the_box_rejected(self):
+        # a circle of radius 0.5 at every angle 2 pi k / 65536, which holds
+        # every table node, and of radius 1.5 between them: the tables see
+        # only the circle, and the samples themselves are checked
+        def param(t):
+            r = np.where(np.abs(np.sin(32768.0 * t)) < 1e-6, 0.5, 1.5)
+            return r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+        curve = geometry.BoundaryCurve(param=param, normal=lambda pts: pts)
+        dom = DomainSpec(dim=2, inside=None, boundary=(curve,))
+        with pytest.raises(ValueError, match=(
+                r"^4 of 6 boundary samples lie outside \(-1, 1\)\^2; the "
+                r"first is sample 1 at \[")):
+            sample_boundary_2d(dom, 10)
+
+    def test_unconverged_tables_interpolate_their_samples(self, monkeypatch):
+        # the speed table, read off the series on the fine grid, equals
+        # the speed samples at the series' own nodes; the 512-sample series
+        # of 200 wiggles has not converged, so its Nyquist mode is large
+        # and must count once
+        monkeypatch.setattr(geometry, "_MAX_SAMPLES", 512)
+        curve = two_hundred_wiggles()
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            cum, speed = curve.image_arclength
+        samples = geometry._image_speed(curve, 512)
+        assert np.max(np.abs(speed[:-1:8] - samples)) < 1e-12 * samples.max()
+        assert cum[-1] == pytest.approx(2.0 * np.pi * samples.mean(),
+                                        rel=1e-14)
+
     @pytest.mark.parametrize("curve_fn", [seven_lobe_star,
                                           two_hundred_wiggles])
     def test_fine_features_converge_without_warning(self, curve_fn):
@@ -392,6 +464,20 @@ class TestBoundary3D:
         bset = sample_boundary_3d(sphere, 10)
         radii = np.linalg.norm(bset.points, axis=1)
         assert radii == pytest.approx(np.ones(bset.count), abs=1e-12)
+
+    def test_count_guard_on_an_inexact_product(self):
+        # m^2 rho_max^2 = 48 for m = 8, rho_max = sqrt(3) / 2, but the
+        # floating-point product is 47.99999999999999
+        rho = np.sqrt(3.0) / 2.0
+        sphere = DomainSpec(
+            dim=3, inside=lambda x, y, z: np.sqrt(x * x + y * y + z * z) - rho,
+            boundary=StarSurface(
+                radius=lambda polar, azim: np.full_like(polar, rho),
+                normal=lambda pts: pts / np.linalg.norm(pts, axis=-1,
+                                                        keepdims=True),
+                max_radius=rho))
+        assert 8 * 8 * rho * rho < 48.0
+        assert sample_boundary_3d(sphere, 8).count == 48
 
     def test_normals_match_level_gradient(self):
         dom = star_ball_domain()

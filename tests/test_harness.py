@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import ssem.cli
 import ssem.experiments
 import ssem.solver
 from ssem.assembly import SmootherSpec
@@ -740,6 +741,65 @@ class TestMain:
                        f"p_list = 4\nout = {csv_path}\n")
         assert main(["run", "--config", str(cfg)]) == 0
         assert csv_path.exists()
+
+    @staticmethod
+    def unwritable(tmp_path, kind):
+        """An output path of the given kind that cannot be written."""
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        return {"missing dir": str(tmp_path / "no" / "x.csv"),
+                "a directory": str(tmp_path / "dir"),
+                "under a file": str(tmp_path / "file" / "x.csv"),
+                "empty": ""}[kind]
+
+    @pytest.mark.parametrize("kind", ["missing dir", "a directory",
+                                      "under a file", "empty"])
+    @pytest.mark.parametrize("command", ["study", "run"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch,
+                                      command, kind):
+        # the sweep used to run to the end, then die in a traceback with
+        # exit code 1, which is reserved for failed rows
+        calls = []
+        monkeypatch.setattr(ssem.cli, "run_experiment", calls.append)
+        out = self.unwritable(tmp_path, kind)
+        before = sorted(tmp_path.rglob("*"))
+        if command == "study":
+            argv = ["study", "--problem", "dirichlet-disc", "--grids",
+                    "10,14", "--p", "4", "--out", out]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"problem = dirichlet-disc\ngrids = 10,14\n"
+                           f"p_list = 4\nout = {out}\n")
+            argv, before = ["run", "--config", str(cfg)], before + [cfg]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ssem: cannot write CSV to {out}: ")
+        assert err.count("\n") == 1
+        assert not calls
+        assert sorted(tmp_path.rglob("*")) == sorted(before)
+
+    def test_existing_out_kept_until_the_sweep_ends(self, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        seen = []
+        monkeypatch.setattr(ssem.cli, "run_experiment",
+                            lambda config: seen.append(out.read_text()) or [])
+        assert main(["study", "--problem", "dirichlet-disc", "--grids", "10",
+                     "--p", "4", "--out", str(out)]) == 0
+        assert seen == ["old\n"]
+        assert out.read_text() == ",".join(CSV_HEADER) + "\n"
+
+    @pytest.mark.parametrize("kind", ["missing dir", "a directory",
+                                      "under a file", "empty"])
+    def test_plotdata_unwritable_out_exit_code(self, tmp_path, capsys, kind):
+        csv_path = tmp_path / "in.csv"
+        write_csv([make_row(10, 1e-3)], str(csv_path))
+        out = self.unwritable(tmp_path, kind)
+        assert main(["plotdata", "--in", str(csv_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ssem: cannot write plot data to {out}: ")
+        assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["study", "--problem", "bogus", "--grids", "10",

@@ -83,7 +83,7 @@ def row_counts(system, n):
 
 class TestInputChecks:
     @pytest.mark.parametrize("field, culprit, value, kind", [
-        ("initial", "initial values", np.nan, "NaN"),
+        ("initial", "source", np.nan, "NaN"),
         ("lateral", "boundary data", np.inf, "inf"),
     ])
     def test_non_finite_data_named(self, field, culprit, value, kind):
@@ -100,6 +100,18 @@ class TestInputChecks:
         }
         problem = dataclasses.replace(STAR_HEAT, **{field: spoiled[field]})
         with pytest.raises(ValueError, match=rf"^{culprit}: {kind} at "):
+            assemble_parabolic(problem, star_grid(8, 4))
+
+    @pytest.mark.parametrize("initial, got", [
+        (lambda x, y: np.ones((len(x), 2)), r"\(\d+, 2\)"),
+        (lambda x, y: np.ones(3), r"\(3,\)")], ids=["n-by-2", "three"])
+    def test_wrong_shape_initial_named(self, initial, got):
+        # the initial values are the initial rows' source: a result that
+        # is neither a scalar nor one value per node is refused by name
+        problem = dataclasses.replace(STAR_HEAT, initial=initial)
+        with pytest.raises(ValueError, match=rf"^source: expected a scalar "
+                                             rf"or \d+ values, got shape "
+                                             rf"{got}$"):
             assemble_parabolic(problem, star_grid(8, 4))
 
     def test_vanishing_lateral_condition_rejected(self):
