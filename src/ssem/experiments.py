@@ -108,6 +108,12 @@ class ExperimentConfig:
             if repeated:
                 raise ConfigError(f"smoother exponent {repeated[0]} is "
                                   f"listed twice in {list(self.p_list)}")
+            # the CSV's p column is the label: it must name p exactly
+            bad = [p for p, lab in zip(self.p_list, labels) if float(lab) != p]
+            if bad:
+                raise ConfigError(f"smoother exponent {bad[0]!r} would be "
+                                  f"labelled {_format_p(bad[0])} in the CSV; "
+                                  f"give at most six significant digits")
             d = _PROBLEMS[self.problem].grid_dim
             bad = [p for p in self.p_list if p <= d / 2]
             if bad:

@@ -218,11 +218,12 @@ def _image_arclength(curve: BoundaryCurve):
         if prev is not None and abs(length - prev) < 1e-12 * length:
             break
         if n >= _MAX_SAMPLES:
+            change = ("no earlier level to compare" if prev is None else
+                      f"last relative length change "
+                      f"{abs(length - prev) / length:.3g}")
             warnings.warn(
                 f"boundary arclength did not converge at the sample cap: "
-                f"{n} samples, last relative length change "
-                f"{abs(length - prev) / length:.3g}",
-                RuntimeWarning, stacklevel=2)
+                f"{n} samples, {change}", RuntimeWarning, stacklevel=2)
             break
         prev, n = length, 2 * n
     coef = np.fft.rfft(speed)

@@ -25,7 +25,10 @@ Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. Each
 run stops once the error bound of its top Ritz value, (Ritz residual)^2
 over the Ritz gap, is at rounding level and the residual itself is
 small (see the LANCZOS_* constants). A cond above 1 / RANK_TOL is
-refused as rank loss, like a negligible |R_ii|.
+refused as rank loss. That bound is the one rank criterion: the QR's
+early check, |R_ii| below RANK_TOL * max |R_jj|, implies it, because
+sigma_min <= min |R_ii| and max |R_ii| <= sigma_max for triangular R,
+and only adds the name of the column.
 
 Memory and passes: pinv_solve builds A once and turns it into M' in
 place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
@@ -33,17 +36,17 @@ time-axis R_V^{-1} together), and dgeqrt overwrites that buffer with the
 reflectors, so the solve peaks at about one N x n matrix plus T and the
 workspace (QR_BLOCK x n each). R is never copied: it is the upper
 triangle of the leading n x n block of that buffer (LDA = N), with the
-reflectors below it, and everything that reads R reads that triangle
-only, in place, through LAPACK with UPLO = 'U': the norms of the rank
-check (LAPACK dlantr), the Lanczos products (BLAS dtrmv) and the
-triangular solves (LAPACK dtrtrs). dgeqrt, dgemqrt, dtrtrs, dtrmv and
-dlantr are called through ctypes from the OpenBLAS that numpy bundles
-(its ILP64 symbols scipy_dgeqrt_64_ and so on), which keeps them on
-numpy's thread pool; a numpy without that library runs the same five
-routines from SciPy, the only use of SciPy in a solve. For the Lanczos
-runs, R's layout is checked and its arguments are built once per
-condition_estimate call, so each step is two dtrmv or two dtrtrs calls
-on one reused vector.
+reflectors below it. The finiteness check reads that whole block with
+numpy's min and max; everything else reads the triangle only, in
+place, through LAPACK with UPLO = 'U': the Lanczos products (BLAS
+dtrmv) and the triangular solves (LAPACK dtrtrs). dgeqrt,
+dgemqrt, dtrtrs and dtrmv are called through ctypes from the OpenBLAS
+that numpy bundles (its ILP64 symbols scipy_dgeqrt_64_ and so on),
+which keeps them on numpy's thread pool; a numpy without that library
+runs the same four routines from SciPy, the only use of SciPy in a
+solve. For the Lanczos runs, R's layout is checked and its arguments
+are built once per condition_estimate call, so each step is two dtrmv
+or two dtrtrs calls on one reused vector.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def _readable(r) -> np.ndarray:
 
 
 # What the solve and the sweep call in numpy's bundled OpenBLAS.
-_BUNDLED_LAPACK = ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv", "dlantr")
+_BUNDLED_LAPACK = ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv")
 _BUNDLED_THREADS = ("scipy_openblas_get_num_threads64_",
                     "scipy_openblas_set_num_threads64_")
 
@@ -169,9 +172,9 @@ def _bundled_openblas():
 
 @functools.cache
 def _bundled_lapack():
-    """(dgeqrt, dgemqrt, dtrtrs, grams, dlantr) on the OpenBLAS bundled
-    with numpy, grams by the BLAS dtrmv and dtrtrs; None where that
-    library does not resolve.
+    """(dgeqrt, dgemqrt, dtrtrs, grams) on the OpenBLAS bundled with
+    numpy, grams by the BLAS dtrmv and dtrtrs; None where that library
+    does not resolve.
 
     Every integer argument of the ILP64 symbols is a pointer to an int64,
     and each character argument adds its length (gfortran's hidden
@@ -186,7 +189,7 @@ def _bundled_lapack():
     lib = _bundled_openblas()
     if lib is None:
         return None
-    geqrt, gemqrt, trtrs, trmv, lantr = (
+    geqrt, gemqrt, trtrs, trmv = (
         getattr(lib, f"scipy_{name}_64_") for name in _BUNDLED_LAPACK)
     i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     char, size = ctypes.c_char_p, ctypes.c_size_t
@@ -202,9 +205,6 @@ def _bundled_lapack():
     trmv.argtypes = [char] * 3 + [i64, ptr, i64, ptr, i64] + [size] * 3
     for routine in (geqrt, gemqrt, trtrs, trmv):
         routine.restype = None
-    # NORM, UPLO, DIAG, M, N, A, LDA, WORK; returns a double
-    lantr.argtypes = [char] * 3 + [i64, i64, ptr, i64, ptr] + [size] * 3
-    lantr.restype = ctypes.c_double
 
     def dgeqrt(nb, a, overwrite_a=1):
         lda, = _leading_dimensions(a)
@@ -260,15 +260,7 @@ def _bundled_lapack():
 
         return gram, inverse_gram
 
-    def dlantr(norm, a):
-        # the upper triangle, non-unit diagonal; 'I' sums rows into work
-        lda, = _leading_dimensions(a)
-        work = np.empty(max(1, a.shape[0]))
-        return lantr(norm, b"U", b"N", _int64(a.shape[0]),
-                     _int64(a.shape[1]), a.ctypes.data, _int64(lda),
-                     work.ctypes.data, 1, 1, 1)
-
-    return dgeqrt, dgemqrt, dtrtrs, grams, dlantr
+    return dgeqrt, dgemqrt, dtrtrs, grams
 
 
 def _scipy_grams(a):
@@ -303,7 +295,7 @@ def _scipy_grams(a):
 
 
 def _lapack():
-    """(dgeqrt, dgemqrt, dtrtrs, grams, dlantr): numpy's bundled ones, or
+    """(dgeqrt, dgemqrt, dtrtrs, grams): numpy's bundled ones, or
     SciPy's lapack and _scipy_grams where those do not resolve. The LAPACK
     routines take SciPy's signatures. Callers pass float64 arrays with
     unit row stride and overwrite_*=1, so both work in place (f2py copies
@@ -312,8 +304,7 @@ def _lapack():
     if bundled is not None:
         return bundled
     from scipy.linalg import lapack
-    return (lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, _scipy_grams,
-            lapack.dlantr)
+    return lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, _scipy_grams
 
 
 @contextlib.contextmanager
@@ -346,12 +337,14 @@ def _require(name: str, info: int) -> None:
 
 
 class RankDeficientError(RuntimeError):
-    """The constraint matrix has (numerically) dependent columns.
+    """The constraint matrix has (numerically) dependent columns: its
+    cond exceeds 1 / RANK_TOL.
 
-    column is the first column whose |R_ii| (value) falls below
-    threshold. It is None when every |R_ii| passes but cond (value)
-    exceeds the bound 1 / RANK_TOL (threshold): unpivoted R can hide a
-    dependence that sigma_min shows (the Kahan matrix).
+    column is the first column whose |R_ii| (value) is zero or below
+    threshold, RANK_TOL * max |R_jj|, which implies that cond bound. It
+    is None when every |R_ii| passes but cond (value) exceeds the bound
+    1 / RANK_TOL (threshold): unpivoted R can hide a dependence that
+    sigma_min shows (the Kahan matrix).
     """
 
     def __init__(self, column: int | None, value: float, threshold: float):
@@ -361,9 +354,10 @@ class RankDeficientError(RuntimeError):
                       f"(1 / RANK_TOL), although no |R_ii| falls below "
                       f"its threshold")
         else:
-            detail = (f"|R[{column},{column}]| = {value:.3e} below threshold "
-                      f"{threshold:.3e}; constraint index {column} is "
-                      f"numerically dependent on its predecessors")
+            detail = (f"|R[{column},{column}]| = {value:.3e} against "
+                      f"threshold {threshold:.3e} (RANK_TOL * max |R_ii|); "
+                      f"constraint index {column} is numerically dependent "
+                      f"on its predecessors")
         super().__init__(f"rank-deficient constraint matrix: {detail}")
 
 
@@ -376,9 +370,9 @@ class QRFactorization:
     (pinv_solve's case) it is the buffer that held the factored matrix,
     so the factorization costs no second N x n array. t holds the
     upper-triangular T of each block reflector, side by side
-    (QR_BLOCK x n). rank_margin is min |R_ii| over the rank threshold
-    householder_qr applied (above 1 when it passed). Q is applied by
-    apply_q and never formed.
+    (QR_BLOCK x n). rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|),
+    above 1 when householder_qr passed and never below
+    1 / (RANK_TOL * cond). Q is applied by apply_q and never formed.
     """
 
     a: np.ndarray
@@ -407,18 +401,6 @@ class QRFactorization:
         return qz.reshape((big,) + z.shape[1:])
 
 
-def _norm_estimate(r: np.ndarray) -> float:
-    """sqrt(||R||_1 ||R||_inf) >= ||R||_2 for R the upper triangle of r.
-
-    Both norms come from LAPACK dlantr, which reads only that triangle,
-    in place when r has unit row stride, so r may be
-    QRFactorization.upper. NaN or inf in R propagates into the result.
-    """
-    r = _readable(r)
-    lantr = _lapack()[4]
-    return float(np.sqrt(lantr(b"1", r) * lantr(b"I", r)))
-
-
 def householder_qr(mat: np.ndarray) -> QRFactorization:
     """Thin Householder QR (LAPACK dgeqrt) with a loud full-rank check.
 
@@ -429,8 +411,10 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     itself; any other mat is copied once and left unchanged.
 
     Raises ValueError for non-finite input, and RankDeficientError naming
-    the first offending column when a diagonal entry of R falls below
-    1e-13 times a two-norm estimate.
+    the first offending column when a diagonal entry of R is zero or
+    below RANK_TOL times the largest. That check is the early form of
+    pinv_solve's cond bound, which it implies: sigma_min <= |R_ii| and
+    max |R_jj| <= sigma_max, so cond > 1 / RANK_TOL whenever it fails.
     """
     buf = np.asfortranarray(mat, dtype=float)
     big, n = buf.shape
@@ -441,18 +425,20 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
     nb = max(1, min(QR_BLOCK, n))
     buf, t, info = _lapack()[0](nb, buf, overwrite_a=1)
     _require("dgeqrt", info)
-    # R is the upper triangle of buf[:n], read in place (fac.upper); a NaN
-    # or inf anywhere in mat reaches R through the reflectors, and
-    # from R the norm estimate
-    norm_est = _norm_estimate(buf[:n])
-    if not np.isfinite(norm_est):
+    # a NaN or inf anywhere in mat reaches R, the upper triangle of
+    # buf[:n], through the reflectors; where they are trivial (tau = 0,
+    # a triangular mat) it may stay off the diagonal, so all of buf[:n]
+    # is read: min and max propagate both, in place, with no n x n copy
+    lead = buf[:n]
+    if not (np.isfinite(lead.min(initial=0.0))
+            and np.isfinite(lead.max(initial=0.0))):
         raise ValueError(
             "householder_qr: the matrix has non-finite entries "
             "(NaN or inf in its R factor)"
         )
     diag = np.abs(np.diag(buf))
-    threshold = RANK_TOL * norm_est
-    bad = np.flatnonzero(diag < threshold)
+    threshold = RANK_TOL * diag.max(initial=0.0)
+    bad = np.flatnonzero((diag < threshold) | (diag == 0.0))
     if bad.size:
         raise RankDeficientError(int(bad[0]), float(diag[bad[0]]), threshold)
     return QRFactorization(a=buf, t=t,
@@ -562,7 +548,7 @@ class SolveReport:
     Residual norms are recomputed from the returned solution through the
     implicit constraint operators, never carried over from the factors.
     n_rows x grid_size is the shape of the constraint matrix, and
-    rank_margin is min |R_ii| over the rank threshold (see
+    rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|) (see
     QRFactorization). phases maps each name in PHASES to the seconds
     pinv_solve spent on that step; they add up to seconds.
     """
@@ -643,8 +629,8 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     smoother is a SmootherSpec (preferred: its multiplier is exact) or a
     callable applying S^{-1/2} to a grid tensor, which must be diagonal
     in the Chebyshev basis (ValueError otherwise). Raises
-    RankDeficientError when a diagonal entry of R is negligible or cond
-    exceeds 1 / RANK_TOL.
+    RankDeficientError when cond exceeds 1 / RANK_TOL; the QR finds most
+    such cases first, from a negligible |R_ii|, and names the column.
     """
     marks = [time.perf_counter()]
     shape = system.grid_shape

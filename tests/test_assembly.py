@@ -25,11 +25,13 @@ from ssem.chebyshev import (
 from ssem.geometry import (
     BoundaryPointSet,
     DomainSpec,
+    InteriorIndexSet,
     StarSurface,
     annulus_domain,
     classify_interior,
     disc_domain,
     interior_coordinates,
+    sample_boundary,
     star_ball_domain,
     star_domain,
 )
@@ -362,6 +364,92 @@ def factored_transpose(system, spec):
     mult = smoother_multiplier_array(spec, system.grid_shape).ravel()
     return np.linalg.solve(r_v.T, mult[:, None]
                            * system.coefficient_matrix().T)
+
+
+class TestEquivariance:
+    """A problem solved in coordinates z = L x, for L a signed permutation
+    (the reflection x -> -x, or the swap of the axes), gives the solution
+    mapped by L: u'(L x) = u(x) on the grid, to rounding times cond.
+
+    With H and grad u the Hessian and gradient in x, u' has L H L^T and
+    L grad u, so the operator -a:H + b.grad u + c u = f becomes a' =
+    L a L^T, b' = L b, with c and f unchanged, all at x = L^T z; a
+    boundary point z = L x takes the normal L nu, and trace, flux and
+    data stay those at (x, nu). Roots node k of an axis maps to node
+    m - 1 - k under the reflection; the index sets, points and normals
+    are mapped by hand, in their original order, since sampling the
+    mapped domain would start its arclength elsewhere."""
+
+    SECOND = {(0, 0): lambda x, y: 2.0 + 0.3 * x + 0.1 * y,
+              (1, 1): lambda x, y: 1.5 - 0.2 * x * y,
+              (0, 1): lambda x, y: 0.2 + 0.1 * x,
+              (1, 0): lambda x, y: 0.2 + 0.1 * x}
+    FIRST = {0: lambda x, y: 0.5 + x, 1: lambda x, y: 0.2 * x - 0.3 * y}
+
+    @classmethod
+    def mapped_problem(cls, lin):
+        """(operator, condition) of the test problem in z = lin x."""
+        def at_x(fn):
+            return lambda z0, z1: fn(*(lin.T @ np.stack([z0, z1])))
+
+        def second(i, j):
+            return lambda *z: sum(lin[i, k] * lin[j, l] * at_x(a)(*z)
+                                  for (k, l), a in cls.SECOND.items())
+
+        def first(i):
+            return lambda *z: sum(lin[i, k] * at_x(b)(*z)
+                                  for k, b in cls.FIRST.items())
+
+        def on_boundary(fn):
+            return lambda pts, nrm: fn(pts @ lin, nrm @ lin)
+
+        op = EllipticOperatorSpec(
+            second_order={key: second(*key) for key in cls.SECOND},
+            first_order={i: first(i) for i in cls.FIRST},
+            zeroth=at_x(lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y),
+            source=at_x(lambda x, y: np.exp(x) * np.sin(2.0 * y + 0.3) + x))
+        bc = BoundaryConditionSpec(
+            trace=on_boundary(lambda p, n: 1.0 + 0.2 * p[:, 0]),
+            flux=on_boundary(lambda p, n: 0.3 + 0.1 * n[:, 1]
+                             + 0.05 * p[:, 1]),
+            data=on_boundary(lambda p, n: np.cos(p[:, 0] + 2.0 * p[:, 1])
+                             + n[:, 0]))
+        return op, bc
+
+    @staticmethod
+    def mapped_indices(lin, idx, m):
+        """Grid multi-indices (k, 2) of the nodes L x for the nodes x."""
+        src = np.argmax(np.abs(lin), axis=1)
+        return np.stack([idx[:, s] if lin[a, s] > 0 else m - 1 - idx[:, s]
+                         for a, s in enumerate(src)], axis=1)
+
+    @pytest.mark.parametrize("m, p", [(12, 6.0), (16, 4.0), (20, 6.0)])
+    @pytest.mark.parametrize("lin", [np.diag([-1.0, 1.0]),
+                                     np.array([[0.0, 1.0], [1.0, 0.0]])],
+                             ids=["reflect", "swap"])
+    def test_mapped_problem_gives_mapped_solution(self, lin, m, p):
+        axes = (roots_axis(m), roots_axis(m))
+        interior = classify_interior(star_domain(), axes)
+        boundary = sample_boundary(star_domain(), m)
+        grid = np.indices((m, m)).reshape(2, -1).T
+        solves = []
+        for lmap in (np.eye(2), lin):
+            mapped = InteriorIndexSet(
+                self.mapped_indices(lmap, interior.indices, m))
+            points = BoundaryPointSet(boundary.points @ lmap.T,
+                                      boundary.normals @ lmap.T)
+            op, bc = self.mapped_problem(lmap)
+            system = build_system(axes, [(mapped, op), (points, bc)],
+                                  mapped, points, apply_smoother_half_inverse)
+            report = pinv_solve(system, SmootherSpec("power", p))
+            at_x = self.mapped_indices(lmap, grid, m)
+            solves.append((report.solution[tuple(at_x.T)].reshape(m, m),
+                           report.cond_estimate))
+        (u, cond), (u_mapped, cond_mapped) = solves
+        eps = np.finfo(float).eps
+        assert cond > 1e3
+        assert abs(cond_mapped / cond - 1.0) <= eps * cond
+        assert np.max(np.abs(u_mapped - u)) <= eps * cond * np.max(np.abs(u))
 
 
 class TestConstraintSystem:

@@ -407,6 +407,17 @@ class TestImageArclength:
         assert cum[-1] == pytest.approx(2.0 * np.pi * samples.mean(),
                                         rel=1e-14)
 
+    def test_warns_when_the_first_level_is_the_cap(self, monkeypatch):
+        # with the cap at the first level (256 samples) there is no earlier
+        # length to compare: the cap still warns, and sampling goes on
+        monkeypatch.setattr(geometry, "_MAX_SAMPLES", 256)
+        dom = DomainSpec(dim=2, inside=None, boundary=(two_hundred_wiggles(),))
+        with pytest.warns(RuntimeWarning, match=(
+                r"did not converge at the sample cap: 256 samples, "
+                r"no earlier level")):
+            bset = sample_boundary_2d(dom, 10)
+        assert bset.count > 0
+
     @pytest.mark.parametrize("curve_fn", [seven_lobe_star,
                                           two_hundred_wiggles])
     def test_fine_features_converge_without_warning(self, curve_fn):

@@ -1,7 +1,9 @@
 """Experiment sweeps, error metrics, CSV/plot-data plumbing, CLI."""
 
+import csv
 import dataclasses
 import math
+import re
 import threading
 import time
 
@@ -197,6 +199,23 @@ class TestExperimentConfig:
                                               rf"is listed twice in "):
             ExperimentConfig(problem="dirichlet-disc", grids=(10, 12),
                              p_list=p_list)
+
+    @pytest.mark.parametrize("p, label", [(4.0000001, "4"),
+                                          (2.0 / 3.0 + 4.0, "4.66667"),
+                                          (1234567.0, "1.23457e+06")])
+    def test_exponent_its_label_misnames_rejected(self, p, label):
+        # the CSV's p column is the six-digit label: rows of an exponent
+        # that it cannot name exactly would pass for another exponent's
+        with pytest.raises(ConfigError, match=re.escape(
+                f"smoother exponent {p!r} would be labelled {label} ")):
+            ExperimentConfig(problem="dirichlet-disc", grids=(10,),
+                             p_list=(6.0, p))
+
+    def test_exponents_their_labels_name_accepted(self):
+        config = ExperimentConfig(problem="dirichlet-3d", grids=(10,),
+                                  p_list=(1.75, 2, 4.5, 123456.0, 0.5e3))
+        assert [lab for lab, _ in config.smoother_specs()] \
+            == ["1.75", "2", "4.5", "123456", "500"]
 
     def test_exponent_must_exceed_half_dimension(self):
         with pytest.raises(ConfigError):
@@ -557,6 +576,15 @@ out = results.csv   # destination
                           "grids = 10,12\np_list = 4\nout = r.csv\n")
         assert parse_config(path).grids == (10, 12)
 
+    @pytest.mark.parametrize("grids, want", [
+        ("10:13", (10, 11, 12, 13)),  # a two-part range steps by one
+        ("14,10,12", (14, 10, 12)),   # the CSV rows follow this order
+    ])
+    def test_grid_list_as_written(self, tmp_path, grids, want):
+        path = self.write(tmp_path, f"problem = dirichlet-disc\n"
+                          f"grids = {grids}\np_list = 4\nout = r.csv\n")
+        assert parse_config(path).grids == want
+
     def test_unknown_key(self, tmp_path):
         path = self.write(tmp_path, "problem = dirichlet-disc\ngrids = 10\n"
                           "p_list = 4\nout = r.csv\ntolerance = 1e-8\n")
@@ -629,6 +657,24 @@ class TestWriteCsv:
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[1].startswith("10,40,10,4,0.33333333333333331,")
         assert all(line == line.rstrip() for line in lines)
+
+    def test_each_value_under_its_header_name(self, tmp_path):
+        # the header is frozen, and every value sits under its own name
+        path = str(tmp_path / "out.csv")
+        row = ConvergenceRow(m=10, n_omega=40, n_gamma=12, p="6",
+                             l2_error=0.25, linf_error=0.5, cond=1e3,
+                             seconds=0.125)
+        write_csv([row], path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            records = list(reader)
+        assert tuple(reader.fieldnames) == (
+            "m", "n_omega", "n_gamma", "p", "l2_error", "linf_error",
+            "cond", "seconds")
+        assert records == [{"m": "10", "n_omega": "40", "n_gamma": "12",
+                            "p": "6", "l2_error": "0.25",
+                            "linf_error": "0.5", "cond": "1000",
+                            "seconds": "0.125"}]
 
     def test_unwritable_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
@@ -827,6 +873,15 @@ class TestMain:
                      "10", "--p", "4,4", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "smoother exponent 4 is listed twice" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_misnamed_exponent_exit_code(self, tmp_path, capsys):
+        code = main(["study", "--problem", "dirichlet-disc", "--grids",
+                     "10", "--p", "4.0000001", "--out",
+                     str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "smoother exponent 4.0000001 would be labelled 4" \
             in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 

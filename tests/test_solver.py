@@ -140,6 +140,17 @@ class TestHouseholderQR:
         assert err.value.column == 1
         assert "index 1" in str(err.value)
 
+    @pytest.mark.parametrize("mat", [np.zeros((4, 2)),
+                                     np.array([[0.0, 1.0], [0.0, 0.0],
+                                               [0.0, 0.0]])],
+                             ids=["zero", "zero-diagonal"])
+    def test_all_zero_diagonal_names_the_first_column(self, mat):
+        # max |R_ii| = 0 scales the threshold to 0: a zero |R_ii| is still
+        # refused (sigma_min = 0), not passed with a 0 / 0 margin
+        with pytest.raises(RankDeficientError) as err:
+            householder_qr(mat)
+        assert err.value.column == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         mat = np.random.default_rng(15).standard_normal((5, 3))
@@ -222,7 +233,7 @@ class TestQRPaths:
         # row-strided matrix is refused, not read with the wrong strides
         if ssem.solver._bundled_lapack() is None:
             pytest.skip("numpy's bundled LAPACK is not available")
-        geqrt, gemqrt, trtrs, grams, lantr = ssem.solver._bundled_lapack()
+        geqrt, gemqrt, trtrs, grams = ssem.solver._bundled_lapack()
         refused = "float64 matrices with unit row stride"
         every_other_row = np.asfortranarray(np.eye(6))[::2, :3]
         with pytest.raises(ValueError, match=refused):
@@ -236,10 +247,6 @@ class TestQRPaths:
         with pytest.raises(ValueError, match=refused):
             gemqrt(np.asfortranarray(np.eye(6, 3)),
                    np.asfortranarray(np.eye(3)), np.ones((6, 2)))
-        with pytest.raises(ValueError, match=refused):
-            lantr(b"1", np.ones((3, 3)))
-        with pytest.raises(ValueError, match=refused):
-            lantr(b"I", every_other_row)
 
     def test_overlapping_columns_refused(self):
         # a view whose column stride (2) is below its row count (4) has no
@@ -284,7 +291,7 @@ class TestQRPaths:
     def test_non_finite_past_first_block_rejected(self, qr_path, bad):
         # in the last column of a square matrix, past dgeqrt's first
         # column block: its reflector is trivial (tau = 0), so only R
-        # carries the NaN, and only the norms of R (dlantr) can see it
+        # carries the NaN, and only the finiteness check of R can see it
         mat = np.random.default_rng(22).standard_normal((200, 200))
         mat[40, -1] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -296,7 +303,7 @@ class TestQRPaths:
         # the four corners, the end of the diagonal, the top of the first
         # column past dgeqrt's first block (the last column if there is
         # none) and random entries: wherever the NaN or inf sits, it
-        # reaches R, and from R its dlantr norms, so the check needs
+        # reaches R, which the finiteness check reads, so the check needs
         # nothing from T
         big, n = shape
         rng = np.random.default_rng(24)
@@ -310,49 +317,22 @@ class TestQRPaths:
             with pytest.raises(ValueError, match="non-finite"):
                 householder_qr(mat)
 
-    @staticmethod
-    def upper_triangle(n):
-        """(R, F-ordered with zeros below, and the factorization it came
-        from) for a random (n + 50) x n matrix."""
-        fac = householder_qr(
-            np.random.default_rng(23).standard_normal((n + 50, n)))
-        return np.asfortranarray(np.triu(fac.upper)), fac
-
-    @pytest.mark.parametrize("n", [150, 400])
-    def test_norm_estimate_matches_two_pass_formula(self, qr_path, n):
-        # the rank threshold's sqrt(||R||_1 ||R||_inf) by dlantr, against
-        # the column and row sums of the whole |R|: on R F-ordered,
-        # C-ordered, every other row of a taller buffer (row stride 2)
-        # and in place, where the reflectors lie below the diagonal
-        tri, fac = self.upper_triangle(n)
-        want = np.sqrt(np.abs(tri).sum(axis=0).max()
-                       * np.abs(tri).sum(axis=1).max())
-        strided = np.zeros((2 * n, n), order="F")
-        strided[::2] = tri
-        for r in (tri, np.ascontiguousarray(tri), strided[::2], fac.upper):
-            assert ssem.solver._norm_estimate(r) == pytest.approx(
-                want, rel=1e-15)
-
-    def test_norm_estimate_ignores_the_lower_part(self, qr_path):
-        # only the upper triangle is read: garbage below the diagonal,
-        # NaN and inf included, leaves the estimate bit for bit
-        tri, _ = self.upper_triangle(150)
-        garbage = np.tril(np.random.default_rng(24).standard_normal(
-            tri.shape), -1)
-        garbage[5, 0], garbage[149, 148] = np.nan, np.inf
-        assert ssem.solver._norm_estimate(tri + garbage) \
-            == ssem.solver._norm_estimate(tri)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_norm_estimate_propagates_non_finite(self, qr_path, bad):
-        # one NaN or inf on or above the diagonal reaches the estimate,
-        # which is how householder_qr sees a non-finite R
-        clean, _ = self.upper_triangle(150)
-        for i, j in ((0, 0), (3, 140), (149, 149)):
-            tri = clean.copy(order="F")
-            tri[i, j] = bad
-            got = ssem.solver._norm_estimate(tri)
-            assert np.isnan(got) if np.isnan(bad) else got == np.inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [7, 150])
+    def test_non_finite_in_triangular_input_rejected(self, qr_path, n, bad):
+        # an input that is already upper triangular has trivial reflectors
+        # (tau = 0): a NaN or inf on the diagonal stays alone in R, and
+        # one above it reaches the diagonal only if LAPACK applies those
+        # reflectors anyway (this OpenBLAS's blocked update does); the
+        # check reads all of R, so it sees either
+        rng = np.random.default_rng(32)
+        tri = np.triu(rng.standard_normal((n + 5, n))) + 3.0 * np.eye(n + 5, n)
+        for pos in [(0, 0), (n - 1, n - 1), (0, n - 1), (0, 1),
+                    (n // 2, n - 1), (n - 2, n - 1)]:
+            mat = tri.copy()
+            mat[pos] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                householder_qr(mat)
 
     def test_triangular_solves_on_both_paths(self, qr_path):
         # the back-solve and the Lanczos cond run on the selected binding
@@ -383,13 +363,13 @@ class TestQRPaths:
 
     def test_bundled_lapack_selected_when_shipped(self):
         # a numpy that still ships scipy-openblas but renames any of the
-        # five symbols must fail here, not fall back silently to SciPy
+        # four symbols must fail here, not fall back silently to SciPy
         libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
                       .glob("libscipy_openblas64_*.so"))
         if not libs:
             pytest.skip("this numpy does not bundle scipy-openblas")
         exported = [ctypes.CDLL(str(path)) for path in libs]
-        for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv", "dlantr"):
+        for name in ("dgeqrt", "dgemqrt", "dtrtrs", "dtrmv"):
             assert any(hasattr(lib, f"scipy_{name}_64_") for lib in exported)
         assert ssem.solver._bundled_lapack() is not None
         assert ssem.solver._lapack() is ssem.solver._bundled_lapack()
@@ -401,8 +381,8 @@ class TestRankMargin:
         mat = rng.standard_normal((90, 40))
         mat[:, 7] = mat[:, 3] + 1e-9 * rng.standard_normal(90)
         fac = householder_qr(mat)
-        threshold = RANK_TOL * ssem.solver._norm_estimate(fac.upper)
-        want = np.min(np.abs(np.diag(fac.upper))) / threshold
+        diag = np.abs(np.diag(fac.upper))
+        want = np.min(diag) / (RANK_TOL * np.max(diag))
         assert fac.rank_margin == want
         assert 1.0 < fac.rank_margin < 1e6
 
@@ -418,11 +398,65 @@ class TestRankMargin:
         system = disc_system(12)
         report = pinv_solve(system, SmootherSpec("power", 4.0))
         r = np.triu(factored[0].upper)
-        threshold = RANK_TOL * ssem.solver._norm_estimate(factored[0].upper)
-        assert report.rank_margin == np.min(np.abs(np.diag(r))) / threshold
+        diag = np.abs(np.diag(r))
+        assert report.rank_margin == np.min(diag) / (RANK_TOL * np.max(diag))
         assert (report.n_rows, report.grid_size) == (system.n_rows, 144)
         assert report.n_rows == report.n_omega + report.n_gamma
         assert r.shape == (report.n_rows, report.n_rows)
+
+
+class TestRankVerdict:
+    """The QR's |R_ii| check is the early form of the cond bound: it
+    refuses only matrices whose cond exceeds 1 / RANK_TOL."""
+
+    def test_cond_below_bound_is_factored(self, qr_path):
+        # the last column is a combination of the others plus 1e-11 times
+        # a unit vector orthogonal to them, so |R_nn| = 1e-11: below
+        # RANK_TOL * sqrt(||R||_1 ||R||_inf) = 3.5e-11, a threshold that
+        # can exceed sigma_max by up to sqrt(n), although the SVD cond,
+        # 5.8e12, is under 1 / RANK_TOL. Such a matrix is factored, and
+        # its cond is the SVD's to the SVD's own accuracy, eps * cond
+        rng = np.random.default_rng(7)
+        head = rng.standard_normal((450, 399))
+        w = rng.standard_normal(450)
+        w -= head @ np.linalg.lstsq(head, w, rcond=None)[0]
+        last = head @ rng.standard_normal(399) / np.sqrt(399) \
+            + 1e-11 * w / np.linalg.norm(w)
+        mat = np.column_stack([head, last])
+        s = svdvals(mat)
+        want = s[0] / s[-1]
+        assert 1e12 < want < 1.0 / RANK_TOL
+        fac = householder_qr(mat)
+        r = np.triu(fac.upper)
+        norms = np.abs(r).sum(axis=0).max() * np.abs(r).sum(axis=1).max()
+        assert abs(r[-1, -1]) < RANK_TOL * np.sqrt(norms)
+        assert fac.rank_margin > 1.0
+        assert condition_estimate(fac.upper) == pytest.approx(
+            want, rel=np.finfo(float).eps * want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(2, 40), extra=st.integers(0, 20),
+           dependent=st.integers(0, 39), delta=st.floats(-18.0, -8.0),
+           spread=st.floats(0.0, 14.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_named_column_implies_cond_above_bound(self, n, extra,
+                                                   dependent, delta,
+                                                   spread, seed):
+        # columns scaled over up to 14 decades, one of them a combination
+        # of those before it plus 10^delta noise: whenever the QR names a
+        # column, the SVD cond is above the bound pinv_solve applies
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((n + extra, n)) \
+            * 10.0 ** rng.uniform(-spread, 0.0, n)
+        j = dependent % n
+        mat[:, j] = mat[:, :j] @ rng.standard_normal(j) \
+            + 10.0 ** delta * rng.standard_normal(n + extra)
+        try:
+            householder_qr(mat)
+        except RankDeficientError as err:
+            assert err.column is not None
+            s = svdvals(mat)
+            assert s[-1] == 0.0 or s[0] / s[-1] > 1.0 / RANK_TOL
 
 
 class TestPeakMemory:
@@ -452,6 +486,24 @@ class TestPeakMemory:
     def test_peak_holds_no_copy_of_r(self):
         # M' is 3564 x 1176 here, so a copy of R alone is a third of it
         assert self.warm_peak("parabolic-star", 18) <= 1.25
+
+
+    def test_factor_allocates_no_square_temporary(self):
+        # in place on an F-ordered buffer the QR allocates T and dgeqrt's
+        # workspace (QR_BLOCK x n each) and a few vectors: the finiteness
+        # and rank checks read R in place, with no n x n temporary
+        if ssem.solver._bundled_lapack() is None:
+            pytest.skip("numpy's bundled LAPACK is not available")
+        n = 1000
+        mat = np.asfortranarray(
+            np.random.default_rng(33).standard_normal((n + 500, n)))
+        tracemalloc.start()
+        try:
+            householder_qr(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
 
 
 class TestConditionEstimate:
