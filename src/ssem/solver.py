@@ -21,14 +21,16 @@ QR_BLOCK. dgeqrt leaves the Householder reflectors below R and returns
 the upper-triangular T of each block reflector. Q' is never formed: the
 factorization keeps the reflectors and T, and dgemqrt applies them to
 the one vector R^{-T} b. cond = sigma_max / sigma_min comes from two
-Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. Each
-run stops once the error bound of its top Ritz value, (Ritz residual)^2
-over the Ritz gap, is at rounding level and the residual itself is
-small (see the LANCZOS_* constants). A cond above 1 / RANK_TOL is
-refused as rank loss. That bound is the one rank criterion: the QR's
-early check, |R_ii| below RANK_TOL * max |R_jj|, implies it, because
-sigma_min <= min |R_ii| and max |R_ii| <= sigma_max for triangular R,
-and only adds the name of the column.
+Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. Both
+start from a hashed vector that depends on n alone (_hashed), so cond is
+repeatable bit for bit and a solve loads no numpy.random. Each run stops
+once the error bound of its top Ritz value, (Ritz residual)^2 over the
+Ritz gap, is at rounding level and the residual itself is small (see
+the LANCZOS_* constants). A cond above 1 / RANK_TOL is refused as rank
+loss. That bound is the one rank criterion: the QR's early check, |R_ii|
+below RANK_TOL * max |R_jj|, implies it, because sigma_min <= min |R_ii|
+and max |R_ii| <= sigma_max for triangular R, and only adds the name of
+the column.
 
 Memory and passes: pinv_solve builds A once and turns it into M' in
 place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
@@ -78,8 +80,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-13
-# A smoother callable whose probed multiplier misses a random coefficient
-# tensor by more than this (relative) is not diagonal in the basis.
+# A smoother callable whose probed multiplier misses the hashed coefficient
+# tensor (_hashed) by more than this (relative) is not diagonal in the
+# basis.
 DIAGONAL_TOL = 1e-10
 # Lanczos for cond: a run ends when the error bound of its top Ritz value
 # theta, (Ritz residual)^2 / (gap to the next Ritz value), falls to
@@ -446,6 +449,26 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
                                              / threshold))
 
 
+def _hashed(size: int) -> np.ndarray:
+    """size unstructured values in (-1, 1), never 0: SplitMix64 (Steele,
+    Lea and Flood, 2014) of the counters 1 .. size, in numpy uint64,
+    whose top 52 bits k give (k + 1/2) 2^-51 - 1.
+
+    A pure function of size, so every call, thread and process gets the
+    same values, and no numpy.random is loaded for them. The Lanczos
+    start vector and the smoother probe's coefficient tensor are these.
+    """
+    z = np.arange(1, size + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(12)).astype(float) * 2.0 ** -51 \
+        + (2.0 ** -52 - 1.0)
+
+
 def _dense_cond(mat: np.ndarray) -> float:
     s = np.linalg.svd(mat, compute_uv=False)
     if s[-1] <= 0.0 or not np.isfinite(s[-1]):
@@ -457,25 +480,28 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
     """Top eigenvalue of a symmetric positive definite n x n operator, or
     None when LANCZOS_MAX_STEPS Lanczos steps do not find it.
 
-    Lanczos with full reorthogonalization from a fixed start vector, so
-    repeat runs agree bit for bit. matvec(v) returns A v in an array that
-    the run may overwrite. With theta_1 > theta_2 the top Ritz values of
-    the j x j tridiagonal T_j and s_j the last entry of theta_1's
-    eigenvector, |beta_j s_j| is the Ritz residual and about
-    (beta_j s_j)^2 / (theta_1 - theta_2) the error of theta_1 (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 11 and 13). That bound trusts
-    the Ritz gap, which an unresolved close pair of eigenvalues hides: it
-    then misses an error of about the residual. So a run stops when the
-    residual is below LANCZOS_CLUSTER_TOL * theta_1 and the bound below
-    LANCZOS_ERROR_TOL * theta_1, or, for a gap too small for the bound to
-    help, when the residual falls to LANCZOS_TOL * theta_1; so no run
-    takes more steps than that residual test alone would.
+    Lanczos with full reorthogonalization from the hashed start vector
+    _hashed(n): it depends on n alone, so repeat runs agree bit for bit,
+    and it has no structure that could hide the top eigenvector (a
+    constant start is orthogonal to an alternating one). matvec(v)
+    returns A v in an array that the run may overwrite. With
+    theta_1 > theta_2 the top Ritz values of the j x j tridiagonal T_j and
+    s_j the last entry of theta_1's eigenvector, |beta_j s_j| is the Ritz
+    residual and about (beta_j s_j)^2 / (theta_1 - theta_2) the error of
+    theta_1 (Parlett, The Symmetric Eigenvalue Problem, ch. 11 and 13).
+    That bound trusts the Ritz gap, which an unresolved close pair of
+    eigenvalues hides: it then misses an error of about the residual. So
+    a run stops when the residual is below LANCZOS_CLUSTER_TOL * theta_1
+    and the bound below LANCZOS_ERROR_TOL * theta_1, or, for a gap too
+    small for the bound to help, when the residual falls to
+    LANCZOS_TOL * theta_1; so no run takes more steps than that residual
+    test alone would.
     """
     steps = min(n, LANCZOS_MAX_STEPS)
     basis = np.zeros((steps + 1, n))
     tri = np.zeros((steps + 1, steps + 1))
     coef, proj = np.empty(steps + 1), np.empty(n)
-    start = np.random.default_rng(0).standard_normal(n)
+    start = _hashed(n)
     basis[0] = start / np.linalg.norm(start)
     for j in range(steps):
         w = matvec(basis[j])
@@ -494,7 +520,8 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
                 residual <= LANCZOS_CLUSTER_TOL * top
                 and residual * residual <= LANCZOS_ERROR_TOL * top * gap):
             return float(top)
-        tri[j + 1, j] = tri[j, j + 1] = beta
+        # eigh reads the lower triangle only
+        tri[j + 1, j] = beta
         np.divide(w, beta, out=basis[j + 1])
     return None
 
@@ -506,14 +533,17 @@ def condition_estimate(r: np.ndarray) -> float:
     Only r's upper triangle is read (LAPACK's UPLO = 'U'), so r may be
     QRFactorization.upper, which is read in place. sigma_max^2 is the top
     eigenvalue of R^T R, 1/sigma_min^2 that of R^{-1} R^{-T}; each comes
-    from a deterministic Lanczos run (fixed start vector) whose steps are
-    triangular products (BLAS dtrmv) and solves (LAPACK dtrtrs). R's
-    layout is checked and its arguments bound once per call, so a step
-    is those two calls on one reused vector. Small r, or a run that does
-    not converge, takes a dense SVD of R instead.
+    from a deterministic Lanczos run (from the hashed start vector of
+    _largest_eigenvalue) whose steps are triangular products (BLAS dtrmv)
+    and solves (LAPACK dtrtrs). R's layout is checked and its arguments
+    bound once per call, so a step is those two calls on one reused
+    vector. Small r, or a run that does not converge, takes a dense SVD
+    of R instead. An empty r (n = 0) has cond 1, as an identity does.
     """
     r = _readable(r)
     n = r.shape[0]
+    if n == 0:
+        return 1.0
     if not np.all(np.diag(r)):
         return np.inf
     if n < LANCZOS_MIN_ORDER:
@@ -569,20 +599,39 @@ class SolveReport:
 def _smoother(system: ConstraintSystem, smoother):
     """(mu, S^{-1/2} on grid tensors). mu is exact for a SmootherSpec; a
     callable is probed, mu = analysis(smoother(synthesis(1))), exact only
-    to about eps * max(mu), and checked on a random coefficient tensor."""
+    to about eps * max(mu), and checked on the hashed coefficient tensor
+    _hashed(grid size), whose entries are unstructured and never 0.
+
+    A callable whose result is not a finite tensor of the grid's shape,
+    or is zero on the probe (mu = 0), is a ValueError naming that result;
+    so is one that is not diagonal in the Chebyshev basis.
+    """
     shape, axes = system.grid_shape, system.axes
     if isinstance(smoother, SmootherSpec):
         return (smoother_multiplier_array(smoother, shape),
                 system.grid_smoother(smoother))
-    mult = analysis(smoother(synthesis(np.ones(shape), axes)), axes)
-    coef = np.random.default_rng(0).standard_normal(shape)
+
+    def probe(coef):
+        out = smoother(synthesis(coef, axes))
+        if np.shape(out) != shape:
+            raise ValueError(f"smoother result has shape {np.shape(out)}, "
+                             f"not the grid shape {shape}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("smoother result has non-finite entries "
+                             "(NaN or inf)")
+        return analysis(out, axes)
+
+    mult = probe(np.ones(shape))
+    if not np.any(mult):
+        raise ValueError("smoother result is zero on the probe: its "
+                         "multiplier mu vanishes on every Chebyshev mode")
+    coef = _hashed(mult.size).reshape(shape)
     want = mult * coef
-    got = analysis(smoother(synthesis(coef, axes)), axes)
-    defect = np.linalg.norm(got - want) / np.linalg.norm(want)
+    defect = np.linalg.norm(probe(coef) - want) / np.linalg.norm(want)
     if not defect <= DIAGONAL_TOL:
         raise ValueError(
             f"smoother is not diagonal in the Chebyshev basis: relative "
-            f"defect {defect:.3e} on a random coefficient tensor "
+            f"defect {defect:.3e} on the hashed coefficient tensor "
             f"(tolerance {DIAGONAL_TOL:.0e})"
         )
     return mult, smoother
@@ -628,13 +677,17 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
 
     smoother is a SmootherSpec (preferred: its multiplier is exact) or a
     callable applying S^{-1/2} to a grid tensor, which must be diagonal
-    in the Chebyshev basis (ValueError otherwise). Raises
+    in the Chebyshev basis (ValueError otherwise). A system with no rows,
+    or with more rows than grid points, is a ValueError. Raises
     RankDeficientError when cond exceeds 1 / RANK_TOL; the QR finds most
     such cases first, from a negligible |R_ii|, and names the column.
     """
     marks = [time.perf_counter()]
     shape = system.grid_shape
     size = int(np.prod(shape))
+    if not system.n_rows:
+        raise ValueError("empty constraint system: no interior or boundary "
+                         "rows, so there is nothing to solve")
     if size < system.n_rows:
         raise ValueError(
             f"under-resolved grid: {size} grid points cannot carry "

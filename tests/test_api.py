@@ -78,3 +78,37 @@ def test_solves_load_no_scipy_and_one_openblas():
     if loaded["blas"] is None:
         pytest.skip("no /proc/self/maps to list the loaded libraries")
     assert len(loaded["blas"]) == 1, loaded["blas"]
+
+
+NO_RANDOM = """
+import json, sys
+import ssem
+spec = ssem.SmootherSpec(p=4.0)
+rows = [ssem.solve_problem(problem, m, spec)[0].n_rows for problem, m in
+        [("dirichlet-disc", 18), ("dirichlet-3d", 10), ("parabolic-star", 10)]]
+laplace = ssem.EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
+                                    first_order={}, zeroth=None, source=0.0)
+trace = ssem.BoundaryConditionSpec(trace=1.0, flux=0.0,
+                                   data=lambda pts, nrm: pts[:, 0])
+system = ssem.assemble_elliptic(ssem.star_domain(),
+                                (ssem.roots_axis(18), ssem.roots_axis(18)),
+                                laplace, trace)
+rows.append(ssem.pinv_solve(
+    system, lambda b: ssem.apply_smoother_half_inverse(b, spec, d=2)).n_rows)
+print(json.dumps({"rows": rows, "random": sorted(
+    name for name in sys.modules if name.startswith("numpy.random"))}))
+"""
+
+
+def test_solves_load_no_numpy_random():
+    # numpy.random costs a process about 6 MiB: solves whose cond comes
+    # from Lanczos, and a callable smoother's probe, must not load it
+    src = str(Path(ssem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_RANDOM], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert min(loaded["rows"]) >= ssem.solver.LANCZOS_MIN_ORDER
+    assert loaded["random"] == []

@@ -3,6 +3,8 @@
 import ctypes
 import re
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from ssem.assembly import (
     SmootherSpec,
     apply_smoother_half_inverse,
     assemble_elliptic,
+    build_system,
     smoother_multiplier_array,
 )
 from ssem.chebyshev import (
@@ -28,7 +31,12 @@ from ssem.chebyshev import (
     inverse_cheb,
     roots_axis,
 )
-from ssem.geometry import disc_domain, star_domain
+from ssem.geometry import (
+    BoundaryPointSet,
+    InteriorIndexSet,
+    disc_domain,
+    star_domain,
+)
 from ssem.parabolic import ParabolicProblem, SpaceTimeGrid, assemble_parabolic
 from ssem.solver import (
     PHASES,
@@ -528,6 +536,9 @@ class TestConditionEstimate:
     def test_singular_is_inf(self):
         assert condition_estimate(np.diag([1.0, 0.0])) == np.inf
 
+    def test_empty_is_one(self):
+        assert condition_estimate(np.zeros((0, 0))) == 1.0
+
     @staticmethod
     def r_with_singular_values(s, seed):
         """Upper-triangular R with singular values s, from random U and V."""
@@ -597,6 +608,47 @@ class TestConditionEstimate:
         top = ssem.solver._largest_eigenvalue(matvec, len(d))
         assert top == pytest.approx(4.0, rel=1e-13)
         assert len(steps) < ssem.solver.LANCZOS_MAX_STEPS
+
+    @staticmethod
+    def alternating_top(n):
+        """matvec of a symmetric n x n operator whose top eigenvector
+        (eigenvalue 10) alternates in sign and whose second (9) is
+        constant; the rest of its spectrum lies in [1, 2]."""
+        alt = (-1.0) ** np.arange(n) / np.sqrt(n)
+        flat = np.full(n, 1.0 / np.sqrt(n))
+        rest = np.linspace(1.0, 2.0, n)
+
+        def matvec(x):
+            a, c = alt @ x, flat @ x
+            y = rest * (x - a * alt - c * flat)
+            y -= (alt @ y) * alt + (flat @ y) * flat
+            return y + 10.0 * a * alt + 9.0 * c * flat
+        return matvec
+
+    def test_start_vector_sees_an_alternating_top(self, monkeypatch):
+        n = 200
+        top = ssem.solver._largest_eigenvalue(self.alternating_top(n), n)
+        assert top == pytest.approx(10.0, rel=1e-13)
+        # the operator tells starts apart: from a constant start, which
+        # is the second eigenvector, the run stops at once, at 9
+        monkeypatch.setattr(ssem.solver, "_hashed", np.ones)
+        wrong = ssem.solver._largest_eigenvalue(self.alternating_top(n), n)
+        assert wrong == pytest.approx(9.0, rel=1e-13)
+
+    def test_start_vector_same_across_calls_and_threads(self):
+        n = 200
+        first = ssem.solver._hashed(n)
+        assert np.all((np.abs(first) < 1.0) & (first != 0.0))
+        with ssem.solver._one_blas_thread():
+            solo = ssem.solver._largest_eigenvalue(self.alternating_top(n), n)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                vectors = list(pool.map(ssem.solver._hashed, [n] * 4))
+                tops = list(pool.map(
+                    lambda _: ssem.solver._largest_eigenvalue(
+                        self.alternating_top(n), n), range(4)))
+        for v in vectors + [ssem.solver._hashed(n)]:
+            assert np.array_equal(v, first)
+        assert tops == [solo] * 4
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("pair", ["top", "bottom"])
@@ -753,6 +805,18 @@ class TestPinvSolve:
         assert first.residual_linf == second.residual_linf
         assert first.cond_estimate == second.cond_estimate
 
+    def test_empty_system_refused(self):
+        # no interior nodes and no boundary points: no rows to solve for
+        axes = (roots_axis(6), roots_axis(6))
+        interior = InteriorIndexSet(np.zeros((0, 2), dtype=int))
+        boundary = BoundaryPointSet(np.zeros((0, 2)), np.zeros((0, 2)))
+        system = build_system(axes, [(interior, LAPLACE),
+                                     (boundary, DIRICHLET)],
+                              interior, boundary, apply_smoother_half_inverse)
+        assert system.n_rows == 0
+        with pytest.raises(ValueError, match="^empty constraint system"):
+            pinv_solve(system, SmootherSpec("power", 4.0))
+
     def test_phases_account_for_the_solve(self):
         report = pinv_solve(disc_system(10), SmootherSpec("power", 4.0))
         assert tuple(report.phases) == PHASES
@@ -868,6 +932,36 @@ class TestPinvSolve:
         defect = float(re.search(r"relative defect (\S+) ",
                                  str(err.value)).group(1))
         assert 1e-9 < defect < 1e-7
+
+    @pytest.mark.parametrize("smoother, what", [
+        (lambda b: 1.0, r"has shape \(\), not the grid shape \(8, 8\)"),
+        (lambda b: b[:, :-1], r"has shape \(8, 7\), not the grid shape"),
+        (lambda b: b.ravel(), r"has shape \(64,\), not the grid shape"),
+        (lambda b: np.full_like(b, np.nan), "has non-finite entries"),
+        (lambda b: b + np.where(np.arange(8) == 3, np.nan, 0.0),
+         "has non-finite entries"),
+        (lambda b: b * np.inf, "has non-finite entries"),
+        (lambda b: 0.0 * b, "is zero on the probe"),
+    ], ids=["scalar", "shape", "flat", "nan", "nan-column", "inf", "zero"])
+    def test_malformed_smoother_result_named(self, smoother, what):
+        # refused by name before the diagonality test, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^smoother result {what}"):
+                pinv_solve(disc_system(8), smoother)
+
+    def test_smoother_vanishing_on_some_modes_accepted(self):
+        # a multiplier that is zero on the top two modes of each axis is a
+        # valid smoother (the data is quadratic): the solution has no
+        # coefficients there
+        system = disc_system(10)
+        mult = smoother_multiplier_array(SmootherSpec("power", 4.0), (10, 10))
+        mult[-2:, :] = mult[:, -2:] = 0.0
+        report = pinv_solve(
+            system, lambda b: inverse_cheb(forward_cheb(b) * mult))
+        assert report.residual_linf < 1e-12
+        coef = np.abs(forward_cheb(report.solution))
+        assert coef[mult == 0.0].max() < 1e-14 * coef.max()
 
     def test_grid_space_smoother_rejected(self):
         # pointwise grid weights are not a frequency multiplier
