@@ -21,7 +21,8 @@ QR_BLOCK. dgeqrt leaves the Householder reflectors below R and returns
 the upper-triangular T of each block reflector. Q' is never formed: the
 factorization keeps the reflectors and T, and dgemqrt applies them to
 the one vector R^{-T} b. cond = sigma_max / sigma_min comes from two
-Lanczos runs on R (R^T R and R^{-1} R^{-T}), not from a dense SVD. Both
+Lanczos runs on 2^-e R (its Gram matrix and that of its inverse; e is
+the binary exponent of max |R_ii|), not from a dense SVD. Both runs
 start from a hashed vector that depends on n alone (_hashed), so cond is
 repeatable bit for bit and a solve loads no numpy.random. Each run stops
 once the error bound of its top Ritz value, (Ritz residual)^2 over the
@@ -40,15 +41,15 @@ workspace (QR_BLOCK x n each). R is never copied: it is the upper
 triangle of the leading n x n block of that buffer (LDA = N), with the
 reflectors below it. The finiteness check reads that whole block with
 numpy's min and max; everything else reads the triangle only, in
-place, through LAPACK with UPLO = 'U': the Lanczos products (BLAS
-dtrmv) and the triangular solves (LAPACK dtrtrs). dgeqrt,
-dgemqrt, dtrtrs and dtrmv are called through ctypes from the OpenBLAS
-that numpy bundles (its ILP64 symbols scipy_dgeqrt_64_ and so on),
-which keeps them on numpy's thread pool; a numpy without that library
-runs the same four routines from SciPy, the only use of SciPy in a
-solve. For the Lanczos runs, R's layout is checked and its arguments
-are built once per condition_estimate call, so each step is two dtrmv
-or two dtrtrs calls on one reused vector.
+place, through LAPACK with UPLO = 'U'. A LAPACK provider (_lapack)
+gives dgeqrt, dgemqrt and kernels(R), which binds R once and returns a
+vector x and two in-place kernels on it: product(trans), x <- R x or
+R^T x (BLAS dtrmv), and solve(trans), x <- R^{-1} x or R^{-T} x (LAPACK
+dtrtrs); the Lanczos runs and the back-solve use only those. It is the
+OpenBLAS that numpy bundles, through ctypes (its ILP64 symbols
+scipy_dgeqrt_64_ and so on), on numpy's thread pool; a numpy without
+that library runs the same four routines from SciPy, the only use of
+SciPy in a solve.
 """
 
 from __future__ import annotations
@@ -175,19 +176,19 @@ def _bundled_openblas():
 
 @functools.cache
 def _bundled_lapack():
-    """(dgeqrt, dgemqrt, dtrtrs, grams) on the OpenBLAS bundled with
-    numpy, grams by the BLAS dtrmv and dtrtrs; None where that library
-    does not resolve.
+    """(dgeqrt, dgemqrt, kernels) on the OpenBLAS bundled with numpy;
+    None where that library does not resolve.
 
     Every integer argument of the ILP64 symbols is a pointer to an int64,
     and each character argument adds its length (gfortran's hidden
     size_t) after the others.
 
-    The wrappers take the arguments of SciPy's lapack functions that
-    pinv_solve uses, and work in place on the arrays they are given, as
-    SciPy's do with overwrite_a/_b/_c=1; grams is _scipy_grams' twin. A
-    matrix is read with the LDA of its column stride, so a view into a
-    larger F-ordered buffer needs no copy.
+    dgeqrt and dgemqrt take the arguments of SciPy's lapack functions
+    that householder_qr and apply_q use and work in place, as SciPy's do
+    with overwrite_a/_c=1. kernels(a) returns (x, product, solve) for R,
+    the upper triangle of a (see the module docstring; trans is b"N" or
+    b"T"). A matrix is read with the LDA of its column stride, so a view
+    into a larger F-ordered buffer needs no copy.
     """
     lib = _bundled_openblas()
     if lib is None:
@@ -229,17 +230,9 @@ def _bundled_lapack():
                c.ctypes.data, _int64(ldc), work.ctypes.data, info, 1, 1)
         return c, info.value
 
-    def dtrtrs(a, b, trans=0, overwrite_b=1):
-        lda, ldb = _leading_dimensions(a, b)
-        info = ctypes.c_int64()
-        trtrs(b"U", b"T" if trans else b"N", b"N", _int64(a.shape[0]),
-              _int64(b.shape[1]), a.ctypes.data, _int64(lda),
-              b.ctypes.data, _int64(ldb), info, 1, 1, 1)
-        return b, info.value
-
-    def grams(a):
+    def kernels(a):
         # R's layout is checked and its arguments built here, once; each
-        # call of gram or inverse_gram is then two BLAS or LAPACK calls
+        # kernel call is then one BLAS or LAPACK call on x
         lda, = _leading_dimensions(a)
         x = np.zeros(a.shape[0])
         dim, ld, one = _int64(len(x)), _int64(lda), _int64(1)
@@ -247,67 +240,45 @@ def _bundled_lapack():
         ptr_a, ptr_x = (v.ctypes.data_as(ctypes.c_void_p) for v in (a, x))
         info = ctypes.c_int64()
 
-        def gram(v):
-            x[:] = v
-            for trans in (b"N", b"T"):
-                trmv(b"U", trans, b"N", dim, ptr_a, ld, ptr_x, one, 1, 1, 1)
-            return x
+        def product(trans):
+            trmv(b"U", trans, b"N", dim, ptr_a, ld, ptr_x, one, 1, 1, 1)
 
-        def inverse_gram(v):
-            x[:] = v
-            for trans in (b"T", b"N"):
-                trtrs(b"U", trans, b"N", dim, one, ptr_a, ld, ptr_x, dim,
-                      info, 1, 1, 1)
-                _require("dtrtrs", info.value)
-            return x
+        def solve(trans):
+            trtrs(b"U", trans, b"N", dim, one, ptr_a, ld, ptr_x, dim, info,
+                  1, 1, 1)
+            _require("dtrtrs", info.value)
 
-        return gram, inverse_gram
+        return x, product, solve
 
-    return dgeqrt, dgemqrt, dtrtrs, grams
-
-
-def _scipy_grams(a):
-    """(gram, inverse_gram) for R, the upper triangle of the n x n a:
-    gram(v) is R^T R v and inverse_gram(v) is R^{-1} R^{-T} v, by two
-    BLAS dtrmv or two LAPACK dtrtrs calls in place on one vector, which
-    each call returns and the next overwrites.
-
-    The SciPy twin of the bundled grams. f2py copies a strided matrix on
-    every call, so a strided a (QRFactorization.upper) is copied once
-    here instead.
-    """
-    from scipy.linalg import blas, lapack
-    a = np.asfortranarray(a, dtype=float)
-    x = np.zeros(a.shape[0])
-    col = x.reshape(-1, 1)
-
-    def gram(v):
-        x[:] = v
-        for trans in (0, 1):
-            blas.dtrmv(a, x, trans=trans, overwrite_x=1)
-        return x
-
-    def inverse_gram(v):
-        x[:] = v
-        for trans in (1, 0):
-            _require("dtrtrs",
-                     lapack.dtrtrs(a, col, trans=trans, overwrite_b=1)[1])
-        return x
-
-    return gram, inverse_gram
+    return dgeqrt, dgemqrt, kernels
 
 
 def _lapack():
-    """(dgeqrt, dgemqrt, dtrtrs, grams): numpy's bundled ones, or
-    SciPy's lapack and _scipy_grams where those do not resolve. The LAPACK
-    routines take SciPy's signatures. Callers pass float64 arrays with
-    unit row stride and overwrite_*=1, so both work in place (f2py copies
-    a strided matrix first)."""
+    """(dgeqrt, dgemqrt, kernels): numpy's bundled ones, or the same
+    routines from SciPy where those do not resolve (see _bundled_lapack
+    for the signatures). Callers pass float64 arrays with unit row stride
+    and overwrite_*=1, so both work in place. f2py would copy a strided
+    matrix on every call, so SciPy's kernels copy R once, when bound."""
     bundled = _bundled_lapack()
     if bundled is not None:
         return bundled
-    from scipy.linalg import lapack
-    return lapack.dgeqrt, lapack.dgemqrt, lapack.dtrtrs, _scipy_grams
+    from scipy.linalg import blas, lapack
+
+    def kernels(a):
+        a = np.asfortranarray(a, dtype=float)
+        x = np.zeros(a.shape[0])
+        col = x.reshape(-1, 1)
+
+        def product(trans):
+            blas.dtrmv(a, x, trans=int(trans == b"T"), overwrite_x=1)
+
+        def solve(trans):
+            _require("dtrtrs", lapack.dtrtrs(a, col, trans=int(trans == b"T"),
+                                             overwrite_b=1)[1])
+
+        return x, product, solve
+
+    return lapack.dgeqrt, lapack.dgemqrt, kernels
 
 
 @contextlib.contextmanager
@@ -478,7 +449,8 @@ def _dense_cond(mat: np.ndarray) -> float:
 
 def _largest_eigenvalue(matvec, n: int) -> float | None:
     """Top eigenvalue of a symmetric positive definite n x n operator, or
-    None when LANCZOS_MAX_STEPS Lanczos steps do not find it.
+    None when LANCZOS_MAX_STEPS Lanczos steps do not find it or a step
+    leaves the double range (beta is inf or NaN).
 
     Lanczos with full reorthogonalization from the hashed start vector
     _hashed(n): it depends on n alone, so repeat runs agree bit for bit,
@@ -513,6 +485,8 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
             w -= np.matmul(np.matmul(head, w, out=coef[:j + 1]), head,
                            out=proj)
         beta = np.sqrt(w @ w)
+        if not np.isfinite(beta):
+            return None
         theta, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
         top, residual = theta[-1], abs(beta * vecs[-1, -1])
         gap = top - theta[-2] if j else 0.0
@@ -534,36 +508,53 @@ def condition_estimate(r: np.ndarray) -> float:
     QRFactorization.upper, which is read in place. sigma_max^2 is the top
     eigenvalue of R^T R, 1/sigma_min^2 that of R^{-1} R^{-T}; each comes
     from a deterministic Lanczos run (from the hashed start vector of
-    _largest_eigenvalue) whose steps are triangular products (BLAS dtrmv)
-    and solves (LAPACK dtrtrs). R's layout is checked and its arguments
-    bound once per call, so a step is those two calls on one reused
-    vector. Small r, or a run that does not converge, takes a dense SVD
+    _largest_eigenvalue) whose steps are two calls of one of the
+    provider's kernels, bound to R once per call. The runs see 2^-e R,
+    e the binary exponent of max |R_ii|: exact, so cond is the unscaled
+    runs' bit for bit wherever they stay in the double range, and R's
+    scale cannot overflow them. Small r, a run that does not converge,
+    and a run or a cond^2 that leaves the double range take a dense SVD
     of R instead. An empty r (n = 0) has cond 1, as an identity does.
     """
     r = _readable(r)
     n = r.shape[0]
     if n == 0:
         return 1.0
-    if not np.all(np.diag(r)):
+    diag = np.abs(np.diag(r))
+    if not np.all(diag):
         return np.inf
     if n < LANCZOS_MIN_ORDER:
         return _dense_cond(np.triu(r))
-    gram, inverse_gram = _lapack()[3](r)
-    big = _largest_eigenvalue(gram, n)
-    inv_small = None if big is None else _largest_eigenvalue(inverse_gram, n)
-    if inv_small is None:
+    x, product, solve = _lapack()[2](r)
+    exponent = np.frexp(diag.max())[1]
+
+    def top(kernel, order, shift):
+        # (2^-e R)^T (2^-e R) for the product, its inverse for the solve
+        def matvec(v):
+            x[:] = v
+            for trans in order:
+                kernel(trans)
+                np.ldexp(x, shift, out=x)
+            return x
+        return _largest_eigenvalue(matvec, n)
+
+    with np.errstate(all="ignore"):
+        big = top(product, (b"N", b"T"), -exponent)
+        inverse = None if big is None else top(solve, (b"T", b"N"), exponent)
+        square = np.inf if inverse is None else big * inverse
+    if not np.isfinite(square):
         return _dense_cond(np.triu(r))
-    return float(np.sqrt(big * inv_small))
+    return float(np.sqrt(square))
 
 
 def solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The back-solve z = R^{-T} b, by LAPACK dtrtrs on R, the upper
-    triangle of r. Only that triangle is read, in place when r has unit
-    row stride (QRFactorization.upper does)."""
-    x = np.array(b, dtype=float).reshape(len(b), 1)
-    x, info = _lapack()[2](_readable(r), x, trans=1, overwrite_b=1)
-    _require("dtrtrs", info)
-    return x.ravel()
+    """The back-solve z = R^{-T} b, by the solve(b"T") kernel (LAPACK
+    dtrtrs) on a copy of b. Only R, the upper triangle of r, is read, in
+    place when r has unit row stride (QRFactorization.upper does)."""
+    x, _, solve = _lapack()[2](_readable(r))
+    x[:] = b
+    solve(b"T")
+    return x
 
 
 # The steps of pinv_solve, in order, as SolveReport.phases names them.
@@ -627,7 +618,10 @@ def _smoother(system: ConstraintSystem, smoother):
                          "multiplier mu vanishes on every Chebyshev mode")
     coef = _hashed(mult.size).reshape(shape)
     want = mult * coef
-    defect = np.linalg.norm(probe(coef) - want) / np.linalg.norm(want)
+    # times 2^-e, e the exponent of max |want|: exact, and no norm overflows
+    exponent = np.frexp(np.abs(want).max())[1]
+    got, want = (np.ldexp(v, -exponent) for v in (probe(coef), want))
+    defect = np.linalg.norm(got - want) / np.linalg.norm(want)
     if not defect <= DIAGONAL_TOL:
         raise ValueError(
             f"smoother is not diagonal in the Chebyshev basis: relative "
@@ -713,8 +707,11 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     z = solve_triangular(fac.upper, system.rhs)
     marks.append(time.perf_counter())
 
-    # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor)
+    # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor);
+    # the N x n buffer is freed before the pull-back and the residual
+    margin = fac.rank_margin
     coef = fac.apply_q(z).reshape(shape)
+    del fac
     for a, inv in inverses:
         coef = _apply(inv, coef, a)
     u = half_inverse(synthesis(coef * scale, system.axes))
@@ -730,7 +727,7 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
         n_gamma=system.n_gamma,
         n_rows=system.n_rows,
         grid_size=size,
-        rank_margin=fac.rank_margin,
+        rank_margin=margin,
         seconds=marks[-1] - marks[0],
         phases=dict(zip(PHASES, np.diff(marks).tolist())),
     )

@@ -241,17 +241,17 @@ class TestQRPaths:
         # row-strided matrix is refused, not read with the wrong strides
         if ssem.solver._bundled_lapack() is None:
             pytest.skip("numpy's bundled LAPACK is not available")
-        geqrt, gemqrt, trtrs, grams = ssem.solver._bundled_lapack()
+        geqrt, gemqrt, kernels = ssem.solver._bundled_lapack()
         refused = "float64 matrices with unit row stride"
         every_other_row = np.asfortranarray(np.eye(6))[::2, :3]
         with pytest.raises(ValueError, match=refused):
             geqrt(4, np.ones((6, 4)), overwrite_a=1)
         with pytest.raises(ValueError, match=refused):
-            trtrs(np.eye(3, dtype=np.float32), np.ones((3, 1)), trans=1)
+            kernels(np.eye(3, dtype=np.float32))
         with pytest.raises(ValueError, match=refused):
-            grams(every_other_row)
+            kernels(every_other_row)
         with pytest.raises(ValueError, match=refused):
-            grams(np.ones((3, 3)))
+            kernels(np.ones((3, 3)))
         with pytest.raises(ValueError, match=refused):
             gemqrt(np.asfortranarray(np.eye(6, 3)),
                    np.asfortranarray(np.eye(3)), np.ones((6, 2)))
@@ -723,6 +723,28 @@ class TestConditionEstimate:
         assert all(a <= b for a, b in zip(new, old))
         assert sum(new) < sum(old)
 
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_power_of_two_scale_is_bit_identical(self, qr_path, power):
+        # the runs see R scaled by a power of two near 1 / max |R_ii|, so
+        # 2^k R is the same operator to them bit for bit, on either
+        # provider, also where (2^k R)^T (2^k R) itself leaves the double
+        # range (k = +-600)
+        r = self.graded_r(200, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert condition_estimate(np.ldexp(r, power)) \
+                == condition_estimate(r)
+
+    @pytest.mark.parametrize("outlier", [1e200, 1e-200])
+    def test_cond_squared_out_of_range_takes_the_svd(self, outlier):
+        # cond^2 = 1e400 leaves the double range whatever the scale of
+        # the runs: one of them overflows, and the dense SVD answers
+        r = np.diag(np.r_[outlier, np.linspace(1.0, 2.0, 119)])
+        assert len(r) >= ssem.solver.LANCZOS_MIN_ORDER
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert condition_estimate(r) == ssem.solver._dense_cond(r)
+
     def test_zero_diagonal_is_inf_above_cutoff(self):
         r = self.graded_r()
         r[7, 7] = 0.0
@@ -907,6 +929,50 @@ class TestPinvSolve:
             < 1e-10 * scale
         assert by_callable.cond_estimate == pytest.approx(
             by_spec.cond_estimate, rel=1e-10)
+
+    @staticmethod
+    def scaled_disc_system(m, factor):
+        """disc_system(m) with the operator, the trace and the data all
+        times factor."""
+        op = EllipticOperatorSpec(
+            second_order={(0, 0): factor, (1, 1): factor},
+            first_order={}, zeroth=None, source=0.0)
+        bc = BoundaryConditionSpec(
+            trace=factor, flux=0.0,
+            data=lambda pts, nrm: factor * DIRICHLET.data(pts, nrm))
+        axes = (roots_axis(m), roots_axis(m))
+        return assemble_elliptic(disc_domain(), axes, op, bc)
+
+    def test_scaled_problem_solves_alike(self):
+        # R's entries pass 1e150, so R^T R alone would overflow: cond is
+        # scale-free, and so is u
+        spec = SmootherSpec("power", 4.0)
+        plain = pinv_solve(disc_system(18), spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = pinv_solve(self.scaled_disc_system(18, 1e150), spec)
+        assert plain.cond_estimate == pytest.approx(5814.27, rel=1e-6)
+        assert scaled.cond_estimate == pytest.approx(plain.cond_estimate,
+                                                     rel=1e-12)
+        assert np.max(np.abs(scaled.solution - plain.solution)) \
+            < 1e-12 * np.max(np.abs(plain.solution))
+
+    def test_huge_diagonal_smoother_accepted(self):
+        # a multiplier near 1e200: the diagonality defect's norms would
+        # overflow unscaled, and so would R^T R
+        system = disc_system(18)
+        spec = SmootherSpec("power", 4.0)
+        plain = pinv_solve(
+            system, lambda b: apply_smoother_half_inverse(b, spec, d=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = pinv_solve(
+                system,
+                lambda b: 1e200 * apply_smoother_half_inverse(b, spec, d=2))
+        assert huge.cond_estimate == pytest.approx(plain.cond_estimate,
+                                                   rel=1e-12)
+        assert np.max(np.abs(huge.solution - plain.solution)) \
+            < 1e-12 * np.max(np.abs(plain.solution))
 
     def test_spec_needs_a_grid_smoother(self):
         with pytest.raises(ValueError, match="no grid smoother"):
