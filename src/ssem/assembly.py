@@ -13,6 +13,9 @@ the dense matrix A = C V handed to the solver, with 1-D evaluations of
 T_k, T_k' and T_k'' as factors. On grid functions it is C u, used for
 residual checks, with the barycentric derivative rows of the
 interpolant as factors, at interior nodes and boundary points alike.
+An interior group holds those 1-D rows once per grid node, with a node
+index per row, and gathers a block of rows only while it uses them; the
+heat rows, say, sit at each interior node once per time node.
 
 build_system evaluates and checks every coefficient, source and data
 item once per build, through one evaluator that names what it refuses.
@@ -202,35 +205,56 @@ def _boundary_terms(bc: BoundaryConditionSpec,
 
 def _realize(terms, where, axes):
     """The (w, orders) terms of a group as (w, factors) terms, once for A
-    and once for C: factors[a] is the 1-D rows of the orders[a]-th
-    derivative along axis a at the group's nodes or points. For A they
-    are of the basis (basis_values); for C, of the interpolant of a grid
-    function (bary_rows), at interior nodes and boundary points alike.
-    C keeps its own arithmetic, so the residual checks A. A term whose
-    weight is zero on every row is dropped before its factors are built."""
-    terms = [(w, orders) for w, orders in terms if np.any(w)]
-    def factors(rows_of):
-        if isinstance(where, InteriorIndexSet):
-            def factor(a, k):
-                ax = axes[a]
-                return rows_of(ax, ax.nodes, k)[where.indices[:, a]]
-        else:
-            def factor(a, k):
-                return rows_of(axes[a], where.points[:, a], k)
-        return functools.cache(factor)
+    and once for C: factors[a] holds the 1-D rows of the orders[a]-th
+    derivative along axis a at the group's nodes or points, as a pair
+    (table, index) that _gather reads. For A they are of the basis
+    (basis_values); for C, of the interpolant of a grid function
+    (bary_rows), at interior nodes and boundary points alike. C keeps its
+    own arithmetic, so the residual checks A.
 
-    return [[(w, [rows(a, k) for a, k in enumerate(orders)])
+    An interior group's table is the rows at the axis' own nodes, one
+    m_a x m_a matrix per axis and order, and index the group's node
+    index along axis a, one array per axis that all its factors share:
+    a node's rows are held once however many rows of the group sit at
+    it. A boundary group's table has one row per point, and index is
+    None. A term whose weight is zero on every row is dropped before its
+    factors are built."""
+    terms = [(w, orders) for w, orders in terms if np.any(w)]
+    if isinstance(where, InteriorIndexSet):
+        # one contiguous index per axis, which take reads fastest
+        index = np.ascontiguousarray(where.indices.T)
+
+        def factor(rows_of, a, k):
+            ax = axes[a]
+            return rows_of(ax, ax.nodes, k), index[a]
+    else:
+        def factor(rows_of, a, k):
+            return rows_of(axes[a], where.points[:, a], k), None
+    factor = functools.cache(factor)
+    return [[(w, [factor(rows_of, a, k) for a, k in enumerate(orders)])
              for w, orders in terms]
-            for rows in map(factors, (basis_values, bary_rows))]
+            for rows_of in (basis_values, bary_rows)]
+
+
+def _gather(factor, rows=slice(None)) -> np.ndarray:
+    """The 1-D rows of a (table, index) factor at the group's rows `rows`:
+    table[index[rows]], or table[rows] where index is None."""
+    table, index = factor
+    if index is None:
+        return table[rows]
+    return table.take(index[rows], axis=0)
 
 
 def _apply_terms(terms, u: np.ndarray, n_rows: int) -> np.ndarray:
     """The n_rows rows of the (w, factors) terms applied to a grid
-    function, one axis at a time."""
-    out = np.zeros(n_rows)
+    function, one axis at a time. Each factor is gathered to one row per
+    constraint just before its axis is contracted, and dropped after:
+    the residual runs after the QR, whose freed heap its temporaries
+    would otherwise grow for the next solve."""
+    out, flat = np.zeros(n_rows), u.reshape(len(u), -1)
     for w, factors in terms:
-        vals = factors[0] @ u.reshape(len(u), -1)
-        for f in factors[1:]:
+        vals = _gather(factors[0]) @ flat
+        for f in map(_gather, factors[1:]):
             vals = f[:, None] @ vals.reshape(n_rows, f.shape[1], -1)
         out += w * vals.reshape(n_rows)
     return out
@@ -244,9 +268,12 @@ def _fill_rows(out: np.ndarray, terms) -> None:
     the tensor_rows product of term k's weight and other factors. For a
     block of rows of about BLOCK_BYTES that sum is one batched matmul of
     the stacked leads (rows, lead, K) with the stacked last-axis factors
-    (rows, K, last), written straight into out. Each row of out is
-    written once, and the leads of a block go into one reused buffer, so
-    no temporary approaches the size of out.
+    (rows, K, last), written straight into out. The factors' rows are
+    gathered (_gather) a block at a time, just before the block is
+    written; the last-axis factors, which share one index, in one gather
+    from their stacked tables. Each row of out is written once, and the
+    leads of a block go into one reused buffer, so no temporary
+    approaches the size of out.
     """
     n_rows = len(out)
     terms = [(np.broadcast_to(np.reshape(w, (-1, 1)), (n_rows, 1)), f)
@@ -254,19 +281,25 @@ def _fill_rows(out: np.ndarray, terms) -> None:
     if not terms:
         out[:] = 0.0
         return
-    width = terms[0][1][-1].shape[1]
+    (inner, _), (_, index) = terms[0][1][-2:]
+    lasts_of = (np.stack([f[-1][0] for _, f in terms], axis=1), index)
+    width = lasts_of[0].shape[2]
     lead_width = out.shape[1] // width
     step = max(1, BLOCK_BYTES // max(1, out.shape[1] * out.itemsize))
-    lead_buf = np.empty((min(step, n_rows), lead_width, len(terms)))
+    # lead k, split at its last factor, is written in place as the outer
+    # product of the rest with that factor
+    lead_buf = np.empty((min(step, n_rows), lead_width // inner.shape[1],
+                         inner.shape[1], len(terms)))
     for i in range(0, n_rows, step):
         rows = slice(i, i + step)
         block = out[rows].reshape(-1, lead_width, width)
         leads = lead_buf[:len(block)]
         for k, (w, factors) in enumerate(terms):
-            leads[:, :, k] = tensor_rows([w[rows] * factors[0][rows],
-                                          *(f[rows] for f in factors[1:-1])])
-        lasts = np.stack([f[-1][rows] for _, f in terms], axis=1)
-        np.matmul(leads, lasts, out=block)
+            *head, tail = w[rows], *(_gather(f, rows) for f in factors[:-1])
+            np.multiply(tensor_rows(head)[:, :, None], tail[:, None, :],
+                        out=leads[..., k])
+        np.matmul(leads.reshape(len(block), lead_width, -1),
+                  _gather(lasts_of, rows), out=block)
 
 
 # ---------------------------------------------------------------------------

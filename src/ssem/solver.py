@@ -57,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,6 +282,13 @@ def _lapack():
     return lapack.dgeqrt, lapack.dgemqrt, kernels
 
 
+# The open _one_blas_thread blocks of all threads, and the thread count
+# the first of them saved, under one lock.
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Pin the bundled OpenBLAS to one thread inside the block, for
@@ -289,20 +297,27 @@ def _one_blas_thread():
 
     Yields True when it pinned, False where solves run on SciPy's LAPACK
     (_bundled_lapack is None), whose thread pool it leaves alone. The
-    count is one setting for the whole process: blocks nest, but two
-    threads whose blocks overlap without nesting can leave the pin in
-    place.
+    count is one setting for the whole process, so the blocks of all
+    threads share one pin: the first to enter saves the count and pins
+    it, the last to leave restores it, in whatever order they overlap.
     """
+    global _pin_depth, _pin_saved
     if _bundled_lapack() is None:
         yield False
         return
     lib = _bundled_openblas()
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    with _PIN_LOCK:
+        if not _pin_depth:
+            _pin_saved = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _pin_depth += 1
     try:
         yield True
     finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if not _pin_depth:
+                lib.scipy_openblas_set_num_threads64_(_pin_saved)
 
 
 def _require(name: str, info: int) -> None:
@@ -441,10 +456,13 @@ def _hashed(size: int) -> np.ndarray:
 
 
 def _dense_cond(mat: np.ndarray) -> float:
+    """sigma_max / sigma_min of mat by a dense SVD: inf where sigma_min is
+    0 or the ratio leaves the double range."""
     s = np.linalg.svd(mat, compute_uv=False)
     if s[-1] <= 0.0 or not np.isfinite(s[-1]):
         return np.inf
-    return float(s[0] / s[-1])
+    with np.errstate(over="ignore"):
+        return float(s[0] / s[-1])
 
 
 def _largest_eigenvalue(matvec, n: int) -> float | None:

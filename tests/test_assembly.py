@@ -36,7 +36,7 @@ from ssem.geometry import (
     star_domain,
 )
 
-from ssem.solver import pinv_solve
+from ssem.solver import RankDeficientError, pinv_solve
 
 from oracles import chebyshev_vandermonde, dense_from_apply
 
@@ -595,6 +595,24 @@ class TestMaterialize:
             n_omega=0, n_gamma=1)
         report = pinv_solve(system, lambda b: b)
         assert report.solution == pytest.approx(5.0 * row, abs=1e-13)
+
+    def test_all_zero_operator_is_rank_deficient(self):
+        # every term of the operator is dropped, so its rows of A are
+        # zero, and the first of them is the first column of the factored
+        # matrix
+        zero = EllipticOperatorSpec(second_order={(0, 0): 0.0, (1, 1): 0.0},
+                                    first_order={1: 0.0}, zeroth=0.0,
+                                    source=0.0)
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=1.0)
+        system = assemble_elliptic(disc_domain(), (roots_axis(10),) * 2,
+                                   zero, bc)
+        mat = system.coefficient_matrix()
+        assert not mat[:system.n_omega].any()
+        assert mat[system.n_omega:].any()
+        assert not system.apply(np.ones((10, 10)))[:system.n_omega].any()
+        with pytest.raises(RankDeficientError) as info:
+            pinv_solve(system, SmootherSpec("power", 4.0))
+        assert info.value.column == 0
 
     def test_under_resolved_grid_rejected(self):
         axes = (roots_axis(2), roots_axis(2))

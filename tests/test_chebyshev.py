@@ -105,6 +105,11 @@ class TestAxes:
                                              "integer"):
             roots_axis(m)
 
+    def test_extrema_axis_zero_rejected(self):
+        with pytest.raises(ValueError, match="extrema axis needs n >= 1, "
+                                             "got 0"):
+            extrema_axis(0)
+
     def test_extrema_axis_needs_an_integer(self):
         # True is an int to operator.index: it made a 2-node axis
         for n in (4.5, True):
@@ -403,6 +408,19 @@ class TestCoefficientSpace:
             coef[k] = 1.0
             expect = -2.0 / 3.0 * ncheb.chebval(s, ncheb.chebder(coef))
             assert got[:, k] == pytest.approx(expect, abs=1e-12)
+
+    def test_extrema_second_time_derivative(self):
+        # the map's slope enters squared: no built-in problem takes a
+        # second time derivative, so only this pins the power
+        axis = extrema_axis(6, 1.0, 4.0)
+        t = np.linspace(1.0, 4.0, 9)
+        s = 1.0 - 2.0 * (t - 1.0) / 3.0
+        got = basis_values(axis, t, 2)
+        for k in range(7):
+            coef = np.zeros(k + 1)
+            coef[k] = 1.0
+            expect = 4.0 / 9.0 * ncheb.chebval(s, ncheb.chebder(coef, 2))
+            assert got[:, k] == pytest.approx(expect, abs=1e-11)
 
     def test_derivative_order_beyond_degree_is_zero(self):
         axis = roots_axis(2)

@@ -154,29 +154,46 @@ def test_spacetime_rows(m, n, t_hi, seed):
 @st.composite
 def row_terms(draw, n_rows, widths):
     """(w, factors) terms over n_rows rows: per-row or scalar weights,
-    some of them zero, and random 1-D factor rows of the given widths."""
+    some of them zero, and (table, index) factors of the given widths.
+    In an interior group each axis has a random, repeated node index per
+    row, which every factor along that axis shares, into tables of node
+    rows; a boundary group's tables have one row per row and no index."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    nodes = rng.integers(1, 6, len(widths))
+    index = [None] * len(widths) if draw(st.booleans()) else [
+        rng.integers(0, n, n_rows) for n in nodes]
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["rows", "scalar", "zero"]))
         w = {"rows": rng.standard_normal(n_rows),
              "scalar": float(rng.standard_normal()),
              "zero": np.zeros(n_rows)}[kind]
-        terms.append((w, [rng.standard_normal((n_rows, k)) for k in widths]))
+        terms.append((w, [
+            (rng.standard_normal((n_rows if i is None else n, k)), i)
+            for n, k, i in zip(nodes, widths, index)]))
     return terms
+
+
+def gathered(factor):
+    """A factor's 1-D rows, one per row of the group."""
+    table, index = factor
+    return table if index is None else table[index]
 
 
 @settings(PROPERTY, max_examples=40)
 @given(data=st.data(), d=st.sampled_from([2, 3]),
        n_rows=st.integers(1, 40), block_rows=st.integers(1, 7))
 def test_fill_rows_matches_per_term_sum(data, d, n_rows, block_rows):
-    # the batched per-block fill against the sum over terms of each
-    # term's tensor_rows product, on blocks of block_rows rows
+    # the batched per-block fill, which gathers each block's factor rows
+    # itself, against the sum over terms of each term's tensor_rows
+    # product of the gathered rows, on blocks of block_rows rows
     widths = data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
     terms = data.draw(row_terms(n_rows, widths))
     size = int(np.prod(widths))
-    products = [tensor_rows([np.reshape(w, (-1, 1)) * f[0], *f[1:]])
-                for w, f in terms]
+    products = []
+    for w, factors in terms:
+        first, *rest = map(gathered, factors)
+        products.append(tensor_rows([np.reshape(w, (-1, 1)) * first, *rest]))
     want = sum(products)
     bound = sum(np.abs(p) for p in products)
     out = np.full((n_rows, size), np.nan)

@@ -510,6 +510,22 @@ class TestDispatch:
         assert sample_boundary(star_ball_domain(), 10).count == \
             sample_boundary_3d(star_ball_domain(), 10).count
 
+    def test_planar_sampler_refuses_a_3d_domain(self):
+        with pytest.raises(ValueError, match="requires a planar domain"):
+            sample_boundary_2d(star_ball_domain(), 10)
+
+    def test_3d_sampler_refuses_a_planar_domain(self):
+        with pytest.raises(ValueError, match="requires a 3-d domain"):
+            sample_boundary_3d(disc_domain(), 10)
+
+    def test_3d_sampler_needs_a_star_surface(self):
+        cube = DomainSpec(dim=3, inside=lambda x, y, z: np.maximum(
+            np.maximum(abs(x), abs(y)), abs(z)) - 0.5, boundary=(),
+            name="cube")
+        with pytest.raises(ValueError, match="domain cube has no "
+                                             "star-shaped boundary surface"):
+            sample_boundary_3d(cube, 10)
+
     def test_unsupported_dimension_rejected(self):
         segment = DomainSpec(dim=1, inside=lambda x: np.abs(x) - 0.5,
                              boundary=(), name="segment")

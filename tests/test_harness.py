@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import math
 import re
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -483,6 +485,50 @@ class TestSweepPool:
         assert get() == before
         assert {threads for _, _, threads in seen} == {1}
 
+    def test_overlapping_blocks_share_one_pin(self, bundled_threads):
+        # blocks entered A, B and left A, B, as two sweeps on two threads
+        # may: the pin holds while either is open, and the count saved
+        # before both comes back once both have left
+        get, put = bundled_threads
+        put(2)
+        before = get()
+        first = ssem.solver._one_blas_thread()
+        second = ssem.solver._one_blas_thread()
+        with ThreadPoolExecutor(max_workers=1) as other:
+            assert first.__enter__()
+            assert other.submit(second.__enter__).result()
+            assert get() == 1
+            first.__exit__(None, None, None)
+            assert get() == 1
+            other.submit(second.__exit__, None, None, None).result()
+        assert get() == before
+
+    def test_pin_holds_under_contention(self, bundled_threads):
+        # more threads than cores enter and leave blocks at fine-grained
+        # interleavings: a lost update of the open-block count would lift
+        # the pin inside an open block or leave it on after the last
+        get, put = bundled_threads
+        put(2)
+        before = get()
+
+        def churn(_):
+            seen = set()
+            for _ in range(200):
+                with ssem.solver._one_blas_thread():
+                    seen.add(get())
+            return seen
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(churn, i) for i in range(8)]
+                seen = set().union(*(f.result(timeout=60) for f in futures))
+        finally:
+            sys.setswitchinterval(switch)
+        assert seen == {1}
+        assert get() == before
+
     def test_thread_count_restored_after_an_error(self, monkeypatch,
                                                   bundled_threads):
         get, put = bundled_threads
@@ -766,6 +812,21 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{csv_path} line 3: {culprit}" in err
+        assert not (tmp_path / "plot.txt").exists()
+
+    def test_study_unparsable_p_list_exit_code(self, tmp_path, capsys):
+        code = main(["study", "--problem", "dirichlet-disc", "--grids", "10",
+                     "--p", "4,x", "--out", str(tmp_path / "disc.csv")])
+        assert code == 2
+        assert "cannot parse p list '4,x'" in capsys.readouterr().err
+        assert not (tmp_path / "disc.csv").exists()
+
+    def test_plotdata_missing_csv_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["plotdata", "--in", str(missing),
+                     "--out", str(tmp_path / "plot.txt")])
+        assert code == 2
+        assert f"cannot read CSV {missing}" in capsys.readouterr().err
         assert not (tmp_path / "plot.txt").exists()
 
     def test_study_and_plotdata(self, tmp_path):

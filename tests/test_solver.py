@@ -539,6 +539,19 @@ class TestConditionEstimate:
     def test_empty_is_one(self):
         assert condition_estimate(np.zeros((0, 0))) == 1.0
 
+    @pytest.mark.parametrize("diag", [
+        [1.0, 1e-310],
+        [1e300, 1e-10],
+        # the inverse run leaves the double range, so this takes the
+        # dense path from Lanczos
+        np.r_[1e300, 1e-10,
+              np.linspace(1.0, 2.0, ssem.solver.LANCZOS_MIN_ORDER + 18)],
+    ], ids=["subnormal", "dense", "lanczos"])
+    def test_ratio_beyond_double_range_is_inf(self, diag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert condition_estimate(np.diag(diag)) == np.inf
+
     @staticmethod
     def r_with_singular_values(s, seed):
         """Upper-triangular R with singular values s, from random U and V."""
