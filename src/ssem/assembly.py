@@ -4,7 +4,11 @@ The solve selects, among all grid functions satisfying the constraints
 C u = b, the one of minimal smoothness norm. C stacks groups of rows:
 operator rows (a differential operator collocated at a set of grid
 nodes) and boundary rows (point evaluation / directional derivative at
-sampled points); the smoother is a positive frequency multiplier.
+sampled points); the smoother is a positive multiplier of |k|^2, k
+read from each axis' frequencies. S^{-1/2} on grid functions is one
+body on any mix of axes, analysis, times the multiplier, synthesis,
+entered through apply_smoother_half_inverse (roots grids) or
+parabolic.spacetime_half_inverse.
 
 Each group's rows are one list of terms, a weight per row times a
 product of 1-D derivative rows, one per axis, and both realizations of
@@ -34,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import (
+    analysis,
     bary_rows,
     basis_values,
-    forward_cheb,
-    inverse_cheb,
+    roots_axis,
+    synthesis,
     tensor_rows,
 )
 from .geometry import (
@@ -306,25 +311,33 @@ def _fill_rows(out: np.ndarray, terms) -> None:
 # smoothers
 # ---------------------------------------------------------------------------
 
-def smoother_multiplier_array(spec: SmootherSpec, shape) -> np.ndarray:
-    """The S^{-1/2} multiplier evaluated on the full frequency grid."""
-    k_squared = np.zeros(shape)
-    for ax, m in enumerate(shape):
-        k = np.arange(m, dtype=float) ** 2
-        k_squared = k_squared + k.reshape((1,) * ax + (m,)
-                                          + (1,) * (len(shape) - ax - 1))
-    return spec.half_inverse_multiplier(k_squared)
+def smoother_multiplier_array(spec: SmootherSpec, axes) -> np.ndarray:
+    """The S^{-1/2} multiplier on the coefficient grid of axes: spec's
+    multiplier of |k|^2, k the frequencies of each axis' coefficients."""
+    return spec.half_inverse_multiplier(functools.reduce(
+        np.add.outer, [ax.basis.frequencies ** 2 for ax in axes]))
+
+
+def _half_inverse(u: np.ndarray, spec: SmootherSpec, axes) -> np.ndarray:
+    """S^{-1/2} = V diag(mu) V^{-1} on grid functions of axes, the
+    trailing axes of u; leading axes are a batch."""
+    return synthesis(analysis(u, axes) * smoother_multiplier_array(spec, axes),
+                     axes)
 
 
 def apply_smoother_half_inverse(u: np.ndarray, spec: SmootherSpec,
                                 d: int | None = None) -> np.ndarray:
-    """Apply S^{-1/2}; trailing d axes of u are the grid axes."""
+    """Apply S^{-1/2} on roots grids; the trailing d axes of u (default
+    all) are the grid axes, any others a batch. A d outside 1..u.ndim is
+    a ValueError."""
     u = np.asarray(u, dtype=float)
     if d is None:
         d = u.ndim
-    axes = range(u.ndim - d, u.ndim)
-    mult = smoother_multiplier_array(spec, u.shape[u.ndim - d:])
-    return inverse_cheb(forward_cheb(u, axes=axes) * mult, axes=axes)
+    if not 1 <= d <= u.ndim:
+        raise ValueError(f"apply_smoother_half_inverse: d = {d} grid axes "
+                         f"of an array of {u.ndim}; d must be in "
+                         f"1..{u.ndim}")
+    return _half_inverse(u, spec, [roots_axis(m) for m in u.shape[-d:]])
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ Space uses Chebyshev *roots* axes, whose nodes lie strictly inside
 (-1, 1); time uses an *extrema* axis. Only the two axis classes and their
 cached AxisBasis records know the kind. A kind supplies its nodes, the
 map to the reference variable of its basis, and per size its analysis
-and synthesis matrices, Gram factor and barycentric weights. Dense
-matrices beat an FFT at these sizes (m up to about 64); the tests check
-them against the defining sums. The interpolant of a grid function is
-differentiated one way on every axis: by the rows of bary_rows.
+and synthesis matrices, Gram factor, barycentric weights and the
+frequency of each coefficient, which the smoother's multiplier reads.
+synthesis and analysis transform a grid function on any mix of kinds.
+Dense matrices beat an FFT at these sizes (m up to about 64); the tests
+check them against the defining sums. The interpolant of a grid
+function is differentiated one way on every axis: by the rows of
+bary_rows.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ __all__ = [
     "apply_sturm_liouville",
     "bary_rows",
     "bary_interp_row",
-    "forward_extrema",
-    "inverse_extrema",
     "synthesis",
     "analysis",
     "basis_values",
@@ -53,6 +54,7 @@ class AxisBasis(NamedTuple):
     synthesis: np.ndarray  # [i, k]: basis function k at node i
     gram: np.ndarray       # upper-triangular R: synthesis^T synthesis = R^T R
     weights: np.ndarray    # barycentric weights of the nodes
+    frequencies: np.ndarray  # k of each coefficient (of T_k), as floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +187,7 @@ def _roots_basis(m: int) -> AxisBasis:
     forward = synth.T * np.where(k == 0, 1.0, 2.0)[:, None] / m
     gram = np.diag(np.sqrt(np.where(k == 0, m, m / 2.0)))
     weights = (-1.0) ** k * np.sin(np.pi * (2 * k + 1) / (2 * m))
-    return AxisBasis(*_frozen(forward, synth, gram, weights))
+    return AxisBasis(*_frozen(forward, synth, gram, weights, k.astype(float)))
 
 
 @functools.cache
@@ -204,7 +206,7 @@ def _extrema_basis(n: int) -> AxisBasis:
     weights = (-1.0) ** j
     weights[[0, -1]] *= 0.5
     return AxisBasis(*_frozen(forward, synth, np.linalg.qr(synth, mode="r"),
-                              weights))
+                              weights, j.astype(float)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +240,15 @@ def inverse_cheb(c: np.ndarray, axes=None) -> np.ndarray:
     return u
 
 
-def forward_extrema(u: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Modal transform on an extrema axis (DCT-I pairing).
-
-    The basis along the axis is C_k(j) = cos(pi k j / n), the degree-k
-    Chebyshev polynomial in the (reversed) reference variable; the
-    transform returns the coefficients of a sampled function in that
-    basis. Only the diagonalization matters downstream: frequency k of
-    this basis indexes the smoother multiplier.
-    """
-    u = np.asarray(u, dtype=float)
-    return _apply(_extrema_basis(u.shape[axis] - 1).analysis, u, axis)
-
-
-def inverse_extrema(c: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse of :func:`forward_extrema`."""
-    c = np.asarray(c, dtype=float)
-    return _synthesize(_extrema_basis(c.shape[axis] - 1).synthesis, c, axis)
-
-
 def synthesis(c: np.ndarray, axes) -> np.ndarray:
-    """Grid values u = V c of a coefficient tensor, one axis object per axis.
+    """Grid values u = V c of a coefficient tensor, one axis object per
+    trailing axis of c, in order; leading axes are a batch.
 
     V is the tensor product of the per-axis synthesis matrices: T_k at
     the roots nodes, cos(pi j k / n) on an extrema axis.
     """
     u = np.asarray(c, dtype=float)
-    for i, ax in enumerate(axes):
+    for i, ax in enumerate(axes, start=-len(axes)):
         u = _synthesize(ax.basis.synthesis, u, i)
     return u
 
@@ -272,7 +256,7 @@ def synthesis(c: np.ndarray, axes) -> np.ndarray:
 def analysis(u: np.ndarray, axes) -> np.ndarray:
     """Inverse of :func:`synthesis`: the coefficient tensor of grid values."""
     c = np.asarray(u, dtype=float)
-    for i, ax in enumerate(axes):
+    for i, ax in enumerate(axes, start=-len(axes)):
         c = _apply(ax.basis.analysis, c, i)
     return c
 

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 TOL_INSIDE = 1e-12
+# The samplers refuse a boundary normal whose length is further from 1.
+UNIT_NORMAL_TOL = 1e-12
 # Guards the first computation of each curve's image-arclength tables.
 _TABLES_LOCK = threading.Lock()
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -58,7 +60,7 @@ class BoundaryCurve:
     """One closed boundary component of a planar domain.
 
     param maps angles in [0, 2 pi) to points (n, 2); normal maps boundary
-    points (n, 2) to outward unit normals (n, 2).
+    points (n, 2) to outward unit normals (n, 2), unit to UNIT_NORMAL_TOL.
     """
 
     param: callable
@@ -86,8 +88,9 @@ class BoundaryCurve:
 class StarSurface:
     """A star-shaped boundary surface r = rho(polar, azimuth) in 3D.
 
-    radius maps (polar, azimuth) arrays to radii; normal maps boundary
-    points (n, 3) to outward unit normals. max_radius, the maximum of
+    radius maps (polar, azimuth) arrays (n,) to radii (n,); normal maps
+    boundary points (n, 3) to outward unit normals (n, 3), unit to
+    UNIT_NORMAL_TOL. max_radius, the maximum of
     radius, fixes the circumscribed-sphere radius used by the sampling
     density rule.
     """
@@ -139,19 +142,22 @@ def classify_interior(domain: DomainSpec, axes) -> InteriorIndexSet:
     """Return the grid nodes strictly inside the domain (phi < -1e-12).
 
     Nodes on or within 1e-12 of the boundary are excluded so interior
-    constraints never duplicate boundary rows.
+    constraints never duplicate boundary rows. A level function that
+    does not return a finite array of the grid's shape is a ValueError
+    naming the domain.
     """
     if len(axes) != domain.dim:
         raise ValueError(
             f"domain dimension {domain.dim} != grid dimension {len(axes)}"
         )
     grids = np.meshgrid(*[ax.nodes for ax in axes], indexing="ij")
-    phi = domain.inside(*grids)
+    phi = _component_values(domain.inside(*grids), grids[0].shape,
+                            f"{_label(domain)}: level function")
     mask = phi < -TOL_INSIDE
     if not mask.any():
         raise ValueError(
-            f"domain {domain.name or '<anonymous>'} contains no interior "
-            f"grid points at this resolution"
+            f"{_label(domain)} contains no interior grid points at this "
+            f"resolution"
         )
     idx = np.argwhere(mask)
     return InteriorIndexSet(indices=idx)
@@ -161,6 +167,48 @@ def interior_coordinates(axes, interior: InteriorIndexSet) -> np.ndarray:
     """Coordinates (count, d) of the interior nodes."""
     cols = [axes[j].nodes[interior.indices[:, j]] for j in range(len(axes))]
     return np.stack(cols, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# input checks: a domain's callables are checked where they are called,
+# and a refusal names the domain and the component
+# ---------------------------------------------------------------------------
+
+def _label(domain: DomainSpec) -> str:
+    return f"domain {domain.name or '<anonymous>'}"
+
+
+class _ComponentError(ValueError):
+    """A domain callable's result refused by _component_values; a caller
+    that knows only the callable lets its sampler add the component's
+    name."""
+
+
+def _component_values(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a float array, or a _ComponentError naming what if it is
+    not a finite array of the given shape."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != shape:
+        raise _ComponentError(f"{what} returned shape {vals.shape}, "
+                              f"expected {shape}")
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise _ComponentError(f"{what} returned {bad} non-finite values "
+                              f"(NaN or inf) of {vals.size}")
+    return vals
+
+
+def _unit_normals(values, shape: tuple, what: str) -> np.ndarray:
+    """_component_values of normals, which must also have unit length to
+    UNIT_NORMAL_TOL (a flux condition's rows scale with it)."""
+    normals = _component_values(values, shape, what)
+    off = np.abs(np.sqrt(np.sum(normals * normals, axis=1)) - 1.0)
+    bad = np.count_nonzero(off > UNIT_NORMAL_TOL)
+    if bad:
+        raise ValueError(f"{what} returned {bad} of {len(off)} normals that "
+                         f"are not unit length to {UNIT_NORMAL_TOL:g} (off "
+                         f"by up to {off.max():.3g})")
+    return normals
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +240,8 @@ def _image_speed(curve: BoundaryCurve, n: int) -> np.ndarray:
     """|d arccos(param(theta)) / d theta| at theta_k = 2 pi k / n, k < n,
     with param differentiated spectrally."""
     theta = np.arange(n) * (2.0 * np.pi / n)
-    pts = _require_in_box(curve.param(theta), theta)
+    pts = _require_in_box(_component_values(curve.param(theta), (n, 2),
+                                            "param"), theta)
     deriv = 1j * np.arange(n // 2 + 1)
     deriv[-1] = 0.0  # the Nyquist mode's derivative vanishes at the nodes
     dpts = np.fft.irfft(deriv[:, None] * np.fft.rfft(pts, axis=0), n, axis=0)
@@ -244,13 +293,21 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     Each closed component gets ceil((m/2) * length / pi) points, i.e.
     m/2 points per pi of image length, which keeps consecutive boundary
     points at most two grid cells apart in the image geometry without
-    ever packing them closer than the grid can resolve.
+    ever packing them closer than the grid can resolve. A component whose
+    param or normal does not return a finite (k, 2) array, or whose
+    normals are not unit length to UNIT_NORMAL_TOL, is a ValueError
+    naming it.
     """
     if domain.dim != 2:
         raise ValueError("sample_boundary_2d requires a planar domain")
-    all_pts, all_nrm = [], []
-    for curve in domain.boundary:
-        cum, speed = curve.image_arclength
+    names = [f"{_label(domain)}, boundary component {i}"
+             for i in range(len(domain.boundary))]
+    all_pts = []
+    for name, curve in zip(names, domain.boundary):
+        try:
+            cum, speed = curve.image_arclength
+        except _ComponentError as exc:
+            raise ValueError(f"{name}: {exc}") from None
         length = cum[-1]
         n_pts = int(np.ceil(m / 2.0 * length / np.pi))
         targets = np.arange(n_pts) * (length / n_pts)
@@ -261,11 +318,12 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
         t = (targets - cum[j]) / h
         theta_i = (2.0 * np.pi / (cum.size - 1)) * (j + t * t * (3.0 - 2.0 * t))
         theta_i += h * t * (1.0 - t) * ((1.0 - t) / speed[j] - t / speed[j + 1])
-        pts = curve.param(theta_i)
-        all_pts.append(pts)
-        all_nrm.append(curve.normal(pts))
+        all_pts.append(_component_values(curve.param(theta_i), (n_pts, 2),
+                                         f"{name}: param"))
     points = _require_in_box(np.concatenate(all_pts, axis=0))
-    normals = np.concatenate(all_nrm, axis=0)
+    normals = np.concatenate([
+        _unit_normals(curve.normal(pts), pts.shape, f"{name}: normal")
+        for name, curve, pts in zip(names, domain.boundary, all_pts)])
     return BoundaryPointSet(points=points, normals=normals)
 
 
@@ -275,15 +333,17 @@ def sample_boundary_3d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     The lattice size is floor(m^2 rho_max^2), i.e. m^2 points per (4 pi)
     of area of the circumscribed sphere of radius rho_max; a small guard
     keeps exact products from falling to the next integer in floating
-    point.
+    point. A surface whose radius does not return a finite (k,) array,
+    or whose normal does not return a finite (k, 3) array of unit
+    vectors (to UNIT_NORMAL_TOL), is a ValueError naming it.
     """
     if domain.dim != 3:
         raise ValueError("sample_boundary_3d requires a 3-d domain")
     surface = domain.boundary
     if not isinstance(surface, StarSurface):
         raise ValueError(
-            f"domain {domain.name or '<anonymous>'} has no star-shaped "
-            f"boundary surface; 3-d sampling is unsupported"
+            f"{_label(domain)} has no star-shaped boundary surface; 3-d "
+            f"sampling is unsupported"
         )
     rmax = surface.max_radius
     n_pts = int(np.floor(m * m * rmax * rmax + 1e-6))
@@ -293,8 +353,12 @@ def sample_boundary_3d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     azim = GOLDEN_ANGLE * i
     sin_p = np.sqrt(1.0 - z * z)
     unit = np.stack([sin_p * np.cos(azim), sin_p * np.sin(azim), z], axis=-1)
-    points = _require_in_box(unit * surface.radius(polar, azim)[:, None])
-    normals = surface.normal(points)
+    name = f"{_label(domain)}, boundary surface"
+    radius = _component_values(surface.radius(polar, azim), (n_pts,),
+                               f"{name}: radius")
+    points = _require_in_box(unit * radius[:, None])
+    normals = _unit_normals(surface.normal(points), points.shape,
+                            f"{name}: normal")
     return BoundaryPointSet(points=points, normals=normals)
 
 

@@ -15,10 +15,11 @@ builder as an elliptic one from three row groups:
   its callables take the space-time points (k, 3) and their normals
   (k, 3), which have no time component.
 
-The smoother is the same power/exponential multiplier extended with the
-integer time frequency; the solver folds the R factor of the
-(n+1)x(n+1) time synthesis into the factored matrix, so the
-non-symmetric space-time smoother needs no separate adjoint.
+The smoother is assembly's one S^{-1/2} on these three axes: its
+multiplier reads the time frequencies from the extrema axis as it reads
+the space frequencies from the roots axes. The solver folds the R
+factor of the (n+1)x(n+1) time synthesis into the factored matrix, so
+the non-symmetric space-time smoother needs no separate adjoint.
 """
 
 from __future__ import annotations
@@ -31,16 +32,10 @@ from .assembly import (
     ConstraintSystem,
     EllipticOperatorSpec,
     SmootherSpec,
+    _half_inverse,
     build_system,
-    smoother_multiplier_array,
 )
-from .chebyshev import (
-    ExtremaAxis,
-    forward_cheb,
-    forward_extrema,
-    inverse_cheb,
-    inverse_extrema,
-)
+from .chebyshev import ExtremaAxis, extrema_axis, roots_axis
 from .geometry import (
     BoundaryPointSet,
     DomainSpec,
@@ -122,13 +117,17 @@ def assemble_parabolic(problem: ParabolicProblem,
 
 
 def spacetime_half_inverse(u: np.ndarray, spec: SmootherSpec) -> np.ndarray:
-    """Apply the space-time S^{-1/2}: roots transforms in space, the
-    extrema transform in time, multiplier in (1 + |k_x|^2 + k_t^2)."""
+    """Apply the space-time S^{-1/2} to a grid function u (x, y, t): two
+    roots axes in space and an extrema axis in time, whose frequencies
+    make the multiplier one of |k_x|^2 + k_t^2. An array that is not
+    3-D is a ValueError."""
     u = np.asarray(u, dtype=float)
-    space = (u.ndim - 3, u.ndim - 2)
-    c = forward_extrema(forward_cheb(u, axes=space), axis=-1)
-    c = c * smoother_multiplier_array(spec, u.shape[u.ndim - 3:])
-    return inverse_cheb(inverse_extrema(c, axis=-1), axes=space)
+    if u.ndim != 3:
+        raise ValueError(f"spacetime_half_inverse: expected a 3-D (x, y, t) "
+                         f"grid function, got shape {u.shape}")
+    nx, ny, nt = u.shape
+    return _half_inverse(u, spec, (roots_axis(nx), roots_axis(ny),
+                                   extrema_axis(nt - 1)))
 
 
 def solve_parabolic(problem: ParabolicProblem, grid: SpaceTimeGrid,

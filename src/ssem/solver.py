@@ -617,7 +617,7 @@ def _smoother(system: ConstraintSystem, smoother):
     """
     shape, axes = system.grid_shape, system.axes
     if isinstance(smoother, SmootherSpec):
-        return (smoother_multiplier_array(smoother, shape),
+        return (smoother_multiplier_array(smoother, axes),
                 system.grid_smoother(smoother))
 
     def probe(coef):

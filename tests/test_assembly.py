@@ -1,5 +1,6 @@
 """Constraint assembly: operator rows, boundary rows, smoothers, A = C V."""
 
+import functools
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from ssem.assembly import (
     ConstraintSystem,
     EllipticOperatorSpec,
     SmootherSpec,
+    _half_inverse,
     apply_smoother_half_inverse,
     assemble_elliptic,
     build_system,
@@ -17,6 +19,7 @@ from ssem.assembly import (
 )
 from ssem.chebyshev import (
     analysis,
+    extrema_axis,
     forward_cheb,
     inverse_cheb,
     roots_axis,
@@ -36,9 +39,11 @@ from ssem.geometry import (
     star_domain,
 )
 
+from ssem.parabolic import spacetime_half_inverse
 from ssem.solver import RankDeficientError, pinv_solve
 
-from oracles import chebyshev_vandermonde, dense_from_apply
+from oracles import chebyshev_vandermonde, dense_from_apply, \
+    forward_extrema_direct
 
 LAPLACE = EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
                                first_order={}, zeroth=None, source=0.0)
@@ -50,7 +55,8 @@ VARCOEF = EllipticOperatorSpec(
 
 def half_forward(u, spec):
     """S^{+1/2}: the reciprocal of the S^{-1/2} multiplier."""
-    mult = smoother_multiplier_array(spec, np.shape(u))
+    axes = [roots_axis(m) for m in np.shape(u)]
+    mult = smoother_multiplier_array(spec, axes)
     return inverse_cheb(forward_cheb(u) / mult)
 
 
@@ -333,6 +339,15 @@ class TestSmoother:
         rows = np.stack([apply_smoother_half_inverse(r, spec) for r in u])
         assert batched == pytest.approx(rows, abs=1e-13)
 
+    @pytest.mark.parametrize("d", [3, 0, -1])
+    def test_grid_axis_count_outside_the_array_refused(self, d):
+        # d = 3 of a 6 x 6 array used to give a tensor, d = 0 and d = -1
+        # returned u unchanged
+        with pytest.raises(ValueError, match=(
+                rf"^apply_smoother_half_inverse: d = {d} grid axes of an "
+                rf"array of 2; d must be in 1\.\.2$")):
+            apply_smoother_half_inverse(np.ones((6, 6)), SmootherSpec(), d)
+
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown smoother kind 'gauss'"):
             SmootherSpec("gauss", 4.0)
@@ -361,9 +376,66 @@ def dirichlet_disc_system(m=10):
 def factored_transpose(system, spec):
     """M' = R_V^{-T} diag(mu) A^T, the matrix pinv_solve factors."""
     r_v = np.kron(*(ax.basis.gram for ax in system.axes))
-    mult = smoother_multiplier_array(spec, system.grid_shape).ravel()
+    mult = smoother_multiplier_array(spec, system.axes).ravel()
     return np.linalg.solve(r_v.T, mult[:, None]
                            * system.coefficient_matrix().T)
+
+
+def dense_half_inverse(spec, vands):
+    """V diag(mu) V^{-1} as a dense matrix, for V the Kronecker product of
+    the per-axis synthesis matrices vands and mu spec's multiplier of
+    |k|^2, k = 0..size-1 on each axis."""
+    k_squared = functools.reduce(np.add.outer, [
+        np.arange(len(v), dtype=float) ** 2 for v in vands]).ravel()
+    mu = ((1.0 + k_squared) ** (-spec.p / 2.0) if spec.kind == "power"
+          else np.exp(-np.sqrt(k_squared) / 2.0))
+    vand = functools.reduce(np.kron, vands)
+    return vand @ np.diag(mu) @ np.linalg.inv(vand)
+
+
+class TestHalfInverseBody:
+    """The one S^{-1/2} on grid functions, against the dense
+    V diag(mu) V^{-1} of the oracles' synthesis matrices."""
+
+    @staticmethod
+    def time_vandermonde(n):
+        # the oracle's nodes ascend; the extrema axis' descend in its
+        # reference variable, so V_t^{-1} is the oracle on reversed rows
+        return np.linalg.inv(forward_extrema_direct(np.eye(n + 1)[::-1]))
+
+    @pytest.mark.parametrize("spec", [SmootherSpec("power", 4.0),
+                                      SmootherSpec("exp")])
+    def test_roots_grid(self, spec):
+        axes = (roots_axis(5), roots_axis(6))
+        u = np.random.default_rng(51).standard_normal((5, 6))
+        want = dense_half_inverse(
+            spec, [chebyshev_vandermonde(5), chebyshev_vandermonde(6)])
+        got = _half_inverse(u, spec, axes)
+        assert np.max(np.abs(got.ravel() - want @ u.ravel())) < 1e-13
+        assert np.array_equal(apply_smoother_half_inverse(u, spec), got)
+
+    @pytest.mark.parametrize("spec", [SmootherSpec("power", 4.0),
+                                      SmootherSpec("exp")])
+    def test_spacetime_grid(self, spec):
+        axes = (roots_axis(4), roots_axis(5), extrema_axis(3, 0.0, 2.0))
+        u = np.random.default_rng(52).standard_normal((4, 5, 4))
+        want = dense_half_inverse(spec, [
+            chebyshev_vandermonde(4), chebyshev_vandermonde(5),
+            self.time_vandermonde(3)])
+        got = _half_inverse(u, spec, axes)
+        assert np.max(np.abs(got.ravel() - want @ u.ravel())) < 1e-13
+        assert np.array_equal(spacetime_half_inverse(u, spec), got)
+
+    def test_batched_roots_input(self):
+        # leading axes are a batch: each (5, 6) slice on its own
+        spec = SmootherSpec("power", 6.0)
+        u = np.random.default_rng(53).standard_normal((2, 3, 5, 6))
+        want = dense_half_inverse(
+            spec, [chebyshev_vandermonde(5), chebyshev_vandermonde(6)])
+        got = _half_inverse(u, spec, (roots_axis(5), roots_axis(6)))
+        flat = u.reshape(6, 30) @ want.T
+        assert np.max(np.abs(got - flat.reshape(u.shape))) < 1e-13
+        assert np.array_equal(apply_smoother_half_inverse(u, spec, d=2), got)
 
 
 class TestEquivariance:

@@ -4,7 +4,11 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 import pytest
 
-from ssem.assembly import SmootherSpec, apply_smoother_half_inverse
+from ssem.assembly import (
+    SmootherSpec,
+    apply_smoother_half_inverse,
+    smoother_multiplier_array,
+)
 from ssem.chebyshev import (
     NODE_MATCH_TOL,
     _chebder_matrix,
@@ -17,9 +21,7 @@ from ssem.chebyshev import (
     basis_values,
     extrema_axis,
     forward_cheb,
-    forward_extrema,
     inverse_cheb,
-    inverse_extrema,
     roots_axis,
     synthesis,
     tensor_rows,
@@ -164,8 +166,23 @@ class TestAxisContract:
         assert r.T @ r == pytest.approx(v.T @ v, abs=1e-12 * size)
         assert np.array_equal(bary_rows(ax, ax.nodes, 0), eye)
         assert not any(mat.flags.writeable for mat in basis)
+        # one frequency per coefficient, read-only with the matrices
+        # above: the degree k of its T_k, which the multiplier squares
+        assert np.array_equal(basis.frequencies, np.arange(size))
+        spec = SmootherSpec("power", 3.0)
+        assert np.array_equal(smoother_multiplier_array(spec, [ax]),
+                              (1.0 + np.arange(size) ** 2.0) ** -1.5)
         # one record per kind and size, whatever the interval
         assert AXIS_KINDS[kind](size, -0.7, 2.9).basis is basis
+
+
+def test_multiplier_on_mixed_axes():
+    # |k|^2 sums each axis' squared frequencies: roots (3 coefficients)
+    # by extrema (5), in the order of the axes
+    spec = SmootherSpec("power", 2.0)
+    got = smoother_multiplier_array(spec, (roots_axis(3), extrema_axis(4)))
+    k_squared = np.arange(3.0)[:, None] ** 2 + np.arange(5.0)[None, :] ** 2
+    assert np.array_equal(got, 1.0 / (1.0 + k_squared))
 
 
 class TestTransforms:
@@ -267,12 +284,14 @@ class TestTransformMatrices:
     def test_extrema_grid(self, n, axis):
         # the oracle's nodes ascend, -cos(pi j / n); the axis basis is
         # cos(pi j k / n) at node j, so the oracle sees u reversed
-        u = self.batch(n + 1, axis)
-        moved = np.moveaxis(u, axis, 0)
-        want = forward_extrema_direct(moved[::-1].reshape(n + 1, -1))
-        want = np.moveaxis(want.reshape(moved.shape), 0, axis)
-        assert self.rel_err(forward_extrema(u, axis), want) < 1e-12
-        assert self.rel_err(inverse_extrema(want, axis), u) < 1e-12
+        # analysis and synthesis act on trailing axes, so the batch is
+        # turned to put the extrema axis last
+        u = np.moveaxis(self.batch(n + 1, axis), axis, -1)
+        time = [extrema_axis(n)]
+        want = forward_extrema_direct(u.reshape(-1, n + 1)[:, ::-1].T)
+        want = want.T.reshape(u.shape)
+        assert self.rel_err(analysis(u, time), want) < 1e-12
+        assert self.rel_err(synthesis(want, time), u) < 1e-12
 
 
 class TestExtremaTransform:
@@ -280,7 +299,7 @@ class TestExtremaTransform:
         n = 8
         j = np.arange(n + 1)
         for k in (0, 1, 3, n):
-            c = forward_extrema(np.cos(k * np.pi * j / n))
+            c = analysis(np.cos(k * np.pi * j / n), [extrema_axis(n)])
             expect = np.zeros(n + 1)
             expect[k] = 1.0
             assert c == pytest.approx(expect, abs=1e-13)
@@ -288,7 +307,8 @@ class TestExtremaTransform:
     def test_roundtrip(self):
         rng = np.random.default_rng(6)
         u = rng.standard_normal((4, 11))
-        back = inverse_extrema(forward_extrema(u, axis=-1), axis=-1)
+        time = [extrema_axis(10)]
+        back = synthesis(analysis(u, time), time)
         assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -437,7 +457,8 @@ class TestCoefficientSpace:
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_gram_factor_extrema(self, n):
         r = extrema_axis(n).basis.gram
-        vand = dense_operator(inverse_extrema, (n + 1,))
+        vand = dense_operator(lambda c: synthesis(c, [extrema_axis(n)]),
+                              (n + 1,))
         assert r == pytest.approx(np.triu(r), abs=0.0)
         assert r.T @ r == pytest.approx(vand.T @ vand, abs=1e-12 * n)
 

@@ -120,6 +120,46 @@ class TestClassifyInterior:
         assert small <= large
 
 
+class TestLevelFunctionChecked:
+    """A level function must give a finite value at every grid node."""
+
+    @staticmethod
+    def disc_with(inside):
+        return DomainSpec(dim=2, inside=inside, boundary=(), name="disc")
+
+    def test_nan_level_refused(self):
+        # NaN for x > 0.5 used to drop 12 of the 60 interior nodes of the
+        # m = 12 disc, and the solve went on
+        level = lambda x, y: np.where(x > 0.5, np.nan, np.hypot(x, y) - 0.95)
+        with pytest.raises(ValueError, match=(
+                r"^domain disc: level function returned 48 non-finite "
+                r"values \(NaN or inf\) of 144$")):
+            classify_interior(self.disc_with(level), axes_2d(12))
+
+    def test_infinite_level_refused(self):
+        level = lambda x, y: np.where(x > 0.5, np.inf, np.hypot(x, y) - 0.95)
+        with pytest.raises(ValueError, match=(
+                r"^domain disc: level function returned 48 non-finite")):
+            classify_interior(self.disc_with(level), axes_2d(12))
+
+    def test_scalar_level_refused(self):
+        # a scalar used to raise AttributeError: 'bool' object has no
+        # attribute 'any'
+        with pytest.raises(ValueError, match=(
+                r"^domain disc: level function returned shape \(\), "
+                r"expected \(12, 12\)$")):
+            classify_interior(self.disc_with(lambda x, y: -1.0), axes_2d(12))
+
+    def test_flattened_level_refused(self):
+        # a flattened array used to give (k, 1) indices, and an IndexError
+        # inside the assembly
+        level = lambda x, y: (np.hypot(x, y) - 0.95).ravel()
+        with pytest.raises(ValueError, match=(
+                r"^domain disc: level function returned shape \(144,\), "
+                r"expected \(12, 12\)$")):
+            classify_interior(self.disc_with(level), axes_2d(12))
+
+
 class TestBoundary2D:
     @pytest.mark.parametrize("dom_fn,counts", [
         (disc_domain, DISC_COUNTS),
@@ -441,6 +481,125 @@ class TestImageArclength:
                 r"did not converge at the sample cap: 65536 samples")):
             cum, _ = curve.image_arclength
         assert cum.size == 8 * 65536 + 1
+
+
+class TestBoundaryCallablesChecked:
+    """Each sampler refuses a component whose param, radius or normal does
+    not give finite values of the expected shape, or whose normals are
+    not unit length, and names it."""
+
+    @staticmethod
+    def disc_with(param=None, normal=None):
+        base = disc_domain().boundary[0]
+        curve = geometry.BoundaryCurve(param=param or base.param,
+                                       normal=normal or base.normal)
+        return DomainSpec(dim=2, inside=disc_domain().inside,
+                          boundary=(curve,), name="disc")
+
+    @staticmethod
+    def ball_with(radius=None, normal=None):
+        base = star_ball_domain().boundary
+        surface = StarSurface(radius=radius or base.radius,
+                              normal=normal or base.normal,
+                              max_radius=base.max_radius)
+        return DomainSpec(dim=3, inside=star_ball_domain().inside,
+                          boundary=surface, name="ball")
+
+    def test_nan_normals_refused(self):
+        # with flux 0 they used to pass sampling and assembly, and surface
+        # only as non-finite entries of the QR
+        dom = self.disc_with(normal=lambda pts: np.full(pts.shape, np.nan))
+        with pytest.raises(ValueError, match=(
+                r"^domain disc, boundary component 0: normal returned 30 "
+                r"non-finite values \(NaN or inf\) of 30$")):
+            sample_boundary_2d(dom, 12)
+
+    def test_normals_of_one_column_refused(self):
+        # used to raise an IndexError
+        base = disc_domain().boundary[0].normal
+        dom = self.disc_with(normal=lambda pts: base(pts)[:, :1])
+        with pytest.raises(ValueError, match=(
+                r"^domain disc, boundary component 0: normal returned "
+                r"shape \(15, 1\), expected \(15, 2\)$")):
+            sample_boundary_2d(dom, 12)
+
+    def test_normals_not_of_unit_length_refused(self):
+        # used to scale a flux condition's data threefold
+        base = disc_domain().boundary[0].normal
+        dom = self.disc_with(normal=lambda pts: 3.0 * base(pts))
+        with pytest.raises(ValueError, match=(
+                r"^domain disc, boundary component 0: normal returned 15 of "
+                r"15 normals that are not unit length to 1e-12 \(off by up "
+                r"to 2\)$")):
+            sample_boundary_2d(dom, 12)
+
+    def test_normals_within_the_tolerance_accepted(self):
+        base = disc_domain().boundary[0].normal
+        dom = self.disc_with(normal=lambda pts: (1.0 + 5e-13) * base(pts))
+        assert sample_boundary_2d(dom, 12).count == 15
+
+    def test_normals_just_beyond_the_tolerance_refused(self):
+        base = disc_domain().boundary[0].normal
+        dom = self.disc_with(normal=lambda pts: (1.0 + 2e-12) * base(pts))
+        with pytest.raises(ValueError, match="not unit length to 1e-12"):
+            sample_boundary_2d(dom, 12)
+
+    def test_one_dimensional_param_refused(self):
+        # used to raise numpy's AxisError from the arclength tables
+        dom = self.disc_with(param=lambda t: 0.5 * np.cos(t))
+        with pytest.raises(ValueError, match=(
+                r"^domain disc, boundary component 0: param returned shape "
+                r"\(256,\), expected \(256, 2\)$")):
+            sample_boundary_2d(dom, 12)
+
+    def test_nan_param_between_table_nodes_refused(self):
+        # NaN off every table node (2 pi k / 65536), so the tables see the
+        # circle and the samples themselves are NaN
+        base = disc_domain().boundary[0].param
+
+        def param(t):
+            pts = base(t)
+            pts[np.abs(np.sin(32768.0 * t)) > 1e-6] = np.nan
+            return pts
+
+        with pytest.raises(ValueError, match=(
+                r"^domain disc, boundary component 0: param returned \d+ "
+                r"non-finite values")):
+            sample_boundary_2d(self.disc_with(param=param), 12)
+
+    def test_refusal_names_the_component(self):
+        outer, inner = annulus_domain().boundary
+        hole = geometry.BoundaryCurve(param=inner.param,
+                                      normal=lambda pts: 2.0 * inner.normal(pts))
+        dom = DomainSpec(dim=2, inside=annulus_domain().inside,
+                         boundary=(outer, hole))
+        with pytest.raises(ValueError, match=(
+                r"^domain <anonymous>, boundary component 1: normal")):
+            sample_boundary_2d(dom, 12)
+
+    @pytest.mark.parametrize("radius, message", [
+        (lambda polar, azim: np.where(azim > 3.0, np.nan, 0.8),
+         r"radius returned \d+ non-finite values"),
+        (lambda polar, azim: 0.8, r"radius returned shape \(\), expected "
+                                  r"\(129,\)"),
+    ])
+    def test_3d_radius_refused(self, radius, message):
+        with pytest.raises(ValueError, match=(
+                r"^domain ball, boundary surface: " + message)):
+            sample_boundary_3d(self.ball_with(radius=radius), 12)
+
+    @pytest.mark.parametrize("scale, columns, message", [
+        (np.nan, 3, r"normal returned 387 non-finite values"),
+        (1.0, 2, r"normal returned shape \(129, 2\), expected \(129, 3\)"),
+        (1.1, 3, r"normal returned 129 of 129 normals that are not unit"),
+    ])
+    def test_3d_normals_refused(self, scale, columns, message):
+        base = star_ball_domain().boundary.normal
+        dom = self.ball_with(
+            normal=lambda pts: scale * base(pts)[:, :columns])
+        with pytest.raises(ValueError, match=(
+                r"^domain ball, boundary surface: " + message)):
+            sample_boundary_3d(dom, 12)
 
 
 class TestBoundary3D:

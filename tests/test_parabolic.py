@@ -1,6 +1,7 @@
 """Space-time heat solve: time differentiation, smoother, assembly."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from ssem.chebyshev import (
     analysis,
     bary_rows,
     extrema_axis,
-    inverse_extrema,
     roots_axis,
     synthesis,
 )
@@ -304,9 +304,18 @@ class TestSpacetimeSmoother:
         m, n = 6, 7
         coeff = np.zeros(n + 1)
         coeff[2] = 1.0
-        u = np.broadcast_to(inverse_extrema(coeff), (m, m, n + 1)).copy()
+        u = np.broadcast_to(synthesis(coeff, [extrema_axis(n)]),
+                            (m, m, n + 1)).copy()
         out = spacetime_half_inverse(u, SmootherSpec("power", 2.0))
         assert out == pytest.approx(u / 5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (2, 6, 6, 5), ()])
+    def test_array_that_is_not_3d_refused(self, shape):
+        # a 6 x 6 array used to come back as a 6 x 6 array
+        with pytest.raises(ValueError, match=(
+                r"^spacetime_half_inverse: expected a 3-D \(x, y, t\) grid "
+                rf"function, got shape {re.escape(str(shape))}$")):
+            spacetime_half_inverse(np.ones(shape), SmootherSpec())
 
     def test_roundtrip(self):
         rng = np.random.default_rng(23)
@@ -337,7 +346,7 @@ class TestSpacetimeSmoother:
         for spec in (SmootherSpec("power", 4.0), SmootherSpec("exp")):
             fwd = dense_operator(
                 lambda w: spacetime_half_inverse(w, spec), (m, m, n + 1))
-            mult = smoother_multiplier_array(spec, (m, m, n + 1)).ravel()
+            mult = smoother_multiplier_array(spec, axes).ravel()
             adj = q_v @ np.linalg.solve(r.T, mult[:, None] * r.T) @ q_v.T
             assert np.max(np.abs(adj - fwd.T)) < 1e-13
 

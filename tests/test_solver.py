@@ -59,7 +59,8 @@ DIRICHLET = BoundaryConditionSpec(
 
 def half_forward(u, spec):
     """S^{+1/2}: the reciprocal of the S^{-1/2} multiplier."""
-    mult = smoother_multiplier_array(spec, np.shape(u))
+    axes = [roots_axis(m) for m in np.shape(u)]
+    mult = smoother_multiplier_array(spec, axes)
     return inverse_cheb(forward_cheb(u) / mult)
 
 
@@ -1034,7 +1035,8 @@ class TestPinvSolve:
         # valid smoother (the data is quadratic): the solution has no
         # coefficients there
         system = disc_system(10)
-        mult = smoother_multiplier_array(SmootherSpec("power", 4.0), (10, 10))
+        mult = smoother_multiplier_array(SmootherSpec("power", 4.0),
+                                         system.axes)
         mult[-2:, :] = mult[:, -2:] = 0.0
         report = pinv_solve(
             system, lambda b: inverse_cheb(forward_cheb(b) * mult))
@@ -1065,7 +1067,8 @@ class TestScaleRows:
         system = assemble_parabolic(problem, grid)
         shape = system.grid_shape
         a_mat = system.coefficient_matrix()
-        mult = smoother_multiplier_array(SmootherSpec("power", 4.0), shape)
+        mult = smoother_multiplier_array(SmootherSpec("power", 4.0),
+                                         system.axes)
         gram = np.diag(roots_axis(m).basis.gram)
         scale = np.multiply.outer(1.0 / np.outer(gram, gram), np.ones(n + 1))
         r_t_inv = np.linalg.inv(grid.time_axis.basis.gram)
