@@ -27,17 +27,32 @@ Interior ones are callables of the unpacked node coordinates, boundary
 ones of (points, normals) arrays, or constants. build_system stacks
 groups of rows in order: an elliptic problem's interior rows, then its
 boundary rows; the heat problem's three groups (parabolic.py).
+
+build_system also finds the reflections x_a -> -x_a of roots axes that
+map the constraints onto themselves (_reflections): each row's mirror,
+its node i_a -> m_a - 1 - i_a or its point p_a -> -p_a, is a row of the
+same group, and each term's weight has the parity (-1)^orders[a] of its
+derivative order along a. Since T_k(-x) = (-1)^k T_k(x), the mirror row
+of A is the row times (-1)^{k_a}, so sums and differences of mirror rows
+live on the even and the odd k_a alone. Over the group the passing
+reflections generate, an orthogonal recombination of the rows makes A
+block-diagonal: one ParityBlock per parity pattern of the split axes
+(ConstraintSystem.parity_blocks), built from the orbits' lowest rows
+with the 1-D tables cut to that parity (block_matrix). A system with no
+such reflection is one block, the whole of A.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import (
+    RootsAxis,
     analysis,
     bary_rows,
     basis_values,
@@ -68,6 +83,13 @@ __all__ = [
 # applying R_V^{-1}) goes through blocks of about this size, so that no
 # temporary approaches the size of the matrix.
 BLOCK_BYTES = 4 << 20
+# A mirrored sample matches a sample, and a weight its mirror's, to this
+# tolerance (relative to the box [-1, 1] for points, to the largest
+# weight of the term for weights). The planar samplers place the mirror
+# of every sample within 14 eps of another, and its normal within 69 eps
+# (m = 6..64), so a few hundred eps keeps those pairs with room to spare,
+# while a point moved by 1e-9 is far outside it.
+MIRROR_TOL = 256 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +330,173 @@ def _fill_rows(out: np.ndarray, terms) -> None:
 
 
 # ---------------------------------------------------------------------------
+# mirror symmetry: reflections x_a -> -x_a that map the constraints onto
+# themselves split A into parity blocks
+# ---------------------------------------------------------------------------
+
+def _match(points: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+    """For each target, the index of a point within MIRROR_TOL of it in
+    every coordinate, or None where a target has none. The points are
+    sorted along a fixed generic direction, and each target takes the
+    first point whose key could be within reach: one sort and one binary
+    search, not a table of distances. Where two points lie that close,
+    two targets take the same point, which _mirror_rows refuses as no
+    bijection."""
+    direction = np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
+    keys = points @ direction
+    order = np.argsort(keys)
+    first = np.searchsorted(keys[order], targets @ direction
+                            - MIRROR_TOL * direction.sum())
+    if np.any(first == len(keys)):
+        return None
+    pairs = order[first]
+    if np.any(np.abs(points[pairs] - targets) > MIRROR_TOL):
+        return None
+    return pairs
+
+
+def _mirror_rows(where, terms, shape, a: int) -> np.ndarray | None:
+    """The mirror of each of a group's rows under x_a -> -x_a, as an index
+    into the group, or None unless the reflection maps the group's rows
+    onto themselves: interior rows pair by node index (i_a -> m_a - 1 - i_a,
+    the other indices equal), boundary rows by point (p_a -> -p_a, to
+    MIRROR_TOL); the pairing must be a bijection, and every term's weight
+    w must satisfy w[mirror] = (-1)^orders[a] w to MIRROR_TOL times its
+    largest |w|."""
+    if isinstance(where, InteriorIndexSet):
+        idx = where.indices
+        if idx.size and (idx.min() < 0 or np.any(idx.max(axis=0) >= shape)):
+            return None
+        lookup = np.full(int(np.prod(shape)), -1)
+        lookup[np.ravel_multi_index(idx.T, shape)] = np.arange(len(idx))
+        flipped = idx.copy()
+        flipped[:, a] = shape[a] - 1 - idx[:, a]
+        pairs = lookup[np.ravel_multi_index(flipped.T, shape)]
+    else:
+        flipped = where.points.copy()
+        flipped[:, a] = -flipped[:, a]
+        pairs = _match(where.points, flipped)
+    if pairs is None or np.any(pairs < 0) \
+            or np.any(pairs[pairs] != np.arange(len(pairs))):
+        return None
+    for w, orders in terms:
+        w = np.broadcast_to(w, pairs.shape)
+        sign = -1.0 if orders[a] % 2 else 1.0
+        if np.any(np.abs(w[pairs] - sign * w)
+                  > MIRROR_TOL * np.abs(w).max(initial=0.0)):
+            return None
+    return pairs
+
+
+def _reflections(axes, groups) -> tuple:
+    """(a, mirror) for each roots axis a whose reflection maps every
+    group's rows onto themselves, mirror the row permutation over the
+    stacked groups. groups are (where, terms) pairs in row order. Roots
+    nodes are symmetric about 0, x_{m-1-i} = -x_i; an extrema time axis is
+    never a candidate (its initial rows sit at one end)."""
+    shape = tuple(len(ax.nodes) for ax in axes)
+    found = []
+    for a, ax in enumerate(axes):
+        if not isinstance(ax, RootsAxis):
+            continue
+        start, mirror = 0, []
+        for where, terms in groups:
+            pairs = _mirror_rows(where, terms, shape, a)
+            if pairs is None:
+                break
+            mirror.append(pairs + start)
+            start += len(pairs)
+        else:
+            found.append((a, np.concatenate(mirror).astype(np.intp)))
+    return tuple(found)
+
+
+@dataclass(frozen=True, eq=False)
+class ParityBlock:
+    """One diagonal block of A under a system's reflections.
+
+    parity[a] is 0 or 1 on a split axis, whose coefficients in the block
+    are those with k_a of that parity, and None on every other axis. rows
+    are the representative constraint rows, ascending: the lowest row of
+    each orbit of rows whose stabilizer the parity pattern is trivial on.
+    The block's row for r is root[r] = sqrt(|orbit|) times row r of A,
+    restricted to the block's coefficients, and its right-hand side is
+    rhs = (1 / sqrt|orbit|) sum over the orbit of chi(g) b_{g r}, chi(g)
+    the sign the parity pattern gives the reflections g that map r there.
+    """
+
+    parity: tuple
+    rows: np.ndarray
+    root: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def columns(self) -> tuple:
+        """The block's coefficients as one index per grid axis."""
+        return tuple(slice(None) if p is None else slice(p, None, 2)
+                     for p in self.parity)
+
+    def coefficient_shape(self, grid_shape) -> tuple:
+        """The shape of the block's coefficients on a grid of grid_shape."""
+        return tuple(len(range(n)[c]) for n, c in zip(grid_shape,
+                                                       self.columns))
+
+
+def _parity_blocks(reflections, rhs: np.ndarray, ndim: int) -> list:
+    """The non-empty ParityBlocks of the reflections, parity patterns in
+    lexicographic order (all even first). Each reflection is an involution
+    and they commute, so every element g of the group they generate is a
+    set of them, and row r's orbit is {g r}."""
+    n_rows, count = len(rhs), len(reflections)
+    rows = np.arange(n_rows)
+    images = []
+    for g in itertools.product((0, 1), repeat=count):
+        image = rows
+        for use, (_, mirror) in zip(g, reflections):
+            if use:
+                image = mirror[image]
+        images.append(image)
+    images = np.array(images)
+    fixed = images == rows
+    lowest = images.min(axis=0) == rows
+    orbit = len(images) / fixed.sum(axis=0)
+    blocks = []
+    for chi in itertools.product((0, 1), repeat=count):
+        # chi(g) = (-1)^(the number of g's reflections with odd parity)
+        sign = np.array([(-1.0) ** np.dot(chi, g) for g in
+                         itertools.product((0, 1), repeat=count)])
+        keep = np.flatnonzero(lowest & ~np.any(fixed & (sign < 0)[:, None],
+                                               axis=0))
+        if not keep.size:
+            continue
+        root = np.sqrt(orbit[keep])
+        # (1 / sqrt|orbit|) sum over the orbit = (sqrt|orbit| / |G|)
+        # sum over G, each orbit row counted |stabilizer| times
+        total = sign @ rhs[images[:, keep]]
+        parity = [None] * ndim
+        for (a, _), p in zip(reflections, chi):
+            parity[a] = p
+        blocks.append(ParityBlock(tuple(parity), keep, root,
+                                  root / len(images) * total))
+    return blocks
+
+
+def _restricted(terms, rows: np.ndarray, root: np.ndarray, columns) -> list:
+    """The (w, factors) terms of a group (weights one per row, as
+    _operator_terms and _boundary_terms give them) at its rows `rows`,
+    each weight times root, each factor's table cut to the columns of its
+    axis (a view) and indexed at those rows: a ParityBlock's share of the
+    group, for _fill_rows. Cut to all of a group's rows and columns with
+    root 1, they give _fill_rows the terms' own values."""
+    def cut(factor, a):
+        table, index = factor
+        return table[:, columns[a]], rows if index is None else index[rows]
+
+    return [(w[rows] * root, [cut(f, a) for a, f in enumerate(factors)])
+            for w, factors in terms]
+
+
+# ---------------------------------------------------------------------------
 # smoothers
 # ---------------------------------------------------------------------------
 
@@ -349,18 +538,34 @@ class ConstraintSystem:
 
     apply realizes C on grid functions; coefficient_matrix builds A = C V,
     the same constraints on the coefficients c of u = V c, from the same
-    terms with other 1-D factors. The solver factors A and rechecks its
-    answer through apply. grid_smoother is S^{-1/2} of a SmootherSpec on
-    this grid (systems built by hand may leave out half_inverse_fn and
-    solve with a smoother callable).
+    terms with other 1-D factors. The solver factors A block by block
+    (parity_blocks, block_matrix) and rechecks its answer through apply.
+    grid_smoother is S^{-1/2} of a SmootherSpec on this grid (systems
+    built by hand may leave out half_inverse_fn and solve with a smoother
+    callable).
+
+    rhs must be finite, one value per row, and apply must give one value
+    per row: a ValueError names either before any matrix is built (a
+    system built by hand has apply_fn run once, on zeros, here). mirror
+    is build_system's (reflections, block_fn); a system without it, as
+    one built by hand, is one block.
     """
 
     def __init__(self, axes, interior, boundary, rhs, apply_fn, matrix_fn,
-                 n_omega, n_gamma, half_inverse_fn=None):
+                 n_omega, n_gamma, half_inverse_fn=None, mirror=None):
         self.axes = tuple(axes)
         self.grid_shape = tuple(len(ax.nodes) for ax in axes)
         self.interior = interior
         self.boundary = boundary
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 1:
+            raise ValueError(f"rhs: expected one value per constraint row, "
+                             f"got shape {rhs.shape}")
+        for kind, test in (("NaN", np.isnan), ("inf", np.isinf)):
+            if test(rhs).any():
+                raise ValueError(f"rhs: {kind} at "
+                                 f"{np.count_nonzero(test(rhs))} of "
+                                 f"{len(rhs)} rows")
         self.rhs = rhs
         self.n_rows = rhs.shape[0]
         self.n_omega = n_omega
@@ -368,15 +573,35 @@ class ConstraintSystem:
         self._apply = apply_fn
         self._matrix = matrix_fn
         self._half_inverse = half_inverse_fn
+        if mirror is None:
+            self.apply(np.zeros(self.grid_shape))
+            mirror = (), lambda block: matrix_fn()
+        self._reflections, self._block_fn = mirror
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """C u: all constraint values for a grid function."""
-        return self._apply(np.asarray(u, dtype=float))
+        out = self._apply(np.asarray(u, dtype=float))
+        if np.shape(out) != (self.n_rows,):
+            raise ValueError(f"apply_fn: expected {self.n_rows} constraint "
+                             f"values, got shape {np.shape(out)}")
+        return out
 
     def coefficient_matrix(self) -> np.ndarray:
         """A = C V as a new (n_rows, grid size) array the caller owns:
         A @ analysis(u).ravel() equals apply(u) (C-order coefficients)."""
         return self._matrix()
+
+    def parity_blocks(self) -> list:
+        """The ParityBlocks of this system's reflections: one, with every
+        row, when it has none."""
+        return _parity_blocks(self._reflections, self.rhs,
+                              len(self.grid_shape))
+
+    def block_matrix(self, block: ParityBlock) -> np.ndarray:
+        """The block's rows of A, restricted to its coefficients, as a new
+        (len(block.rows), block grid size) array the caller owns; the one
+        block of a system without reflections is coefficient_matrix()."""
+        return self._block_fn(block)
 
     def grid_smoother(self, spec: SmootherSpec):
         """S^{-1/2} of spec as an operator on this system's grid functions."""
@@ -398,9 +623,11 @@ def build_system(axes, groups, interior, boundary,
     imposes the condition at those points, each with its source or data
     as right-hand side; a spec of any other type is a TypeError naming
     the group. Rows follow the group order. n_omega and n_gamma count
-    the given interior and boundary sets.
+    the given interior and boundary sets. The system carries the
+    reflections that map its rows onto themselves (_reflections) and
+    builds each ParityBlock of them straight from the terms.
     """
-    rhs, realized = [], []
+    rhs, located, realized = [], [], []
     for i, (where, spec) in enumerate(groups):
         if isinstance(spec, EllipticOperatorSpec):
             coords = interior_coordinates(axes, where).T
@@ -414,26 +641,33 @@ def build_system(axes, groups, interior, boundary,
             raise TypeError(f"row group {i}: expected an EllipticOperatorSpec "
                             f"or a BoundaryConditionSpec, got "
                             f"{type(spec).__name__}")
+        located.append((where, terms))
         realized.append(_realize(terms, where, axes))
     matrix_terms, grid_terms = zip(*realized)
     starts = np.cumsum([0] + [len(b) for b in rhs])
     rhs = np.concatenate(rhs)
-    size = int(np.prod([len(ax.nodes) for ax in axes]))
+    shape = tuple(len(ax.nodes) for ax in axes)
 
     def apply_fn(u):
         return np.concatenate([_apply_terms(terms, u, hi - lo) for lo, hi,
                                terms in zip(starts, starts[1:], grid_terms)])
 
-    def matrix_fn():
-        mat = np.empty((len(rhs), size))
-        for lo, hi, terms in zip(starts, starts[1:], matrix_terms):
-            _fill_rows(mat[lo:hi], terms)
+    def block_fn(block):
+        size = int(np.prod(block.coefficient_shape(shape)))
+        mat = np.empty((len(block.rows), size))
+        cuts = np.searchsorted(block.rows, starts)
+        for lo, i, j, terms in zip(starts, cuts, cuts[1:], matrix_terms):
+            _fill_rows(mat[i:j], _restricted(terms, block.rows[i:j] - lo,
+                                             block.root[i:j], block.columns))
         return mat
 
+    whole = ParityBlock((None,) * len(axes), np.arange(len(rhs)),
+                        np.ones(len(rhs)), rhs)
     return ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
-                            matrix_fn, n_omega=interior.count,
+                            lambda: block_fn(whole), n_omega=interior.count,
                             n_gamma=boundary.count,
-                            half_inverse_fn=half_inverse_fn)
+                            half_inverse_fn=half_inverse_fn,
+                            mirror=(_reflections(axes, located), block_fn))
 
 
 def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,

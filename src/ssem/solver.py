@@ -13,6 +13,16 @@ small QR on the extrema time axis) gives V = Q_V R_V with Q_V
 orthogonal, so M = Q_V M' with M' = R_V^{-T} diag(mu) A^T. M and M'
 share R and their singular values; the solution is
 u = S^{-1/2} V R_V^{-1} Q' R^{-T} b, and cond is read from R alone.
+Where reflections of roots axes map the constraints onto themselves, an
+orthogonal recombination P of the rows (ConstraintSystem.parity_blocks)
+makes P A block-diagonal, one block per parity pattern of the split
+axes' k_a; diag(mu) and R_V^{-1} act on the roots axes diagonally, so
+M' P^T is block-diagonal too. Its singular values are those of the
+blocks, and the minimal-norm solution of P A c = P b is that of A c = b.
+So each block is factored on its own, its Q' R^{-T} (P b) fills the
+block's coefficients, cond is the largest sigma_max over the smallest
+sigma_min, and the rank threshold below takes max |R_jj| over all
+blocks. A system with no such reflection is one block, M' itself.
 
 The QR is LAPACK dgeqrt: blocked like dgeqrf, but each column panel is
 factored recursively (dgeqrt3, after Elmroth and Gustavson), so nearly
@@ -33,23 +43,26 @@ below RANK_TOL * max |R_jj|, implies it, because sigma_min <= min |R_ii|
 and max |R_ii| <= sigma_max for triangular R, and only adds the name of
 the column.
 
-Memory and passes: pinv_solve builds A once and turns it into M' in
-place, a block of rows of about BLOCK_BYTES at a time (diag(mu) and the
-time-axis R_V^{-1} together), and dgeqrt overwrites that buffer with the
-reflectors, so the solve peaks at about one N x n matrix plus T and the
-workspace (QR_BLOCK x n each). R is never copied: it is the upper
-triangle of the leading n x n block of that buffer (LDA = N), with the
-reflectors below it. The finiteness check reads that whole block with
-numpy's min and max; everything else reads the triangle only, in
-place, through LAPACK with UPLO = 'U'. A LAPACK provider (_lapack)
-gives dgeqrt, dgemqrt and kernels(R), which binds R once and returns a
-vector x and two in-place kernels on it: product(trans), x <- R x or
-R^T x (BLAS dtrmv), and solve(trans), x <- R^{-1} x or R^{-T} x (LAPACK
-dtrtrs); the Lanczos runs and the back-solve use only those. It is the
-OpenBLAS that numpy bundles, through ctypes (its ILP64 symbols
-scipy_dgeqrt_64_ and so on), on numpy's thread pool; a numpy without
-that library runs the same four routines from SciPy, the only use of
-SciPy in a solve.
+Memory and passes: pinv_solve builds each parity block of A once, from
+the representative rows (never all of A when the system splits), and
+turns it into its block of M' in place, a block of rows of about
+BLOCK_BYTES at a time (diag(mu) and the time-axis R_V^{-1} together);
+dgeqrt overwrites that buffer with the reflectors, and the buffer is
+freed once the block's coefficients are filled, before the next block is
+built. So the solve peaks at about the largest block, N x n when
+unsplit, plus T and the workspace (QR_BLOCK x n each). R is never
+copied: it is the upper triangle of the leading n x n block of that
+buffer (LDA = N), with the reflectors below it. The finiteness check
+reads that whole block with numpy's min and max; everything else reads
+the triangle only, in place, through LAPACK with UPLO = 'U'. A LAPACK
+provider (_lapack) gives dgeqrt, dgemqrt and kernels(R), which binds R
+once and returns a vector x and two in-place kernels on it:
+product(trans), x <- R x or R^T x (BLAS dtrmv), and solve(trans),
+x <- R^{-1} x or R^{-T} x (LAPACK dtrtrs); the Lanczos runs and the
+back-solve use only those. It is the OpenBLAS that numpy bundles,
+through ctypes (its ILP64 symbols scipy_dgeqrt_64_ and so on), on
+numpy's thread pool; a numpy without that library runs the same four
+routines from SciPy, the only use of SciPy in a solve.
 """
 
 from __future__ import annotations
@@ -337,7 +350,7 @@ class RankDeficientError(RuntimeError):
     """
 
     def __init__(self, column: int | None, value: float, threshold: float):
-        self.column = column
+        self.column, self.value, self.threshold = column, value, threshold
         if column is None:
             detail = (f"cond = {value:.3e} above bound {threshold:.3e} "
                       f"(1 / RANK_TOL), although no |R_ii| falls below "
@@ -455,14 +468,15 @@ def _hashed(size: int) -> np.ndarray:
         + (2.0 ** -52 - 1.0)
 
 
-def _dense_cond(mat: np.ndarray) -> float:
-    """sigma_max / sigma_min of mat by a dense SVD: inf where sigma_min is
-    0 or the ratio leaves the double range."""
+def _dense_cond(mat: np.ndarray) -> tuple:
+    """(sigma_max / sigma_min, sigma_max, sigma_min) of mat by a dense SVD;
+    the ratio is inf where sigma_min is 0 or it leaves the double range."""
     s = np.linalg.svd(mat, compute_uv=False)
-    if s[-1] <= 0.0 or not np.isfinite(s[-1]):
-        return np.inf
+    top, bottom = float(s[0]), float(s[-1])
+    if bottom <= 0.0 or not np.isfinite(bottom):
+        return np.inf, top, bottom
     with np.errstate(over="ignore"):
-        return float(s[0] / s[-1])
+        return float(s[0] / s[-1]), top, bottom
 
 
 def _largest_eigenvalue(matvec, n: int) -> float | None:
@@ -518,9 +532,10 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
     return None
 
 
-def condition_estimate(r: np.ndarray) -> float:
+def condition_estimate(r: np.ndarray, extremes: bool = False):
     """Two-norm condition number sigma_max / sigma_min of R, the upper
-    triangle of r.
+    triangle of r; with extremes, the triple (cond, sigma_max, sigma_min),
+    from which pinv_solve takes the cond of its blocks together.
 
     Only r's upper triangle is read (LAPACK's UPLO = 'U'), so r may be
     QRFactorization.upper, which is read in place. sigma_max^2 is the top
@@ -532,15 +547,22 @@ def condition_estimate(r: np.ndarray) -> float:
     runs' bit for bit wherever they stay in the double range, and R's
     scale cannot overflow them. Small r, a run that does not converge,
     and a run or a cond^2 that leaves the double range take a dense SVD
-    of R instead. An empty r (n = 0) has cond 1, as an identity does.
+    of R instead. An empty r (n = 0) has cond 1, as an identity does, and
+    no singular values (sigma_max 0, sigma_min inf); a zero |R_ii| gives
+    cond inf and sigma_min 0.
     """
-    r = _readable(r)
+    found = _extremes(_readable(r))
+    return found if extremes else found[0]
+
+
+def _extremes(r: np.ndarray) -> tuple:
+    """condition_estimate's (cond, sigma_max, sigma_min) for a readable r."""
     n = r.shape[0]
     if n == 0:
-        return 1.0
+        return 1.0, 0.0, np.inf
     diag = np.abs(np.diag(r))
     if not np.all(diag):
-        return np.inf
+        return np.inf, np.inf, 0.0
     if n < LANCZOS_MIN_ORDER:
         return _dense_cond(np.triu(r))
     x, product, solve = _lapack()[2](r)
@@ -560,9 +582,11 @@ def condition_estimate(r: np.ndarray) -> float:
         big = top(product, (b"N", b"T"), -exponent)
         inverse = None if big is None else top(solve, (b"T", b"N"), exponent)
         square = np.inf if inverse is None else big * inverse
-    if not np.isfinite(square):
-        return _dense_cond(np.triu(r))
-    return float(np.sqrt(square))
+        if not np.isfinite(square):
+            return _dense_cond(np.triu(r))
+        return (float(np.sqrt(square)),
+                float(np.ldexp(np.sqrt(big), exponent)),
+                float(np.ldexp(1.0 / np.sqrt(inverse), exponent)))
 
 
 def solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -587,9 +611,11 @@ class SolveReport:
     Residual norms are recomputed from the returned solution through the
     implicit constraint operators, never carried over from the factors.
     n_rows x grid_size is the shape of the constraint matrix, and
-    rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|) (see
-    QRFactorization). phases maps each name in PHASES to the seconds
-    pinv_solve spent on that step; they add up to seconds.
+    rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|) over the R of
+    every block (see QRFactorization). phases maps each name in PHASES to
+    the seconds pinv_solve spent on that step, summed over the blocks;
+    they add up to seconds. blocks is the (N, n) shape of each factored
+    block of M', in order.
     """
 
     solution: np.ndarray
@@ -603,6 +629,7 @@ class SolveReport:
     rank_margin: float
     seconds: float
     phases: dict
+    blocks: tuple
 
 
 def _smoother(system: ConstraintSystem, smoother):
@@ -692,9 +719,24 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     in the Chebyshev basis (ValueError otherwise). A system with no rows,
     or with more rows than grid points, is a ValueError. Raises
     RankDeficientError when cond exceeds 1 / RANK_TOL; the QR finds most
-    such cases first, from a negligible |R_ii|, and names the column.
+    such cases first, from a negligible |R_ii|, and names the
+    representative constraint row of that column.
+
+    M' is factored one ParityBlock at a time (system.parity_blocks): each
+    is built, scaled, factored in place, its sigma_max and sigma_min
+    estimated, back-solved and pulled back into its coefficients, and
+    freed before the next is built. cond is the largest sigma_max over
+    the smallest sigma_min, and the |R_ii| threshold is RANK_TOL times
+    the largest |R_jj| of all blocks.
     """
-    marks = [time.perf_counter()]
+    phases = dict.fromkeys(PHASES, 0.0)
+    clock = [time.perf_counter()]
+
+    def lap(name):
+        now = time.perf_counter()
+        phases[name] += now - clock[0]
+        clock[0] = now
+
     shape = system.grid_shape
     size = int(np.prod(shape))
     if not system.n_rows:
@@ -705,37 +747,75 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
             f"under-resolved grid: {size} grid points cannot carry "
             f"{system.n_rows} constraints"
         )
-    mat = system.coefficient_matrix()
-    marks.append(time.perf_counter())
-
+    blocks = system.parity_blocks()
+    for block in blocks:
+        # a block with more rows than coefficients has dependent rows
+        width = int(np.prod(block.coefficient_shape(shape)))
+        if width < len(block.rows):
+            raise RankDeficientError(int(block.rows[width]), 0.0, 0.0)
+    lap("build")
     # rows of A become rows of A diag(mu) R_V^{-1}, i.e. columns of M'
     mult, half_inverse = _smoother(system, smoother)
     scale, inverses = _gram_inverse(system.axes)
-    _scale_rows(mat.reshape((system.n_rows,) + shape), mult * scale,
-                inverses)
-    marks.append(time.perf_counter())
-    # dgeqrt overwrites mat: fac.a is mat's buffer from here on
-    fac = householder_qr(mat.T)
-    del mat
-    marks.append(time.perf_counter())
-    cond = condition_estimate(fac.upper)
+    weight = mult * scale
+    lap("scale")
+
+    # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's
+    # factor); each block's Q' z fills its coefficients of Q' z
+    coef = np.zeros(shape)
+    diags, extremes, shapes = [], [], []
+    for block in blocks:
+        mat = system.block_matrix(block)
+        lap("build")
+        sub = block.coefficient_shape(shape)
+        _scale_rows(mat.reshape((len(block.rows),) + sub),
+                    weight[block.columns], inverses)
+        lap("scale")
+        # dgeqrt overwrites mat: fac.a is mat's buffer from here on
+        try:
+            fac = householder_qr(mat.T)
+        except RankDeficientError as err:
+            raise RankDeficientError(int(block.rows[err.column]), err.value,
+                                     err.threshold) from None
+        del mat
+        shapes.append(fac.a.shape)
+        diags.append(np.abs(np.diag(fac.a)))
+        lap("factor")
+        extremes.append(condition_estimate(fac.upper, extremes=True))
+        lap("cond")
+        z = solve_triangular(fac.upper, block.rhs)
+        lap("backsolve")
+        # the block's buffer is freed before the next block is built
+        coef[block.columns] = fac.apply_q(z).reshape(sub)
+        del fac
+        lap("pullback")
+
+    # the QR of each block checked its |R_ii| against its own largest; the
+    # verdict is against the largest of all blocks
+    threshold = RANK_TOL * max(diag.max(initial=0.0) for diag in diags)
+    for block, diag in zip(blocks, diags):
+        bad = np.flatnonzero((diag < threshold) | (diag == 0.0))
+        if bad.size:
+            raise RankDeficientError(int(block.rows[bad[0]]),
+                                     float(diag[bad[0]]), threshold)
+    margin = float(min(diag.min(initial=np.inf) for diag in diags)
+                   / threshold)
+    # sigma_max_i / sigma_min_j over every pair of blocks, a block's own
+    # cond on the diagonal
+    conds, tops, bottoms = (np.array(v) for v in zip(*extremes))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = np.divide.outer(tops, bottoms)
+    np.fill_diagonal(ratios, conds)
+    cond = float(ratios.max())
     if cond > 1.0 / RANK_TOL:
         raise RankDeficientError(None, cond, 1.0 / RANK_TOL)
-    marks.append(time.perf_counter())
-    z = solve_triangular(fac.upper, system.rhs)
-    marks.append(time.perf_counter())
 
-    # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's factor);
-    # the N x n buffer is freed before the pull-back and the residual
-    margin = fac.rank_margin
-    coef = fac.apply_q(z).reshape(shape)
-    del fac
     for a, inv in inverses:
         coef = _apply(inv, coef, a)
     u = half_inverse(synthesis(coef * scale, system.axes))
-    marks.append(time.perf_counter())
+    lap("pullback")
     res = system.residual(u)
-    marks.append(time.perf_counter())
+    lap("residual")
     return SolveReport(
         solution=u,
         residual_l2=float(np.linalg.norm(res)),
@@ -746,6 +826,7 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
         n_rows=system.n_rows,
         grid_size=size,
         rank_margin=margin,
-        seconds=marks[-1] - marks[0],
-        phases=dict(zip(PHASES, np.diff(marks).tolist())),
+        seconds=sum(phases.values()),
+        phases=phases,
+        blocks=tuple(shapes),
     )

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+import ssem.assembly
+import ssem.experiments
 from ssem.assembly import (
     BoundaryConditionSpec,
     ConstraintSystem,
@@ -696,3 +698,128 @@ class TestMaterialize:
             n_omega=5, n_gamma=0)
         with pytest.raises(ValueError, match="under-resolved"):
             pinv_solve(system, SmootherSpec("power", 4.0))
+
+
+def mirror_blocks_as_rows(system):
+    """(B, b_B): every ParityBlock's rows put back at their coefficients of
+    the full grid, stacked, and the blocks' right-hand sides."""
+    rows, rhs = [], []
+    for block in system.parity_blocks():
+        mat = system.block_matrix(block)
+        full = np.zeros((len(mat),) + system.grid_shape)
+        full[(slice(None),) + block.columns] = mat.reshape(
+            (len(mat),) + block.coefficient_shape(system.grid_shape))
+        rows.append(full.reshape(len(mat), -1))
+        rhs.append(block.rhs)
+    return np.concatenate(rows), np.concatenate(rhs)
+
+
+def perturbed_disc_system(m, move=0.0, bump=0.0):
+    """The Dirichlet disc system with boundary point 3 moved by move along
+    x, and the zeroth-order coefficient raised by bump at one node."""
+    axes = (roots_axis(m), roots_axis(m))
+    interior = classify_interior(disc_domain(), axes)
+    boundary = sample_boundary(disc_domain(), m)
+    points = boundary.points.copy()
+    points[3, 0] += move
+    moved = BoundaryPointSet(points, boundary.normals)
+    x0, y0 = axes[0].nodes[3], axes[1].nodes[4]
+    op = EllipticOperatorSpec(
+        second_order={(0, 0): 1.0, (1, 1): 1.0}, first_order={},
+        zeroth=lambda x, y: 1.0 + bump * ((x == x0) & (y == y0)),
+        source=0.0)
+    bc = BoundaryConditionSpec(trace=1.0, flux=0.0,
+                               data=lambda pts, nrm: pts[:, 0])
+    return build_system(axes, [(interior, op), (moved, bc)], interior, moved,
+                        apply_smoother_half_inverse)
+
+
+class TestMirrorSplit:
+    """Each reflection x_a -> -x_a that maps a system's rows onto
+    themselves splits A into parity blocks: an orthogonal recombination of
+    its rows, so the blocks B put back at their coefficients have B^T B =
+    A^T A and B^T b_B = A^T b, and the minimal-norm solution is A's."""
+
+    @staticmethod
+    def built(problem_id, m):
+        return ssem.experiments._PROBLEMS[problem_id].build(m)[0]
+
+    @pytest.mark.parametrize("problem_id, m, axes", [
+        ("dirichlet-disc", 10, (0, 1)), ("dirichlet-disc", 12, (1,)),
+        ("robin-annulus", 12, (1,)), ("parabolic-star", 10, (1,)),
+        ("neumann-star", 10, ()), ("dirichlet-3d", 10, ())])
+    def test_reflections_found(self, problem_id, m, axes):
+        system = self.built(problem_id, m)
+        assert tuple(a for a, _ in system._reflections) == axes
+        assert len(system.parity_blocks()) == 2 ** len(axes)
+
+    @pytest.mark.parametrize("problem_id, m", [
+        ("dirichlet-disc", 10), ("dirichlet-disc", 14),
+        ("robin-annulus", 12), ("parabolic-star", 10)])
+    def test_blocks_recombine_the_rows_orthogonally(self, problem_id, m):
+        system = self.built(problem_id, m)
+        mat = system.coefficient_matrix()
+        blocks, rhs = mirror_blocks_as_rows(system)
+        assert blocks.shape == mat.shape
+        scale = np.abs(mat).max() ** 2 * len(mat)
+        assert np.max(np.abs(blocks.T @ blocks - mat.T @ mat)) \
+            <= 1e-14 * scale
+        assert np.max(np.abs(blocks.T @ rhs - mat.T @ system.rhs)) \
+            <= 1e-14 * scale * np.abs(system.rhs).max()
+
+    def test_self_mirrored_rows_sit_in_the_even_block(self):
+        # the boundary points on y = 0 are their own mirrors: their rows
+        # have no odd-k_y part, so only the even block holds them
+        system = self.built("parabolic-star", 10)
+        (_, mirror), = system._reflections
+        own = np.flatnonzero(mirror == np.arange(system.n_rows))
+        even, odd = system.parity_blocks()
+        assert own.size and np.isin(own, even.rows).all()
+        assert not np.isin(own, odd.rows).any()
+        assert np.all(even.root[np.isin(even.rows, own)] == 1.0)
+        assert len(even.rows) - len(odd.rows) == own.size
+
+    def test_unsplit_block_is_the_whole_matrix(self):
+        system = self.built("neumann-star", 10)
+        block, = system.parity_blocks()
+        assert np.array_equal(block.rows, np.arange(system.n_rows))
+        assert np.array_equal(block.rhs, system.rhs)
+        assert np.array_equal(system.block_matrix(block),
+                              system.coefficient_matrix())
+
+    def test_uneven_coefficients_do_not_split(self):
+        # neumann-star's samples mirror in y, but 2 + y and 2 - x are not
+        # even in y
+        system = self.built("neumann-star", 12)
+        points = system.boundary.points
+        assert ssem.assembly._match(points, points * [1.0, -1.0]) is not None
+        assert system._reflections == ()
+
+    def test_moved_boundary_point_does_not_split(self):
+        assert len(perturbed_disc_system(10)._reflections) == 2
+        assert perturbed_disc_system(10, move=1e-9)._reflections == ()
+
+    def test_one_changed_coefficient_does_not_split(self):
+        assert perturbed_disc_system(10, bump=0.5)._reflections == ()
+
+    def test_repeated_row_does_not_split(self):
+        # a node or point listed twice in one group: its mirror has no
+        # one partner, so no pairing is a bijection
+        axes = (roots_axis(6), roots_axis(6))
+        op = EllipticOperatorSpec({}, {}, zeroth=1.0, source=0.0)
+        nodes = InteriorIndexSet(np.array([[1, 1], [1, 4], [1, 1]]))
+        assert build_system(axes, [(nodes, op)], nodes, nodes,
+                            None)._reflections == ()
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=0.0)
+        pts = np.array([[0.5, 0.3], [0.5, -0.3], [0.5, 0.3]])
+        where = BoundaryPointSet(pts, np.zeros_like(pts))
+        assert build_system(axes, [(where, bc)], where, where,
+                            None)._reflections == ()
+        where = BoundaryPointSet(pts[:2], np.zeros((2, 2)))
+        assert [a for a, _ in build_system(axes, [(where, bc)], where, where,
+                                           None)._reflections] == [1]
+
+    def test_mirrored_sample_within_tolerance_splits(self):
+        # a point moved well inside MIRROR_TOL still pairs with its mirror
+        tol = ssem.assembly.MIRROR_TOL
+        assert len(perturbed_disc_system(10, move=tol / 4)._reflections) == 2

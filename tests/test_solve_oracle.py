@@ -6,7 +6,9 @@ smoothness p > d/2: the minimal-selection-norm solution must equal
 S^{-1} C^T (C S^{-1} C^T)^{-1} b formed densely from the implicit
 constraint operator and a factor of S^{-1} built from the closed-form
 Chebyshev Vandermonde matrix (not from the package's transforms, so the
-oracle's own rounding does not move with theirs).
+oracle's own rounding does not move with theirs). Mirror-symmetric draws
+(a star with phase 0, or the annulus, and coefficients even in y) take
+the split solve, one block per parity in y, to the same oracle.
 """
 
 import numpy as np
@@ -104,10 +106,44 @@ def problems(draw):
     return op, bc
 
 
-@PROPERTY
-@given(dom=domains(), m=st.integers(8, 11), problem=problems(),
-       p=st.floats(1.25, 6.0))
-def test_pinv_solve_matches_normal_equations(dom, m, problem, p):
+@st.composite
+def mirrored_domains(draw):
+    """Domains symmetric in y: the annulus, or a star with phase 0."""
+    if draw(st.booleans()):
+        return annulus_domain(inner_radius=draw(st.floats(0.2, 0.35)))
+    return random_star(r0=draw(st.floats(0.6, 0.75)),
+                       amp=draw(st.floats(0.0, 0.2)),
+                       lobes=draw(st.integers(3, 6)), phase=0.0)
+
+
+@st.composite
+def mirrored_problems(draw):
+    """As problems, with every coefficient even in y, so that y -> -y maps
+    the constraints onto themselves; the data stay arbitrary."""
+    a0, a1, b0, b1, c0, f0, f1 = (draw(unit) for _ in range(7))
+    op = EllipticOperatorSpec(
+        second_order={(0, 0): lambda x, y: 2.0 + 0.5 * a0 * y * y,
+                      (1, 1): lambda x, y: 2.0 + 0.5 * a1 * x},
+        first_order={0: lambda x, y: b0 + b1 * x * y * y},
+        zeroth=lambda x, y: 1.0 + 0.5 * c0 * x,
+        source=lambda x, y: f0 + f1 * np.sin(x + 2.0 * y))
+    g0, g1 = (draw(unit) for _ in range(2))
+    data = lambda pts, nrm: 1.0 + g0 * pts[:, 0] ** 2 + g1 * pts[:, 1]
+    kind = draw(st.sampled_from(["trace", "flux", "robin"]))
+    if kind == "trace":
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=data)
+    elif kind == "flux":
+        bc = BoundaryConditionSpec(trace=0.0, flux=1.0, data=data)
+    else:
+        bc = BoundaryConditionSpec(
+            trace=lambda pts, nrm: 1.0 + 0.25 * pts[:, 0],
+            flux=lambda pts, nrm: 1.0 - 0.25 * pts[:, 1] ** 2, data=data)
+    return op, bc
+
+
+def assert_matches_normal_equations(dom, m, problem, p):
+    """pinv_solve of the drawn problem against the oracle; returns its
+    report."""
     op, bc = problem
     spec = SmootherSpec("power", p)
     shape = (m, m)
@@ -122,3 +158,20 @@ def test_pinv_solve_matches_normal_equations(dom, m, problem, p):
     gram_cond = np.linalg.cond(ch @ ch.T)
     gap = np.max(np.abs(report.solution.ravel() - u_ref))
     assert gap <= (ABS_FLOOR + COND_TOL * gram_cond) * np.max(np.abs(u_ref))
+    return report
+
+
+@PROPERTY
+@given(dom=domains(), m=st.integers(8, 11), problem=problems(),
+       p=st.floats(1.25, 6.0))
+def test_pinv_solve_matches_normal_equations(dom, m, problem, p):
+    assert_matches_normal_equations(dom, m, problem, p)
+
+
+@PROPERTY
+@given(dom=mirrored_domains(), m=st.integers(8, 11),
+       problem=mirrored_problems(), p=st.floats(1.25, 6.0))
+def test_split_solve_matches_normal_equations(dom, m, problem, p):
+    # split in y; in x too where the samples happen to mirror in x
+    report = assert_matches_normal_equations(dom, m, problem, p)
+    assert len(report.blocks) >= 2

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
+import ssem.assembly
 import ssem.experiments
 import ssem.solver
 from ssem.assembly import (
@@ -396,6 +397,8 @@ class TestRankMargin:
         assert 1.0 < fac.rank_margin < 1e6
 
     def test_report_carries_the_factorization_margin(self, monkeypatch):
+        # disc_system(12) splits on y into two blocks: the margin is the
+        # smallest |R_ii| of either over RANK_TOL times the largest of both
         factored = []
         real = ssem.solver.householder_qr
 
@@ -406,12 +409,16 @@ class TestRankMargin:
         monkeypatch.setattr(ssem.solver, "householder_qr", recorded)
         system = disc_system(12)
         report = pinv_solve(system, SmootherSpec("power", 4.0))
-        r = np.triu(factored[0].upper)
-        diag = np.abs(np.diag(r))
+        assert report.blocks == tuple(fac.a.shape for fac in factored)
+        assert len(report.blocks) == 2
+        diag = np.abs(np.concatenate([np.diag(fac.upper)
+                                      for fac in factored]))
         assert report.rank_margin == np.min(diag) / (RANK_TOL * np.max(diag))
+        assert report.rank_margin < min(fac.rank_margin for fac in factored)
         assert (report.n_rows, report.grid_size) == (system.n_rows, 144)
         assert report.n_rows == report.n_omega + report.n_gamma
-        assert r.shape == (report.n_rows, report.n_rows)
+        assert sum(n for _, n in report.blocks) == report.n_rows
+        assert sum(big for big, _ in report.blocks) == report.grid_size
 
 
 class TestRankVerdict:
@@ -757,7 +764,7 @@ class TestConditionEstimate:
         assert len(r) >= ssem.solver.LANCZOS_MIN_ORDER
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert condition_estimate(r) == ssem.solver._dense_cond(r)
+            assert condition_estimate(r) == ssem.solver._dense_cond(r)[0]
 
     def test_zero_diagonal_is_inf_above_cutoff(self):
         r = self.graded_r()
@@ -916,8 +923,8 @@ class TestPinvSolve:
     def test_timed_helpers_called_once_by_name(self, monkeypatch):
         # the benchmark times the factor, cond and the back-solve by
         # wrapping these names in ssem.solver: pinv_solve must call each
-        # once, through the module, or a metric reads 0 or a traced run
-        # cannot find its helper
+        # once per factored block, through the module, or a metric reads 0
+        # or a traced run cannot find its helper
         calls = []
         for name in ("householder_qr", "condition_estimate",
                      "solve_triangular"):
@@ -928,9 +935,10 @@ class TestPinvSolve:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(ssem.solver, name, counted)
-        pinv_solve(disc_system(10), SmootherSpec("power", 4.0))
+        report = pinv_solve(disc_system(10), SmootherSpec("power", 4.0))
+        assert len(report.blocks) == 4
         assert calls == ["householder_qr", "condition_estimate",
-                         "solve_triangular"]
+                         "solve_triangular"] * 4
 
     def test_spec_and_callable_agree(self):
         system = disc_system(8)
@@ -1082,3 +1090,181 @@ class TestScaleRows:
         ssem.solver._scale_rows(a_mat.reshape((system.n_rows,) + shape),
                                 mult * got_scale, inverses)
         assert np.max(np.abs(a_mat - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def one_block(monkeypatch, build):
+    """The system build() makes, built without its mirror data: one block,
+    the whole of M'."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ssem.assembly, "_reflections", lambda axes, groups: ())
+        return build()
+
+
+class TestParityBlocks:
+    """A solve factors one block of M' per parity pattern of the
+    reflections that map its constraints onto themselves."""
+
+    # a split solve differs from the one-block solve by rounding only:
+    # within C_SPLIT * eps * cond, C_SPLIT fixed before any run
+    C_SPLIT = 100.0
+
+    @pytest.mark.parametrize("problem_id, m, count", [
+        ("parabolic-star", 12, 2), ("dirichlet-disc", 10, 4),
+        ("dirichlet-disc", 14, 2), ("robin-annulus", 12, 2),
+        ("neumann-star", 12, 1), ("dirichlet-3d", 10, 1)])
+    def test_block_counts(self, problem_id, m, count):
+        system, _ = ssem.experiments._PROBLEMS[problem_id].build(m)
+        report = pinv_solve(system, SmootherSpec("power", 4.0))
+        assert len(report.blocks) == count
+        # each block holds its share of the rows and of the coefficients
+        assert sum(n for _, n in report.blocks) == system.n_rows
+        assert sum(big for big, _ in report.blocks) == report.grid_size
+
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    @pytest.mark.parametrize("problem_id, m", [
+        ("dirichlet-disc", 10), ("dirichlet-disc", 14),
+        ("robin-annulus", 12), ("neumann-star", 10),
+        ("dirichlet-3d", 10), ("parabolic-star", 12)])
+    def test_split_solve_matches_one_block(self, monkeypatch, problem_id, m,
+                                           p):
+        build = ssem.experiments._PROBLEMS[problem_id].build
+        spec = SmootherSpec("power", p)
+        system = build(m)[0]
+        split = pinv_solve(system, spec)
+        whole = pinv_solve(one_block(monkeypatch, lambda: build(m)[0]), spec)
+        assert len(whole.blocks) == 1
+        eps = np.finfo(float).eps
+        bound = self.C_SPLIT * eps * whole.cond_estimate
+        assert abs(split.cond_estimate / whole.cond_estimate - 1.0) <= bound
+        assert np.max(np.abs(split.solution - whole.solution)) \
+            <= bound * np.max(np.abs(whole.solution))
+        # backward stable: a residual at rounding level
+        assert split.residual_linf \
+            <= 1e-9 * max(1.0, np.abs(system.rhs).max())
+
+    def test_one_block_reports_its_own_cond_and_margin(self, monkeypatch):
+        # an unsplit system's cond and margin are those of its one R, bit
+        # for bit, not a ratio of its extreme singular values
+        factored = []
+        real = ssem.solver.householder_qr
+
+        def recorded(mat):
+            factored.append(real(mat))
+            return factored[-1]
+
+        monkeypatch.setattr(ssem.solver, "householder_qr", recorded)
+        for problem_id, m, p in (("neumann-star", 10, 4.0),
+                                 ("neumann-star", 18, 8.0),
+                                 ("dirichlet-3d", 8, 2.0),
+                                 ("dirichlet-3d", 10, 4.0)):
+            system, _ = ssem.experiments._PROBLEMS[problem_id].build(m)
+            report = pinv_solve(system, SmootherSpec("power", p))
+            fac = factored[-1]
+            assert report.blocks == (fac.a.shape,)
+            assert report.cond_estimate == condition_estimate(fac.upper)
+            assert report.rank_margin == fac.rank_margin
+
+    @staticmethod
+    def heavy_axis_system():
+        """Boundary rows at mirror pairs (x, +-y) and one row on y = 0,
+        whose weight of 1e15 sets the largest |R_ii| of the even block:
+        the odd block is well conditioned alone, far below that scale."""
+        pairs = np.array([[0.6, 0.3], [-0.5, 0.7], [0.1, 0.45], [-0.8, 0.2],
+                          [0.3, 0.85]])
+        points = np.concatenate([[[0.9, 0.0]], pairs, pairs * [1.0, -1.0]])
+        points = points[[0, 1, 6, 2, 7, 3, 8, 4, 9, 5, 10]]
+        where = BoundaryPointSet(points, np.zeros_like(points))
+        bc = BoundaryConditionSpec(
+            trace=lambda pts, nrm: np.where(pts[:, 1] == 0.0, 1e15, 1.0),
+            flux=0.0, data=1.0)
+        axes = (roots_axis(6), roots_axis(6))
+        no_interior = InteriorIndexSet(np.zeros((0, 2), dtype=int))
+        return build_system(axes, [(no_interior, LAPLACE), (where, bc)],
+                            no_interior, where, apply_smoother_half_inverse)
+
+    def test_rank_threshold_spans_the_blocks(self, monkeypatch):
+        # the odd block passes its own |R_ii| check; against the largest
+        # |R_jj| of both blocks its first column fails, and the error names
+        # its representative row, 1, as the one-block QR names a column
+        system = self.heavy_axis_system()
+        assert len(system.parity_blocks()) == 2
+        with pytest.raises(RankDeficientError) as split:
+            pinv_solve(system, SmootherSpec("power", 2.0))
+        assert split.value.column == 1
+        with pytest.raises(RankDeficientError) as whole:
+            pinv_solve(one_block(monkeypatch, self.heavy_axis_system),
+                       SmootherSpec("power", 2.0))
+        assert whole.value.column is not None
+
+    def test_block_wider_than_tall_is_rank_deficient(self, monkeypatch):
+        # three points on y = 0 of a 2 x 2 grid: their rows have no odd-k_y
+        # part, and the even block has two coefficients for three rows
+        axes = (roots_axis(2), roots_axis(2))
+        pts = np.array([[-0.5, 0.0], [0.2, 0.0], [0.7, 0.0]])
+        where = BoundaryPointSet(pts, np.zeros_like(pts))
+        bc = BoundaryConditionSpec(trace=1.0, flux=0.0, data=1.0)
+
+        def build():
+            return build_system(axes, [(where, bc)], where, where, None)
+
+        assert [a for a, _ in build()._reflections] == [1]
+        for system in (build(), one_block(monkeypatch, build)):
+            with pytest.raises(RankDeficientError) as err:
+                pinv_solve(system, lambda b: b)
+            assert err.value.column == 2
+
+    def test_dependent_row_named_by_its_constraint_row(self, monkeypatch):
+        # two groups of point rows at the mirror pair of nodes (1, 1) and
+        # (1, 2): rows 0, 1 and their repeats 2, 3. The even block holds
+        # rows 0 and 2, one row twice, and its QR names its second column:
+        # constraint row 2, as the one-block QR does
+        axes = (roots_axis(4), roots_axis(4))
+        nodes = InteriorIndexSet(np.array([[1, 1], [1, 2]]))
+        op = EllipticOperatorSpec({}, {}, zeroth=1.0, source=1.0)
+
+        def build():
+            return build_system(axes, [(nodes, op), (nodes, op)], nodes,
+                                nodes, None)
+
+        system = build()
+        assert [a for a, _ in system._reflections] == [1]
+        for solved in (system, one_block(monkeypatch, build)):
+            with pytest.raises(RankDeficientError) as err:
+                pinv_solve(solved, lambda b: b)
+            assert err.value.column == 2
+
+
+class TestSystemInputs:
+    """A hand-built system's right-hand side and constraint operator are
+    checked before any matrix is built."""
+
+    @staticmethod
+    def system(rhs, apply_fn, built):
+        vand = chebyshev_vandermonde(4)
+
+        def matrix_fn():
+            built.append(True)
+            return np.kron(vand, vand)[:3]
+
+        return ConstraintSystem((roots_axis(4), roots_axis(4)), None, None,
+                                rhs=np.asarray(rhs, dtype=float),
+                                apply_fn=apply_fn, matrix_fn=matrix_fn,
+                                n_omega=0, n_gamma=3)
+
+    @pytest.mark.parametrize("bad, kind", [(np.nan, "NaN"), (np.inf, "inf")])
+    def test_non_finite_rhs_refused(self, bad, kind):
+        built = []
+        with pytest.raises(ValueError, match=f"^rhs: {kind} at 1 of 3 rows"):
+            pinv_solve(self.system([1.0, bad, 2.0],
+                                   lambda u: u.ravel()[:3], built),
+                       lambda b: b)
+        assert not built
+
+    def test_apply_with_one_value_for_three_rows_refused(self):
+        built = []
+        with pytest.raises(ValueError, match=r"^apply_fn: expected 3 "
+                                             r"constraint values, got shape"):
+            pinv_solve(self.system([1.0, 0.0, 2.0],
+                                   lambda u: np.array([5.0]), built),
+                       lambda b: b)
+        assert not built
