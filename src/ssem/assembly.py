@@ -39,7 +39,11 @@ reflections generate, an orthogonal recombination of the rows makes A
 block-diagonal: one ParityBlock per parity pattern of the split axes
 (ConstraintSystem.parity_blocks), built from the orbits' lowest rows
 with the 1-D tables cut to that parity (block_matrix). A system with no
-such reflection is one block, the whole of A.
+such reflection is one block, the whole of A. Where no reflection maps
+every group, those that map every interior group still split the
+interior rows, and the boundary rows they do not map are the border
+(ConstraintSystem.border), kept whole for the solver to factor after
+the blocks. A system computes its blocks and border once.
 """
 
 from __future__ import annotations
@@ -389,26 +393,48 @@ def _mirror_rows(where, terms, shape, a: int) -> np.ndarray | None:
 
 
 def _reflections(axes, groups) -> tuple:
-    """(a, mirror) for each roots axis a whose reflection maps every
-    group's rows onto themselves, mirror the row permutation over the
-    stacked groups. groups are (where, terms) pairs in row order. Roots
-    nodes are symmetric about 0, x_{m-1-i} = -x_i; an extrema time axis is
-    never a candidate (its initial rows sit at one end)."""
+    """(reflections, border) of groups, (where, terms) pairs in row order.
+
+    reflections holds (a, mirror) for each kept roots axis a, mirror the
+    row permutation over the stacked groups. The axes whose reflection
+    maps every group onto itself are kept, with no border. Where there is
+    none, the axes that map every interior group (InteriorIndexSet) are
+    kept instead, and border is the ascending rows of the boundary groups
+    that some kept reflection does not map; mirror fixes them, and the
+    solver factors them apart from the parity blocks (pinv_solve). A
+    border of every row would leave nothing to split, so no axis is kept
+    then. (On the planar problems, whose samples mirror in y, a border
+    that also splits x was no faster than the split in y alone, and the
+    3-D samples mirror on no axis.) Roots nodes are symmetric about 0,
+    x_{m-1-i} = -x_i; an extrema time axis is never a candidate (its
+    initial rows sit at one end)."""
     shape = tuple(len(ax.nodes) for ax in axes)
-    found = []
+    starts = np.cumsum([0] + [where.count for where, _ in groups])
+    kept = []
     for a, ax in enumerate(axes):
         if not isinstance(ax, RootsAxis):
             continue
-        start, mirror = 0, []
-        for where, terms in groups:
-            pairs = _mirror_rows(where, terms, shape, a)
-            if pairs is None:
-                break
-            mirror.append(pairs + start)
-            start += len(pairs)
-        else:
-            found.append((a, np.concatenate(mirror).astype(np.intp)))
-    return tuple(found)
+        pairs = [_mirror_rows(where, terms, shape, a)
+                 for where, terms in groups]
+        if not any(p is None and isinstance(where, InteriorIndexSet)
+                   for p, (where, _) in zip(pairs, groups)):
+            kept.append((a, pairs))
+    unmapped = {i for _, pairs in kept for i, p in enumerate(pairs)
+                if p is None}
+    full = [(a, pairs) for a, pairs in kept
+            if all(p is not None for p in pairs)]
+    if full or sum(groups[i][0].count for i in unmapped) == starts[-1]:
+        kept, unmapped = full, set()
+    reflections = tuple(
+        (a, np.concatenate([np.arange(lo, hi) if i in unmapped else p + lo
+                            for i, (p, lo, hi) in enumerate(
+                                zip(pairs, starts, starts[1:]))]
+                           ).astype(np.intp))
+        for a, pairs in kept)
+    border = np.flatnonzero(np.repeat([i in unmapped
+                                       for i in range(len(groups))],
+                                      np.diff(starts)))
+    return reflections, border
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,6 +449,8 @@ class ParityBlock:
     restricted to the block's coefficients, and its right-hand side is
     rhs = (1 / sqrt|orbit|) sum over the orbit of chi(g) b_{g r}, chi(g)
     the sign the parity pattern gives the reflections g that map r there.
+    A system's border (ConstraintSystem.border) is a ParityBlock too: its
+    rows at root 1 on every coefficient, parity None on each axis.
     """
 
     parity: tuple
@@ -433,8 +461,7 @@ class ParityBlock:
     @property
     def columns(self) -> tuple:
         """The block's coefficients as one index per grid axis."""
-        return tuple(slice(None) if p is None else slice(p, None, 2)
-                     for p in self.parity)
+        return _columns(self.parity)
 
     def coefficient_shape(self, grid_shape) -> tuple:
         """The shape of the block's coefficients on a grid of grid_shape."""
@@ -442,13 +469,27 @@ class ParityBlock:
                                                        self.columns))
 
 
-def _parity_blocks(reflections, rhs: np.ndarray, ndim: int) -> list:
-    """The non-empty ParityBlocks of the reflections, parity patterns in
-    lexicographic order (all even first). Each reflection is an involution
-    and they commute, so every element g of the group they generate is a
-    set of them, and row r's orbit is {g r}."""
-    n_rows, count = len(rhs), len(reflections)
-    rows = np.arange(n_rows)
+def _columns(parity) -> tuple:
+    """The coefficients of a parity pattern as one index per grid axis:
+    every other one from k_a = parity[a], or all where it is None."""
+    return tuple(slice(None) if p is None else slice(p, None, 2)
+                 for p in parity)
+
+
+def _parity_split(reflections, border: np.ndarray, rhs: np.ndarray,
+                  ndim: int) -> tuple:
+    """(blocks, border block) of the reflections: the non-empty
+    ParityBlocks of the rows outside border, parity patterns in
+    lexicographic order (all even first), and border's rows as one
+    ParityBlock of every coefficient (parity None on each axis, root 1),
+    or None where border is empty. Each reflection is an involution and
+    they commute, so every element g of the group they generate is a set
+    of them, and row r's orbit is {g r}."""
+    count = len(reflections)
+    # a mask, not np.setdiff1d, whose np.unique loads numpy.ma on first use
+    outside = np.ones(len(rhs), dtype=bool)
+    outside[border] = False
+    rows = np.flatnonzero(outside)
     images = []
     for g in itertools.product((0, 1), repeat=count):
         image = rows
@@ -476,9 +517,12 @@ def _parity_blocks(reflections, rhs: np.ndarray, ndim: int) -> list:
         parity = [None] * ndim
         for (a, _), p in zip(reflections, chi):
             parity[a] = p
-        blocks.append(ParityBlock(tuple(parity), keep, root,
+        blocks.append(ParityBlock(tuple(parity), rows[keep], root,
                                   root / len(images) * total))
-    return blocks
+    if not len(border):
+        return blocks, None
+    return blocks, ParityBlock((None,) * ndim, border, np.ones(len(border)),
+                               rhs[border])
 
 
 def _restricted(terms, rows: np.ndarray, root: np.ndarray, columns) -> list:
@@ -539,16 +583,19 @@ class ConstraintSystem:
     apply realizes C on grid functions; coefficient_matrix builds A = C V,
     the same constraints on the coefficients c of u = V c, from the same
     terms with other 1-D factors. The solver factors A block by block
-    (parity_blocks, block_matrix) and rechecks its answer through apply.
-    grid_smoother is S^{-1/2} of a SmootherSpec on this grid (systems
-    built by hand may leave out half_inverse_fn and solve with a smoother
-    callable).
+    (parity_blocks, border, block_matrix) and rechecks its answer through
+    apply. grid_smoother is S^{-1/2} of a SmootherSpec on this grid
+    (systems built by hand may leave out half_inverse_fn and solve with a
+    smoother callable).
 
     rhs must be finite, one value per row, and apply must give one value
     per row: a ValueError names either before any matrix is built (a
     system built by hand has apply_fn run once, on zeros, here). mirror
-    is build_system's (reflections, block_fn); a system without it, as
-    one built by hand, is one block.
+    is build_system's (reflections, border rows, block_fn); a system
+    without it, as one built by hand, is one block. border is the
+    ParityBlock of the boundary rows that the reflections do not map, or
+    None. The blocks and the border are computed once, here: rhs and the
+    reflections never change.
     """
 
     def __init__(self, axes, interior, boundary, rhs, apply_fn, matrix_fn,
@@ -575,8 +622,11 @@ class ConstraintSystem:
         self._half_inverse = half_inverse_fn
         if mirror is None:
             self.apply(np.zeros(self.grid_shape))
-            mirror = (), lambda block: matrix_fn()
-        self._reflections, self._block_fn = mirror
+            mirror = (), (), lambda block, parity: matrix_fn()
+        self._reflections, border, self._block_fn = mirror
+        self._blocks, self.border = _parity_split(
+            self._reflections, np.asarray(border, dtype=np.intp), rhs,
+            len(self.grid_shape))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """C u: all constraint values for a grid function."""
@@ -592,16 +642,18 @@ class ConstraintSystem:
         return self._matrix()
 
     def parity_blocks(self) -> list:
-        """The ParityBlocks of this system's reflections: one, with every
-        row, when it has none."""
-        return _parity_blocks(self._reflections, self.rhs,
-                              len(self.grid_shape))
+        """The ParityBlocks of this system's reflections, outside the
+        border: one, with every row, when it has none."""
+        return list(self._blocks)
 
-    def block_matrix(self, block: ParityBlock) -> np.ndarray:
-        """The block's rows of A, restricted to its coefficients, as a new
-        (len(block.rows), block grid size) array the caller owns; the one
-        block of a system without reflections is coefficient_matrix()."""
-        return self._block_fn(block)
+    def block_matrix(self, block: ParityBlock, parity=None) -> np.ndarray:
+        """The block's rows of A, restricted to the coefficients of parity
+        (by default the block's own), as a new (len(block.rows), size)
+        array the caller owns; the one block of a system without
+        reflections is coefficient_matrix(). The solver reads the border's
+        rows at each block's parity this way."""
+        return self._block_fn(block,
+                              block.parity if parity is None else parity)
 
     def grid_smoother(self, spec: SmootherSpec):
         """S^{-1/2} of spec as an operator on this system's grid functions."""
@@ -624,8 +676,9 @@ def build_system(axes, groups, interior, boundary,
     as right-hand side; a spec of any other type is a TypeError naming
     the group. Rows follow the group order. n_omega and n_gamma count
     the given interior and boundary sets. The system carries the
-    reflections that map its rows onto themselves (_reflections) and
-    builds each ParityBlock of them straight from the terms.
+    reflections that map its interior rows onto themselves and the border
+    of boundary rows they do not map (_reflections), and builds each
+    ParityBlock of them straight from the terms.
     """
     rhs, located, realized = [], [], []
     for i, (where, spec) in enumerate(groups):
@@ -652,22 +705,23 @@ def build_system(axes, groups, interior, boundary,
         return np.concatenate([_apply_terms(terms, u, hi - lo) for lo, hi,
                                terms in zip(starts, starts[1:], grid_terms)])
 
-    def block_fn(block):
-        size = int(np.prod(block.coefficient_shape(shape)))
+    def block_fn(block, parity):
+        columns = _columns(parity)
+        size = int(np.prod([len(range(n)[c]) for n, c in zip(shape, columns)]))
         mat = np.empty((len(block.rows), size))
         cuts = np.searchsorted(block.rows, starts)
         for lo, i, j, terms in zip(starts, cuts, cuts[1:], matrix_terms):
             _fill_rows(mat[i:j], _restricted(terms, block.rows[i:j] - lo,
-                                             block.root[i:j], block.columns))
+                                             block.root[i:j], columns))
         return mat
 
     whole = ParityBlock((None,) * len(axes), np.arange(len(rhs)),
                         np.ones(len(rhs)), rhs)
     return ConstraintSystem(axes, interior, boundary, rhs, apply_fn,
-                            lambda: block_fn(whole), n_omega=interior.count,
-                            n_gamma=boundary.count,
+                            lambda: block_fn(whole, whole.parity),
+                            n_omega=interior.count, n_gamma=boundary.count,
                             half_inverse_fn=half_inverse_fn,
-                            mirror=(_reflections(axes, located), block_fn))
+                            mirror=(*_reflections(axes, located), block_fn))
 
 
 def assemble_elliptic(domain: DomainSpec, axes, op: EllipticOperatorSpec,

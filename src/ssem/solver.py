@@ -23,6 +23,12 @@ So each block is factored on its own, its Q' R^{-T} (P b) fills the
 block's coefficients, cond is the largest sigma_max over the smallest
 sigma_min, and the rank threshold below takes max |R_jj| over all
 blocks. A system with no such reflection is one block, M' itself.
+Where the reflections map the interior rows but not every boundary row
+(ConstraintSystem.border: dirichlet-3d's samples mirror on no axis),
+those boundary rows are a border B at full width, M' P^T = [D | B] with
+D block-diagonal, and R is block upper-triangular: each block's Q^T
+takes B's rows of its parity to a coupling T on top of a rest, and one
+more QR of the stacked rests gives the border's R_B (pinv_solve).
 
 The QR is LAPACK dgeqrt: blocked like dgeqrf, but each column panel is
 factored recursively (dgeqrt3, after Elmroth and Gustavson), so nearly
@@ -50,7 +56,15 @@ BLOCK_BYTES at a time (diag(mu) and the time-axis R_V^{-1} together);
 dgeqrt overwrites that buffer with the reflectors, and the buffer is
 freed once the block's coefficients are filled, before the next block is
 built. So the solve peaks at about the largest block, N x n when
-unsplit, plus T and the workspace (QR_BLOCK x n each). R is never
+unsplit, plus T and the workspace (QR_BLOCK x n each). A bordered solve
+keeps every block until its pull-back, which needs R_B, and builds the
+border one block's parity at a time, straight into Q^T's buffer; it
+peaks at the blocks plus the stacked rests and T (dirichlet-3d m=20:
+about 7 MiB of blocks and 22 MiB of border, where the unsplit M' took
+77 MiB). (Keeping the blocks of a border-free solve for one Lanczos
+pair on all of R would hold them all at once too: 25 MiB more at the
+peak of the heat problem, so a border-free solve estimates its blocks
+one at a time.) R is never
 copied: it is the upper triangle of the leading n x n block of that
 buffer (LDA = N), with the reflectors below it. The finiteness check
 reads that whole block with numpy's min and max; everything else reads
@@ -198,11 +212,13 @@ def _bundled_lapack():
     size_t) after the others.
 
     dgeqrt and dgemqrt take the arguments of SciPy's lapack functions
-    that householder_qr and apply_q use and work in place, as SciPy's do
-    with overwrite_a/_c=1. kernels(a) returns (x, product, solve) for R,
-    the upper triangle of a (see the module docstring; trans is b"N" or
-    b"T"). A matrix is read with the LDA of its column stride, so a view
-    into a larger F-ordered buffer needs no copy.
+    that householder_qr, apply_q and pinv_solve use (dgemqrt's trans is
+    "N" for Q c, "T" for Q^T c) and work in place, as SciPy's do with
+    overwrite_a/_c=1. kernels(a, x) returns (x, product, solve) for R, the
+    upper triangle of a, acting on x, a new vector where x is None (see
+    the module docstring; trans is b"N" or b"T"). A matrix is read with
+    the LDA of its column stride, so a view into a larger F-ordered
+    buffer needs no copy.
     """
     lib = _bundled_openblas()
     if lib is None:
@@ -234,21 +250,23 @@ def _bundled_lapack():
               work.ctypes.data, info)
         return a, t, info.value
 
-    def dgemqrt(v, t, c, overwrite_c=1):
+    def dgemqrt(v, t, c, trans="N", overwrite_c=1):
         ldv, ldt, ldc = _leading_dimensions(v, t, c)
         (big, cols), (nb, k) = c.shape, t.shape
         info = ctypes.c_int64()
         work = np.empty(nb * cols)
-        gemqrt(b"L", b"N", _int64(big), _int64(cols), _int64(k), _int64(nb),
-               v.ctypes.data, _int64(ldv), t.ctypes.data, _int64(ldt),
-               c.ctypes.data, _int64(ldc), work.ctypes.data, info, 1, 1)
+        gemqrt(b"L", trans.encode(), _int64(big), _int64(cols), _int64(k),
+               _int64(nb), v.ctypes.data, _int64(ldv), t.ctypes.data,
+               _int64(ldt), c.ctypes.data, _int64(ldc), work.ctypes.data,
+               info, 1, 1)
         return c, info.value
 
-    def kernels(a):
+    def kernels(a, x=None):
         # R's layout is checked and its arguments built here, once; each
         # kernel call is then one BLAS or LAPACK call on x
         lda, = _leading_dimensions(a)
-        x = np.zeros(a.shape[0])
+        if x is None:
+            x = np.zeros(a.shape[0])
         dim, ld, one = _int64(len(x)), _int64(lda), _int64(1)
         # data_as keeps a reference to its array, so a and x stay alive
         ptr_a, ptr_x = (v.ctypes.data_as(ctypes.c_void_p) for v in (a, x))
@@ -278,9 +296,10 @@ def _lapack():
         return bundled
     from scipy.linalg import blas, lapack
 
-    def kernels(a):
+    def kernels(a, x=None):
         a = np.asfortranarray(a, dtype=float)
-        x = np.zeros(a.shape[0])
+        if x is None:
+            x = np.zeros(a.shape[0])
         col = x.reshape(-1, 1)
 
         def product(trans):
@@ -346,21 +365,36 @@ class RankDeficientError(RuntimeError):
     threshold, RANK_TOL * max |R_jj|, which implies that cond bound. It
     is None when every |R_ii| passes but cond (value) exceeds the bound
     1 / RANK_TOL (threshold): unpivoted R can hide a dependence that
-    sigma_min shows (the Kahan matrix).
+    sigma_min shows (the Kahan matrix). A block of M' with more
+    constraints than coefficients is refused before any QR (too_wide):
+    column is then the first constraint row past its width, and value
+    and threshold are None.
     """
 
-    def __init__(self, column: int | None, value: float, threshold: float):
+    def __init__(self, column: int | None, value: float | None,
+                 threshold: float | None, detail: str | None = None):
         self.column, self.value, self.threshold = column, value, threshold
-        if column is None:
+        if detail is None and column is None:
             detail = (f"cond = {value:.3e} above bound {threshold:.3e} "
                       f"(1 / RANK_TOL), although no |R_ii| falls below "
                       f"its threshold")
-        else:
+        elif detail is None:
             detail = (f"|R[{column},{column}]| = {value:.3e} against "
                       f"threshold {threshold:.3e} (RANK_TOL * max |R_ii|); "
                       f"constraint index {column} is numerically dependent "
                       f"on its predecessors")
         super().__init__(f"rank-deficient constraint matrix: {detail}")
+
+    @classmethod
+    def too_wide(cls, row: int, count: int, width: int):
+        """A parity block of count constraints on width < count
+        coefficients: its rows are dependent, and row is the first past
+        that width. No QR ran, so no |R_ii| is named."""
+        return cls(row, None, None,
+                   f"a parity block has {count} constraints on {width} "
+                   f"coefficients, more constraints than coefficients, so "
+                   f"constraint index {row} (the first past that width) is "
+                   f"numerically dependent on its predecessors")
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +408,8 @@ class QRFactorization:
     upper-triangular T of each block reflector, side by side
     (QR_BLOCK x n). rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|),
     above 1 when householder_qr passed and never below
-    1 / (RANK_TOL * cond). Q is applied by apply_q and never formed.
+    1 / (RANK_TOL * cond). Q is applied by apply_q (the thin N x n Q) and
+    reflect (all of Q, or Q^T), and never formed.
     """
 
     a: np.ndarray
@@ -398,9 +433,17 @@ class QRFactorization:
             )
         c = np.zeros((big, z.size // n), order="F")
         c[:n] = z.reshape(n, -1)
-        qz, info = _lapack()[1](self.a, self.t, c, overwrite_c=1)
+        return self.reflect(c).reshape((big,) + z.shape[1:])
+
+    def reflect(self, c: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Q c, or Q^T c for trans "T", with Q the full N x N orthogonal
+        factor, for an F-ordered float64 c of N rows: one LAPACK dgemqrt,
+        in place on c (SciPy's returns a copy where it cannot); returns
+        the result."""
+        qc, info = _lapack()[1](self.a, self.t, c, trans=trans,
+                                overwrite_c=1)
         _require("dgemqrt", info)
-        return qz.reshape((big,) + z.shape[1:])
+        return qc
 
 
 def householder_qr(mat: np.ndarray) -> QRFactorization:
@@ -532,40 +575,117 @@ def _largest_eigenvalue(matvec, n: int) -> float | None:
     return None
 
 
-def condition_estimate(r: np.ndarray, extremes: bool = False):
+def condition_estimate(r: np.ndarray, extremes: bool = False, blocks=(),
+                       coupling: np.ndarray | None = None):
     """Two-norm condition number sigma_max / sigma_min of R, the upper
     triangle of r; with extremes, the triple (cond, sigma_max, sigma_min),
-    from which pinv_solve takes the cond of its blocks together.
+    from which pinv_solve takes the cond of its blocks together. With
+    blocks, the upper triangles R_1, ..., R_k of arrays, and coupling T
+    (their total order x the order of r), R is the block upper-triangular
+    [[diag(R_1, ..., R_k), T], [0, R_r]] of a bordered solve, R_r the
+    upper triangle of r (pinv_solve), never formed.
 
-    Only r's upper triangle is read (LAPACK's UPLO = 'U'), so r may be
-    QRFactorization.upper, which is read in place. sigma_max^2 is the top
-    eigenvalue of R^T R, 1/sigma_min^2 that of R^{-1} R^{-T}; each comes
-    from a deterministic Lanczos run (from the hashed start vector of
-    _largest_eigenvalue) whose steps are two calls of one of the
-    provider's kernels, bound to R once per call. The runs see 2^-e R,
-    e the binary exponent of max |R_ii|: exact, so cond is the unscaled
-    runs' bit for bit wherever they stay in the double range, and R's
-    scale cannot overflow them. Small r, a run that does not converge,
-    and a run or a cond^2 that leaves the double range take a dense SVD
-    of R instead. An empty r (n = 0) has cond 1, as an identity does, and
-    no singular values (sigma_max 0, sigma_min inf); a zero |R_ii| gives
-    cond inf and sigma_min 0.
+    Only upper triangles are read (LAPACK's UPLO = 'U'), so r and blocks
+    may be QRFactorization.upper, which is read in place. sigma_max^2 is
+    the top eigenvalue of R^T R, 1/sigma_min^2 that of R^{-1} R^{-T}; each
+    comes from a deterministic Lanczos run (from the hashed start vector
+    of _largest_eigenvalue) whose steps are two calls of one of R's
+    kernels (_BlockTriangular), bound to R once per call. The runs see
+    2^-e R, e the binary exponent of max |R_ii|: exact, so cond is the
+    unscaled runs' bit for bit wherever they stay in the double range,
+    and R's scale cannot overflow them. Small R, a run that does not
+    converge, and a run or a cond^2 that leaves the double range take a
+    dense SVD of R instead. An empty R (n = 0) has cond 1, as an identity
+    does, and no singular values (sigma_max 0, sigma_min inf); a zero
+    |R_ii| gives cond inf and sigma_min 0.
     """
-    found = _extremes(_readable(r))
+    found = _extremes(_BlockTriangular(blocks, coupling, r))
     return found if extremes else found[0]
 
 
-def _extremes(r: np.ndarray) -> tuple:
-    """condition_estimate's (cond, sigma_max, sigma_min) for a readable r."""
-    n = r.shape[0]
+class _BlockTriangular:
+    """R = [[diag(R_1, ..., R_k), T], [0, R_B]], R_i and R_B the upper
+    triangles of arrays (read in place where LAPACK can, _readable) and T
+    the coupling; with no coupling, R is diag(R_1, ..., R_k, R_B).
+
+    kernels() binds R once, as the provider's kernels bind one triangle:
+    it returns a vector x and product(trans), x <- R x or R^T x, and
+    solve(trans), x <- R^{-1} x or R^{-T} x, in place. Each runs the
+    per-block dtrmv or dtrtrs on x's segments and, with a coupling, one
+    dgemv with T between the head (the R_i) and R_B, the order the
+    block-triangular structure needs: R y = x, say, solves for y_B first,
+    then R_D y_D = x_D - T y_B.
+    """
+
+    def __init__(self, blocks, coupling, border):
+        self.blocks = [_readable(r) for r in (*blocks, border)]
+        self.coupling = coupling
+        self.head = sum(len(r) for r in self.blocks[:-1])
+        self.n = self.head + len(self.blocks[-1])
+
+    def diagonal(self) -> np.ndarray:
+        return np.abs(np.concatenate([np.diag(r) for r in self.blocks]))
+
+    def dense(self) -> np.ndarray:
+        """R as a new n x n array, for the dense SVD."""
+        out, lo = np.zeros((self.n, self.n)), 0
+        for r in self.blocks:
+            out[lo:lo + len(r), lo:lo + len(r)] = np.triu(r)
+            lo += len(r)
+        if self.coupling is not None:
+            out[:self.head, self.head:] = self.coupling
+        return out
+
+    def kernels(self):
+        x, lo, bound = np.zeros(self.n), 0, []
+        for r in self.blocks:
+            bound.append(_lapack()[2](r, x[lo:lo + len(r)])[1:])
+            lo += len(r)
+        # with no coupling the border is one more diagonal block
+        upper, last = bound[:-1], bound[-1:]
+        head, tail, coupling = x[:self.head], x[self.head:], self.coupling
+
+        def couple(trans, sign):
+            if coupling is None:
+                return
+            if trans == b"N":
+                head[:] += sign * (coupling @ tail)
+            else:
+                tail[:] += sign * (coupling.T @ head)
+
+        def product(trans):
+            # R x = [R_D x_D + T x_B; R_B x_B] and R^T x = [R_D^T x_D;
+            # T^T x_D + R_B^T x_B]: T reads its segment before it changes
+            first, then = (upper, last) if trans == b"N" else (last, upper)
+            for prod, _ in first:
+                prod(trans)
+            couple(trans, 1.0)
+            for prod, _ in then:
+                prod(trans)
+
+        def solve(trans):
+            # R y = x solves for y_B first, R^T y = x for y_D first
+            first, then = (last, upper) if trans == b"N" else (upper, last)
+            for _, sol in first:
+                sol(trans)
+            couple(trans, -1.0)
+            for _, sol in then:
+                sol(trans)
+
+        return x, product, solve
+
+
+def _extremes(r: _BlockTriangular) -> tuple:
+    """condition_estimate's (cond, sigma_max, sigma_min) of R."""
+    n = r.n
     if n == 0:
         return 1.0, 0.0, np.inf
-    diag = np.abs(np.diag(r))
+    diag = r.diagonal()
     if not np.all(diag):
         return np.inf, np.inf, 0.0
     if n < LANCZOS_MIN_ORDER:
-        return _dense_cond(np.triu(r))
-    x, product, solve = _lapack()[2](r)
+        return _dense_cond(r.dense())
+    x, product, solve = r.kernels()
     exponent = np.frexp(diag.max())[1]
 
     def top(kernel, order, shift):
@@ -583,7 +703,7 @@ def _extremes(r: np.ndarray) -> tuple:
         inverse = None if big is None else top(solve, (b"T", b"N"), exponent)
         square = np.inf if inverse is None else big * inverse
         if not np.isfinite(square):
-            return _dense_cond(np.triu(r))
+            return _dense_cond(r.dense())
         return (float(np.sqrt(square)),
                 float(np.ldexp(np.sqrt(big), exponent)),
                 float(np.ldexp(1.0 / np.sqrt(inverse), exponent)))
@@ -614,8 +734,12 @@ class SolveReport:
     rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|) over the R of
     every block (see QRFactorization). phases maps each name in PHASES to
     the seconds pinv_solve spent on that step, summed over the blocks;
-    they add up to seconds. blocks is the (N, n) shape of each factored
-    block of M', in order.
+    they add up to seconds (a bordered solve counts the border's build
+    and scaling under build and scale, and Q^T B, the stacking and R_B's
+    QR under factor). blocks is the (N, n) shape of each factored block
+    of M', in order; with a border, the last is the border's: its n rows
+    on the N coefficients left below the blocks' R, N = grid_size minus
+    the blocks' rows.
     """
 
     solution: np.ndarray
@@ -711,6 +835,31 @@ def _scale_rows(rows: np.ndarray, weight: np.ndarray, inverses) -> None:
             moved[...] = np.matmul(flat, inv).reshape(moved.shape)
 
 
+def _factored(mat: np.ndarray, rows: np.ndarray) -> QRFactorization:
+    """householder_qr of mat, whose column j is constraint row rows[j]: a
+    RankDeficientError names that row, not the column."""
+    try:
+        return householder_qr(mat)
+    except RankDeficientError as err:
+        raise RankDeficientError(int(rows[err.column]), err.value,
+                                 err.threshold) from None
+
+
+def _rank_verdict(factored) -> float:
+    """rank_margin of the (rows, |R_ii|) of each factor: the QR of each
+    checked its |R_ii| against its own largest, the verdict is against
+    the largest of all, and a RankDeficientError names the constraint row
+    of the first failing column."""
+    threshold = RANK_TOL * max(diag.max(initial=0.0) for _, diag in factored)
+    for rows, diag in factored:
+        bad = np.flatnonzero((diag < threshold) | (diag == 0.0))
+        if bad.size:
+            raise RankDeficientError(int(rows[bad[0]]), float(diag[bad[0]]),
+                                     threshold)
+    return float(min(diag.min(initial=np.inf) for _, diag in factored)
+                 / threshold)
+
+
 def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     """Solve C u = b for the minimal-selection-norm u.
 
@@ -720,14 +869,26 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     or with more rows than grid points, is a ValueError. Raises
     RankDeficientError when cond exceeds 1 / RANK_TOL; the QR finds most
     such cases first, from a negligible |R_ii|, and names the
-    representative constraint row of that column.
+    representative constraint row of that column; a block with more
+    constraints than coefficients is refused before any QR.
 
-    M' is factored one ParityBlock at a time (system.parity_blocks): each
-    is built, scaled, factored in place, its sigma_max and sigma_min
-    estimated, back-solved and pulled back into its coefficients, and
-    freed before the next is built. cond is the largest sigma_max over
-    the smallest sigma_min, and the |R_ii| threshold is RANK_TOL times
-    the largest |R_jj| of all blocks.
+    M' is factored one ParityBlock at a time (system.parity_blocks). With
+    no border, each is built, scaled, factored in place, its sigma_max and
+    sigma_min estimated, back-solved and pulled back into its
+    coefficients, and freed before the next is built; cond is the largest
+    sigma_max over the smallest sigma_min. With a border (system.border),
+    the recombined M' P^T is [D | B], D block-diagonal with one
+    N_chi x n_chi block per parity pattern chi and B the border's columns
+    at full width, B_chi its N_chi x n_B rows of parity chi. Each block is
+    factored, D_chi = Q_chi [R_chi; 0], and kept; Q_chi^T B_chi splits into
+    its top n_chi rows T_chi, the coupling, and the rest; the rests,
+    stacked, are factored once more, Q_B [R_B; 0]. So R is the block
+    upper-triangular [[diag(R_chi), T], [0, R_B]]: the back-solve is
+    z_D = R_D^{-T} b_D, then z_B = R_B^{-T} (b_B - T^T z_D), the pull-back
+    of block chi is Q_chi [z_chi; (Q_B [z_B; 0])_chi], and cond comes from
+    the two Lanczos runs on all of R (condition_estimate with blocks and
+    coupling). Either way the |R_ii| threshold is RANK_TOL times the
+    largest |R_jj| of all factors.
     """
     phases = dict.fromkeys(PHASES, 0.0)
     clock = [time.perf_counter()]
@@ -747,12 +908,13 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
             f"under-resolved grid: {size} grid points cannot carry "
             f"{system.n_rows} constraints"
         )
-    blocks = system.parity_blocks()
+    blocks, border = system.parity_blocks(), system.border
     for block in blocks:
         # a block with more rows than coefficients has dependent rows
         width = int(np.prod(block.coefficient_shape(shape)))
         if width < len(block.rows):
-            raise RankDeficientError(int(block.rows[width]), 0.0, 0.0)
+            raise RankDeficientError.too_wide(int(block.rows[width]),
+                                              len(block.rows), width)
     lap("build")
     # rows of A become rows of A diag(mu) R_V^{-1}, i.e. columns of M'
     mult, half_inverse = _smoother(system, smoother)
@@ -760,53 +922,98 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     weight = mult * scale
     lap("scale")
 
+    def columns_of(block, at):
+        """M'^T's rows of block at the coefficients of the block at (its
+        own, or a block's for the border), as built and scaled."""
+        mat = system.block_matrix(block, at.parity)
+        lap("build")
+        _scale_rows(mat.reshape((len(block.rows),)
+                                + at.coefficient_shape(shape)),
+                    weight[at.columns], inverses)
+        lap("scale")
+        return mat
+
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's
     # factor); each block's Q' z fills its coefficients of Q' z
     coef = np.zeros(shape)
-    diags, extremes, shapes = [], [], []
-    for block in blocks:
-        mat = system.block_matrix(block)
-        lap("build")
-        sub = block.coefficient_shape(shape)
-        _scale_rows(mat.reshape((len(block.rows),) + sub),
-                    weight[block.columns], inverses)
-        lap("scale")
-        # dgeqrt overwrites mat: fac.a is mat's buffer from here on
-        try:
-            fac = householder_qr(mat.T)
-        except RankDeficientError as err:
-            raise RankDeficientError(int(block.rows[err.column]), err.value,
-                                     err.threshold) from None
-        del mat
-        shapes.append(fac.a.shape)
-        diags.append(np.abs(np.diag(fac.a)))
+    if border is None:
+        factored, extremes, shapes = [], [], []
+        for block in blocks:
+            # dgeqrt overwrites the built rows: fac.a is their buffer
+            fac = _factored(columns_of(block, block).T, block.rows)
+            shapes.append(fac.a.shape)
+            factored.append((block.rows, np.abs(np.diag(fac.a))))
+            lap("factor")
+            extremes.append(condition_estimate(fac.upper, extremes=True))
+            lap("cond")
+            z = solve_triangular(fac.upper, block.rhs)
+            lap("backsolve")
+            # the block's buffer is freed before the next block is built
+            coef[block.columns] = fac.apply_q(z).reshape(
+                block.coefficient_shape(shape))
+            del fac
+            lap("pullback")
+        margin = _rank_verdict(factored)
+        # sigma_max_i / sigma_min_j over every pair of blocks, a block's
+        # own cond on the diagonal
+        conds, tops, bottoms = (np.array(v) for v in zip(*extremes))
+        with np.errstate(divide="ignore", over="ignore"):
+            ratios = np.divide.outer(tops, bottoms)
+        np.fill_diagonal(ratios, conds)
+        cond = float(ratios.max())
+    else:
+        # the blocks and the border share out the rows, so the border's
+        # n_B columns never outnumber the size - n_D rows below the
+        # blocks' R (n_rows <= size was checked above)
+        n_b = len(border.rows)
+        head = system.n_rows - n_b
+        coupling = np.empty((head, n_b), order="F")
+        rest = np.empty((size - head, n_b), order="F")
+        facs, factored = [], []
+        top = low = 0
+        for block in blocks:
+            fac = _factored(columns_of(block, block).T, block.rows)
+            facs.append(fac)
+            factored.append((block.rows, np.abs(np.diag(fac.a))))
+            lap("factor")
+            # Q_chi^T B_chi in place: B_chi is the built rows' transpose
+            share = fac.reflect(columns_of(border, block).T, "T")
+            n = len(block.rows)
+            coupling[top:top + n] = share[:n]
+            rest[low:low + len(share) - n] = share[n:]
+            top, low = top + n, low + len(share) - n
+            del share
+            lap("factor")
+        # a NaN or inf in B reaches T or R_B (householder_qr checks R_B)
+        if not (np.isfinite(coupling.min(initial=0.0))
+                and np.isfinite(coupling.max(initial=0.0))):
+            raise ValueError("the border's coupling T to the blocks has "
+                             "non-finite entries (NaN or inf)")
+        # dgeqrt factors the stacked rests in place: fac_b.a is rest
+        fac_b = _factored(rest, border.rows)
+        factored.append((border.rows, np.abs(np.diag(fac_b.a))))
+        shapes = [fac.a.shape for fac in (*facs, fac_b)]
         lap("factor")
-        extremes.append(condition_estimate(fac.upper, extremes=True))
+        margin = _rank_verdict(factored)
+        cond = condition_estimate(fac_b.upper, blocks=[f.upper for f in facs],
+                                  coupling=coupling)
         lap("cond")
-        z = solve_triangular(fac.upper, block.rhs)
+        z_d = [solve_triangular(fac.upper, block.rhs)
+               for fac, block in zip(facs, blocks)]
+        z_b = solve_triangular(fac_b.upper, border.rhs - coupling.T
+                               @ np.concatenate(z_d))
         lap("backsolve")
-        # the block's buffer is freed before the next block is built
-        coef[block.columns] = fac.apply_q(z).reshape(sub)
-        del fac
+        tail = fac_b.apply_q(z_b)
+        del fac_b
+        low = 0
+        for fac, block, z in zip(facs, blocks, z_d):
+            big, n = fac.a.shape
+            full = np.concatenate([z, tail[low:low + big - n]])
+            coef[block.columns] = fac.reflect(full[:, None]).reshape(
+                block.coefficient_shape(shape))
+            low += big - n
+        del facs
         lap("pullback")
-
-    # the QR of each block checked its |R_ii| against its own largest; the
-    # verdict is against the largest of all blocks
-    threshold = RANK_TOL * max(diag.max(initial=0.0) for diag in diags)
-    for block, diag in zip(blocks, diags):
-        bad = np.flatnonzero((diag < threshold) | (diag == 0.0))
-        if bad.size:
-            raise RankDeficientError(int(block.rows[bad[0]]),
-                                     float(diag[bad[0]]), threshold)
-    margin = float(min(diag.min(initial=np.inf) for diag in diags)
-                   / threshold)
-    # sigma_max_i / sigma_min_j over every pair of blocks, a block's own
-    # cond on the diagonal
-    conds, tops, bottoms = (np.array(v) for v in zip(*extremes))
-    with np.errstate(divide="ignore", over="ignore"):
-        ratios = np.divide.outer(tops, bottoms)
-    np.fill_diagonal(ratios, conds)
-    cond = float(ratios.max())
     if cond > 1.0 / RANK_TOL:
         raise RankDeficientError(None, cond, 1.0 / RANK_TOL)
 

@@ -96,7 +96,9 @@ system = ssem.assemble_elliptic(ssem.star_domain(),
 rows.append(ssem.pinv_solve(
     system, lambda b: ssem.apply_smoother_half_inverse(b, spec, d=2)).n_rows)
 print(json.dumps({"rows": rows, "random": sorted(
-    name for name in sys.modules if name.startswith("numpy.random"))}))
+    name for name in sys.modules if name.startswith("numpy.random")),
+                  "ma": sorted(name for name in sys.modules
+                               if name.split(".")[:2] == ["numpy", "ma"])}))
 """
 
 
@@ -112,3 +114,7 @@ def test_solves_load_no_numpy_random():
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert min(loaded["rows"]) >= ssem.solver.LANCZOS_MIN_ORDER
     assert loaded["random"] == []
+    # nor numpy.ma, which np.unique loads on first use: about 30 ms and
+    # 1.5 MiB on a process's first solve (a bordered one, dirichlet-3d,
+    # among them)
+    assert loaded["ma"] == []

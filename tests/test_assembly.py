@@ -702,9 +702,11 @@ class TestMaterialize:
 
 def mirror_blocks_as_rows(system):
     """(B, b_B): every ParityBlock's rows put back at their coefficients of
-    the full grid, stacked, and the blocks' right-hand sides."""
+    the full grid, stacked, then the border's, and the blocks' right-hand
+    sides."""
     rows, rhs = [], []
-    for block in system.parity_blocks():
+    border = [] if system.border is None else [system.border]
+    for block in system.parity_blocks() + border:
         mat = system.block_matrix(block)
         full = np.zeros((len(mat),) + system.grid_shape)
         full[(slice(None),) + block.columns] = mat.reshape(
@@ -738,7 +740,10 @@ class TestMirrorSplit:
     """Each reflection x_a -> -x_a that maps a system's rows onto
     themselves splits A into parity blocks: an orthogonal recombination of
     its rows, so the blocks B put back at their coefficients have B^T B =
-    A^T A and B^T b_B = A^T b, and the minimal-norm solution is A's."""
+    A^T A and B^T b_B = A^T b, and the minimal-norm solution is A's.
+    Where no reflection maps every group, those that map the interior
+    rows split them, and the boundary rows they do not map are the
+    border, at full width."""
 
     @staticmethod
     def built(problem_id, m):
@@ -747,15 +752,24 @@ class TestMirrorSplit:
     @pytest.mark.parametrize("problem_id, m, axes", [
         ("dirichlet-disc", 10, (0, 1)), ("dirichlet-disc", 12, (1,)),
         ("robin-annulus", 12, (1,)), ("parabolic-star", 10, (1,)),
-        ("neumann-star", 10, ()), ("dirichlet-3d", 10, ())])
+        ("neumann-star", 10, ()), ("dirichlet-3d", 10, (0, 1, 2))])
     def test_reflections_found(self, problem_id, m, axes):
         system = self.built(problem_id, m)
         assert tuple(a for a, _ in system._reflections) == axes
         assert len(system.parity_blocks()) == 2 ** len(axes)
+        # the 3-D samples mirror on no axis: the boundary rows are the
+        # border, which every reflection fixes
+        if problem_id == "dirichlet-3d":
+            border = np.arange(system.interior.count, system.n_rows)
+            assert np.array_equal(system.border.rows, border)
+            for _, mirror in system._reflections:
+                assert np.array_equal(mirror[border], border)
+        else:
+            assert system.border is None
 
     @pytest.mark.parametrize("problem_id, m", [
         ("dirichlet-disc", 10), ("dirichlet-disc", 14),
-        ("robin-annulus", 12), ("parabolic-star", 10)])
+        ("robin-annulus", 12), ("parabolic-star", 10), ("dirichlet-3d", 8)])
     def test_blocks_recombine_the_rows_orthogonally(self, problem_id, m):
         system = self.built(problem_id, m)
         mat = system.coefficient_matrix()
@@ -795,9 +809,18 @@ class TestMirrorSplit:
         assert ssem.assembly._match(points, points * [1.0, -1.0]) is not None
         assert system._reflections == ()
 
-    def test_moved_boundary_point_does_not_split(self):
+    def test_moved_boundary_point_goes_to_the_border(self):
+        # the interior still mirrors on both axes and splits; the boundary
+        # group no longer does, so its rows are the border
         assert len(perturbed_disc_system(10)._reflections) == 2
-        assert perturbed_disc_system(10, move=1e-9)._reflections == ()
+        assert perturbed_disc_system(10).border is None
+        system = perturbed_disc_system(10, move=1e-9)
+        assert [a for a, _ in system._reflections] == [0, 1]
+        assert np.array_equal(system.border.rows,
+                              np.arange(system.interior.count, system.n_rows))
+        assert np.array_equal(system.border.rhs,
+                              system.rhs[system.interior.count:])
+        assert len(system.parity_blocks()) == 4
 
     def test_one_changed_coefficient_does_not_split(self):
         assert perturbed_disc_system(10, bump=0.5)._reflections == ()

@@ -8,7 +8,9 @@ constraint operator and a factor of S^{-1} built from the closed-form
 Chebyshev Vandermonde matrix (not from the package's transforms, so the
 oracle's own rounding does not move with theirs). Mirror-symmetric draws
 (a star with phase 0, or the annulus, and coefficients even in y) take
-the split solve, one block per parity in y, to the same oracle.
+the split solve, one block per parity in y, to the same oracle; with one
+boundary sample moved, the interior still splits and the boundary rows
+are factored as the border.
 """
 
 import numpy as np
@@ -20,10 +22,12 @@ from ssem.assembly import (
     BoundaryConditionSpec,
     EllipticOperatorSpec,
     SmootherSpec,
+    apply_smoother_half_inverse,
     assemble_elliptic,
+    build_system,
 )
 from ssem.chebyshev import roots_axis
-from ssem.geometry import DomainSpec, annulus_domain
+from ssem.geometry import BoundaryPointSet, DomainSpec, annulus_domain
 from ssem.solver import pinv_solve
 
 from oracles import (
@@ -31,6 +35,7 @@ from oracles import (
     dense_from_apply,
     normal_equation_solve,
 )
+from test_assembly import perturbed_disc_system
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
                     database=None)
@@ -141,13 +146,34 @@ def mirrored_problems(draw):
     return op, bc
 
 
+def moved_sample_system(dom, m, problem, index, shift):
+    """The drawn problem's system with boundary sample index (mod the
+    sample count) moved by shift along both axes, so that it mirrors on
+    neither."""
+    op, bc = problem
+    axes = (roots_axis(m), roots_axis(m))
+    interior = geometry.classify_interior(dom, axes)
+    boundary = geometry.sample_boundary(dom, m)
+    points = boundary.points.copy()
+    points[index % boundary.count] += shift
+    moved = BoundaryPointSet(points, boundary.normals)
+    return build_system(axes, [(interior, op), (moved, bc)], interior, moved,
+                        apply_smoother_half_inverse)
+
+
 def assert_matches_normal_equations(dom, m, problem, p):
     """pinv_solve of the drawn problem against the oracle; returns its
     report."""
     op, bc = problem
+    system = assemble_elliptic(dom, (roots_axis(m), roots_axis(m)), op, bc)
+    return assert_system_matches_normal_equations(system, m, p)
+
+
+def assert_system_matches_normal_equations(system, m, p):
+    """pinv_solve of a planar system on the m x m roots grid against the
+    oracle; returns its report."""
     spec = SmootherSpec("power", p)
     shape = (m, m)
-    system = assemble_elliptic(dom, (roots_axis(m), roots_axis(m)), op, bc)
     report = pinv_solve(system, spec)
 
     c_mat = dense_from_apply(system.apply, shape, system.n_rows)
@@ -175,3 +201,25 @@ def test_split_solve_matches_normal_equations(dom, m, problem, p):
     # split in y; in x too where the samples happen to mirror in x
     report = assert_matches_normal_equations(dom, m, problem, p)
     assert len(report.blocks) >= 2
+
+
+@PROPERTY
+@given(dom=mirrored_domains(), m=st.integers(8, 11),
+       problem=mirrored_problems(), p=st.floats(1.25, 6.0),
+       index=st.integers(0, 10 ** 6), shift=st.floats(1e-6, 1e-2))
+def test_bordered_solve_matches_normal_equations(dom, m, problem, p, index,
+                                                 shift):
+    # the interior is even in y and splits; the moved sample leaves the
+    # boundary rows unmirrored, so they are the border
+    system = moved_sample_system(dom, m, problem, index, shift)
+    assert system.border is not None
+    report = assert_system_matches_normal_equations(system, m, p)
+    assert report.blocks[-1][1] == len(system.border.rows)
+
+
+def test_moved_disc_sample_matches_normal_equations():
+    # the Dirichlet disc with one sample moved by 1e-9: four blocks of the
+    # interior and the border of its boundary rows
+    system = perturbed_disc_system(10, move=1e-9)
+    report = assert_system_matches_normal_equations(system, 10, 4.0)
+    assert len(report.blocks) == 5

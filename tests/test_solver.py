@@ -574,6 +574,50 @@ class TestConditionEstimate:
         """Upper-triangular R with singular values spread from 1 to 1e10."""
         return cls.r_with_singular_values(np.logspace(0.0, 10.0, n), seed)
 
+    @classmethod
+    def bordered_r(cls, sizes, seed):
+        """(blocks, coupling, border, dense R) of a block upper-triangular
+        R = [[diag(R_1, ..., R_k), T], [0, R_B]] with graded blocks and
+        garbage below each triangle, which only the dense R leaves out."""
+        rng = np.random.default_rng(seed)
+        *blocks, border = [cls.graded_r(n, seed + n)
+                           + np.tril(rng.standard_normal((n, n)), -1)
+                           for n in sizes]
+        head = sum(sizes[:-1])
+        coupling = np.asfortranarray(rng.standard_normal((head, sizes[-1])))
+        dense = np.zeros((sum(sizes),) * 2)
+        lo = 0
+        for r in (*blocks, border):
+            dense[lo:lo + len(r), lo:lo + len(r)] = np.triu(r)
+            lo += len(r)
+        dense[:head, head:] = coupling
+        return blocks, coupling, border, dense
+
+    @pytest.mark.parametrize("sizes", [(40, 50, 30), (12, 9, 20)],
+                             ids=["lanczos", "dense"])
+    def test_bordered_matches_dense_svd(self, qr_path, sizes):
+        blocks, coupling, border, dense = self.bordered_r(sizes, 5)
+        s = svdvals(dense)
+        found = condition_estimate(border, extremes=True, blocks=blocks,
+                                   coupling=coupling)
+        assert found == pytest.approx((s[0] / s[-1], s[0], s[-1]),
+                                      rel=1e-9)
+
+    def test_bordered_kernels_apply_r(self, qr_path):
+        # each kernel reads a segment before the coupling changes it:
+        # R x, R^T x, R^{-1} x and R^{-T} x against the dense R
+        blocks, coupling, border, dense = self.bordered_r((6, 4, 5), 7)
+        x, product, solve = ssem.solver._BlockTriangular(
+            blocks, coupling, border).kernels()
+        v = np.random.default_rng(8).standard_normal(len(dense))
+        for kernel, trans, want in (
+                (product, b"N", dense @ v), (product, b"T", dense.T @ v),
+                (solve, b"N", np.linalg.solve(dense, v)),
+                (solve, b"T", np.linalg.solve(dense.T, v))):
+            x[:] = v
+            kernel(trans)
+            assert x == pytest.approx(want, rel=1e-10, abs=1e-10)
+
     def test_lanczos_matches_dense_svd(self):
         r = self.graded_r()
         assert r.shape[0] >= ssem.solver.LANCZOS_MIN_ORDER
@@ -1096,7 +1140,8 @@ def one_block(monkeypatch, build):
     """The system build() makes, built without its mirror data: one block,
     the whole of M'."""
     with monkeypatch.context() as patch:
-        patch.setattr(ssem.assembly, "_reflections", lambda axes, groups: ())
+        patch.setattr(ssem.assembly, "_reflections",
+                      lambda axes, groups: ((), ()))
         return build()
 
 
@@ -1111,20 +1156,32 @@ class TestParityBlocks:
     @pytest.mark.parametrize("problem_id, m, count", [
         ("parabolic-star", 12, 2), ("dirichlet-disc", 10, 4),
         ("dirichlet-disc", 14, 2), ("robin-annulus", 12, 2),
-        ("neumann-star", 12, 1), ("dirichlet-3d", 10, 1)])
+        ("neumann-star", 12, 1), ("dirichlet-3d", 10, 8),
+        ("dirichlet-3d", 11, 8), ("dirichlet-3d", 14, 8)])
     def test_block_counts(self, problem_id, m, count):
+        # dirichlet-3d's samples mirror on no axis: its boundary rows are
+        # the border, after the interior's eight blocks
         system, _ = ssem.experiments._PROBLEMS[problem_id].build(m)
         report = pinv_solve(system, SmootherSpec("power", 4.0))
-        assert len(report.blocks) == count
-        # each block holds its share of the rows and of the coefficients
+        bordered = problem_id == "dirichlet-3d"
+        assert (system.border is not None) == bordered
+        assert len(report.blocks) == count + bordered
+        # each block holds its share of the rows and of the coefficients,
+        # and the border its rows on the coefficients left below the
+        # blocks' R
+        blocks = report.blocks[:count]
         assert sum(n for _, n in report.blocks) == system.n_rows
-        assert sum(big for big, _ in report.blocks) == report.grid_size
+        assert sum(big for big, _ in blocks) == report.grid_size
+        if bordered:
+            assert report.blocks[-1] == (
+                report.grid_size - sum(n for _, n in blocks),
+                len(system.border.rows))
 
     @pytest.mark.parametrize("p", [4.0, 8.0])
     @pytest.mark.parametrize("problem_id, m", [
         ("dirichlet-disc", 10), ("dirichlet-disc", 14),
         ("robin-annulus", 12), ("neumann-star", 10),
-        ("dirichlet-3d", 10), ("parabolic-star", 12)])
+        ("dirichlet-3d", 10), ("dirichlet-3d", 11), ("parabolic-star", 12)])
     def test_split_solve_matches_one_block(self, monkeypatch, problem_id, m,
                                            p):
         build = ssem.experiments._PROBLEMS[problem_id].build
@@ -1157,7 +1214,8 @@ class TestParityBlocks:
                                  ("neumann-star", 18, 8.0),
                                  ("dirichlet-3d", 8, 2.0),
                                  ("dirichlet-3d", 10, 4.0)):
-            system, _ = ssem.experiments._PROBLEMS[problem_id].build(m)
+            build = ssem.experiments._PROBLEMS[problem_id].build
+            system = one_block(monkeypatch, lambda: build(m)[0])
             report = pinv_solve(system, SmootherSpec("power", p))
             fac = factored[-1]
             assert report.blocks == (fac.a.shape,)
@@ -1212,6 +1270,15 @@ class TestParityBlocks:
             with pytest.raises(RankDeficientError) as err:
                 pinv_solve(system, lambda b: b)
             assert err.value.column == 2
+        # no QR ran on the split block, so no |R_ii| is named
+        with pytest.raises(RankDeficientError) as err:
+            pinv_solve(build(), lambda b: b)
+        assert str(err.value) == (
+            "rank-deficient constraint matrix: a parity block has 3 "
+            "constraints on 2 coefficients, more constraints than "
+            "coefficients, so constraint index 2 (the first past that "
+            "width) is numerically dependent on its predecessors")
+        assert err.value.value is None and err.value.threshold is None
 
     def test_dependent_row_named_by_its_constraint_row(self, monkeypatch):
         # two groups of point rows at the mirror pair of nodes (1, 1) and
@@ -1232,6 +1299,102 @@ class TestParityBlocks:
             with pytest.raises(RankDeficientError) as err:
                 pinv_solve(solved, lambda b: b)
             assert err.value.column == 2
+
+
+class TestBorder:
+    """Boundary rows that a kept reflection does not map are factored as
+    one border after the parity blocks: R is [[diag(R_chi), T], [0, R_B]]
+    and a refusal names a border row as the one-block QR names it."""
+
+    @staticmethod
+    def mirrored_nodes_and_points(points, m=4, repeat=(), weight=1.0):
+        """Point rows at the nodes (i, j) and their mirrors on an m x m
+        grid, every one but (1, 1)'s orbit when m = 4, plus point rows of
+        weight at points (repeat: indices of points listed again at the
+        end)."""
+        axes = (roots_axis(m), roots_axis(m))
+        pairs = [(i, j) for i in range(m // 2) for j in range(m // 2)]
+        nodes = InteriorIndexSet(np.array(
+            [(i, j) for i0, j0 in pairs[1:] for i in (i0, m - 1 - i0)
+             for j in (j0, m - 1 - j0)]))
+        op = EllipticOperatorSpec({}, {}, zeroth=1.0, source=1.0)
+        points = np.concatenate([points, points[list(repeat)]])
+        where = BoundaryPointSet(points, np.zeros_like(points))
+        bc = BoundaryConditionSpec(trace=weight, flux=0.0,
+                                   data=lambda pts, nrm: pts[:, 0])
+        return build_system(axes, [(nodes, op), (where, bc)], nodes, where,
+                            None)
+
+    POINTS = np.array([[0.31, 0.22], [-0.47, 0.13], [0.05, -0.61],
+                       [0.72, 0.44]])
+
+    def test_border_of_unmirrored_points(self):
+        system = self.mirrored_nodes_and_points(self.POINTS)
+        assert [a for a, _ in system._reflections] == [0, 1]
+        assert np.array_equal(system.border.rows, np.arange(12, 16))
+        assert system.border.parity == (None, None)
+        report = pinv_solve(system, lambda b: b)
+        assert report.blocks == ((4, 3),) * 4 + ((4, 4),)
+        assert report.residual_linf <= 1e-12
+
+    def test_border_wider_than_the_rows_left_is_under_resolved(self):
+        # n_D + n_B = n_rows: a border wider than the size - n_D rows
+        # below the blocks' R is a system with more rows than grid points
+        system = self.mirrored_nodes_and_points(
+            np.concatenate([self.POINTS, [[0.1, 0.9]]]))
+        assert len(system.border.rows) == 5
+        assert system.grid_shape == (4, 4) and system.n_rows == 17
+        with pytest.raises(ValueError, match="under-resolved"):
+            pinv_solve(system, lambda b: b)
+
+    def test_dependent_border_row_named_by_its_constraint_row(self,
+                                                              monkeypatch):
+        # border point 1 listed again as row 16: R_B's last column fails,
+        # and the error names row 16, as the one-block QR does
+        def build():
+            return self.mirrored_nodes_and_points(self.POINTS[:3], repeat=[1])
+
+        system = build()
+        assert np.array_equal(system.border.rows, np.arange(12, 16))
+        for solved in (system, one_block(monkeypatch, build)):
+            with pytest.raises(RankDeficientError) as err:
+                pinv_solve(solved, lambda b: b)
+            assert err.value.column == 15
+
+    def test_rank_threshold_spans_the_border(self):
+        # border rows of weight 1e15 set the largest |R_jj|, in R_B: each
+        # block passes its own |R_ii| check, and against R_B's scale the
+        # first block's first column fails, named by its row, 0
+        system = self.mirrored_nodes_and_points(self.POINTS, weight=1e15)
+        with pytest.raises(RankDeficientError) as err:
+            pinv_solve(system, lambda b: b)
+        assert err.value.column == 0
+        assert err.value.value == pytest.approx(1.0)
+        assert err.value.threshold > 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_border_row_refused(self, monkeypatch, bad):
+        # a NaN or inf in one border row of A, at the even-k_x parities:
+        # the coupling T carries it and the solve refuses it, as the
+        # one-block QR refuses it in R
+        def build():
+            return ssem.experiments._PROBLEMS["dirichlet-3d"].build(8)[0]
+
+        for system, match in ((build(), r"coupling T .* non-finite"),
+                              (one_block(monkeypatch, build),
+                               r"non-finite .* R factor")):
+            real, row = system._block_fn, system.n_rows - 3
+
+            def poisoned(block, parity, real=real, row=row):
+                mat = real(block, parity)
+                at = np.flatnonzero(block.rows == row)
+                if at.size and parity[0] != 1:
+                    mat[at[0], 4] = bad
+                return mat
+
+            monkeypatch.setattr(system, "_block_fn", poisoned)
+            with pytest.raises(ValueError, match=match):
+                pinv_solve(system, SmootherSpec("power", 4.0))
 
 
 class TestSystemInputs:
