@@ -594,8 +594,9 @@ class ConstraintSystem:
     is build_system's (reflections, border rows, block_fn); a system
     without it, as one built by hand, is one block. border is the
     ParityBlock of the boundary rows that the reflections do not map, or
-    None. The blocks and the border are computed once, here: rhs and the
-    reflections never change.
+    None; a border goes with a block for every parity pattern, or the
+    system is one block. The blocks and the border are computed once,
+    here: rhs and the reflections never change.
     """
 
     def __init__(self, axes, interior, boundary, rhs, apply_fn, matrix_fn,
@@ -624,9 +625,17 @@ class ConstraintSystem:
             self.apply(np.zeros(self.grid_shape))
             mirror = (), (), lambda block, parity: matrix_fn()
         self._reflections, border, self._block_fn = mirror
+        ndim = len(self.grid_shape)
         self._blocks, self.border = _parity_split(
-            self._reflections, np.asarray(border, dtype=np.intp), rhs,
-            len(self.grid_shape))
+            self._reflections, np.asarray(border, dtype=np.intp), rhs, ndim)
+        if self.border is not None \
+                and len(self._blocks) < 2 ** len(self._reflections):
+            # a parity pattern without rows (every row outside the border
+            # fixed by a reflection its sign is odd on) has no block whose
+            # Q^T takes the border's rows of that parity: one block then
+            self._reflections = ()
+            self._blocks, self.border = _parity_split(
+                (), np.empty(0, dtype=np.intp), rhs, ndim)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """C u: all constraint values for a grid function."""

@@ -962,9 +962,10 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
         np.fill_diagonal(ratios, conds)
         cond = float(ratios.max())
     else:
-        # the blocks and the border share out the rows, so the border's
-        # n_B columns never outnumber the size - n_D rows below the
-        # blocks' R (n_rows <= size was checked above)
+        # a bordered system has a block for every parity pattern
+        # (ConstraintSystem), so the blocks share out all size rows and the
+        # border's n_B columns never outnumber the size - n_D rows below
+        # the blocks' R (n_rows <= size was checked above)
         n_b = len(border.rows)
         head = system.n_rows - n_b
         coupling = np.empty((head, n_b), order="F")

@@ -1337,6 +1337,34 @@ class TestBorder:
         assert report.blocks == ((4, 3),) * 4 + ((4, 4),)
         assert report.residual_linf <= 1e-12
 
+    @pytest.mark.parametrize("m, nodes", [
+        (3, [(1, 1)]), (5, [(i, 2) for i in range(5)])])
+    def test_parity_pattern_without_rows_is_one_block(self, monkeypatch, m,
+                                                      nodes):
+        # interior nodes on the mirror plane y = 0 (the centre alone, or
+        # the middle row): the reflection in y fixes every interior row,
+        # so no row has odd parity in y and no block's Q^T would take the
+        # border's rows at odd k_y; the system is one block and solves as
+        # the one-block system does
+        def build():
+            axes = (roots_axis(m), roots_axis(m))
+            where = InteriorIndexSet(np.array(nodes))
+            op = EllipticOperatorSpec({}, {}, zeroth=1.0, source=1.0)
+            points = BoundaryPointSet(self.POINTS, np.zeros_like(self.POINTS))
+            bc = BoundaryConditionSpec(trace=1.0, flux=0.0,
+                                       data=lambda pts, nrm: pts[:, 0])
+            return build_system(axes, [(where, op), (points, bc)], where,
+                                points, None)
+
+        system = build()
+        assert system._reflections == () and system.border is None
+        assert len(system.parity_blocks()) == 1
+        report = pinv_solve(system, lambda b: b)
+        whole = pinv_solve(one_block(monkeypatch, build), lambda b: b)
+        assert report.blocks == whole.blocks == ((m * m, len(nodes) + 4),)
+        assert np.array_equal(report.solution, whole.solution)
+        assert report.residual_linf <= 1e-12
+
     def test_border_wider_than_the_rows_left_is_under_resolved(self):
         # n_D + n_B = n_rows: a border wider than the size - n_D rows
         # below the blocks' R is a system with more rows than grid points
@@ -1349,8 +1377,8 @@ class TestBorder:
 
     def test_dependent_border_row_named_by_its_constraint_row(self,
                                                               monkeypatch):
-        # border point 1 listed again as row 16: R_B's last column fails,
-        # and the error names row 16, as the one-block QR does
+        # border point 1 listed again as row 15: R_B's last column fails,
+        # and the error names row 15, as the one-block QR does
         def build():
             return self.mirrored_nodes_and_points(self.POINTS[:3], repeat=[1])
 
