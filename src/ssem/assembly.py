@@ -401,11 +401,10 @@ def _reflections(axes, groups) -> tuple:
     none, the axes that map every interior group (InteriorIndexSet) are
     kept instead, and border is the ascending rows of the boundary groups
     that some kept reflection does not map; mirror fixes them, and the
-    solver factors them apart from the parity blocks (pinv_solve). A
-    border of every row would leave nothing to split, so no axis is kept
-    then. (On the planar problems, whose samples mirror in y, a border
-    that also splits x was no faster than the split in y alone, and the
-    3-D samples mirror on no axis.) Roots nodes are symmetric about 0,
+    solver factors them apart from the parity blocks (pinv_solve). (On
+    the planar problems, whose samples mirror in y, a border that also
+    splits x was no faster than the split in y alone, and the 3-D samples
+    mirror on no axis.) Roots nodes are symmetric about 0,
     x_{m-1-i} = -x_i; an extrema time axis is never a candidate (its
     initial rows sit at one end)."""
     shape = tuple(len(ax.nodes) for ax in axes)
@@ -423,7 +422,7 @@ def _reflections(axes, groups) -> tuple:
                 if p is None}
     full = [(a, pairs) for a, pairs in kept
             if all(p is not None for p in pairs)]
-    if full or sum(groups[i][0].count for i in unmapped) == starts[-1]:
+    if full:
         kept, unmapped = full, set()
     reflections = tuple(
         (a, np.concatenate([np.arange(lo, hi) if i in unmapped else p + lo
@@ -631,8 +630,9 @@ class ConstraintSystem:
         if self.border is not None \
                 and len(self._blocks) < 2 ** len(self._reflections):
             # a parity pattern without rows (every row outside the border
-            # fixed by a reflection its sign is odd on) has no block whose
-            # Q^T takes the border's rows of that parity: one block then
+            # fixed by a reflection its sign is odd on, or no row outside
+            # it) has no block whose Q^T takes the border's rows of that
+            # parity: one block then
             self._reflections = ()
             self._blocks, self.border = _parity_split(
                 (), np.empty(0, dtype=np.intp), rhs, ndim)

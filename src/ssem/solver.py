@@ -53,20 +53,20 @@ Memory and passes: pinv_solve builds each parity block of A once, from
 the representative rows (never all of A when the system splits), and
 turns it into its block of M' in place, a block of rows of about
 BLOCK_BYTES at a time (diag(mu) and the time-axis R_V^{-1} together);
-dgeqrt overwrites that buffer with the reflectors, and the buffer is
-freed once the block's coefficients are filled, before the next block is
-built. So the solve peaks at about the largest block, N x n when
-unsplit, plus T and the workspace (QR_BLOCK x n each). A bordered solve
-keeps every block until its pull-back, which needs R_B, and builds the
-border one block's parity at a time, straight into Q^T's buffer; it
-peaks at the blocks plus the stacked rests and T (dirichlet-3d m=20:
-about 7 MiB of blocks and 22 MiB of border, where the unsplit M' took
-77 MiB). (Keeping the blocks of a border-free solve for one Lanczos
-pair on all of R would hold them all at once too: 25 MiB more at the
-peak of the heat problem, so a border-free solve estimates its blocks
-one at a time.) R is never
-copied: it is the upper triangle of the leading n x n block of that
-buffer (LDA = N), with the reflectors below it. The finiteness check
+dgeqrt overwrites that buffer with the reflectors. The blocks are solved
+in groups, each factored, estimated, back-solved and pulled back as one
+R and freed before the next group is built. A border couples every
+block, so a bordered system is one group, and a border-free one a group
+per block. So a border-free solve peaks at about the largest block,
+N x n when unsplit, plus T and the workspace (QR_BLOCK x n each). A
+bordered solve builds the border one block's parity at a time, straight
+into Q^T's buffer, and peaks at the blocks plus the stacked rests and T
+(dirichlet-3d m=20: about 7 MiB of blocks and 22 MiB of border, where
+the unsplit M' took 77 MiB). (One group of all the blocks of a
+border-free solve would hold them all at once: 25 MiB more at the peak
+of the heat problem.) R is never copied: it is the upper triangle of
+the leading n x n block of that buffer (LDA = N), with the reflectors
+below it. The finiteness check
 reads that whole block with numpy's min and max; everything else reads
 the triangle only, in place, through LAPACK with UPLO = 'U'. A LAPACK
 provider (_lapack) gives dgeqrt, dgemqrt and kernels(R), which binds R
@@ -457,9 +457,10 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
 
     Raises ValueError for non-finite input, and RankDeficientError naming
     the first offending column when a diagonal entry of R is zero or
-    below RANK_TOL times the largest. That check is the early form of
-    pinv_solve's cond bound, which it implies: sigma_min <= |R_ii| and
-    max |R_jj| <= sigma_max, so cond > 1 / RANK_TOL whenever it fails.
+    below RANK_TOL times the largest (_rank_verdict). That check is the
+    early form of pinv_solve's cond bound, which it implies:
+    sigma_min <= |R_ii| and max |R_jj| <= sigma_max, so
+    cond > 1 / RANK_TOL whenever it fails.
     """
     buf = np.asfortranarray(mat, dtype=float)
     big, n = buf.shape
@@ -481,14 +482,8 @@ def householder_qr(mat: np.ndarray) -> QRFactorization:
             "householder_qr: the matrix has non-finite entries "
             "(NaN or inf in its R factor)"
         )
-    diag = np.abs(np.diag(buf))
-    threshold = RANK_TOL * diag.max(initial=0.0)
-    bad = np.flatnonzero((diag < threshold) | (diag == 0.0))
-    if bad.size:
-        raise RankDeficientError(int(bad[0]), float(diag[bad[0]]), threshold)
-    return QRFactorization(a=buf, t=t,
-                           rank_margin=float(diag.min(initial=np.inf)
-                                             / threshold))
+    margin = _rank_verdict([(np.arange(n), np.abs(np.diag(buf)))])
+    return QRFactorization(a=buf, t=t, rank_margin=margin)
 
 
 def _hashed(size: int) -> np.ndarray:
@@ -579,7 +574,7 @@ def condition_estimate(r: np.ndarray, extremes: bool = False, blocks=(),
                        coupling: np.ndarray | None = None):
     """Two-norm condition number sigma_max / sigma_min of R, the upper
     triangle of r; with extremes, the triple (cond, sigma_max, sigma_min),
-    from which pinv_solve takes the cond of its blocks together. With
+    from which pinv_solve takes the cond of its groups together. With
     blocks, the upper triangles R_1, ..., R_k of arrays, and coupling T
     (their total order x the order of r), R is the block upper-triangular
     [[diag(R_1, ..., R_k), T], [0, R_r]] of a bordered solve, R_r the
@@ -709,11 +704,15 @@ def _extremes(r: _BlockTriangular) -> tuple:
                 float(np.ldexp(1.0 / np.sqrt(inverse), exponent)))
 
 
-def solve_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The back-solve z = R^{-T} b, by the solve(b"T") kernel (LAPACK
-    dtrtrs) on a copy of b. Only R, the upper triangle of r, is read, in
-    place when r has unit row stride (QRFactorization.upper does)."""
-    x, _, solve = _lapack()[2](_readable(r))
+def solve_triangular(r: np.ndarray, b: np.ndarray, blocks=(),
+                     coupling: np.ndarray | None = None) -> np.ndarray:
+    """The back-solve z = R^{-T} b, by the solve(b"T") kernel of R on a
+    copy of b: LAPACK dtrtrs on each triangle and, with a coupling, one
+    dgemv with T between them. R is the upper triangle of r or, with
+    blocks and coupling, the block upper-triangular R of
+    condition_estimate. Only upper triangles are read, in place where
+    they have unit row stride (QRFactorization.upper does)."""
+    x, _, solve = _BlockTriangular(blocks, coupling, r).kernels()
     x[:] = b
     solve(b"T")
     return x
@@ -733,10 +732,10 @@ class SolveReport:
     n_rows x grid_size is the shape of the constraint matrix, and
     rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|) over the R of
     every block (see QRFactorization). phases maps each name in PHASES to
-    the seconds pinv_solve spent on that step, summed over the blocks;
-    they add up to seconds (a bordered solve counts the border's build
-    and scaling under build and scale, and Q^T B, the stacking and R_B's
-    QR under factor). blocks is the (N, n) shape of each factored block
+    the seconds pinv_solve spent on that step, summed over its groups of
+    blocks; they add up to seconds (a bordered solve counts the border's
+    build and scaling under build and scale, and Q^T B, the stacking and
+    R_B's QR under factor). blocks is the (N, n) shape of each factored block
     of M', in order; with a border, the last is the border's: its n rows
     on the N coefficients left below the blocks' R, N = grid_size minus
     the blocks' rows.
@@ -846,10 +845,10 @@ def _factored(mat: np.ndarray, rows: np.ndarray) -> QRFactorization:
 
 
 def _rank_verdict(factored) -> float:
-    """rank_margin of the (rows, |R_ii|) of each factor: the QR of each
-    checked its |R_ii| against its own largest, the verdict is against
-    the largest of all, and a RankDeficientError names the constraint row
-    of the first failing column."""
+    """rank_margin of the (rows, |R_ii|) of each factor against
+    RANK_TOL times the largest |R_ii| of all; a RankDeficientError names
+    the row of the first failing column. householder_qr gives it one R,
+    rows its columns; pinv_solve every factor, rows constraint rows."""
     threshold = RANK_TOL * max(diag.max(initial=0.0) for _, diag in factored)
     for rows, diag in factored:
         bad = np.flatnonzero((diag < threshold) | (diag == 0.0))
@@ -872,22 +871,23 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     representative constraint row of that column; a block with more
     constraints than coefficients is refused before any QR.
 
-    M' is factored one ParityBlock at a time (system.parity_blocks). With
-    no border, each is built, scaled, factored in place, its sigma_max and
-    sigma_min estimated, back-solved and pulled back into its
-    coefficients, and freed before the next is built; cond is the largest
-    sigma_max over the smallest sigma_min. With a border (system.border),
-    the recombined M' P^T is [D | B], D block-diagonal with one
-    N_chi x n_chi block per parity pattern chi and B the border's columns
-    at full width, B_chi its N_chi x n_B rows of parity chi. Each block is
-    factored, D_chi = Q_chi [R_chi; 0], and kept; Q_chi^T B_chi splits into
-    its top n_chi rows T_chi, the coupling, and the rest; the rests,
-    stacked, are factored once more, Q_B [R_B; 0]. So R is the block
-    upper-triangular [[diag(R_chi), T], [0, R_B]]: the back-solve is
-    z_D = R_D^{-T} b_D, then z_B = R_B^{-T} (b_B - T^T z_D), the pull-back
-    of block chi is Q_chi [z_chi; (Q_B [z_B; 0])_chi], and cond comes from
-    the two Lanczos runs on all of R (condition_estimate with blocks and
-    coupling). Either way the |R_ii| threshold is RANK_TOL times the
+    M' is factored one ParityBlock at a time (system.parity_blocks), in
+    groups. With a border (system.border), the recombined M' P^T is
+    [D | B], D block-diagonal with one N_chi x n_chi block per parity
+    pattern chi and B the border's columns at full width, B_chi its
+    N_chi x n_B rows of parity chi: B couples every block, so the blocks
+    are one group. With none, each block is a group of its own. A group's
+    blocks are built, scaled and factored in place, D_chi = Q_chi
+    [R_chi; 0]. With a border, Q_chi^T B_chi splits into its top n_chi
+    rows T_chi, the coupling, and the rest; the rests, stacked, are
+    factored once more, Q_B [R_B; 0]. So the group's R is the block
+    upper-triangular [[diag(R_chi), T], [0, R_B]], or its one block's
+    R_chi. One condition_estimate gives its sigma_max and sigma_min and
+    one solve_triangular its z = R^{-T} b; block chi is pulled back as
+    Q_chi [z_chi; tail_chi], the tail Q_B [z_B; 0] with a border and zeros
+    without; and the group is freed before the next one is built. cond is
+    the largest sigma_max over the smallest sigma_min of the groups (one
+    group's own cond), and the |R_ii| threshold is RANK_TOL times the
     largest |R_jj| of all factors.
     """
     phases = dict.fromkeys(PHASES, 0.0)
@@ -936,85 +936,79 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's
     # factor); each block's Q' z fills its coefficients of Q' z
     coef = np.zeros(shape)
-    if border is None:
-        factored, extremes, shapes = [], [], []
-        for block in blocks:
-            # dgeqrt overwrites the built rows: fac.a is their buffer
-            fac = _factored(columns_of(block, block).T, block.rows)
-            shapes.append(fac.a.shape)
-            factored.append((block.rows, np.abs(np.diag(fac.a))))
-            lap("factor")
-            extremes.append(condition_estimate(fac.upper, extremes=True))
-            lap("cond")
-            z = solve_triangular(fac.upper, block.rhs)
-            lap("backsolve")
-            # the block's buffer is freed before the next block is built
-            coef[block.columns] = fac.apply_q(z).reshape(
-                block.coefficient_shape(shape))
-            del fac
-            lap("pullback")
-        margin = _rank_verdict(factored)
-        # sigma_max_i / sigma_min_j over every pair of blocks, a block's
-        # own cond on the diagonal
-        conds, tops, bottoms = (np.array(v) for v in zip(*extremes))
-        with np.errstate(divide="ignore", over="ignore"):
-            ratios = np.divide.outer(tops, bottoms)
-        np.fill_diagonal(ratios, conds)
-        cond = float(ratios.max())
-    else:
-        # a bordered system has a block for every parity pattern
-        # (ConstraintSystem), so the blocks share out all size rows and the
-        # border's n_B columns never outnumber the size - n_D rows below
-        # the blocks' R (n_rows <= size was checked above)
-        n_b = len(border.rows)
-        head = system.n_rows - n_b
-        coupling = np.empty((head, n_b), order="F")
-        rest = np.empty((size - head, n_b), order="F")
-        facs, factored = [], []
-        top = low = 0
-        for block in blocks:
-            fac = _factored(columns_of(block, block).T, block.rows)
-            facs.append(fac)
-            factored.append((block.rows, np.abs(np.diag(fac.a))))
-            lap("factor")
-            # Q_chi^T B_chi in place: B_chi is the built rows' transpose
-            share = fac.reflect(columns_of(border, block).T, "T")
-            n = len(block.rows)
-            coupling[top:top + n] = share[:n]
-            rest[low:low + len(share) - n] = share[n:]
-            top, low = top + n, low + len(share) - n
-            del share
-            lap("factor")
-        # a NaN or inf in B reaches T or R_B (householder_qr checks R_B)
-        if not (np.isfinite(coupling.min(initial=0.0))
-                and np.isfinite(coupling.max(initial=0.0))):
-            raise ValueError("the border's coupling T to the blocks has "
-                             "non-finite entries (NaN or inf)")
-        # dgeqrt factors the stacked rests in place: fac_b.a is rest
-        fac_b = _factored(rest, border.rows)
-        factored.append((border.rows, np.abs(np.diag(fac_b.a))))
-        shapes = [fac.a.shape for fac in (*facs, fac_b)]
+    factored, extremes, shapes = [], [], []
+    # a border couples every block, so a bordered system is one group; with
+    # none, each block is a group of its own
+    for group in ([blocks] if border is not None
+                  else [[block] for block in blocks]):
+        # dgeqrt overwrites the built rows: fac.a is their buffer
+        facs = [_factored(columns_of(block, block).T, block.rows)
+                for block in group]
         lap("factor")
-        margin = _rank_verdict(factored)
-        cond = condition_estimate(fac_b.upper, blocks=[f.upper for f in facs],
-                                  coupling=coupling)
+        head, coupling = sum(len(block.rows) for block in group), None
+        if border is not None:
+            # a bordered system has a block for every parity pattern
+            # (ConstraintSystem), so the blocks share out all size rows and
+            # the border's n_B columns never outnumber the size - n_D rows
+            # below the blocks' R (n_rows <= size was checked above)
+            n_b = len(border.rows)
+            coupling = np.empty((head, n_b), order="F")
+            rest = np.empty((size - head, n_b), order="F")
+            top = low = 0
+            for fac, block in zip(facs, group):
+                # Q_chi^T B_chi in place: B_chi is the built rows' transpose
+                share = fac.reflect(columns_of(border, block).T, "T")
+                n = len(block.rows)
+                coupling[top:top + n] = share[:n]
+                rest[low:low + len(share) - n] = share[n:]
+                top, low = top + n, low + len(share) - n
+                del share
+                lap("factor")
+            # a NaN or inf in B reaches T or R_B (householder_qr checks R_B)
+            if not (np.isfinite(coupling.min(initial=0.0))
+                    and np.isfinite(coupling.max(initial=0.0))):
+                raise ValueError("the border's coupling T to the blocks has "
+                                 "non-finite entries (NaN or inf)")
+            # dgeqrt factors the stacked rests in place: R_B's a is rest
+            facs.append(_factored(rest, border.rows))
+            group = [*group, border]
+            del rest
+            lap("factor")
+        factored += [(block.rows, np.abs(np.diag(fac.a)))
+                     for fac, block in zip(facs, group)]
+        shapes += [fac.a.shape for fac in facs]
+        # R is [[diag(R_chi), T], [0, R_B]], or the one block's R
+        uppers = [fac.upper for fac in facs]
+        extremes.append(condition_estimate(uppers[-1], extremes=True,
+                                           blocks=uppers[:-1],
+                                           coupling=coupling))
         lap("cond")
-        z_d = [solve_triangular(fac.upper, block.rhs)
-               for fac, block in zip(facs, blocks)]
-        z_b = solve_triangular(fac_b.upper, border.rhs - coupling.T
-                               @ np.concatenate(z_d))
+        z = solve_triangular(uppers[-1], np.concatenate(
+            [block.rhs for block in group]), blocks=uppers[:-1],
+            coupling=coupling)
         lap("backsolve")
-        tail = fac_b.apply_q(z_b)
-        del fac_b
-        low = 0
-        for fac, block, z in zip(facs, blocks, z_d):
+        # block chi's Q' z is Q_chi [z_chi; tail_chi], the tail Q_B [z_B; 0]
+        # with a border and zeros without one
+        tail = (facs.pop().apply_q(z[head:]) if border is not None else
+                np.zeros(size - head))
+        top = low = 0
+        for fac, block in zip(facs, group):
             big, n = fac.a.shape
-            full = np.concatenate([z, tail[low:low + big - n]])
+            full = np.concatenate([z[top:top + n], tail[low:low + big - n]])
             coef[block.columns] = fac.reflect(full[:, None]).reshape(
                 block.coefficient_shape(shape))
-            low += big - n
-        del facs
+            top, low = top + n, low + big - n
+        # the group's buffers are freed before the next group is built
+        del facs, uppers, fac
         lap("pullback")
+    margin = _rank_verdict(factored)
+    # sigma_max_i / sigma_min_j over every pair of groups, a group's own
+    # cond on the diagonal
+    conds, tops, bottoms = (np.array(v) for v in zip(*extremes))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = np.divide.outer(tops, bottoms)
+    np.fill_diagonal(ratios, conds)
+    cond = float(ratios.max())
     if cond > 1.0 / RANK_TOL:
         raise RankDeficientError(None, cond, 1.0 / RANK_TOL)
 

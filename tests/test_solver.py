@@ -4,6 +4,7 @@ import ctypes
 import re
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -503,6 +504,24 @@ class TestPeakMemory:
         # M' is 3564 x 1176 here, so a copy of R alone is a third of it
         assert self.warm_peak("parabolic-star", 18) <= 1.25
 
+    def test_each_block_freed_before_the_next_is_built(self, monkeypatch):
+        # a border-free solve is a group per block: when a block is built,
+        # no earlier block's buffer (dgeqrt's, in place) is still held by
+        # a name that outlived its group
+        system, _ = ssem.experiments._PROBLEMS["parabolic-star"].build(10)
+        assert system.border is None and len(system.parity_blocks()) == 2
+        built, alive = [], []
+        real = system.block_matrix
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            mat = real(*args)
+            built.append(weakref.ref(mat))
+            return mat
+
+        monkeypatch.setattr(system, "block_matrix", tracked)
+        pinv_solve(system, SmootherSpec("power", 4.0))
+        assert alive == [0, 0]
 
     def test_factor_allocates_no_square_temporary(self):
         # in place on an F-ordered buffer the QR allocates T and dgeqrt's
@@ -966,9 +985,11 @@ class TestPinvSolve:
 
     def test_timed_helpers_called_once_by_name(self, monkeypatch):
         # the benchmark times the factor, cond and the back-solve by
-        # wrapping these names in ssem.solver: pinv_solve must call each
-        # once per factored block, through the module, or a metric reads 0
-        # or a traced run cannot find its helper
+        # wrapping these names in ssem.solver: pinv_solve must call the QR
+        # once per factored block and once more for a border, and cond and
+        # the back-solve once per group of blocks (one group per block
+        # without a border, one in all with one), through the module, or a
+        # metric reads 0 or a traced run cannot find its helper
         calls = []
         for name in ("householder_qr", "condition_estimate",
                      "solve_triangular"):
@@ -983,6 +1004,13 @@ class TestPinvSolve:
         assert len(report.blocks) == 4
         assert calls == ["householder_qr", "condition_estimate",
                          "solve_triangular"] * 4
+        # dirichlet-3d is bordered: eight blocks and the border, one group
+        calls.clear()
+        system, _ = ssem.experiments._PROBLEMS["dirichlet-3d"].build(8)
+        report = pinv_solve(system, SmootherSpec("power", 4.0))
+        assert system.border is not None and len(report.blocks) == 9
+        assert calls == ["householder_qr"] * 9 + ["condition_estimate",
+                                                  "solve_triangular"]
 
     def test_spec_and_callable_agree(self):
         system = disc_system(8)
@@ -1362,6 +1390,31 @@ class TestBorder:
         report = pinv_solve(system, lambda b: b)
         whole = pinv_solve(one_block(monkeypatch, build), lambda b: b)
         assert report.blocks == whole.blocks == ((m * m, len(nodes) + 4),)
+        assert np.array_equal(report.solution, whole.solution)
+        assert report.residual_linf <= 1e-12
+
+    def test_border_of_every_row_is_one_block(self, monkeypatch):
+        # no interior rows and six points that mirror on no axis: both
+        # reflections map the empty interior group, so every row would be
+        # the border and no parity pattern has rows; the system is one
+        # block and solves as the one-block system does
+        points = np.concatenate([self.POINTS, [[-0.2, -0.8], [0.6, -0.35]]])
+
+        def build():
+            axes = (roots_axis(6), roots_axis(6))
+            no_interior = InteriorIndexSet(np.zeros((0, 2), dtype=int))
+            where = BoundaryPointSet(points, np.zeros_like(points))
+            return build_system(axes, [(no_interior, LAPLACE),
+                                       (where, DIRICHLET)],
+                                no_interior, where,
+                                apply_smoother_half_inverse)
+
+        system = build()
+        assert system._reflections == () and system.border is None
+        spec = SmootherSpec("power", 4.0)
+        report = pinv_solve(system, spec)
+        whole = pinv_solve(one_block(monkeypatch, build), spec)
+        assert report.blocks == whole.blocks == ((36, 6),)
         assert np.array_equal(report.solution, whole.solution)
         assert report.residual_linf <= 1e-12
 
