@@ -69,7 +69,7 @@ def parse_config(path: str) -> ExperimentConfig:
     """
     values, lines = {}, {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -88,7 +88,7 @@ def parse_config(path: str) -> ExperimentConfig:
                     raise ConfigError(f"{path}:{lineno}: key {key!r} is set "
                                       f"again (first on line {lines[key]})")
                 values[key], lines[key] = val, lineno
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for required in ("problem", "grids", "out"):
         if required not in values:
@@ -132,7 +132,7 @@ def read_csv_rows(path: str):
     """Rows back from a results CSV (for plot-data emission)."""
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
                 raise ConfigError(f"{path}: unexpected CSV header "
@@ -155,7 +155,7 @@ def read_csv_rows(path: str):
                 row.failed = math.isnan(row.l2_error)
                 row.mark_floor()
                 rows.append(row)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}")
     return rows
 

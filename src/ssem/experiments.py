@@ -10,10 +10,8 @@ are flagged and excluded from order fits.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,13 +367,6 @@ def _failed_row(m: int, label: str, exc: Exception) -> ConvergenceRow:
                           error=f"{type(exc).__name__}: {exc}")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(config: ExperimentConfig):
     """Sweep the configured problem over (m, smoother) and collect rows.
 
@@ -385,46 +376,31 @@ def run_experiment(config: ExperimentConfig):
     metrics, the exception in error) and the sweep continues; a failed
     build fails every row of its m. Any other exception propagates.
 
-    The grid sizes are independent tasks, run on a pool of threads, one
-    per usable CPU and at most one per m, largest m first; the rows come
-    back in config order. While a pool of two or more runs, numpy's
-    bundled OpenBLAS is pinned to one thread, so that each core factors
-    its own matrix instead of sharing every small QR; a row is then the
-    solve of its (m, p) alone on one BLAS thread, bit for bit. The price
-    is memory: as many constraint matrices are in flight as there are
-    workers (on 2 cores, the two largest). Where solves run on SciPy's
-    LAPACK, whose threads are not pinned, the pool has one worker.
+    The grid sizes are solved one after another, in config order, with
+    numpy's bundled OpenBLAS pinned to one thread: the sweep's split QRs
+    are small, and on OpenBLAS's default 2-thread pool the second thread
+    spins on them and wastes CPU (perfbench's sweep-2d read cpu_s
+    0.69-0.71 s unpinned against 0.36-0.39 s pinned, on a 2-core box).
+    So a row is the solve of its (m, p) alone on one BLAS thread, bit
+    for bit, and its seconds are that solve's own cost. Where solves run
+    on SciPy's LAPACK, whose threads are not pinned, the sweep runs on
+    its threads as they are.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     specs = config.smoother_specs()
     build = _PROBLEMS[config.problem].build
-
-    def sweep(m):
-        try:
-            system, errors = build(m)
-        except _SOLVER_FAILURES as exc:
-            return [_failed_row(m, label, exc) for label, _ in specs]
-        rows = []
-        for label, spec in specs:
+    rows = []
+    with _one_blas_thread():
+        for m in config.grids:
             try:
-                _, row = _solve_built(system, errors, m, spec)
-                row.p = label
+                system, errors = build(m)
             except _SOLVER_FAILURES as exc:
-                row = _failed_row(m, label, exc)
-            rows.append(row)
-        return rows
-
-    workers = min(len(config.grids), _usable_cpus())
-    # one worker has nothing beside it: it keeps the whole BLAS pool
-    pin = _one_blas_thread() if workers > 1 else contextlib.nullcontext()
-    with pin as pinned:
-        pool = ThreadPoolExecutor(workers if pinned else 1)
-        try:
-            tasks = {m: pool.submit(sweep, m)
-                     for m in sorted(config.grids, reverse=True)}
-            return [row for m in config.grids for row in tasks[m].result()]
-        finally:
-            # on an error, drop the grid sizes not started yet; the pin
-            # holds until the running ones are done
-            pool.shutdown(cancel_futures=True)
+                rows += [_failed_row(m, label, exc) for label, _ in specs]
+                continue
+            for label, spec in specs:
+                try:
+                    _, row = _solve_built(system, errors, m, spec)
+                    row.p = label
+                except _SOLVER_FAILURES as exc:
+                    row = _failed_row(m, label, exc)
+                rows.append(row)
+    return rows

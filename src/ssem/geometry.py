@@ -72,8 +72,8 @@ class BoundaryCurve:
         at theta = linspace(0, 2 pi, cum.size).
 
         Computed once, on first use, and kept, read-only, with the curve.
-        A sweep's threads can ask for it at once: the first computes it
-        under _TABLES_LOCK, and the others wait for it.
+        Threads can ask for it at once: the first computes it under
+        _TABLES_LOCK, and the others wait for it.
         """
         with _TABLES_LOCK:
             if "_tables" not in self.__dict__:

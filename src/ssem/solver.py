@@ -323,19 +323,21 @@ _pin_saved = 0
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Pin the bundled OpenBLAS to one thread inside the block, for
-    callers that run solves side by side, and restore its previous count
-    on the way out, also on an error.
+    """Pin the bundled OpenBLAS to one thread inside the block, and
+    restore its previous count on the way out, also on an error.
 
-    Yields True when it pinned, False where solves run on SciPy's LAPACK
-    (_bundled_lapack is None), whose thread pool it leaves alone. The
-    count is one setting for the whole process, so the blocks of all
-    threads share one pin: the first to enter saves the count and pins
-    it, the last to leave restores it, in whatever order they overlap.
+    A sweep's split QRs are small: on OpenBLAS's default pool of two
+    threads the second spins on each of them and wastes CPU, so
+    run_experiment solves inside this block. Where solves run on SciPy's
+    LAPACK (_bundled_lapack is None), its thread pool is left alone. The
+    count is one setting for the whole process, and user threads may
+    run sweeps at once, so the blocks of all threads share one pin: the
+    first to enter saves the count and pins it, the last to leave
+    restores it, in whatever order they overlap.
     """
     global _pin_depth, _pin_saved
     if _bundled_lapack() is None:
-        yield False
+        yield
         return
     lib = _bundled_openblas()
     with _PIN_LOCK:
@@ -344,7 +346,7 @@ def _one_blas_thread():
             lib.scipy_openblas_set_num_threads64_(1)
         _pin_depth += 1
     try:
-        yield True
+        yield
     finally:
         with _PIN_LOCK:
             _pin_depth -= 1

@@ -484,7 +484,7 @@ class TestCoefficientSpace:
                 np.sum(interp * grad), rel=1e-10, abs=1e-10)
 
     def test_cached_matrices_are_read_only(self):
-        # every build, and every thread of a pooled sweep, shares them
+        # every build, and every thread that builds, shares them
         for mat in (*_roots_basis(7), *_extrema_basis(6),
                     _chebder_matrix(7, 2)):
             assert not mat.flags.writeable

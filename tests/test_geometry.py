@@ -3,17 +3,13 @@
 import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-import ssem.experiments
 from ssem import geometry
-from ssem.assembly import (
-    BoundaryConditionSpec,
-    EllipticOperatorSpec,
-    SmootherSpec,
-)
+from ssem.assembly import SmootherSpec
 from ssem.chebyshev import roots_axis
 from ssem.experiments import ExperimentConfig, run_experiment, solve_problem
 from ssem.geometry import (
@@ -341,38 +337,31 @@ class TestImageArclength:
 
     def test_pooled_sweep_builds_each_table_once(self, table_builds,
                                                  monkeypatch):
-        # four workers (more than the cores) build grid sizes side by
-        # side on one fresh annulus, switching often, so several can ask
-        # for a curve's tables before any has them
+        # four threads (more than the cores) sample one fresh annulus at
+        # four grid sizes, switching often, so several can ask for a
+        # curve's tables before any has them
         dom = annulus_domain()
-        problem = ssem.experiments._elliptic_problem(
-            dom,
-            EllipticOperatorSpec(second_order={(0, 0): 1.0, (1, 1): 1.0},
-                                 first_order={}, zeroth=None, source=0.0),
-            BoundaryConditionSpec(
-                trace=1.0, flux=0.0,
-                data=lambda pts, nrm: pts[:, 0] ** 2 - pts[:, 1] ** 2),
-            exact=lambda x, y: x**2 - y**2)
-        monkeypatch.setitem(ssem.experiments._PROBLEMS, "robin-annulus",
-                            problem)
-        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 4)
         counted = geometry._image_arclength
 
-        def slow(curve):  # time for the other workers to ask as well
+        def slow(curve):  # time for the other threads to ask as well
             time.sleep(0.2)
             return counted(curve)
 
         monkeypatch.setattr(geometry, "_image_arclength", slow)
+        grids = (22, 10, 18, 14)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rows = run_experiment(ExperimentConfig(
-                problem="robin-annulus", grids=(22, 10, 18, 14),
-                p_list=(4.0, 6.0)))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sample_boundary_2d, dom, m)
+                           for m in grids]
+                samples = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert [r.failed for r in rows] == [False] * 8
         assert sorted(map(id, table_builds)) == sorted(map(id, dom.boundary))
+        for m, bset in zip(grids, samples):
+            assert np.array_equal(bset.points,
+                                  sample_boundary_2d(dom, m).points)
 
     @pytest.mark.parametrize("dom_fn", [disc_domain, star_domain,
                                         annulus_domain])

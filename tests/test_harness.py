@@ -5,8 +5,6 @@ import dataclasses
 import math
 import re
 import sys
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -345,7 +343,7 @@ class TestAssembleOncePerM:
 
         def build(m):
             built.append(m)
-            if fail is not None and m == 12:
+            if fail is not None and m == 10:
                 raise fail
             return real.build(m)
 
@@ -360,8 +358,7 @@ class TestAssembleOncePerM:
     def test_one_build_per_m_same_rows(self, monkeypatch):
         built = self.patch_build(monkeypatch)
         rows = run_experiment(self.config())
-        # the builds run side by side, the largest m first
-        assert sorted(built) == [10, 12]
+        assert built == [10, 12]
         for row in rows:
             with ssem.solver._one_blas_thread():
                 _, ref = ssem.experiments.solve_problem(
@@ -377,7 +374,7 @@ class TestAssembleOncePerM:
         self.patch_build(monkeypatch, ValueError("boundary data: NaN"))
         rows = run_experiment(self.config())
         assert [(r.m, r.failed) for r in rows] == [
-            (10, False)] * 3 + [(12, True)] * 3
+            (10, True)] * 3 + [(12, False)] * 3
 
     def test_build_programming_error_propagates(self, monkeypatch):
         self.patch_build(monkeypatch, TypeError("synthetic bug"))
@@ -409,8 +406,8 @@ def bundled_threads():
 
 
 class TestSweepPool:
-    """run_experiment solves its grid sizes side by side, each on one
-    BLAS thread, and returns the rows in config order."""
+    """run_experiment solves its grid sizes one after another, in config
+    order, on one BLAS thread."""
 
     GRIDS = (22, 10, 18, 14)
     P_LIST = (4.0, 6.0)
@@ -420,16 +417,15 @@ class TestSweepPool:
                                 p_list=self.P_LIST)
 
     def watch_builds(self, monkeypatch, hook=lambda m: None):
-        """Each build records its m, its thread and the bundled BLAS
-        thread count (None without the bundled library), then calls
-        hook(m); returns the records."""
+        """Each build records its m and the bundled BLAS thread count
+        (None without the bundled library), then calls hook(m); returns
+        the records."""
         real = ssem.experiments._PROBLEMS["neumann-star"]
         lib = ssem.solver._bundled_openblas()
         seen = []
 
         def build(m):
-            seen.append((m, threading.get_ident(),
-                         lib and lib.scipy_openblas_get_num_threads64_()))
+            seen.append((m, lib and lib.scipy_openblas_get_num_threads64_()))
             hook(m)
             return real.build(m)
 
@@ -450,21 +446,6 @@ class TestSweepPool:
         assert [row_values(r) for r in rows] == \
             [row_values(r) for r in alone]
 
-    def test_two_workers_build_at_once(self, monkeypatch, bundled_threads):
-        # neither of the two largest builds can go on until the other has
-        # started
-        _, put = bundled_threads
-        put(2)
-        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 2)
-        meeting = threading.Barrier(2, timeout=30)
-        seen = self.watch_builds(
-            monkeypatch, lambda m: m in (22, 18) and meeting.wait())
-        rows = run_experiment(self.config())
-        assert not any(r.failed for r in rows)
-        assert sorted(m for m, _, _ in seen) == sorted(self.GRIDS)
-        assert len({thread for _, thread, _ in seen}) == 2
-        assert {threads for _, _, threads in seen} == {1}
-
     def test_rows_in_config_order_either_way(self):
         forward = run_experiment(self.config())
         backward = run_experiment(self.config(self.GRIDS[::-1]))
@@ -483,7 +464,19 @@ class TestSweepPool:
         seen = self.watch_builds(monkeypatch)
         run_experiment(self.config())
         assert get() == before
-        assert {threads for _, _, threads in seen} == {1}
+        assert seen == [(m, 1) for m in self.GRIDS]
+
+    def test_one_grid_keeps_the_blas_pool(self, monkeypatch,
+                                          bundled_threads):
+        # a sweep of one m is pinned too, and the BLAS pool it found is
+        # back once it returns
+        get, put = bundled_threads
+        put(2)
+        before = get()
+        seen = self.watch_builds(monkeypatch)
+        run_experiment(self.config((14,)))
+        assert seen == [(14, 1)]
+        assert get() == before
 
     def test_overlapping_blocks_share_one_pin(self, bundled_threads):
         # blocks entered A, B and left A, B, as two sweeps on two threads
@@ -495,8 +488,8 @@ class TestSweepPool:
         first = ssem.solver._one_blas_thread()
         second = ssem.solver._one_blas_thread()
         with ThreadPoolExecutor(max_workers=1) as other:
-            assert first.__enter__()
-            assert other.submit(second.__enter__).result()
+            first.__enter__()
+            other.submit(second.__enter__).result()
             assert get() == 1
             first.__exit__(None, None, None)
             assert get() == 1
@@ -545,35 +538,15 @@ class TestSweepPool:
         assert get() == before
 
     def test_an_error_cancels_the_sizes_not_started(self, monkeypatch):
-        # one worker: 22 fails while 18 is queued or holds the worker, so
-        # 14 and 10 never start
-        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 1)
+        # the first m's build fails: the error propagates and no later m
+        # is built
+        def fail(m):
+            raise TypeError("synthetic bug")
 
-        def hook(m):
-            if m == 22:
-                raise TypeError("synthetic bug")
-            time.sleep(0.5)
-
-        seen = self.watch_builds(monkeypatch, hook)
+        seen = self.watch_builds(monkeypatch, fail)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(self.config())
-        assert [m for m, _, _ in seen] in ([22], [22, 18])
-
-    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(ssem.experiments.os, "sched_getaffinity",
-                            lambda pid: {0}, raising=False)
-        assert ssem.experiments._usable_cpus() == 1
-
-    def test_one_grid_keeps_the_blas_pool(self, monkeypatch,
-                                          bundled_threads):
-        # a single m has nothing to run beside it
-        get, put = bundled_threads
-        put(2)
-        before = get()
-        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 8)
-        seen = self.watch_builds(monkeypatch)
-        run_experiment(self.config((14,)))
-        assert [threads for _, _, threads in seen] == [before]
+        assert [m for m, _ in seen] == [22]
 
     def test_scipy_path_runs_one_worker(self, monkeypatch):
         alone = []
@@ -583,12 +556,7 @@ class TestSweepPool:
                     "neumann-star", m, SmootherSpec(p=p))
                 alone.append(row)
         monkeypatch.setattr(ssem.solver, "_bundled_lapack", lambda: None)
-        monkeypatch.setattr(ssem.experiments, "_usable_cpus", lambda: 8)
-        seen = self.watch_builds(monkeypatch)
         rows = run_experiment(self.config())
-        assert len({thread for _, thread, _ in seen}) == 1
-        # one worker takes the grid sizes in the order they were submitted
-        assert [m for m, _, _ in seen] == sorted(self.GRIDS, reverse=True)
         assert [(r.m, r.n_omega, r.n_gamma, r.failed) for r in rows] == \
             [(r.m, r.n_omega, r.n_gamma, r.failed) for r in alone]
         for got, want in zip(rows, alone):
@@ -828,6 +796,23 @@ class TestMain:
         assert code == 2
         assert f"cannot read CSV {missing}" in capsys.readouterr().err
         assert not (tmp_path / "plot.txt").exists()
+
+    def test_plotdata_undecodable_csv_exit_code(self, tmp_path, capsys):
+        binary = tmp_path / "results.csv"
+        binary.write_bytes(b"\xff\xfe\x80m,n_omega\n")
+        code = main(["plotdata", "--in", str(binary),
+                     "--out", str(tmp_path / "plot.txt")])
+        assert code == 2
+        assert f"cannot read CSV {binary}: 'utf-8' codec can't decode" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "plot.txt").exists()
+
+    def test_run_undecodable_config_exit_code(self, tmp_path, capsys):
+        binary = tmp_path / "exp.cfg"
+        binary.write_bytes(b"problem = dirichlet-disc\n\xff\xfe\x80\n")
+        assert main(["run", "--config", str(binary)]) == 2
+        assert f"cannot read config {binary}: 'utf-8' codec can't decode" \
+            in capsys.readouterr().err
 
     def test_study_and_plotdata(self, tmp_path):
         csv_path = str(tmp_path / "disc.csv")
