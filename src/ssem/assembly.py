@@ -57,6 +57,7 @@ import numpy as np
 
 from .chebyshev import (
     RootsAxis,
+    _node_count,
     analysis,
     bary_rows,
     basis_values,
@@ -464,8 +465,7 @@ class ParityBlock:
 
     def coefficient_shape(self, grid_shape) -> tuple:
         """The shape of the block's coefficients on a grid of grid_shape."""
-        return tuple(len(range(n)[c]) for n, c in zip(grid_shape,
-                                                       self.columns))
+        return _coefficient_shape(grid_shape, self.parity)
 
 
 def _columns(parity) -> tuple:
@@ -475,15 +475,25 @@ def _columns(parity) -> tuple:
                  for p in parity)
 
 
+def _coefficient_shape(grid_shape, parity) -> tuple:
+    """The shape of parity's coefficients on a grid of grid_shape."""
+    return tuple(len(range(n)[c]) for n, c in zip(grid_shape,
+                                                   _columns(parity)))
+
+
 def _parity_split(reflections, border: np.ndarray, rhs: np.ndarray,
                   ndim: int) -> tuple:
-    """(blocks, border block) of the reflections: the non-empty
-    ParityBlocks of the rows outside border, parity patterns in
+    """(reflections, blocks, border block) of a system's reflections: the
+    non-empty ParityBlocks of the rows outside border, parity patterns in
     lexicographic order (all even first), and border's rows as one
     ParityBlock of every coefficient (parity None on each axis, root 1),
     or None where border is empty. Each reflection is an involution and
     they commute, so every element g of the group they generate is a set
-    of them, and row r's orbit is {g r}."""
+    of them, and row r's orbit is {g r}. A border needs a block of every
+    parity pattern, whose Q^T takes the border's rows of that parity;
+    where a pattern has no rows (each row outside the border fixed by a
+    reflection its sign is odd on, or no such row), the split is made
+    with no reflections: () and one block of every row."""
     count = len(reflections)
     # a mask, not np.setdiff1d, whose np.unique loads numpy.ma on first use
     outside = np.ones(len(rhs), dtype=bool)
@@ -519,9 +529,11 @@ def _parity_split(reflections, border: np.ndarray, rhs: np.ndarray,
         blocks.append(ParityBlock(tuple(parity), rows[keep], root,
                                   root / len(images) * total))
     if not len(border):
-        return blocks, None
-    return blocks, ParityBlock((None,) * ndim, border, np.ones(len(border)),
-                               rhs[border])
+        return reflections, blocks, None
+    if len(blocks) < 2 ** count:
+        return _parity_split((), border[:0], rhs, ndim)
+    return reflections, blocks, ParityBlock(
+        (None,) * ndim, border, np.ones(len(border)), rhs[border])
 
 
 def _restricted(terms, rows: np.ndarray, root: np.ndarray, columns) -> list:
@@ -560,11 +572,12 @@ def _half_inverse(u: np.ndarray, spec: SmootherSpec, axes) -> np.ndarray:
 def apply_smoother_half_inverse(u: np.ndarray, spec: SmootherSpec,
                                 d: int | None = None) -> np.ndarray:
     """Apply S^{-1/2} on roots grids; the trailing d axes of u (default
-    all) are the grid axes, any others a batch. A d outside 1..u.ndim is
-    a ValueError."""
+    all) are the grid axes, any others a batch. A d that is not an
+    integer, or outside 1..u.ndim, is a ValueError."""
     u = np.asarray(u, dtype=float)
     if d is None:
         d = u.ndim
+    d = _node_count(d, "apply_smoother_half_inverse: d")
     if not 1 <= d <= u.ndim:
         raise ValueError(f"apply_smoother_half_inverse: d = {d} grid axes "
                          f"of an array of {u.ndim}; d must be in "
@@ -593,9 +606,9 @@ class ConstraintSystem:
     is build_system's (reflections, border rows, block_fn); a system
     without it, as one built by hand, is one block. border is the
     ParityBlock of the boundary rows that the reflections do not map, or
-    None; a border goes with a block for every parity pattern, or the
-    system is one block. The blocks and the border are computed once,
-    here: rhs and the reflections never change.
+    None. _parity_split computes the blocks and the border once, here
+    (rhs and the reflections never change), and keeps the reflections
+    only where every parity pattern has a block.
     """
 
     def __init__(self, axes, interior, boundary, rhs, apply_fn, matrix_fn,
@@ -623,19 +636,10 @@ class ConstraintSystem:
         if mirror is None:
             self.apply(np.zeros(self.grid_shape))
             mirror = (), (), lambda block, parity: matrix_fn()
-        self._reflections, border, self._block_fn = mirror
-        ndim = len(self.grid_shape)
-        self._blocks, self.border = _parity_split(
-            self._reflections, np.asarray(border, dtype=np.intp), rhs, ndim)
-        if self.border is not None \
-                and len(self._blocks) < 2 ** len(self._reflections):
-            # a parity pattern without rows (every row outside the border
-            # fixed by a reflection its sign is odd on, or no row outside
-            # it) has no block whose Q^T takes the border's rows of that
-            # parity: one block then
-            self._reflections = ()
-            self._blocks, self.border = _parity_split(
-                (), np.empty(0, dtype=np.intp), rhs, ndim)
+        reflections, border, self._block_fn = mirror
+        self._reflections, self._blocks, self.border = _parity_split(
+            reflections, np.asarray(border, dtype=np.intp), rhs,
+            len(self.grid_shape))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """C u: all constraint values for a grid function."""
@@ -716,8 +720,8 @@ def build_system(axes, groups, interior, boundary,
 
     def block_fn(block, parity):
         columns = _columns(parity)
-        size = int(np.prod([len(range(n)[c]) for n, c in zip(shape, columns)]))
-        mat = np.empty((len(block.rows), size))
+        mat = np.empty((len(block.rows),
+                        int(np.prod(_coefficient_shape(shape, parity)))))
         cuts = np.searchsorted(block.rows, starts)
         for lo, i, j, terms in zip(starts, cuts, cuts[1:], matrix_terms):
             _fill_rows(mat[i:j], _restricted(terms, block.rows[i:j] - lo,

@@ -11,7 +11,8 @@ cached AxisBasis records know the kind. A kind supplies its nodes, the
 map to the reference variable of its basis, and per size its analysis
 and synthesis matrices, Gram factor, barycentric weights and the
 frequency of each coefficient, which the smoother's multiplier reads.
-synthesis and analysis transform a grid function on any mix of kinds.
+synthesis and analysis transform a grid function on any mix of kinds;
+forward_cheb and inverse_cheb are the two on a grid of roots axes only.
 Dense matrices beat an FFT at these sizes (m up to about 64); the tests
 check them against the defining sums. The interpolant of a grid
 function is differentiated one way on every axis: by the rows of
@@ -109,7 +110,7 @@ class ExtremaAxis:
 
 def _node_count(value, name: str) -> int:
     """value as an int, or a ValueError naming the argument (a bool is an
-    int to operator.index, but not a node count)."""
+    int to operator.index, but not a count)."""
     try:
         if type(value) is bool:
             raise TypeError
@@ -213,31 +214,20 @@ def _extrema_basis(n: int) -> AxisBasis:
 # transforms
 # ---------------------------------------------------------------------------
 
-def forward_cheb(u: np.ndarray, axes=None) -> np.ndarray:
-    """Discrete Chebyshev transform on a roots grid.
+def forward_cheb(u: np.ndarray) -> np.ndarray:
+    """Discrete Chebyshev transform on a roots grid: :func:`analysis` on a
+    roots axis of each axis of u.
 
     Returns the coefficient tensor c with c_k = (p_k / m) sum_i u_i T_k(x_i)
     per axis (p_0 = 1, p_k = 2 otherwise), the DCT-II as a matrix.
-
-    Parameters
-    ----------
-    u : ndarray
-        Grid function; each transformed axis must be sampled on a roots grid.
-    axes : iterable of int, optional
-        Axes to transform (default: all).
     """
-    c = np.asarray(u, dtype=float)
-    for a in range(c.ndim) if axes is None else axes:
-        c = _apply(_roots_basis(c.shape[a]).analysis, c, a)
-    return c
+    return analysis(u, [roots_axis(m) for m in np.shape(u)])
 
 
-def inverse_cheb(c: np.ndarray, axes=None) -> np.ndarray:
-    """Inverse of :func:`forward_cheb`: u_i = sum_k c_k T_k(x_i) per axis."""
-    u = np.asarray(c, dtype=float)
-    for a in range(u.ndim) if axes is None else axes:
-        u = _synthesize(_roots_basis(u.shape[a]).synthesis, u, a)
-    return u
+def inverse_cheb(c: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`forward_cheb`: u_i = sum_k c_k T_k(x_i) per axis,
+    :func:`synthesis` on a roots axis of each axis of c."""
+    return synthesis(c, [roots_axis(m) for m in np.shape(c)])
 
 
 def synthesis(c: np.ndarray, axes) -> np.ndarray:

@@ -35,7 +35,8 @@ CONFIG_KEYS = ("problem", "grids", "p_list", "smoother", "out")
 
 
 def _parse_grids(text: str):
-    """Grid list: either '10,14,18' or an inclusive range '10:38:4'."""
+    """Grid list: either '10,14,18' or an inclusive range '10:38:4', or
+    '10:38' with step 1."""
     text = text.strip()
     try:
         if ":" in text:
@@ -256,7 +257,8 @@ def main(argv=None) -> int:
     p_study = sub.add_parser("study", help="run a sweep from flags")
     p_study.add_argument("--problem", required=True)
     p_study.add_argument("--grids", required=True,
-                         help="'lo:hi:step' or comma-separated sizes")
+                         help="'lo:hi:step', 'lo:hi' (step 1) or "
+                              "comma-separated sizes")
     p_study.add_argument("--p", default="",
                          help="comma-separated smoother exponents")
     p_study.add_argument("--smoother", default="power",

@@ -296,10 +296,13 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     ever packing them closer than the grid can resolve. A component whose
     param or normal does not return a finite (k, 2) array, or whose
     normals are not unit length to UNIT_NORMAL_TOL, is a ValueError
-    naming it.
+    naming it; so is a boundary that is one bare BoundaryCurve.
     """
     if domain.dim != 2:
         raise ValueError("sample_boundary_2d requires a planar domain")
+    if isinstance(domain.boundary, BoundaryCurve):
+        raise ValueError(f"{_label(domain)} has one BoundaryCurve as its "
+                         f"boundary; a planar boundary is a tuple of them")
     names = [f"{_label(domain)}, boundary component {i}"
              for i in range(len(domain.boundary))]
     all_pts = []

@@ -69,8 +69,8 @@ the leading n x n block of that buffer (LDA = N), with the reflectors
 below it. The finiteness check
 reads that whole block with numpy's min and max; everything else reads
 the triangle only, in place, through LAPACK with UPLO = 'U'. A LAPACK
-provider (_lapack) gives dgeqrt, dgemqrt and kernels(R), which binds R
-once and returns a vector x and two in-place kernels on it:
+provider (_lapack) gives dgeqrt, dgemqrt and kernels(R, x), which binds
+R and a vector x once and returns x and two in-place kernels on it:
 product(trans), x <- R x or R^T x (BLAS dtrmv), and solve(trans),
 x <- R^{-1} x or R^{-T} x (LAPACK dtrtrs); the Lanczos runs and the
 back-solve use only those. It is the OpenBLAS that numpy bundles,
@@ -215,7 +215,7 @@ def _bundled_lapack():
     that householder_qr, apply_q and pinv_solve use (dgemqrt's trans is
     "N" for Q c, "T" for Q^T c) and work in place, as SciPy's do with
     overwrite_a/_c=1. kernels(a, x) returns (x, product, solve) for R, the
-    upper triangle of a, acting on x, a new vector where x is None (see
+    upper triangle of a, acting in place on the caller's vector x (see
     the module docstring; trans is b"N" or b"T"). A matrix is read with
     the LDA of its column stride, so a view into a larger F-ordered
     buffer needs no copy.
@@ -261,12 +261,10 @@ def _bundled_lapack():
                info, 1, 1)
         return c, info.value
 
-    def kernels(a, x=None):
+    def kernels(a, x):
         # R's layout is checked and its arguments built here, once; each
         # kernel call is then one BLAS or LAPACK call on x
         lda, = _leading_dimensions(a)
-        if x is None:
-            x = np.zeros(a.shape[0])
         dim, ld, one = _int64(len(x)), _int64(lda), _int64(1)
         # data_as keeps a reference to its array, so a and x stay alive
         ptr_a, ptr_x = (v.ctypes.data_as(ctypes.c_void_p) for v in (a, x))
@@ -296,10 +294,8 @@ def _lapack():
         return bundled
     from scipy.linalg import blas, lapack
 
-    def kernels(a, x=None):
+    def kernels(a, x):
         a = np.asfortranarray(a, dtype=float)
-        if x is None:
-            x = np.zeros(a.shape[0])
         col = x.reshape(-1, 1)
 
         def product(trans):

@@ -350,6 +350,15 @@ class TestSmoother:
                 rf"array of 2; d must be in 1\.\.2$")):
             apply_smoother_half_inverse(np.ones((6, 6)), SmootherSpec(), d)
 
+    @pytest.mark.parametrize("d", [1.5, True])
+    def test_grid_axis_count_not_an_integer_refused(self, d):
+        # d = 1.5 failed slicing u.shape with a TypeError; d = True was
+        # taken as 1
+        with pytest.raises(ValueError, match=(
+                rf"^apply_smoother_half_inverse: d must be an integer, "
+                rf"got {d}$")):
+            apply_smoother_half_inverse(np.ones((6, 6)), SmootherSpec(), d)
+
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown smoother kind 'gauss'"):
             SmootherSpec("gauss", 4.0)

@@ -226,13 +226,6 @@ class TestTransforms:
         back = inverse_cheb(forward_cheb(u))
         assert np.max(np.abs(back - u)) < 1e-12 * np.max(np.abs(u))
 
-    def test_partial_axes(self):
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal((4, 8))
-        c = forward_cheb(u, axes=(1,))
-        ref = np.stack([forward_cheb_direct(row) for row in u])
-        assert c == pytest.approx(ref, abs=1e-13)
-
     @pytest.mark.parametrize("m", [2, 3, 8, 17, 32, 64])
     def test_discrete_orthogonality(self, m):
         V = np.cos(np.outer(np.pi * (2 * np.arange(m) + 1) / (2 * m),
@@ -267,12 +260,12 @@ class TestTransformMatrices:
     def test_roots_grid(self, m, axis):
         u = self.batch(m, axis)
         one = (axis,)
-        assert self.rel_err(forward_cheb(u, axes=one),
+        ax = roots_axis(m)
+        assert self.rel_err(self.along(ax.basis.analysis, u, axis),
                             forward_cheb_direct(u, axes=one)) < 1e-13
-        assert self.rel_err(inverse_cheb(u, axes=one),
+        assert self.rel_err(self.along(ax.basis.synthesis, u, axis),
                             inverse_cheb_direct(u, axes=one)) < 1e-12
         d = diff_matrix(m)
-        ax = roots_axis(m)
         assert self.rel_err(self.along(bary_rows(ax, ax.nodes, 1), u, axis),
                             self.along(d, u, axis)) < 1e-12
         d2 = bary_rows(ax, ax.nodes, 2)

@@ -662,6 +662,14 @@ class TestDispatch:
         with pytest.raises(ValueError, match="requires a planar domain"):
             sample_boundary_2d(star_ball_domain(), 10)
 
+    def test_planar_sampler_needs_a_tuple_of_curves(self):
+        disc = disc_domain()
+        bare = DomainSpec(dim=2, inside=disc.inside,
+                          boundary=disc.boundary[0], name="bare")
+        with pytest.raises(ValueError, match="domain bare has one "
+                                             "BoundaryCurve as its boundary"):
+            sample_boundary(bare, 10)
+
     def test_3d_sampler_refuses_a_planar_domain(self):
         with pytest.raises(ValueError, match="requires a 3-d domain"):
             sample_boundary_3d(disc_domain(), 10)

@@ -249,12 +249,13 @@ class TestQRPaths:
         every_other_row = np.asfortranarray(np.eye(6))[::2, :3]
         with pytest.raises(ValueError, match=refused):
             geqrt(4, np.ones((6, 4)), overwrite_a=1)
+        x = np.zeros(3)
         with pytest.raises(ValueError, match=refused):
-            kernels(np.eye(3, dtype=np.float32))
+            kernels(np.eye(3, dtype=np.float32), x)
         with pytest.raises(ValueError, match=refused):
-            kernels(every_other_row)
+            kernels(every_other_row, x)
         with pytest.raises(ValueError, match=refused):
-            kernels(np.ones((3, 3)))
+            kernels(np.ones((3, 3)), x)
         with pytest.raises(ValueError, match=refused):
             gemqrt(np.asfortranarray(np.eye(6, 3)),
                    np.asfortranarray(np.eye(3)), np.ones((6, 2)))
@@ -1366,19 +1367,27 @@ class TestBorder:
         assert report.residual_linf <= 1e-12
 
     @pytest.mark.parametrize("m, nodes", [
-        (3, [(1, 1)]), (5, [(i, 2) for i in range(5)])])
+        (3, [(1, 1)]), (5, [(i, 2) for i in range(5)]),
+        (3, [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+             if (i, j, k).count(1) == 1])])
     def test_parity_pattern_without_rows_is_one_block(self, monkeypatch, m,
                                                       nodes):
         # interior nodes on the mirror plane y = 0 (the centre alone, or
         # the middle row): the reflection in y fixes every interior row,
         # so no row has odd parity in y and no block's Q^T would take the
         # border's rows at odd k_y; the system is one block and solves as
-        # the one-block system does
+        # the one-block system does. In 3-D, the nodes on exactly one
+        # mirror plane: every parity pattern but the one odd on all three
+        # axes has rows, 7 of 8
+        dim = len(nodes[0])
+        pts = np.column_stack([self.POINTS,
+                               [0.17, -0.29, 0.38, -0.53]])[:, :dim]
+
         def build():
-            axes = (roots_axis(m), roots_axis(m))
+            axes = (roots_axis(m),) * dim
             where = InteriorIndexSet(np.array(nodes))
             op = EllipticOperatorSpec({}, {}, zeroth=1.0, source=1.0)
-            points = BoundaryPointSet(self.POINTS, np.zeros_like(self.POINTS))
+            points = BoundaryPointSet(pts, np.zeros_like(pts))
             bc = BoundaryConditionSpec(trace=1.0, flux=0.0,
                                        data=lambda pts, nrm: pts[:, 0])
             return build_system(axes, [(where, op), (points, bc)], where,
@@ -1389,7 +1398,7 @@ class TestBorder:
         assert len(system.parity_blocks()) == 1
         report = pinv_solve(system, lambda b: b)
         whole = pinv_solve(one_block(monkeypatch, build), lambda b: b)
-        assert report.blocks == whole.blocks == ((m * m, len(nodes) + 4),)
+        assert report.blocks == whole.blocks == ((m ** dim, len(nodes) + 4),)
         assert np.array_equal(report.solution, whole.solution)
         assert report.residual_linf <= 1e-12
 
