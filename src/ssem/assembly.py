@@ -84,9 +84,10 @@ __all__ = [
     "assemble_elliptic",
 ]
 
-# Work on the N x n constraint matrix (filling its rows, scaling them and
-# applying R_V^{-1}) goes through blocks of about this size, so that no
-# temporary approaches the size of the matrix.
+# Filling the rows of the N x n constraint matrix goes through blocks of
+# about this size, so that no temporary approaches the size of the
+# matrix. (Scaling the rows, solver._scale_rows, allocates none of this
+# size: it works through a fixed scratch buffer of its own.)
 BLOCK_BYTES = 4 << 20
 # A mirrored sample matches a sample, and a weight its mirror's, to this
 # tolerance (relative to the box [-1, 1] for points, to the largest

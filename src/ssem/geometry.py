@@ -296,15 +296,23 @@ def sample_boundary_2d(domain: DomainSpec, m: int) -> BoundaryPointSet:
     ever packing them closer than the grid can resolve. A component whose
     param or normal does not return a finite (k, 2) array, or whose
     normals are not unit length to UNIT_NORMAL_TOL, is a ValueError
-    naming it; so is a boundary that is one bare BoundaryCurve.
+    naming it. Before any sampling, a boundary that is not a tuple (or
+    list), such as one bare BoundaryCurve, and a component that is not a
+    BoundaryCurve are ValueErrors naming the domain, the component and
+    its type.
     """
     if domain.dim != 2:
         raise ValueError("sample_boundary_2d requires a planar domain")
-    if isinstance(domain.boundary, BoundaryCurve):
-        raise ValueError(f"{_label(domain)} has one BoundaryCurve as its "
-                         f"boundary; a planar boundary is a tuple of them")
+    if not isinstance(domain.boundary, (tuple, list)):
+        raise ValueError(f"{_label(domain)} has one "
+                         f"{type(domain.boundary).__name__} as its boundary; "
+                         f"a planar boundary is a tuple of BoundaryCurve")
     names = [f"{_label(domain)}, boundary component {i}"
              for i in range(len(domain.boundary))]
+    for name, curve in zip(names, domain.boundary):
+        if not isinstance(curve, BoundaryCurve):
+            raise ValueError(f"{name} has type {type(curve).__name__}, "
+                             f"not BoundaryCurve")
     all_pts = []
     for name, curve in zip(names, domain.boundary):
         try:

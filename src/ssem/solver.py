@@ -51,27 +51,29 @@ the column.
 
 Memory and passes: pinv_solve builds each parity block of A once, from
 the representative rows (never all of A when the system splits), and
-turns it into its block of M' in place, a block of rows of about
-BLOCK_BYTES at a time (diag(mu) and the time-axis R_V^{-1} together);
-dgeqrt overwrites that buffer with the reflectors. The blocks are solved
-in groups, each factored, estimated, back-solved and pulled back as one
-R and freed before the next group is built. A border couples every
-block, so a bordered system is one group, and a border-free one a group
-per block. So a border-free solve peaks at about the largest block,
-N x n when unsplit, plus T and the workspace (QR_BLOCK x n each). A
-bordered solve builds the border one block's parity at a time, straight
-into Q^T's buffer, and peaks at the blocks plus the stacked rests and T
-(dirichlet-3d m=20: about 7 MiB of blocks and 22 MiB of border, where
-the unsplit M' took 77 MiB). (One group of all the blocks of a
-border-free solve would hold them all at once: 25 MiB more at the peak
-of the heat problem.) R is never copied: it is the upper triangle of
-the leading n x n block of that buffer (LDA = N), with the reflectors
-below it. The finiteness check
-reads that whole block with numpy's min and max; everything else reads
-the triangle only, in place, through LAPACK with UPLO = 'U'. A LAPACK
-provider (_lapack) gives dgeqrt, dgemqrt and kernels(R, x), which binds
-R and a vector x once and returns x and two in-place kernels on it:
-product(trans), x <- R x or R^T x (BLAS dtrmv), and solve(trans),
+turns it into its block of M' in place (_scale_rows): diag(mu) in one
+multiply, or, where an axis has a non-diagonal Gram factor (the heat
+problem's time axis), diag(mu) and R_a^{-1} together on a sub-chunk of
+rows at a time, through one scratch buffer of SCALE_SCRATCH_BYTES.
+dgeqrt then overwrites the block's buffer with the reflectors. The
+blocks are solved in groups, each factored, estimated, back-solved and
+pulled back as one R and freed before the next group is built. A
+border couples every block, so a bordered system is one group, and a
+border-free one a group per block. So a border-free solve, the heat
+problem's too, peaks at about the largest block, N x n when unsplit,
+plus T and the workspace (QR_BLOCK x n each). A bordered solve builds
+the border one block's parity at a time, straight into Q^T's buffer,
+and peaks at the blocks plus the stacked rests and T (dirichlet-3d
+m=20: about 7 MiB of blocks and 22 MiB of border, where the unsplit M'
+took 77 MiB). (One group of all the blocks of a border-free solve would
+hold them all at once: 25 MiB more at the peak of the heat problem.) R
+is never copied: it is the upper triangle of the leading n x n block of
+that buffer (LDA = N), with the reflectors below it. The finiteness
+check reads that whole block with numpy's min and max; everything else
+reads the triangle only, in place, through LAPACK with UPLO = 'U'. A
+LAPACK provider (_lapack) gives dgeqrt, dgemqrt and kernels(R, x), which
+binds R and a vector x once and returns x and two in-place kernels on
+it: product(trans), x <- R x or R^T x (BLAS dtrmv), and solve(trans),
 x <- R^{-1} x or R^{-T} x (LAPACK dtrtrs); the Lanczos runs and the
 back-solve use only those. It is the OpenBLAS that numpy bundles,
 through ctypes (its ILP64 symbols scipy_dgeqrt_64_ and so on), on
@@ -92,7 +94,6 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import (
-    BLOCK_BYTES,
     ConstraintSystem,
     SmootherSpec,
     smoother_multiplier_array,
@@ -131,6 +132,10 @@ LANCZOS_MIN_ORDER = 100
 LANCZOS_MAX_STEPS = 100
 # Column block of the dgeqrt factorization (its NB), capped at n.
 QR_BLOCK = 128
+# _scale_rows applies a non-diagonal R_a^{-1} (the heat problem's time
+# axis) to this many bytes of rows at a time, through one scratch buffer
+# of this size: it and its sub-chunk of rows stay in a core's L2 cache.
+SCALE_SCRATCH_BYTES = 256 << 10
 
 
 def _int64(value: int):
@@ -731,9 +736,10 @@ class SolveReport:
     rank_margin is min |R_ii| / (RANK_TOL * max |R_ii|) over the R of
     every block (see QRFactorization). phases maps each name in PHASES to
     the seconds pinv_solve spent on that step, summed over its groups of
-    blocks; they add up to seconds (a bordered solve counts the border's
-    build and scaling under build and scale, and Q^T B, the stacking and
-    R_B's QR under factor). blocks is the (N, n) shape of each factored block
+    blocks; they add up to seconds (every QR counts under factor, which
+    closes after each; a bordered solve counts the border's build and
+    scaling under build and scale, and Q^T B, the stacking and R_B's QR
+    under factor). blocks is the (N, n) shape of each factored block
     of M', in order; with a border, the last is the border's: its n rows
     on the N coefficients left below the blocks' R, N = grid_size minus
     the blocks' rows.
@@ -815,21 +821,33 @@ def _scale_rows(rows: np.ndarray, weight: np.ndarray, inverses) -> None:
     """Turn rows of A into rows of A diag(mu) R_V^{-1}, in place.
 
     rows is A shaped (n_rows,) + grid shape and weight is mu * scale on
-    the grid. Each block of rows of about BLOCK_BYTES is scaled and then
-    multiplied by each (axis, R_a^{-1}) while it is in cache, so A is
-    read and written once. With that axis moved last, the product is one
-    matmul per block, batched over its rows: one small GEMM per row of
-    A. (A single tall-skinny 2-D GEMM per block is split across
-    OpenBLAS's threads and ran 3-20x slower on 2 cores.)
+    the grid. With no (axis, R_a^{-1}) factor (every Gram factor
+    diagonal: roots axes only) that is one in-place multiply. Otherwise
+    the rows go a sub-chunk of about SCALE_SCRATCH_BYTES at a time (at
+    least one row): each is scaled and then multiplied by each R_a^{-1}
+    while it is in cache, through one scratch buffer of that size
+    allocated once per call, and copied back; so A is read and written
+    once, and no temporary grows with the block. With that axis moved
+    last, the product is one matmul per sub-chunk, batched over its rows:
+    one small GEMM per row of A, the same calls, so the same bits, as
+    one matmul of the whole block. (At 4 MiB, a single tall-skinny 2-D
+    GEMM was split across OpenBLAS's threads and ran 3-20x slower on 2
+    cores; at this size it ran no faster than the batched one.)
     """
-    step = max(1, BLOCK_BYTES // (8 * weight.size))
+    if not inverses:
+        rows *= weight
+        return
+    step = max(1, SCALE_SCRATCH_BYTES // (8 * weight.size))
+    scratch = np.empty(step * weight.size)
     for i in range(0, len(rows), step):
         block = rows[i:i + step]
         block *= weight
         for a, inv in inverses:
             moved = np.moveaxis(block, a + 1, -1)
-            flat = moved.reshape(len(block), -1, len(inv))
-            moved[...] = np.matmul(flat, inv).reshape(moved.shape)
+            out = scratch[:block.size].reshape(len(block), -1, len(inv))
+            # a view unless the axis was not last: then a sub-chunk copy
+            np.matmul(moved.reshape(out.shape), inv, out=out)
+            moved[...] = out.reshape(moved.shape)
 
 
 def _factored(mat: np.ndarray, rows: np.ndarray) -> QRFactorization:
@@ -931,6 +949,13 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
         lap("scale")
         return mat
 
+    def factor(mat, rows):
+        """_factored(mat, rows), its QR counted under factor: the next
+        block's build must not open before this lap closes."""
+        fac = _factored(mat, rows)
+        lap("factor")
+        return fac
+
     # u = S^{-1/2} Q z with Q z = V R_V^{-1} Q' z (Q = Q_V Q' is M's
     # factor); each block's Q' z fills its coefficients of Q' z
     coef = np.zeros(shape)
@@ -940,9 +965,8 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
     for group in ([blocks] if border is not None
                   else [[block] for block in blocks]):
         # dgeqrt overwrites the built rows: fac.a is their buffer
-        facs = [_factored(columns_of(block, block).T, block.rows)
+        facs = [factor(columns_of(block, block).T, block.rows)
                 for block in group]
-        lap("factor")
         head, coupling = sum(len(block.rows) for block in group), None
         if border is not None:
             # a bordered system has a block for every parity pattern
@@ -968,10 +992,9 @@ def pinv_solve(system: ConstraintSystem, smoother) -> SolveReport:
                 raise ValueError("the border's coupling T to the blocks has "
                                  "non-finite entries (NaN or inf)")
             # dgeqrt factors the stacked rests in place: R_B's a is rest
-            facs.append(_factored(rest, border.rows))
+            facs.append(factor(rest, border.rows))
             group = [*group, border]
             del rest
-            lap("factor")
         factored += [(block.rows, np.abs(np.diag(fac.a)))
                      for fac, block in zip(facs, group)]
         shapes += [fac.a.shape for fac in facs]

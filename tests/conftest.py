@@ -1,6 +1,20 @@
-"""Shared pytest plumbing: acceptance-criterion summary lines."""
+"""Shared pytest plumbing: acceptance-criterion summary lines and the
+tracemalloc peak of a call."""
+
+import tracemalloc
 
 ACCEPTANCE_LINES = []
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of fn(); tracing stops on the way
+    out, also on an error."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = ""):

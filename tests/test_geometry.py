@@ -670,6 +670,22 @@ class TestDispatch:
                                              "BoundaryCurve as its boundary"):
             sample_boundary(bare, 10)
 
+    @pytest.mark.parametrize("boundary, match", [
+        ((disc_domain().boundary[0], star_ball_domain().boundary),
+         "domain mixed, boundary component 1 has type StarSurface, not "
+         "BoundaryCurve"),
+        ((3,), "domain mixed, boundary component 0 has type int, not "
+               "BoundaryCurve"),
+        ("abc", "domain mixed has one str as its boundary"),
+    ], ids=["star-surface", "int", "str"])
+    def test_planar_sampler_checks_every_component(self, boundary, match):
+        # refused before any component is sampled, by name and type
+        disc = disc_domain()
+        mixed = DomainSpec(dim=2, inside=disc.inside, boundary=boundary,
+                           name="mixed")
+        with pytest.raises(ValueError, match=f"^{match}"):
+            sample_boundary(mixed, 10)
+
     def test_3d_sampler_refuses_a_planar_domain(self):
         with pytest.raises(ValueError, match="requires a 3-d domain"):
             sample_boundary_3d(disc_domain(), 10)

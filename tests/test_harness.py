@@ -537,7 +537,7 @@ class TestSweepPool:
             run_experiment(self.config())
         assert get() == before
 
-    def test_an_error_cancels_the_sizes_not_started(self, monkeypatch):
+    def test_an_error_in_the_first_build_stops_the_sweep(self, monkeypatch):
         # the first m's build fails: the error propagates and no later m
         # is built
         def fail(m):
@@ -548,7 +548,7 @@ class TestSweepPool:
             run_experiment(self.config())
         assert [m for m, _ in seen] == [22]
 
-    def test_scipy_path_runs_one_worker(self, monkeypatch):
+    def test_scipy_sweep_matches_solo_solves(self, monkeypatch):
         alone = []
         for m in self.GRIDS:
             for p in self.P_LIST:

@@ -2,7 +2,7 @@
 
 import ctypes
 import re
-import tracemalloc
+import time
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +49,7 @@ from ssem.solver import (
     pinv_solve,
 )
 
+from conftest import traced_peak
 from oracles import chebyshev_vandermonde, dense_from_apply, dense_operator, \
     gram_schmidt_qr, normal_equation_solve
 
@@ -488,13 +489,7 @@ class TestPeakMemory:
         spec = SmootherSpec("power", 4.0)
         pinv_solve(system, spec)
         matrix_bytes = 8 * system.n_rows * int(np.prod(system.grid_shape))
-        tracemalloc.start()
-        try:
-            pinv_solve(system, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak / matrix_bytes
+        return traced_peak(lambda: pinv_solve(system, spec)) / matrix_bytes
 
     @pytest.mark.parametrize("problem_id, m", [("parabolic-star", 14),
                                                ("dirichlet-3d", 12)])
@@ -533,13 +528,7 @@ class TestPeakMemory:
         n = 1000
         mat = np.asfortranarray(
             np.random.default_rng(33).standard_normal((n + 500, n)))
-        tracemalloc.start()
-        try:
-            householder_qr(mat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * n / 2
+        assert traced_peak(lambda: householder_qr(mat)) < 8 * n * n / 2
 
 
 class TestConditionEstimate:
@@ -930,6 +919,24 @@ class TestPinvSolve:
         assert all(t >= 0.0 for t in report.phases.values())
         assert sum(report.phases.values()) <= report.seconds
 
+    def test_bordered_solve_counts_every_qr_under_factor(self, monkeypatch):
+        # dirichlet-3d at m=10 is eight blocks and a border, nine QRs, each
+        # slowed by 20 ms: a QR whose time closed with the next block's
+        # build would count under build, not factor
+        system, _ = ssem.experiments._PROBLEMS["dirichlet-3d"].build(10)
+        real, slept = ssem.solver.householder_qr, []
+
+        def slowed(mat):
+            time.sleep(0.02)
+            slept.append(0.02)
+            return real(mat)
+
+        monkeypatch.setattr(ssem.solver, "householder_qr", slowed)
+        report = pinv_solve(system, SmootherSpec("power", 4.0))
+        assert len(slept) == len(report.blocks) == 9
+        assert report.phases["factor"] >= sum(slept)
+        assert report.phases["build"] < sum(slept) / 2
+
     def test_rank_deficiency_seen_by_cond(self):
         # A Kahan matrix: every |R_ii| clears the threshold by nine orders
         # of magnitude, but sigma_min shows the dependence (cond ~ 1e17)
@@ -1156,13 +1163,60 @@ class TestScaleRows:
         want = a_mat @ np.diag((mult * scale).ravel()) \
             @ np.kron(np.eye(m * m), r_t_inv)
 
-        monkeypatch.setattr(ssem.solver, "BLOCK_BYTES", 5 * 8 * a_mat.shape[1])
+        monkeypatch.setattr(ssem.solver, "SCALE_SCRATCH_BYTES",
+                            5 * 8 * a_mat.shape[1])
         assert system.n_rows % 5
         got_scale, inverses = ssem.solver._gram_inverse(system.axes)
         assert got_scale == pytest.approx(scale, rel=1e-15)
         ssem.solver._scale_rows(a_mat.reshape((system.n_rows,) + shape),
                                 mult * got_scale, inverses)
         assert np.max(np.abs(a_mat - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_heat_block_scaled_in_place(self):
+        # parabolic-star's first parity block at m=18, 593 rows of 14 KiB:
+        # the time-axis R_t^{-1} goes through the fixed scratch buffer, so
+        # the peak stays far below the 4 MiB product of one BLOCK_BYTES
+        # block of rows, and every row gets the bits of one matmul of the
+        # whole block
+        system, _ = ssem.experiments._PROBLEMS["parabolic-star"].build(18)
+        block = system.parity_blocks()[0]
+        mult, _ = ssem.solver._smoother(system, SmootherSpec("power", 4.0))
+        scale, inverses = ssem.solver._gram_inverse(system.axes)
+        assert [a for a, _ in inverses] == [len(system.grid_shape) - 1]
+        weight = (mult * scale)[block.columns]
+        rows = system.block_matrix(block, block.parity).reshape(
+            (len(block.rows),) + block.coefficient_shape(system.grid_shape))
+        inv = inverses[0][1]
+        want = np.matmul((rows * weight).reshape(len(rows), -1, len(inv)),
+                         inv).reshape(rows.shape)
+        ssem.solver._scale_rows(rows.copy(), weight, inverses)  # warm
+        assert rows.nbytes > ssem.assembly.BLOCK_BYTES
+        peak = traced_peak(
+            lambda: ssem.solver._scale_rows(rows, weight, inverses))
+        assert peak < ssem.assembly.BLOCK_BYTES // 8
+        assert np.array_equal(rows, want)
+
+    @pytest.mark.parametrize("axes, scratch_rows", [((1,), 0),
+                                                    ((0, 2), 2)])
+    def test_inverse_on_any_axis(self, monkeypatch, axes, scratch_rows):
+        # R_a^{-1} on a non-last axis, alone or with the last, against
+        # einsum; a sub-chunk of one row when the scratch is smaller than
+        # a row, and a partial last sub-chunk
+        rng = np.random.default_rng(34)
+        rows = rng.standard_normal((7, 4, 5, 3))
+        weight = rng.standard_normal(rows.shape[1:])
+        inverses = [(a, rng.standard_normal((rows.shape[a + 1],) * 2))
+                    for a in axes]
+        want = rows * weight
+        for a, inv in inverses:
+            src = "rijk"
+            dst = src.replace(src[a + 1], src[a + 1].upper())
+            want = np.einsum(f"{src},{src[a + 1]}{dst[a + 1]}->{dst}",
+                             want, inv)
+        monkeypatch.setattr(ssem.solver, "SCALE_SCRATCH_BYTES",
+                            scratch_rows * 8 * weight.size)
+        ssem.solver._scale_rows(rows, weight, inverses)
+        assert np.max(np.abs(rows - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def one_block(monkeypatch, build):
